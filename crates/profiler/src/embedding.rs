@@ -66,6 +66,21 @@ impl ColumnEmbedding {
         self.v.iter().zip(&other.v).map(|(a, b)| a * b).sum()
     }
 
+    /// [`cosine`](Self::cosine) against `K` partners in one sweep over the
+    /// dimensions. Each partner keeps its own accumulator, seeded and fed
+    /// exactly as `cosine`'s `sum` (from `-0.0`, in dimension order), so
+    /// every result is bit-identical to the single-partner call; the `K`
+    /// independent add chains overlap instead of waiting on each other.
+    pub(crate) fn cosine_block<const K: usize>(&self, others: [&ColumnEmbedding; K]) -> [f64; K] {
+        let mut acc = [-0.0f64; K];
+        for (d, &a) in self.v.iter().enumerate() {
+            for (s, o) in acc.iter_mut().zip(&others) {
+                *s += a * o.v[d];
+            }
+        }
+        acc
+    }
+
     pub fn as_slice(&self) -> &[f64] {
         &self.v
     }
@@ -80,13 +95,24 @@ pub fn inclusion_score(
     small_distinct: usize,
     big_distinct: usize,
 ) -> f64 {
+    inclusion_score_from_cosine(small.cosine(big), small_distinct, big_distinct)
+}
+
+/// [`inclusion_score`] given the pair's precomputed cosine, which is
+/// symmetric bit for bit — the profiler's pairwise pass computes one dot
+/// per unordered pair and scores both inclusion directions from it.
+pub(crate) fn inclusion_score_from_cosine(
+    cosine: f64,
+    small_distinct: usize,
+    big_distinct: usize,
+) -> f64 {
     if small_distinct == 0 || big_distinct == 0 || small_distinct > big_distinct {
         return 0.0;
     }
     // If small ⊆ big, the expected cosine is ≈ sqrt(|small| / |big|)
     // (shared mass over the larger set's norm). Score = observed/expected.
     let expected = (small_distinct as f64 / big_distinct as f64).sqrt();
-    (small.cosine(big) / expected).clamp(0.0, 1.0)
+    (cosine / expected).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -149,6 +175,28 @@ mod tests {
         let other = ColumnEmbedding::from_distinct_values(other_vals.iter().map(|s| s.as_str()));
         let score_out = inclusion_score(&other, &big, 20, 100);
         assert!(score_out < 0.5, "non-inclusion score {score_out}");
+    }
+
+    #[test]
+    fn one_dot_per_pair_matches_per_call_cosine_bit_for_bit() {
+        let embs: Vec<ColumnEmbedding> = (0..5)
+            .map(|c| {
+                let vals: Vec<String> = (0..c * 9).map(|i| format!("v{}", i % (c + 4))).collect();
+                ColumnEmbedding::from_distinct_values(vals.iter().map(|s| s.as_str()))
+            })
+            .collect();
+        let dots = embs[0].cosine_block([&embs[1], &embs[2], &embs[3], &embs[4]]);
+        for (k, &dot) in dots.iter().enumerate() {
+            let other = &embs[k + 1];
+            assert_eq!(dot.to_bits(), embs[0].cosine(other).to_bits());
+            assert_eq!(dot.to_bits(), other.cosine(&embs[0]).to_bits(), "cosine is symmetric");
+            for (small, big) in [(3, 10), (10, 3), (0, 5), (7, 7)] {
+                assert_eq!(
+                    inclusion_score_from_cosine(dot, small, big).to_bits(),
+                    inclusion_score(&embs[0], other, small, big).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl ValueDict {
     pub fn build(col: &Column) -> ValueDict {
         // Pass 1: map each row to a provisional code via the *typed*
         // value (no rendering), counting occurrences as we go.
-        let (tmp_codes, rendered, tmp_counts) = match col {
+        let (tmp_codes, mut rendered, tmp_counts) = match col {
             Column::Int(v) => provisional_codes(v.iter(), |x| *x, |x| x.to_string()),
             Column::Bool(v) => provisional_codes(v.iter(), |x| *x, |x| x.to_string()),
             Column::Str(v) => provisional_codes(v.iter(), |x| x.as_str(), |x| x.clone()),
@@ -62,16 +62,18 @@ impl ValueDict {
         };
 
         // Pass 2: sort the distinct renders, merging provisional codes
-        // whose renders collide, and remap the per-row codes.
+        // whose renders collide, and remap the per-row codes. Each render
+        // is visited once, so it moves into `values` instead of being
+        // cloned.
         let mut order: Vec<u32> = (0..rendered.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| rendered[a as usize].cmp(&rendered[b as usize]));
         let mut values: Vec<String> = Vec::with_capacity(rendered.len());
         let mut counts: Vec<usize> = Vec::with_capacity(rendered.len());
         let mut remap: Vec<u32> = vec![0; rendered.len()];
         for &tmp in &order {
-            let render = &rendered[tmp as usize];
-            if values.last().map(|v| v == render) != Some(true) {
-                values.push(render.clone());
+            let render = std::mem::take(&mut rendered[tmp as usize]);
+            if values.last() != Some(&render) {
+                values.push(render);
                 counts.push(0);
             }
             let final_code = (values.len() - 1) as u32;
