@@ -127,7 +127,7 @@ fn main() {
                 });
                 accs[4].1.add(&t, b.llm_seconds, b.elapsed_seconds);
                 if let Some(llm) = args.routed_llm(llm_name, seed) {
-                    let (o, t) = traced(|| run_catdb(&p, &llm, 1, seed));
+                    let (o, t) = traced(|| run_catdb(&p, llm.as_ref(), 1, seed));
                     accs[5].1.add(&t, o.llm_seconds, o.elapsed_seconds);
                 }
             }

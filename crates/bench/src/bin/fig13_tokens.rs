@@ -81,7 +81,7 @@ fn main() {
                 push_split(&mut rows, &mut records, name, llm_name, system, &trace);
             }
             if let Some(llm) = args.routed_llm(llm_name, args.seed) {
-                let (_o, trace) = run_catdb_traced(&p, &llm, 1, args.seed);
+                let (_o, trace) = run_catdb_traced(&p, llm.as_ref(), 1, args.seed);
                 push_split(&mut rows, &mut records, name, llm_name, "catdb_routed", &trace);
             }
             // CAAFE total for comparison (single ledger bucket).

@@ -18,10 +18,11 @@
 
 use catdb_automl::{run_automl, AutoMlConfig, AutoMlOutcome, ToolProfile};
 use catdb_baselines::{run_caafe, CaafeConfig, CaafeModel};
-use catdb_bench::{llm_for, pct, render_table, resilient_llm_for, save_results, BenchArgs};
+use catdb_bench::{llm_for, pct, render_table, save_results, BenchArgs};
 use catdb_catalog::CatalogEntry;
 use catdb_core::{generate_pipeline, measured_cost, CatDbConfig};
 use catdb_data::{corrupt, generate, Corruption};
+use catdb_llm::{ModelProfile, Transport};
 use catdb_profiler::{profile_table, ProfileOptions};
 use serde_json::json;
 
@@ -127,20 +128,15 @@ fn fault_sweep(args: &BenchArgs) -> (Vec<Vec<String>>, Vec<serde_json::Value>) {
             let mut retry_usd = 0.0;
             for i in 0..n_seeds {
                 let seed = args.seed + 97 * i;
-                let llm = resilient_llm_for(
-                    "gemini-1.5-pro",
-                    seed,
-                    rate,
-                    args.max_retries,
-                    args.llm_timeout,
-                );
+                let transport = Transport { fault_rate: rate, ..args.transport };
+                let llm = transport.build(&ModelProfile::gemini_1_5_pro(), None, seed);
                 let cfg = CatDbConfig { seed, ..Default::default() };
                 // The whole session — catalog refinement and generation —
                 // rides the resilient transport, so the sweep sees the
                 // call volume a production run would.
                 let (outcome, trace) = catdb_bench::traced(|| {
-                    let p = catdb_bench::prepare(&g, true, &llm, seed);
-                    generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg)
+                    let p = catdb_bench::prepare(&g, true, llm.as_ref(), seed);
+                    generate_pipeline(&p.entry, &p.train, &p.test, llm.as_ref(), &cfg)
                 });
                 if outcome.success {
                     successes += 1;

@@ -10,8 +10,8 @@ use catdb_catalog::CatalogEntry;
 use catdb_core::{generate_pipeline, CatDbConfig, GenerationOutcome, PromptOptions};
 use catdb_data::{GenOptions, GeneratedDataset};
 use catdb_llm::{
-    resolve_route, FaultSpec, LanguageModel, ModelProfile, ResilientClient, RetryPolicy, RoutedLlm,
-    SimLlm, DEFAULT_ROUTE_TARGET_ACCURACY,
+    resolve_route, LanguageModel, ModelProfile, RouteError, SimLlm, Transport,
+    DEFAULT_ROUTE_TARGET_ACCURACY,
 };
 use catdb_ml::TaskKind;
 use catdb_profiler::{profile_table, ProfileOptions};
@@ -88,25 +88,6 @@ pub fn paper_llms() -> Vec<&'static str> {
     vec!["gpt-4o", "gemini-1.5-pro", "llama3.1-70b"]
 }
 
-/// Build the full resilient transport stack for a paper model: seeded
-/// fault injection under retry/backoff/circuit-breaking with degradation
-/// to the cheaper paper models (the fig14 fault-sweep configuration).
-pub fn resilient_llm_for(
-    name: &str,
-    seed: u64,
-    fault_rate: f64,
-    max_retries: usize,
-    llm_timeout: Option<f64>,
-) -> ResilientClient {
-    let profile = ModelProfile::by_name(name).unwrap_or_else(ModelProfile::gpt_4o);
-    ResilientClient::simulated(
-        profile,
-        FaultSpec::from_rate(fault_rate),
-        RetryPolicy { max_retries, call_timeout_seconds: llm_timeout, ..Default::default() },
-        seed,
-    )
-}
-
 /// Build the per-role routed transport for a bench run: one simulated
 /// resilient backend per distinct model in the route spec, all sharing
 /// `seed` so routed runs stay byte-deterministic. `route` accepts the
@@ -116,19 +97,11 @@ pub fn routed_llm_for(
     route: &str,
     target_accuracy: f64,
     seed: u64,
-    fault_rate: f64,
-    max_retries: usize,
-    llm_timeout: Option<f64>,
-) -> Result<RoutedLlm, catdb_llm::RouteError> {
+    transport: &Transport,
+) -> Result<Box<dyn LanguageModel>, RouteError> {
     let profile = ModelProfile::by_name(default_model).unwrap_or_else(ModelProfile::gpt_4o);
     let spec = resolve_route(route, target_accuracy)?;
-    Ok(RoutedLlm::simulated(
-        &profile,
-        &spec,
-        FaultSpec::from_rate(fault_rate),
-        RetryPolicy { max_retries, call_timeout_seconds: llm_timeout, ..Default::default() },
-        seed,
-    ))
+    Ok(transport.build(&profile, Some(&spec), seed))
 }
 
 /// Run CatDB (β = 1) or CatDB Chain (β > 1) on a prepared dataset.
@@ -203,12 +176,8 @@ pub struct BenchArgs {
     /// (implies `quick`; used by the determinism gate, which runs a bin
     /// twice and diffs the output).
     pub smoke: bool,
-    /// Injected LLM transport fault rate for resilience sweeps.
-    pub fault_rate: f64,
-    /// Transport retries per model rung after the first attempt.
-    pub max_retries: usize,
-    /// Per-call deadline on simulated LLM latency, seconds.
-    pub llm_timeout: Option<f64>,
+    /// `--fault-rate`, `--max-retries` and `--llm-timeout`.
+    pub transport: Transport,
     /// Concurrent in-flight LLM requests for the chain's fan-out stages.
     pub llm_concurrency: usize,
     /// Per-role model routing spec (`refine=llama,fix=mini` or `auto`);
@@ -229,9 +198,7 @@ impl BenchArgs {
             seed: 7,
             quick: false,
             smoke: false,
-            fault_rate: 0.0,
-            max_retries: 3,
-            llm_timeout: None,
+            transport: Transport::default(),
             llm_concurrency: DEFAULT_LLM_CONCURRENCY,
             route: None,
             route_target_accuracy: DEFAULT_ROUTE_TARGET_ACCURACY,
@@ -254,19 +221,19 @@ impl BenchArgs {
                 }
                 "--fault-rate" => {
                     if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.fault_rate = v;
+                        args.transport.fault_rate = v;
                         i += 1;
                     }
                 }
                 "--max-retries" => {
                     if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.max_retries = v;
+                        args.transport.max_retries = v;
                         i += 1;
                     }
                 }
                 "--llm-timeout" => {
                     if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.llm_timeout = Some(v);
+                        args.transport.llm_timeout = Some(v);
                         i += 1;
                     }
                 }
@@ -304,21 +271,13 @@ impl BenchArgs {
     /// The routed LLM for this run's `--route`, or `None` when unrouted.
     /// A malformed spec aborts the binary with the structured parse error
     /// (bench runs should fail loudly, not silently fall back).
-    pub fn routed_llm(&self, default_model: &str, seed: u64) -> Option<RoutedLlm> {
+    pub fn routed_llm(&self, default_model: &str, seed: u64) -> Option<Box<dyn LanguageModel>> {
         self.route.as_ref().map(|route| {
-            routed_llm_for(
-                default_model,
-                route,
-                self.route_target_accuracy,
-                seed,
-                self.fault_rate,
-                self.max_retries,
-                self.llm_timeout,
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("bad --route '{route}': {e}");
-                std::process::exit(2);
-            })
+            routed_llm_for(default_model, route, self.route_target_accuracy, seed, &self.transport)
+                .unwrap_or_else(|e| {
+                    eprintln!("bad --route '{route}': {e}");
+                    std::process::exit(2);
+                })
         })
     }
 
@@ -441,11 +400,11 @@ mod tests {
 
     #[test]
     fn routed_llm_for_builds_from_spec_and_rejects_garbage() {
-        let llm = routed_llm_for("gpt-4o", "refine=llama,fix=mini", 0.95, 7, 0.0, 3, None)
+        let transport = Transport::default();
+        let llm = routed_llm_for("gpt-4o", "refine=llama,fix=mini", 0.95, 7, &transport)
             .expect("valid spec");
-        use catdb_llm::LanguageModel;
         assert_eq!(llm.model_name(), "gpt-4o");
-        assert!(routed_llm_for("gpt-4o", "refine=claude", 0.95, 7, 0.0, 3, None).is_err());
+        assert!(routed_llm_for("gpt-4o", "refine=claude", 0.95, 7, &transport).is_err());
     }
 
     #[test]

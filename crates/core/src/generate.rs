@@ -60,9 +60,6 @@ pub struct CatDbConfig {
     /// Split-search strategy forwarded to the tree-family estimators
     /// (`--split-mode`): exact scans or histogram-binned training.
     pub split_mode: catdb_ml::SplitMode,
-    /// Profiling strategy (`--profile-mode`): exact full-column scans
-    /// or chunked single-pass sketches for out-of-core inputs.
-    pub profile_mode: catdb_profiler::ProfileMode,
     /// Pipeline scheduling strategy (`--exec-mode`): strict source order
     /// or dependency-DAG antichains with step memoization. DAG mode
     /// shares one [`StepCache`] across the whole session, so Algorithm 4
@@ -86,7 +83,6 @@ impl Default for CatDbConfig {
             llm_cache_path: None,
             llm_cache: None,
             split_mode: catdb_ml::SplitMode::Exact,
-            profile_mode: catdb_profiler::ProfileMode::Exact,
             exec_mode: ExecMode::Seq,
         }
     }
@@ -424,7 +420,6 @@ pub fn generate_pipeline(
         seed: cfg.seed,
         fast_validation: false,
         split_mode: cfg.split_mode,
-        profile_mode: cfg.profile_mode,
         exec_mode: cfg.exec_mode,
         step_cache: step_cache.clone(),
         inject_fault_step: None,
@@ -442,7 +437,6 @@ pub fn generate_pipeline(
         seed: cfg.seed,
         fast_validation: true,
         split_mode: cfg.split_mode,
-        profile_mode: cfg.profile_mode,
         exec_mode: cfg.exec_mode,
         step_cache,
         inject_fault_step: None,

@@ -12,6 +12,8 @@
 //!   Table 2 / Figure 8.
 //! * [`cost`] — the token cost model (Equations 1–2).
 //! * [`api`] — the paper's user API: `catdb_collect` / `catdb_pipgen`.
+//! * [`run`] — [`RunSpec`], the one run path `catdb run` and the serve
+//!   daemon share.
 //!
 //! ```no_run
 //! use catdb_core::{catdb_collect, catdb_pipgen, CatDbConfig, CollectOptions};
@@ -36,6 +38,7 @@ pub mod generate;
 pub mod kb;
 pub mod prompt;
 pub mod rules;
+pub mod run;
 
 pub use api::{catdb_collect, catdb_pipgen, CollectOptions, PipgenResult};
 pub use cost::{measured_cost, reprice, MeasuredCost};
@@ -45,3 +48,4 @@ pub use generate::{
 pub use kb::{ErrorTrace, ErrorTraceDb, FixedBy, KbFix, KnowledgeBase};
 pub use prompt::{PromptBuilder, PromptOptions};
 pub use rules::{derive_rules, labels_imbalanced, schema_line, MetadataConfig};
+pub use run::{Engine, RunError, RunOutcome, RunSpec};

@@ -33,6 +33,7 @@ mod resilient;
 mod route;
 mod sim;
 mod tokens;
+mod transport;
 
 pub use client::{Completion, LanguageModel, LlmError};
 pub use fault::{FaultInjectingLlm, FaultSpec};
@@ -51,3 +52,4 @@ pub use sim::fixer::clean_syntax as clean_pipeline_syntax;
 pub use sim::typeinfer::{infer_feature_type, parse_response as parse_typeinfer_response};
 pub use sim::SimLlm;
 pub use tokens::{estimate_tokens, CostLedger, TokenUsage};
+pub use transport::Transport;

@@ -38,9 +38,6 @@ pub struct ExecutionConfig {
     pub fast_validation: bool,
     /// Split-search strategy for the tree-family estimators.
     pub split_mode: SplitMode,
-    /// Profiling strategy (exact scans vs mergeable chunked sketches)
-    /// forwarded to every profiling pass the run performs.
-    pub profile_mode: catdb_profiler::ProfileMode,
     /// Step scheduling strategy: strict sequential interpretation or the
     /// dependency-DAG scheduler (byte-identical outputs either way).
     pub exec_mode: ExecMode,
@@ -60,7 +57,6 @@ impl ExecutionConfig {
             seed: 42,
             fast_validation: false,
             split_mode: SplitMode::Exact,
-            profile_mode: catdb_profiler::ProfileMode::Exact,
             exec_mode: ExecMode::Seq,
             step_cache: None,
             inject_fault_step: None,

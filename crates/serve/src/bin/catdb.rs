@@ -15,22 +15,18 @@
 //! `--clients N`, drives N concurrent connections — against it.
 
 use catdb_catalog::MultiTableDataset;
-use catdb_core::{
-    catdb_collect, catdb_pipgen, measured_cost, CatDbConfig, CollectOptions, PromptOptions,
-};
-use catdb_llm::{
-    resolve_route, FaultSpec, LanguageModel, ModelProfile, ResilientClient, RetryPolicy, RoutedLlm,
-    DEFAULT_ROUTE_TARGET_ACCURACY,
-};
+use catdb_core::{measured_cost, Engine, RunSpec};
+use catdb_llm::{resolve_route, ModelProfile, Transport, DEFAULT_ROUTE_TARGET_ACCURACY};
 use catdb_ml::TaskKind;
-use catdb_profiler::{profile_table, ProfileOptions};
+use catdb_profiler::{profile_table, ProfileMode, ProfileOptions};
 use catdb_serve::{
-    drive_concurrent, shutdown, submit, AdmissionOptions, BudgetPolicy, DatasetSpec,
+    dataset_name, drive_concurrent, shutdown, submit, AdmissionOptions, BudgetPolicy, DatasetSpec,
     GenerateRequest, Outcome, ServeOptions, Server,
 };
 use catdb_table::{read_csv_path, CsvOptions};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -49,12 +45,8 @@ struct Args {
     route: Option<String>,
     /// End-to-end accuracy target for `--route auto`.
     route_target_accuracy: f64,
-    /// Tree split search: `exact` | `binned` | `binned:<bins>`.
-    split_mode: catdb_ml::SplitMode,
-    /// Profiling strategy: `exact` | `sketch` | `sketch:<chunk_rows>`.
-    profile_mode: catdb_profiler::ProfileMode,
-    /// Pipeline scheduling: `seq` | `dag`.
-    exec_mode: catdb_pipeline::ExecMode,
+    /// `--split-mode`, `--profile-mode` and `--exec-mode`.
+    engine: Engine,
     /// File receiving the final pipeline's dependency DAG as JSON.
     dag_out: Option<String>,
     beta: usize,
@@ -62,12 +54,8 @@ struct Args {
     refine: bool,
     seed: u64,
     trace_out: Option<String>,
-    /// Injected LLM transport fault rate (0 disables injection).
-    fault_rate: f64,
-    /// Transport retries per model rung after the first attempt.
-    max_retries: usize,
-    /// Per-call deadline on simulated LLM latency, seconds.
-    llm_timeout: Option<f64>,
+    /// `--fault-rate`, `--max-retries` and `--llm-timeout`.
+    transport: Transport,
     /// Concurrent in-flight LLM requests for the chain's fan-out stages.
     llm_concurrency: usize,
     /// JSON-lines file persisting the completion cache across runs.
@@ -95,9 +83,52 @@ struct Args {
     shutdown: Option<String>,
 }
 
-fn parse_args() -> Option<Args> {
-    let argv: Vec<String> = std::env::args().collect();
-    let command = argv.get(1)?.clone();
+impl Args {
+    /// The run these flags ask for. `--route auto` runs the optimizer,
+    /// which records a trace event, so call this under the run's sink.
+    fn run_spec(&self) -> Result<RunSpec, String> {
+        let model = ModelProfile::by_name(&self.model).ok_or_else(|| {
+            format!(
+                "unknown model '{}'; use gpt-4o, gemini-1.5-pro, llama3.1-70b, or gpt-4o-mini \
+                 (aliases: gemini, llama, mini)",
+                self.model
+            )
+        })?;
+        let route = self
+            .route
+            .as_deref()
+            .map(|r| {
+                resolve_route(r, self.route_target_accuracy)
+                    .map_err(|e| format!("bad --route '{r}': {e}"))
+            })
+            .transpose()?;
+        Ok(RunSpec {
+            model,
+            route,
+            seed: self.seed,
+            alpha: self.alpha,
+            beta: self.beta,
+            refine: self.refine,
+            llm_concurrency: self.llm_concurrency,
+            transport: self.transport,
+            engine: self.engine,
+        })
+    }
+}
+
+/// The token after `flag`, parsed by `parse`. A missing or unparseable
+/// value is an error that names the flag.
+fn value<T, E: std::fmt::Display>(
+    rest: &mut std::slice::Iter<String>,
+    flag: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let raw = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    parse(raw).map_err(|e| format!("bad {flag} '{raw}': {e}"))
+}
+
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let command = argv.get(1).ok_or("missing command")?.clone();
     let mut args = Args {
         command,
         csv: None,
@@ -106,18 +137,14 @@ fn parse_args() -> Option<Args> {
         model: "gpt-4o".into(),
         route: None,
         route_target_accuracy: DEFAULT_ROUTE_TARGET_ACCURACY,
-        split_mode: catdb_ml::SplitMode::Exact,
-        profile_mode: catdb_profiler::ProfileMode::Exact,
-        exec_mode: catdb_pipeline::ExecMode::Seq,
+        engine: Engine::default(),
         dag_out: None,
         beta: 1,
         alpha: None,
         refine: true,
         seed: 42,
         trace_out: None,
-        fault_rate: 0.0,
-        max_retries: 3,
-        llm_timeout: None,
+        transport: Transport::default(),
         llm_concurrency: catdb_sched::DEFAULT_LLM_CONCURRENCY,
         llm_cache: None,
         host: "127.0.0.1".into(),
@@ -135,194 +162,62 @@ fn parse_args() -> Option<Args> {
         stream: false,
         shutdown: None,
     };
-    let mut i = 2;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--csv" => args.csv = argv.get(i + 1).cloned().inspect(|_| i += 1),
-            "--target" => args.target = argv.get(i + 1).cloned().inspect(|_| i += 1),
-            "--task" => args.task = argv.get(i + 1).cloned().inspect(|_| i += 1),
-            "--model" => {
-                if let Some(m) = argv.get(i + 1) {
-                    args.model = m.clone();
-                    i += 1;
-                }
-            }
-            "--route" => args.route = argv.get(i + 1).cloned().inspect(|_| i += 1),
+    let mut rest = argv[2..].iter();
+    while let Some(flag) = rest.next() {
+        let flag = flag.as_str();
+        let rest = &mut rest;
+        match flag {
+            "--csv" => args.csv = Some(value(rest, flag, str::parse)?),
+            "--target" => args.target = Some(value(rest, flag, str::parse)?),
+            "--task" => args.task = Some(value(rest, flag, str::parse)?),
+            "--model" => args.model = value(rest, flag, str::parse)?,
+            "--route" => args.route = Some(value(rest, flag, str::parse)?),
             "--route-target-accuracy" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.route_target_accuracy = v;
-                    i += 1;
-                }
+                args.route_target_accuracy = value(rest, flag, str::parse)?
             }
-            "--split-mode" => {
-                let Some(raw) = argv.get(i + 1) else {
-                    eprintln!("--split-mode needs a value (exact | binned | binned:<bins>)");
-                    return None;
-                };
-                match catdb_ml::SplitMode::parse(raw) {
-                    Ok(mode) => {
-                        args.split_mode = mode;
-                        i += 1;
-                    }
-                    Err(e) => {
-                        eprintln!("bad --split-mode '{raw}': {e}");
-                        return None;
-                    }
-                }
-            }
-            "--profile-mode" => {
-                let Some(raw) = argv.get(i + 1) else {
-                    eprintln!(
-                        "--profile-mode needs a value (exact | sketch | sketch:<chunk_rows>)"
-                    );
-                    return None;
-                };
-                match catdb_profiler::ProfileMode::parse(raw) {
-                    Ok(mode) => {
-                        args.profile_mode = mode;
-                        i += 1;
-                    }
-                    Err(e) => {
-                        eprintln!("bad --profile-mode '{raw}': {e}");
-                        return None;
-                    }
-                }
-            }
-            "--exec-mode" => {
-                let Some(raw) = argv.get(i + 1) else {
-                    eprintln!("--exec-mode needs a value (seq | dag)");
-                    return None;
-                };
-                match catdb_pipeline::ExecMode::parse(raw) {
-                    Ok(mode) => {
-                        args.exec_mode = mode;
-                        i += 1;
-                    }
-                    Err(e) => {
-                        eprintln!("bad --exec-mode '{raw}': {e}");
-                        return None;
-                    }
-                }
-            }
-            "--dag-out" => args.dag_out = argv.get(i + 1).cloned().inspect(|_| i += 1),
-            "--beta" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.beta = v;
-                    i += 1;
-                }
-            }
-            "--alpha" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.alpha = Some(v);
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.seed = v;
-                    i += 1;
-                }
-            }
-            "--trace-out" => args.trace_out = argv.get(i + 1).cloned().inspect(|_| i += 1),
-            "--fault-rate" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.fault_rate = v;
-                    i += 1;
-                }
-            }
-            "--max-retries" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.max_retries = v;
-                    i += 1;
-                }
-            }
-            "--llm-timeout" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.llm_timeout = Some(v);
-                    i += 1;
-                }
-            }
-            "--llm-concurrency" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.llm_concurrency = v;
-                    i += 1;
-                }
-            }
-            "--llm-cache" => args.llm_cache = argv.get(i + 1).cloned().inspect(|_| i += 1),
+            "--split-mode" => args.engine.split = value(rest, flag, catdb_ml::SplitMode::parse)?,
+            "--profile-mode" => args.engine.profile = value(rest, flag, ProfileMode::parse)?,
+            "--exec-mode" => args.engine.exec = value(rest, flag, catdb_pipeline::ExecMode::parse)?,
+            "--dag-out" => args.dag_out = Some(value(rest, flag, str::parse)?),
+            "--beta" => args.beta = value(rest, flag, str::parse)?,
+            "--alpha" => args.alpha = Some(value(rest, flag, str::parse)?),
+            "--seed" => args.seed = value(rest, flag, str::parse)?,
+            "--trace-out" => args.trace_out = Some(value(rest, flag, str::parse)?),
+            "--fault-rate" => args.transport.fault_rate = value(rest, flag, str::parse)?,
+            "--max-retries" => args.transport.max_retries = value(rest, flag, str::parse)?,
+            "--llm-timeout" => args.transport.llm_timeout = Some(value(rest, flag, str::parse)?),
+            "--llm-concurrency" => args.llm_concurrency = value(rest, flag, str::parse)?,
+            "--llm-cache" => args.llm_cache = Some(value(rest, flag, str::parse)?),
             "--no-refine" => args.refine = false,
-            "--host" => {
-                if let Some(h) = argv.get(i + 1) {
-                    args.host = h.clone();
-                    i += 1;
-                }
-            }
-            "--port" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.port = Some(v);
-                    i += 1;
-                }
-            }
-            "--max-inflight" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.max_inflight = v;
-                    i += 1;
-                }
-            }
-            "--max-queued" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.max_queued = v;
-                    i += 1;
-                }
-            }
-            "--budget-tokens" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.budget_tokens = Some(v);
-                    i += 1;
-                }
-            }
-            "--budget-refill" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.budget_refill = v;
-                    i += 1;
-                }
-            }
-            "--shutdown-token" => {
-                args.shutdown_token = argv.get(i + 1).cloned().inspect(|_| i += 1)
-            }
-            "--dataset" => args.dataset = argv.get(i + 1).cloned().inspect(|_| i += 1),
-            "--rows" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.rows = v;
-                    i += 1;
-                }
-            }
-            "--tenant" => {
-                if let Some(t) = argv.get(i + 1) {
-                    args.tenant = t.clone();
-                    i += 1;
-                }
-            }
-            "--clients" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    args.clients = v;
-                    i += 1;
-                }
-            }
-            "--out-dir" => args.out_dir = argv.get(i + 1).cloned().inspect(|_| i += 1),
+            "--host" => args.host = value(rest, flag, str::parse)?,
+            "--port" => args.port = Some(value(rest, flag, str::parse)?),
+            "--max-inflight" => args.max_inflight = value(rest, flag, str::parse)?,
+            "--max-queued" => args.max_queued = value(rest, flag, str::parse)?,
+            "--budget-tokens" => args.budget_tokens = Some(value(rest, flag, str::parse)?),
+            "--budget-refill" => args.budget_refill = value(rest, flag, str::parse)?,
+            "--shutdown-token" => args.shutdown_token = Some(value(rest, flag, str::parse)?),
+            "--dataset" => args.dataset = Some(value(rest, flag, str::parse)?),
+            "--rows" => args.rows = value(rest, flag, str::parse)?,
+            "--tenant" => args.tenant = value(rest, flag, str::parse)?,
+            "--clients" => args.clients = value(rest, flag, str::parse)?,
+            "--out-dir" => args.out_dir = Some(value(rest, flag, str::parse)?),
             "--stream" => args.stream = true,
-            "--shutdown" => args.shutdown = argv.get(i + 1).cloned().inspect(|_| i += 1),
-            other => {
-                eprintln!("unknown argument: {other}");
-                return None;
-            }
+            "--shutdown" => args.shutdown = Some(value(rest, flag, str::parse)?),
+            other => return Err(format!("unknown argument: {other}")),
         }
-        i += 1;
     }
-    Some(args)
+    Ok(args)
 }
 
 fn main() -> ExitCode {
-    let Some(args) = parse_args() else { return usage() };
+    let argv: Vec<String> = std::env::args().collect();
+    let args = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return usage();
+        }
+    };
     match args.command.as_str() {
         "profile" => cmd_profile(&args),
         "run" => cmd_run(&args),
@@ -349,12 +244,7 @@ fn load_table(args: &Args) -> Result<(String, catdb_table::Table), ExitCode> {
                 secs * 1e3,
                 rows_per_sec,
             );
-            let name = std::path::Path::new(path)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("dataset")
-                .to_string();
-            Ok((name, t))
+            Ok((dataset_name(path), t))
         }
         Err(e) => {
             eprintln!("failed to read {path}: {e}");
@@ -367,27 +257,21 @@ fn cmd_profile(args: &Args) -> ExitCode {
     // Sketch mode streams the CSV through a spill file chunk by chunk —
     // peak memory is O(chunk), so files far larger than RAM profile fine.
     // Exact mode materializes the whole table (the bit-frozen default).
-    let (name, profile, n_cols) = match args.profile_mode {
-        catdb_profiler::ProfileMode::Exact => {
+    let (name, profile, n_cols) = match args.engine.profile {
+        ProfileMode::Exact => {
             let Ok((name, table)) = load_table(args) else { return ExitCode::FAILURE };
             let profile = profile_table(&name, &table, &ProfileOptions::default());
             let n_cols = table.n_cols();
             (name, profile, n_cols)
         }
-        catdb_profiler::ProfileMode::Sketch { chunk_rows } => {
+        ProfileMode::Sketch { chunk_rows } => {
             let Some(path) = &args.csv else {
                 eprintln!("--csv is required");
                 return usage();
             };
-            let name = std::path::Path::new(path)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("dataset")
-                .to_string();
-            let opts = ProfileOptions {
-                mode: catdb_profiler::ProfileMode::Sketch { chunk_rows },
-                ..Default::default()
-            };
+            let name = dataset_name(path);
+            let opts =
+                ProfileOptions { mode: ProfileMode::Sketch { chunk_rows }, ..Default::default() };
             // Single pass: sketches fold off the ingest stream as each
             // chunk is spilled — no read-back pass over the spill file.
             let (chunked, profile) = match catdb_profiler::profile_csv_stream(
@@ -440,7 +324,7 @@ fn cmd_run(args: &Args) -> ExitCode {
     // Cache hit/miss counters are read from it for the `[llm cache: ...]`
     // summary, and with --trace-out its JSON snapshot is written at exit
     // (re-importable via catdb_trace::Trace::from_json_str).
-    let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+    let sink = Arc::new(catdb_trace::TraceSink::new());
     let _trace_guard = catdb_trace::install(sink.clone());
 
     let Ok((name, table)) = load_table(args) else { return ExitCode::FAILURE };
@@ -448,106 +332,43 @@ fn cmd_run(args: &Args) -> ExitCode {
         eprintln!("--target is required");
         return usage();
     };
-    let task = match args.task.as_deref() {
-        Some("binary") => TaskKind::BinaryClassification,
-        Some("multiclass") => TaskKind::MulticlassClassification,
-        Some("regression") => TaskKind::Regression,
-        _ => {
-            eprintln!("--task must be binary, multiclass, or regression");
-            return usage();
-        }
+    let Some(task) = args.task.as_deref().and_then(TaskKind::parse) else {
+        eprintln!("--task must be binary, multiclass, or regression");
+        return usage();
     };
-    let Some(profile) = ModelProfile::by_name(&args.model) else {
-        eprintln!(
-            "unknown model '{}'; use gpt-4o, gemini-1.5-pro, llama3.1-70b, or gpt-4o-mini \
-             (aliases: gemini, llama, mini)",
-            args.model
-        );
-        return ExitCode::FAILURE;
-    };
-    // The full resilient transport stack: fault injection (off at rate 0)
-    // under retry/backoff/circuit-breaking/degradation. At the default
-    // knobs with no faults this behaves exactly like a bare SimLlm. With
-    // --route, each role gets its own resilient stack (roles sharing a
-    // model share one); `--route auto` picks the cheapest assignment
-    // meeting --route-target-accuracy and records a RouteDecision event.
-    let faults = FaultSpec::from_rate(args.fault_rate);
-    let policy = RetryPolicy {
-        max_retries: args.max_retries,
-        call_timeout_seconds: args.llm_timeout,
-        ..Default::default()
-    };
-    let llm: Box<dyn LanguageModel> = match &args.route {
-        Some(route) => {
-            let spec = match resolve_route(route, args.route_target_accuracy) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    eprintln!("bad --route '{route}': {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!("[route: {}]", spec.canonical(&profile));
-            Box::new(RoutedLlm::simulated(&profile, &spec, faults, policy, args.seed))
-        }
-        None => Box::new(ResilientClient::simulated(profile, faults, policy, args.seed)),
-    };
-    let llm = llm.as_ref();
-
-    // A persistent completion cache shared by generation and error fixing;
-    // warm entries replay for free on later runs with the same seed.
-    let cache = args
-        .llm_cache
-        .as_ref()
-        .map(|path| std::sync::Arc::new(catdb_sched::CompletionCache::persistent(path, 4096)));
-
-    // Catalog refinement shares the persistent cache: route the collect
-    // phase through a scheduler over it (exactly as the serve daemon
-    // does) so warm runs replay refinement answers without billing. The
-    // scheduler keys entries on the *routed* model per prompt.
-    let sched = cache.as_ref().map(|cache| {
-        catdb_sched::LlmScheduler::new(llm, cache.clone())
-            .with_concurrency(args.llm_concurrency)
-            .with_decode_tag(format!("seed={}", args.seed))
-    });
-    let llm: &dyn LanguageModel = match &sched {
-        Some(sched) => sched,
-        None => llm,
-    };
-
-    let dataset = MultiTableDataset::single(name, table);
-    let mut opts = CollectOptions { refine: args.refine, ..Default::default() };
-    opts.profile.mode = args.profile_mode;
-    let (entry, prepared, report) = match catdb_collect(&dataset, target, task, llm, &opts) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("collection failed: {e}");
+    let spec = match args.run_spec() {
+        Ok(spec) => spec,
+        Err(msg) => {
+            eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(report) = &report {
+    // A persistent completion cache shared by collection, generation and
+    // error fixing; warm entries replay for free on later runs with the
+    // same seed.
+    let cache = args
+        .llm_cache
+        .as_ref()
+        .map(|path| Arc::new(catdb_sched::CompletionCache::persistent(path, 4096)));
+    let dataset = MultiTableDataset::single(name, table);
+    let run = match spec.run(&dataset, target, task, cache.clone()) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some(route) = &run.route {
+        eprintln!("[route: {route}]");
+    }
+    if let Some(report) = &run.refinement {
         eprintln!(
             "[catalog refined: {} column change(s), {} LLM call(s)]",
             report.refinements.len(),
             report.llm_calls
         );
     }
-    let cfg = CatDbConfig {
-        prompt: PromptOptions { beta: args.beta, alpha: args.alpha, ..Default::default() },
-        seed: args.seed,
-        llm_concurrency: args.llm_concurrency,
-        llm_cache: cache.clone(),
-        split_mode: args.split_mode,
-        profile_mode: args.profile_mode,
-        exec_mode: args.exec_mode,
-        ..Default::default()
-    };
-    let result = match catdb_pipgen(&entry, &prepared, llm, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("generation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let result = run.result;
     println!("{}", result.code);
     if let Some(path) = &args.dag_out {
         // Export the final pipeline's dependency DAG (nodes with their
@@ -640,9 +461,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
         },
         cache_path: args.llm_cache.as_ref().map(std::path::PathBuf::from),
         llm_concurrency: args.llm_concurrency,
-        fault_rate: args.fault_rate,
-        max_retries: args.max_retries,
-        llm_timeout: args.llm_timeout,
+        transport: args.transport,
         shutdown_token: args.shutdown_token.clone(),
         ..Default::default()
     };
@@ -686,38 +505,16 @@ fn client_request(args: &Args) -> Result<GenerateRequest, String> {
         (None, Some(path)) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
-            let name = std::path::Path::new(path)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("dataset")
-                .to_string();
-            DatasetSpec::CsvInline { name, text }
+            DatasetSpec::CsvInline { name: dataset_name(path), text }
         }
         _ => return Err("exactly one of --dataset or --csv is required".into()),
     };
-    let mut req = GenerateRequest::new(args.tenant.clone(), dataset);
-    req.target = args.target.clone();
-    req.task = args.task.clone();
-    req.model = args.model.clone();
-    req.route = args.route.clone();
-    req.split_mode = match args.split_mode {
-        catdb_ml::SplitMode::Exact => None,
-        mode => Some(mode.to_string()),
-    };
-    req.profile_mode = match args.profile_mode {
-        catdb_profiler::ProfileMode::Exact => None,
-        mode => Some(mode.to_string()),
-    };
-    req.exec_mode = match args.exec_mode {
-        catdb_pipeline::ExecMode::Seq => None,
-        mode => Some(mode.to_string()),
-    };
-    req.seed = args.seed;
-    req.beta = args.beta;
-    req.alpha = args.alpha;
-    req.refine = args.refine;
-    req.stream = args.stream;
-    Ok(req)
+    Ok(GenerateRequest {
+        target: args.target.clone(),
+        task: args.task.clone(),
+        stream: args.stream,
+        ..GenerateRequest::from_spec(args.tenant.clone(), dataset, &args.run_spec()?)
+    })
 }
 
 fn cmd_client(args: &Args) -> ExitCode {
@@ -830,5 +627,40 @@ fn report_outcome(i: usize, outcome: &Outcome, out_dir: Option<&str>) -> ExitCod
             eprintln!("client {i}: server error: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> =
+            std::iter::once("catdb").chain(words.iter().copied()).map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn a_trailing_flag_without_its_value_is_an_error_naming_the_flag() {
+        let err = parse(&["run", "--csv", "data.csv", "--seed"]).err().expect("trailing --seed");
+        assert_eq!(err, "--seed needs a value");
+    }
+
+    #[test]
+    fn an_unparseable_value_is_reported_against_its_flag() {
+        let err = parse(&["run", "--beta", "two"]).err().expect("--beta two");
+        assert!(err.starts_with("bad --beta 'two': "), "{err}");
+        let err = parse(&["run", "--split-mode", "bogus"]).err().expect("--split-mode bogus");
+        assert!(err.starts_with("bad --split-mode 'bogus': "), "{err}");
+    }
+
+    #[test]
+    fn flags_fill_the_run_spec() {
+        let flags = ["run", "--beta", "2", "--exec-mode", "dag", "--fault-rate", "0.5"];
+        let Ok(args) = parse(&flags) else { panic!("valid flags rejected") };
+        let spec = args.run_spec().expect("default model");
+        assert_eq!(spec.beta, 2);
+        assert_eq!(spec.engine.exec, catdb_pipeline::ExecMode::Dag);
+        assert_eq!(spec.transport.fault_rate, 0.5);
     }
 }

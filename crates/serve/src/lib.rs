@@ -26,8 +26,8 @@ pub use admission::{
 };
 pub use client::{drive_concurrent, shutdown, submit, Outcome};
 pub use protocol::{
-    ClientFrame, DatasetSpec, GenerateRequest, GenerateResponse, RetryAfter, ServerFrame,
-    WireError, PROTOCOL_VERSION,
+    dataset_name, ClientFrame, DatasetSpec, GenerateRequest, GenerateResponse, RetryAfter,
+    ServerFrame, WireError, PROTOCOL_VERSION,
 };
 pub use server::{Gate, ServeOptions, Server};
 pub use transport::{duplex, DuplexStream};

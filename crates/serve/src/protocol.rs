@@ -19,6 +19,11 @@
 //! share it). Seeds and row counts beyond that are not supported on the
 //! wire.
 
+use catdb_core::{Engine, RunSpec};
+use catdb_llm::{resolve_route, ModelProfile, Transport, DEFAULT_ROUTE_TARGET_ACCURACY};
+use catdb_ml::{SplitMode, TaskKind};
+use catdb_pipeline::ExecMode;
+use catdb_profiler::ProfileMode;
 use catdb_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -42,6 +47,12 @@ pub enum DatasetSpec {
     CsvPath { path: String },
     /// CSV text carried inline in the request (tests, small demos).
     CsvInline { name: String, text: String },
+}
+
+/// The dataset name a CSV file stands for: its file stem, or `dataset`
+/// when the path has none.
+pub fn dataset_name(path: &str) -> String {
+    std::path::Path::new(path).file_stem().and_then(|s| s.to_str()).unwrap_or("dataset").to_string()
 }
 
 /// One pipeline-generation request.
@@ -107,6 +118,85 @@ impl GenerateRequest {
             refine: true,
             stream: false,
         }
+    }
+
+    /// The request for `spec`, with target, task and streaming at their
+    /// defaults. Strings are canonical: the model's full name, the
+    /// route's `role=model[:N]` rendering, and `None` for a default mode.
+    pub fn from_spec(
+        tenant: impl Into<String>,
+        dataset: DatasetSpec,
+        spec: &RunSpec,
+    ) -> GenerateRequest {
+        fn non_default<T: Default + PartialEq + fmt::Display>(mode: T) -> Option<String> {
+            (mode != T::default()).then(|| mode.to_string())
+        }
+        GenerateRequest {
+            model: spec.model.name.clone(),
+            route: spec.route.as_ref().map(|route| route.canonical(&spec.model)),
+            split_mode: non_default(spec.engine.split),
+            profile_mode: non_default(spec.engine.profile),
+            exec_mode: non_default(spec.engine.exec),
+            seed: spec.seed,
+            beta: spec.beta,
+            alpha: spec.alpha,
+            refine: spec.refine,
+            ..GenerateRequest::new(tenant, dataset)
+        }
+    }
+
+    /// Parse every string of the request into the run it asks for, plus
+    /// its task when one is given. The daemon supplies the transport and
+    /// fan-out, which are its own settings, not the client's. Each error
+    /// names the offending field. A `route` of `auto` runs the optimizer,
+    /// which records a trace event, so call this under the request's
+    /// trace sink.
+    pub fn to_spec(
+        &self,
+        transport: &Transport,
+        llm_concurrency: usize,
+    ) -> Result<(RunSpec, Option<TaskKind>), String> {
+        fn mode<T: Default>(
+            field: &str,
+            raw: &Option<String>,
+            parse: fn(&str) -> Result<T, String>,
+        ) -> Result<T, String> {
+            raw.as_deref().map_or(Ok(T::default()), |s| {
+                parse(s).map_err(|e| format!("bad {field} '{s}': {e}"))
+            })
+        }
+        let task = self
+            .task
+            .as_deref()
+            .map(|t| TaskKind::parse(t).ok_or_else(|| format!("unknown task '{t}'")))
+            .transpose()?;
+        let model = ModelProfile::by_name(&self.model)
+            .ok_or_else(|| format!("unknown model '{}'", self.model))?;
+        let route = self
+            .route
+            .as_deref()
+            .map(|r| {
+                resolve_route(r, DEFAULT_ROUTE_TARGET_ACCURACY)
+                    .map_err(|e| format!("bad route '{r}': {e}"))
+            })
+            .transpose()?;
+        let engine = Engine {
+            split: mode("split_mode", &self.split_mode, SplitMode::parse)?,
+            profile: mode("profile_mode", &self.profile_mode, ProfileMode::parse)?,
+            exec: mode("exec_mode", &self.exec_mode, ExecMode::parse)?,
+        };
+        let spec = RunSpec {
+            model,
+            route,
+            seed: self.seed,
+            alpha: self.alpha,
+            beta: self.beta,
+            refine: self.refine,
+            llm_concurrency,
+            transport: *transport,
+            engine,
+        };
+        Ok((spec, task))
     }
 }
 
@@ -423,6 +513,68 @@ mod tests {
         let back: GenerateRequest = serde::Deserialize::deserialize(&stripped).unwrap();
         assert_eq!(back.exec_mode, None);
         assert_eq!(back.model, request().model);
+    }
+
+    /// A `Submit` payload with every field set and non-default modes, as
+    /// the version-1 encoder wrote it before requests were built from a
+    /// [`RunSpec`].
+    const V1_SUBMIT: &str = r#"{"Submit":{"tenant":"team-a","dataset":{"Builtin":{"name":"diabetes","rows":200,"seed":9}},"target":"label","task":"binary","model":"gemini-1.5-pro","route":"refine=llama3.1-70b,generate=gemini-1.5-pro,select=gemini-1.5-pro,fix=gpt-4o-mini:2","split_mode":"binned:128","profile_mode":"sketch:4096","exec_mode":"dag","seed":9,"beta":3,"alpha":12,"refine":false,"stream":true}}"#;
+
+    #[test]
+    fn v1_submit_fixture_maps_to_its_spec_and_back_byte_for_byte() {
+        let mut bytes = (V1_SUBMIT.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(V1_SUBMIT.as_bytes());
+        let ClientFrame::Submit(req) = decode_frame(&bytes).unwrap() else {
+            panic!("fixture is not a Submit frame")
+        };
+        let transport = Transport { fault_rate: 0.1, ..Transport::default() };
+        let (spec, task) = req.to_spec(&transport, 3).unwrap();
+        let route =
+            catdb_llm::RouteSpec::parse("refine=llama,generate=gemini,select=gemini,fix=mini:2");
+        let expected = RunSpec {
+            model: ModelProfile::gemini_1_5_pro(),
+            route: Some(route.unwrap()),
+            seed: 9,
+            alpha: Some(12),
+            beta: 3,
+            refine: false,
+            llm_concurrency: 3,
+            transport,
+            engine: Engine {
+                split: SplitMode::Binned { bins: 128 },
+                profile: ProfileMode::Sketch { chunk_rows: 4096 },
+                exec: ExecMode::Dag,
+            },
+        };
+        assert_eq!(spec, expected);
+        assert_eq!(task, Some(TaskKind::BinaryClassification));
+        let back = GenerateRequest {
+            target: req.target.clone(),
+            task: req.task.clone(),
+            stream: req.stream,
+            ..GenerateRequest::from_spec(req.tenant.clone(), req.dataset.clone(), &spec)
+        };
+        assert_eq!(encode_frame(&ClientFrame::Submit(Box::new(back))).unwrap(), bytes);
+    }
+
+    #[test]
+    fn to_spec_errors_name_the_bad_field() {
+        let builtin = DatasetSpec::Builtin { name: "wifi".into(), rows: 10, seed: 1 };
+        type Edit = fn(&mut GenerateRequest);
+        let cases: [(&str, Edit); 6] = [
+            ("bad split_mode 'binned:0': ", |r| r.split_mode = Some("binned:0".into())),
+            ("bad profile_mode 'sketchy': ", |r| r.profile_mode = Some("sketchy".into())),
+            ("bad exec_mode 'parallel': ", |r| r.exec_mode = Some("parallel".into())),
+            ("bad route 'refine=claude': ", |r| r.route = Some("refine=claude".into())),
+            ("unknown model 'gpt-5'", |r| r.model = "gpt-5".into()),
+            ("unknown task 'clustering'", |r| r.task = Some("clustering".into())),
+        ];
+        for (want, set) in cases {
+            let mut req = GenerateRequest::new("t", builtin.clone());
+            set(&mut req);
+            let err = req.to_spec(&Transport::default(), 1).expect_err(want);
+            assert!(err.starts_with(want), "{err}");
+        }
     }
 
     #[test]

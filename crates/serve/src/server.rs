@@ -5,8 +5,8 @@
 //! multiplexes over:
 //!
 //! * one [`CompletionCache`] (optionally disk-backed) consumed by a
-//!   per-request [`LlmScheduler`] — identical prompts across tenants,
-//!   requests, and passes are served zero-billed;
+//!   per-request [`catdb_sched::LlmScheduler`] — identical prompts
+//!   across tenants, requests, and passes are served zero-billed;
 //! * the `catdb-runtime` worker pool and the `profile_table` /
 //!   `ValueDict` memos (process-global by construction, so concurrent
 //!   requests share them for free);
@@ -14,9 +14,9 @@
 //!   the bounded in-flight limit.
 //!
 //! Each connection carries one request. The handler admits it (or
-//! answers with a structured [`RetryAfter`]), replays the exact one-shot
-//! `catdb run` pipeline — collect → refine → generate → validate — over
-//! the shared stack, streams `catdb-trace` events back as
+//! answers with a structured [`RetryAfter`]), runs the one-shot
+//! `catdb run` path ([`catdb_core::RunSpec::run`]: collect → refine →
+//! generate → validate) over the shared stack, streams `catdb-trace` events back as
 //! [`ServerFrame::Progress`] when asked to, charges the tenant with the
 //! request's *measured* token usage, and answers with a terminal
 //! [`ServerFrame`].
@@ -27,20 +27,15 @@
 
 use crate::admission::{AdmissionController, AdmissionOptions, Clock, WallClock};
 use crate::protocol::{
-    read_frame, write_frame, ClientFrame, DatasetSpec, GenerateRequest, GenerateResponse,
-    RetryAfter, ServerFrame, WireError,
+    dataset_name, read_frame, write_frame, ClientFrame, DatasetSpec, GenerateRequest,
+    GenerateResponse, RetryAfter, ServerFrame, WireError,
 };
 use crate::transport::{duplex, DuplexStream};
 use catdb_catalog::MultiTableDataset;
-use catdb_core::{
-    catdb_collect, catdb_pipgen, measured_cost, CatDbConfig, CollectOptions, PromptOptions,
-};
-use catdb_llm::{
-    resolve_route, FaultSpec, LanguageModel, ModelProfile, ResilientClient, RetryPolicy, RoutedLlm,
-    DEFAULT_ROUTE_TARGET_ACCURACY,
-};
+use catdb_core::measured_cost;
+use catdb_llm::Transport;
 use catdb_ml::TaskKind;
-use catdb_sched::{CompletionCache, LlmScheduler};
+use catdb_sched::CompletionCache;
 use catdb_table::{read_csv_path, read_csv_str, CsvOptions};
 use catdb_trace::TraceSink;
 use parking_lot::{Condvar, Mutex};
@@ -87,10 +82,8 @@ pub struct ServeOptions {
     pub cache_path: Option<PathBuf>,
     /// In-flight LLM fan-out per request (`--llm-concurrency`).
     pub llm_concurrency: usize,
-    /// Injected transport fault rate for request LLM stacks.
-    pub fault_rate: f64,
-    pub max_retries: usize,
-    pub llm_timeout: Option<f64>,
+    /// Fault injection and retries for request LLM stacks.
+    pub transport: Transport,
     /// When set, a [`ClientFrame::Shutdown`] with this token stops the
     /// daemon; without it remote shutdown is refused.
     pub shutdown_token: Option<String>,
@@ -105,9 +98,7 @@ impl Default for ServeOptions {
             cache_capacity: 4096,
             cache_path: None,
             llm_concurrency: catdb_sched::DEFAULT_LLM_CONCURRENCY,
-            fault_rate: 0.0,
-            max_retries: 3,
-            llm_timeout: None,
+            transport: Transport::default(),
             shutdown_token: None,
             gate: None,
         }
@@ -274,15 +265,15 @@ impl Server {
         Ok(())
     }
 
-    /// Resolve the request's dataset into `(dataset, target, task)`.
+    /// Resolve the request's dataset into `(dataset, target, task)`;
+    /// `task` is the request's parsed task, if it named one.
     fn resolve_dataset(
         req: &GenerateRequest,
+        task: Option<TaskKind>,
     ) -> Result<(MultiTableDataset, String, TaskKind), String> {
-        let parse_task = |name: &str| match name {
-            "binary" => Ok(TaskKind::BinaryClassification),
-            "multiclass" => Ok(TaskKind::MulticlassClassification),
-            "regression" => Ok(TaskKind::Regression),
-            other => Err(format!("unknown task '{other}'")),
+        let csv_target_and_task = || -> Result<(String, TaskKind), String> {
+            let target = req.target.clone().ok_or("csv datasets require an explicit target")?;
+            Ok((target, task.ok_or("csv datasets require a task")?))
         };
         match &req.dataset {
             DatasetSpec::Builtin { name, rows, seed } => {
@@ -292,37 +283,26 @@ impl Server {
                 )
                 .ok_or_else(|| format!("unknown builtin dataset '{name}'"))?;
                 let target = req.target.clone().unwrap_or(g.target);
-                let task = match &req.task {
-                    Some(t) => parse_task(t)?,
-                    None => g.task,
-                };
-                Ok((g.dataset, target, task))
+                Ok((g.dataset, target, task.unwrap_or(g.task)))
             }
             DatasetSpec::CsvPath { path } => {
                 let table = read_csv_path(path, &CsvOptions::default())
                     .map_err(|e| format!("failed to read {path}: {e}"))?;
-                let name = std::path::Path::new(path)
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("dataset")
-                    .to_string();
-                let target = req.target.clone().ok_or("csv datasets require an explicit target")?;
-                let task = parse_task(req.task.as_deref().ok_or("csv datasets require a task")?)?;
-                Ok((MultiTableDataset::single(name, table), target, task))
+                let (target, task) = csv_target_and_task()?;
+                Ok((MultiTableDataset::single(dataset_name(path), table), target, task))
             }
             DatasetSpec::CsvInline { name, text } => {
                 let table = read_csv_str(text, &CsvOptions::default())
                     .map_err(|e| format!("failed to parse inline csv: {e}"))?;
-                let target = req.target.clone().ok_or("csv datasets require an explicit target")?;
-                let task = parse_task(req.task.as_deref().ok_or("csv datasets require a task")?)?;
+                let (target, task) = csv_target_and_task()?;
                 Ok((MultiTableDataset::single(name.clone(), table), target, task))
             }
         }
     }
 
-    /// Execute one admitted request over the shared stack. Mirrors the
-    /// one-shot `catdb run` path exactly, with the daemon's shared cache
-    /// underneath every LLM call (collection/refinement included).
+    /// Execute one admitted request: the one-shot `catdb run` path, with
+    /// the daemon's shared cache underneath every LLM call (collection
+    /// and refinement included).
     fn run_request(
         &self,
         req: &GenerateRequest,
@@ -330,68 +310,17 @@ impl Server {
     ) -> Result<GenerateResponse, String> {
         let _guard = catdb_trace::install(sink.clone());
         let _span = catdb_trace::span("serve_request");
-        let (dataset, target, task) = Self::resolve_dataset(req)?;
-        let profile = ModelProfile::by_name(&req.model)
-            .ok_or_else(|| format!("unknown model '{}'", req.model))?;
         let opts = &self.inner.opts;
-        let faults = FaultSpec::from_rate(opts.fault_rate);
-        let policy = RetryPolicy {
-            max_retries: opts.max_retries,
-            call_timeout_seconds: opts.llm_timeout,
-            ..Default::default()
-        };
-        // With a route, each role gets its own resilient stack (roles
-        // sharing a model share one); otherwise the single-model stack.
-        let llm: Box<dyn LanguageModel> = match &req.route {
-            Some(route) => {
-                let spec = resolve_route(route, DEFAULT_ROUTE_TARGET_ACCURACY)
-                    .map_err(|e| format!("bad route '{route}': {e}"))?;
-                Box::new(RoutedLlm::simulated(&profile, &spec, faults, policy, req.seed))
-            }
-            None => Box::new(ResilientClient::simulated(profile, faults, policy, req.seed)),
-        };
-        let sched = LlmScheduler::new(llm.as_ref(), self.inner.cache.clone())
-            .with_concurrency(opts.llm_concurrency)
-            .with_decode_tag(format!("seed={}", req.seed));
-
-        let profile_mode = match &req.profile_mode {
-            Some(s) => catdb_profiler::ProfileMode::parse(s)
-                .map_err(|e| format!("bad profile_mode '{s}': {e}"))?,
-            None => catdb_profiler::ProfileMode::Exact,
-        };
-        let mut collect = CollectOptions { refine: req.refine, ..Default::default() };
-        collect.profile.mode = profile_mode;
-        let (entry, prepared, _report) = catdb_collect(&dataset, &target, task, &sched, &collect)
-            .map_err(|e| format!("collection failed: {e}"))?;
-
-        let split_mode = match &req.split_mode {
-            Some(s) => {
-                catdb_ml::SplitMode::parse(s).map_err(|e| format!("bad split_mode '{s}': {e}"))?
-            }
-            None => catdb_ml::SplitMode::Exact,
-        };
-        let exec_mode = match &req.exec_mode {
-            Some(s) => catdb_pipeline::ExecMode::parse(s)
-                .map_err(|e| format!("bad exec_mode '{s}': {e}"))?,
-            None => catdb_pipeline::ExecMode::Seq,
-        };
-        let cfg = CatDbConfig {
-            prompt: PromptOptions { beta: req.beta.max(1), alpha: req.alpha, ..Default::default() },
-            seed: req.seed,
-            llm_concurrency: opts.llm_concurrency,
-            llm_cache: Some(self.inner.cache.clone()),
-            split_mode,
-            profile_mode,
-            exec_mode,
-            ..Default::default()
-        };
-        let result = catdb_pipgen(&entry, &prepared, &sched, &cfg)
-            .map_err(|e| format!("generation failed: {e}"))?;
+        let (spec, task) = req.to_spec(&opts.transport, opts.llm_concurrency)?;
+        let (dataset, target, task) = Self::resolve_dataset(req, task)?;
+        let run = spec
+            .run(&dataset, &target, task, Some(self.inner.cache.clone()))
+            .map_err(|e| e.to_string())?;
 
         let measured = measured_cost(&sink.snapshot());
-        let outcome = &result.results;
+        let outcome = &run.result.results;
         Ok(GenerateResponse {
-            pipeline: result.code.clone(),
+            pipeline: run.result.code.clone(),
             success: outcome.success,
             handcrafted: outcome.handcrafted,
             attempts: outcome.attempts,

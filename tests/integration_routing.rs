@@ -7,7 +7,7 @@
 use catdb_bench::{prepare, routed_llm_for, run_catdb, run_catdb_with, test_score, traced};
 use catdb_core::measured_cost;
 use catdb_data::{generate, GenOptions};
-use catdb_llm::{Prompt, RouteError, RouteSpec};
+use catdb_llm::{Prompt, RouteError, RouteSpec, Transport};
 use catdb_sched::Fingerprint;
 use proptest::prelude::*;
 
@@ -72,14 +72,14 @@ proptest! {
 fn routed_chain_output_identical_across_llm_concurrency() {
     let g = generate("diabetes", &GenOptions { max_rows: 300, scale: 1.0, seed: 7 })
         .expect("known dataset");
-    let prep_llm = routed_llm_for("gpt-4o", CHEAP, 0.95, 11, 0.0, 3, None).expect("route");
-    let p = prepare(&g, true, &prep_llm, 11);
+    let prep_llm = routed_llm_for("gpt-4o", CHEAP, 0.95, 11, &Transport::default()).expect("route");
+    let p = prepare(&g, true, prep_llm.as_ref(), 11);
     let mut sources = Vec::new();
     for concurrency in [1usize, 4] {
         // Fresh transport per run: retry/breaker state must not leak
         // between concurrency levels.
-        let llm = routed_llm_for("gpt-4o", CHEAP, 0.95, 11, 0.0, 3, None).expect("route");
-        let outcome = run_catdb_with(&p, &llm, 2, 11, concurrency, None);
+        let llm = routed_llm_for("gpt-4o", CHEAP, 0.95, 11, &Transport::default()).expect("route");
+        let outcome = run_catdb_with(&p, llm.as_ref(), 2, 11, concurrency, None);
         assert!(outcome.success, "routed chain failed at concurrency {concurrency}");
         sources.push(outcome.source);
     }
@@ -91,10 +91,10 @@ fn routed_chain_output_identical_across_llm_concurrency() {
 fn routed_run_cost(route: &str, seed: u64) -> (f64, bool, f64) {
     let g = generate("diabetes", &GenOptions { max_rows: 300, scale: 1.0, seed })
         .expect("known dataset");
-    let llm = routed_llm_for("gpt-4o", route, 0.95, seed, 0.0, 3, None).expect("route");
+    let llm = routed_llm_for("gpt-4o", route, 0.95, seed, &Transport::default()).expect("route");
     let (outcome, trace) = traced(|| {
-        let p = prepare(&g, true, &llm, seed);
-        run_catdb(&p, &llm, 1, seed)
+        let p = prepare(&g, true, llm.as_ref(), seed);
+        run_catdb(&p, llm.as_ref(), 1, seed)
     });
     let cost = measured_cost(&trace);
     assert!(cost.llm_calls > 0, "route '{route}' billed no LLM calls");
