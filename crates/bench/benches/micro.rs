@@ -15,7 +15,7 @@ use catdb_ml::{
 use catdb_pipeline::{execute, parse, Environment, ExecutionConfig};
 use catdb_profiler::{profile_table, ProfileOptions};
 use catdb_sched::{CompletionCache, LlmScheduler};
-use catdb_table::{read_csv_str, write_csv, CsvOptions};
+use catdb_table::{read_csv_str, write_csv, Column, CsvOptions, Value, ValueDict};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -41,6 +41,43 @@ fn bench_profiling(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// The cold column pass the `profiling` rows leave out: a fresh
+/// `ValueDict::build` over every column of a wide table (no cache), and
+/// the float writer those builds render with.
+fn bench_table(c: &mut Criterion) {
+    let mut group = c.benchmark_group("table");
+    let mut floats = Vec::new();
+    for (name, rows) in [("gas-drift", 2000), ("kdd98", 1500)] {
+        let g = generate(name, &GenOptions { max_rows: rows, scale: 1.0, seed: 3 }).unwrap();
+        let flat = g.dataset.materialize().unwrap();
+        for (_, col) in flat.iter_columns() {
+            if let Column::Float(v) = col {
+                floats.extend(v.iter().flatten().copied());
+            }
+        }
+        group.bench_function(format!("value_dict_build_{name}_{rows}rows"), |b| {
+            b.iter(|| {
+                flat.iter_columns()
+                    .map(|(_, col)| ValueDict::build(black_box(col)).n_distinct())
+                    .sum::<usize>()
+            })
+        });
+    }
+    floats.truncate(100_000);
+    assert_eq!(floats.len(), 100_000, "the two tables hold at least 100k floats");
+    let mut text = String::new();
+    group.bench_function("render_f64_100k", |b| {
+        b.iter(|| {
+            text.clear();
+            for &x in black_box(&floats) {
+                write!(text, "{}", Value::Float(x)).unwrap();
+            }
+            text.len()
+        })
+    });
     group.finish();
 }
 
@@ -504,6 +541,7 @@ fn bench_csv(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_csv,
+    bench_table,
     bench_profiling,
     bench_refinement,
     bench_prompt_construction,

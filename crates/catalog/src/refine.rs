@@ -20,9 +20,10 @@
 
 use catdb_llm::{estimate_tokens, LanguageModel, Prompt, TokenUsage};
 use catdb_profiler::{profile_table, ColumnProfile, DataProfile, FeatureType, ProfileOptions};
-use catdb_table::{column_dict, Column, DataType, Table, Value};
+use catdb_table::{column_dict, Column, DataType, Table, ValueDict};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What happened to one column during refinement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -180,20 +181,27 @@ fn expand_list(table: &mut Table, name: &str, separator: &str) -> usize {
     vocab.len()
 }
 
-/// Apply a value mapping to a string column.
-fn apply_mapping(table: &mut Table, name: &str, mapping: &BTreeMap<String, String>) {
-    let col = table.column(name).expect("caller verified");
-    let mut new_col = col.clone();
-    for i in 0..new_col.len() {
-        if new_col.is_null_at(i) {
-            continue;
-        }
-        let v = new_col.get(i).render();
-        if let Some(canon) = mapping.get(&v) {
-            new_col.set(i, Value::Str(canon.clone())).expect("string column");
-        }
-    }
-    table.replace_column(name, new_col).expect("caller verified");
+/// Apply a value mapping to a string column whose dictionary is `dict`.
+/// Each distinct value is looked up once; rows follow their code.
+fn apply_mapping(
+    table: &mut Table,
+    name: &str,
+    dict: &ValueDict,
+    mapping: &BTreeMap<String, String>,
+) {
+    let Column::Str(rows) = table.column(name).expect("caller verified") else {
+        unreachable!("categorical refinement only maps string columns")
+    };
+    let canon: Vec<Option<&String>> = dict.values().map(|v| mapping.get(v)).collect();
+    let mapped: Vec<Option<String>> = rows
+        .iter()
+        .zip(dict.codes())
+        .map(|(row, &code)| match canon.get(code as usize).copied().flatten() {
+            Some(canon) => Some(canon.clone()),
+            None => row.clone(),
+        })
+        .collect();
+    table.replace_column(name, Column::Str(mapped)).expect("caller verified");
 }
 
 fn distinct_count(table: &Table, name: &str) -> usize {
@@ -204,12 +212,10 @@ fn distinct_count(table: &Table, name: &str) -> usize {
 }
 
 /// Value list with counts for the refinement prompt ("Male:53|male:2").
-fn values_with_counts(table: &Table, name: &str) -> Vec<String> {
-    let col = table.column(name).expect("caller verified");
-    let dict = column_dict(col);
+fn values_with_counts(dict: &ValueDict) -> Vec<String> {
     // Dictionary values are sorted ascending — the same order the old
     // BTreeMap walk produced.
-    dict.values().iter().zip(dict.counts()).map(|(v, c)| format!("{v}:{c}")).collect()
+    dict.values().zip(dict.counts()).map(|(v, c)| format!("{v}:{c}")).collect()
 }
 
 /// Run the full refinement pass. Returns the prepared table, its fresh
@@ -311,17 +317,20 @@ pub fn refine_dataset(
     // The target is INCLUDED: the paper's EU IT analysis hinges on the
     // target holding "semantically identical but differently formatted
     // duplicates" that the refinement merges.
-    let cat_columns: Vec<String> = table
+    // Each column's dictionary is fetched once: only the column's own
+    // mapping below changes it.
+    let cat_columns: Vec<(String, Arc<ValueDict>)> = table
         .iter_columns()
-        .filter(|(f, c)| c.dtype() == DataType::Str && distinct_count(&table, &f.name) >= 2)
-        .map(|(f, _)| f.name.clone())
+        .filter(|(_, c)| c.dtype() == DataType::Str)
+        .map(|(f, c)| (f.name.clone(), column_dict(c)))
+        .filter(|(_, dict)| dict.n_distinct() >= 2)
         .collect();
-    for name in cat_columns {
-        let values = values_with_counts(&table, &name);
+    for (name, dict) in cat_columns {
+        let values = values_with_counts(&dict);
         if values.len() > 2000 {
             continue; // clearly not categorical; skip
         }
-        let before = distinct_count(&table, &name);
+        let before = dict.n_distinct();
         let mut mapping: BTreeMap<String, String> = BTreeMap::new();
         for batch in values.chunks(opts.value_batch) {
             let user = format!(
@@ -344,7 +353,7 @@ pub fn refine_dataset(
         if mapping.is_empty() {
             continue;
         }
-        apply_mapping(&mut table, &name, &mapping);
+        apply_mapping(&mut table, &name, &dict, &mapping);
         let after = distinct_count(&table, &name);
         if after < before {
             report.refinements.push(ColumnRefinement {

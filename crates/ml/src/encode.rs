@@ -46,7 +46,7 @@ impl Transform for OneHotEncoder {
         let col = require_column(table, &self.column)?;
         // The dictionary's value list is exactly the sorted distinct
         // rendered values — the same set the old per-row BTreeSet built.
-        self.categories = Some(column_dict(col).values().to_vec());
+        self.categories = Some(column_dict(col).values().map(str::to_owned).collect());
         Ok(())
     }
 
@@ -93,7 +93,7 @@ impl Transform for OrdinalEncoder {
 
     fn fit(&mut self, table: &Table) -> Result<()> {
         let col = require_column(table, &self.column)?;
-        self.categories = Some(column_dict(col).values().to_vec());
+        self.categories = Some(column_dict(col).values().map(str::to_owned).collect());
         Ok(())
     }
 
@@ -105,8 +105,7 @@ impl Transform for OrdinalEncoder {
         // then translate the per-row codes through that small table.
         let code_map: Vec<i64> = dict
             .values()
-            .iter()
-            .map(|v| cats.binary_search(v).map(|p| p as i64).unwrap_or(-1))
+            .map(|v| cats.binary_search_by(|c| c.as_str().cmp(v)).map(|p| p as i64).unwrap_or(-1))
             .collect();
         let codes: Vec<Option<i64>> = dict
             .codes()
@@ -180,7 +179,6 @@ impl Transform for KHotEncoder {
         // per-row work is then a plain flag lookup through the codes.
         let distinct_flags: Vec<Vec<bool>> = dict
             .values()
-            .iter()
             .map(|cell| {
                 let mut flags = vec![false; vocab.len()];
                 for item in Self::items(cell, &self.separator) {

@@ -68,7 +68,7 @@ impl LabelEncoder {
                 continue;
             }
             seen[code as usize] = true;
-            let key = dict.value_of(code).unwrap_or_default().to_string();
+            let key = dict.value(code).to_string();
             index.insert(key.clone(), classes.len());
             classes.push(key);
         }
@@ -101,7 +101,6 @@ impl LabelEncoder {
         // Resolve each distinct label against the fitted classes once.
         let code_to_class: Vec<usize> = dict
             .values()
-            .iter()
             .map(|v| self.index.get(v).copied().unwrap_or(self.classes.len()))
             .collect();
         Ok(dict
@@ -119,7 +118,7 @@ impl LabelEncoder {
             .map_err(|_| MlError::Unsupported(format!("target column '{target}' not found")))?;
         let dict = column_dict(col);
         let code_to_class: Vec<Option<usize>> =
-            dict.values().iter().map(|v| self.index.get(v).copied()).collect();
+            dict.values().map(|v| self.index.get(v).copied()).collect();
         let mut out = Vec::with_capacity(dict.codes().len());
         for &c in dict.codes() {
             if c == NULL_CODE {
@@ -130,7 +129,7 @@ impl LabelEncoder {
                 None => {
                     return Err(MlError::Unsupported(format!(
                         "unseen class label '{}' in target '{target}'",
-                        dict.value_of(c).unwrap_or_default()
+                        dict.value(c)
                     )))
                 }
             }

@@ -227,10 +227,9 @@ impl Transform for Deduplicator {
                 let mut ids: HashMap<String, u32> = HashMap::new();
                 let remap: Vec<u32> = dict
                     .values()
-                    .iter()
                     .map(|v| {
                         let norm =
-                            if self.approximate { v.trim().to_lowercase() } else { v.clone() };
+                            if self.approximate { v.trim().to_lowercase() } else { v.to_owned() };
                         let next = ids.len() as u32;
                         *ids.entry(norm).or_insert(next)
                     })

@@ -433,12 +433,13 @@ impl StepCache {
 /// Fingerprint of everything outside the program that shapes execution:
 /// the input tables and the config bits the interpreter reads.
 fn base_key(train: &Table, test: &Table, cfg: &ExecutionConfig) -> u128 {
+    let (train, test) = (table_fingerprint(train), table_fingerprint(test));
     let mut h1 = DefaultHasher::new();
     let mut h2 = DefaultHasher::new();
     0x5eed_cafe_u64.hash(&mut h2);
     for h in [&mut h1, &mut h2] {
-        table_fingerprint(train).hash(h);
-        table_fingerprint(test).hash(h);
+        train.hash(h);
+        test.hash(h);
         format!(
             "{:?}|{:?}|{}|{:?}|{:?}",
             cfg.task, cfg.seed, cfg.fast_validation, cfg.memory_limit, cfg.split_mode

@@ -5,7 +5,8 @@ use crate::embedding::{inclusion_score_from_cosine, ColumnEmbedding};
 use crate::sketch::{ColumnSketch, PairMoments};
 use crate::types::{ColumnProfile, DataProfile, FeatureType, NumericStats};
 use catdb_table::{
-    column_dict, table_fingerprint, ChunkedTable, Column, DataType, Table, ValueDict,
+    column_dict_with_fingerprint, column_fingerprint, table_fingerprint_from_columns, ChunkedTable,
+    Column, DataType, Table, ValueDict,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -118,9 +119,10 @@ impl Default for ProfileOptions {
 /// order the old `BTreeSet<String>` iterated in), plus the frequency
 /// ratio of the most common value. Each distinct raw value is rendered
 /// exactly once, and the dictionary is shared across passes through the
-/// content-addressed cache in `catdb-table`.
-fn distinct_values(col: &Column) -> (Arc<ValueDict>, f64) {
-    let dict = column_dict(col);
+/// content-addressed cache in `catdb-table`, looked up by the column
+/// fingerprint `profile_table` already computed.
+fn distinct_values(col: &Column, fingerprint: u128) -> (Arc<ValueDict>, f64) {
+    let dict = column_dict_with_fingerprint(col, fingerprint);
     let ratio =
         if dict.non_null() == 0 { 0.0 } else { dict.max_count() as f64 / dict.non_null() as f64 };
     (dict, ratio)
@@ -131,7 +133,9 @@ fn numeric_stats(col: &Column) -> Option<NumericStats> {
     if vals.is_empty() {
         return None;
     }
-    vals.sort_by(|a, b| a.total_cmp(b));
+    // Values equal under `total_cmp` have equal bits, so an unstable sort
+    // leaves the same sequence a stable one would.
+    vals.sort_unstable_by(f64::total_cmp);
     let n = vals.len() as f64;
     let mean = vals.iter().sum::<f64>() / n;
     let std = (vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n).sqrt();
@@ -405,6 +409,13 @@ fn pairwise_pass(
     }
 }
 
+/// Tables with fewer cells are fingerprinted on the calling thread. At
+/// about 40 ns a cell, hashing one costs under 3 ms, and a memo hit on a
+/// small table is then cheaper than handing its columns to the pool: a
+/// submitter waits for its queued jobs, and the pool runs jobs in FIFO
+/// order, behind whatever other requests queued first.
+const PARALLEL_FINGERPRINT_CELLS: usize = 1 << 16;
+
 struct MemoEntry {
     profile: DataProfile,
     /// `(column, feature_type, micros)` of the original run, re-emitted
@@ -448,10 +459,16 @@ fn options_key(name: &str, opts: &ProfileOptions) -> u64 {
 /// Results are memoized per (table content, dataset name, options):
 /// bench bins and candidate-pipeline loops re-profile identical tables
 /// dozens of times, and the second pass is served from the memo (with the
-/// original per-column trace events re-emitted).
+/// original per-column trace events re-emitted). Each column is hashed
+/// once, on the runtime; the table's fingerprint is derived from those
+/// hashes, and the exact path reuses them as dictionary cache keys.
 pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataProfile {
     let _span = catdb_trace::span("profile_table");
-    let key = (table_fingerprint(table), options_key(name, opts));
+    let columns: Vec<&Column> = table.iter_columns().map(|(_, c)| c).collect();
+    let cells = table.n_rows().saturating_mul(table.n_cols());
+    let limit = if cells >= PARALLEL_FINGERPRINT_CELLS { opts.n_threads.max(1) } else { 1 };
+    let fingerprints = catdb_runtime::parallel_map(limit, &columns, |_, c| column_fingerprint(c));
+    let key = (table_fingerprint_from_columns(table, &fingerprints), options_key(name, opts));
     if let Some(entry) = memo().lock().unwrap().get(&key) {
         catdb_trace::add_counter(COUNTER_PROFILE_MEMO_HITS, 1.0);
         for (column, feature_type, micros) in &entry.column_events {
@@ -466,7 +483,7 @@ pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataPr
     catdb_trace::add_counter(COUNTER_PROFILE_MEMO_MISSES, 1.0);
 
     let (profile, column_events) = match opts.mode {
-        ProfileMode::Exact => profile_exact(name, table, opts),
+        ProfileMode::Exact => profile_exact(name, table, &fingerprints, opts),
         ProfileMode::Sketch { chunk_rows } => profile_sketch_table(name, table, chunk_rows, opts),
     };
 
@@ -479,10 +496,12 @@ pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataPr
 }
 
 /// The frozen exact path: whole-column statistics over the in-memory
-/// table. Golden tests pin this output bit-for-bit.
+/// table. Golden tests pin this output bit-for-bit. `fingerprints` holds
+/// each column's [`column_fingerprint`], in schema order.
 fn profile_exact(
     name: &str,
     table: &Table,
+    fingerprints: &[u128],
     opts: &ProfileOptions,
 ) -> (DataProfile, Vec<(String, String, u64)>) {
     let started = Instant::now();
@@ -498,28 +517,24 @@ fn profile_exact(
         catdb_runtime::parallel_map(n_threads, &fields, |_, (idx, name)| {
             let col_started = Instant::now();
             let col = table.column_at(*idx);
-            let (distinct, top_value_ratio) = distinct_values(col);
+            let (distinct, top_value_ratio) = distinct_values(col, fingerprints[*idx]);
             let non_null = distinct.non_null();
             let missing = n_rows - non_null;
             let feature_type =
                 detect_feature_type(col.dtype(), distinct.n_distinct(), non_null, opts);
-            let embedding =
-                ColumnEmbedding::from_distinct_values(distinct.values().iter().map(|s| s.as_str()));
+            let embedding = ColumnEmbedding::from_distinct_values(distinct.values());
             // Samples: all distinct values for categoricals, else τ₁
             // random values (Algorithm 1, line 10).
             let samples = if matches!(feature_type, FeatureType::Categorical | FeatureType::Boolean)
             {
-                distinct.values().to_vec()
+                distinct.values().map(str::to_owned).collect()
             } else {
                 // Shuffling indices draws the same RNG values as shuffling
                 // the strings, so only the kept τ₁ values are cloned.
                 let mut rng = StdRng::seed_from_u64(opts.seed ^ *idx as u64);
                 let mut pool: Vec<u32> = (0..distinct.n_distinct() as u32).collect();
                 pool.shuffle(&mut rng);
-                pool.iter()
-                    .take(opts.n_samples)
-                    .map(|&v| distinct.values()[v as usize].clone())
-                    .collect()
+                pool.iter().take(opts.n_samples).map(|&v| distinct.value(v).to_owned()).collect()
             };
             let statistics =
                 if feature_type == FeatureType::Numerical { numeric_stats(col) } else { None };

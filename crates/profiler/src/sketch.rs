@@ -419,7 +419,7 @@ impl ColumnSketch {
         self.rows += col.len() as u64;
         let dict = ValueDict::build(col);
         self.non_null += dict.non_null() as u64;
-        for (value, &count) in dict.values().iter().zip(dict.counts()) {
+        for (value, &count) in dict.values().zip(dict.counts()) {
             self.distinct.insert(value, count as u64);
         }
         if col.dtype().is_numeric() {

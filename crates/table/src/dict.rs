@@ -1,22 +1,40 @@
 //! Lazily built, cached per-column value dictionaries.
 //!
-//! Profiling, encoding, dedup, and cleaning all used to re-render every
-//! cell to a fresh `String` and re-hash it on every pass. A [`ValueDict`]
-//! does that work once per distinct *column content*: it interns the
-//! distinct rendered values (sorted, so consumers that previously built a
-//! `BTreeSet<String>` see the exact same order), stores a compact `u32`
-//! code per row, and keeps per-value occurrence counts. Downstream code
-//! then works on integer codes.
+//! Profiling, encoding, dedup, and cleaning all need a column's distinct
+//! rendered values, in sorted order, with a count each. A [`ValueDict`]
+//! holds them for one column content: the distinct renders sorted by
+//! bytes (the order a `BTreeSet<String>` iterates in) and stored back to
+//! back in one string arena with `u32` offsets, a compact `u32` code per
+//! row, and per-value occurrence counts. Downstream code then works on
+//! integer codes and borrowed `&str` renders.
+//!
+//! A build is one pass of interning, then one sort of the distinct
+//! renders:
+//! - Int, Float and Bool rows are interned by their typed key (`i64`,
+//!   the float's bits, `bool`): the `(key, row)` pairs are sorted and
+//!   each run of equal keys becomes one value, rendered once into the
+//!   arena. Sorting rather than hashing keeps the build `O(n log n)`
+//!   whatever the values are; an unkeyed hash over values a tenant's CSV
+//!   chooses could be flooded with collisions.
+//! - Str rows are interned through std's keyed (randomly seeded) hash
+//!   map, which resists the same flooding.
+//! - The distinct renders are sorted by an 8-byte big-endian prefix, then
+//!   by their full bytes, which is exactly `String`'s order. Renders that
+//!   collide (NaN payloads all render `NaN`) merge into one value.
 //!
 //! Dictionaries are shared behind `Arc` through a global cache keyed by
 //! the column's [`column_fingerprint`]. Content addressing doubles as
 //! invalidation: mutating a column changes its fingerprint, so the stale
-//! entry simply stops being found. Hits and misses are reported through
-//! `catdb-trace` counters ([`COUNTER_DICT_HITS`] / [`COUNTER_DICT_MISSES`])
-//! so the hit ratio shows up in run traces.
+//! entry simply stops being found. A caller that already holds the
+//! fingerprint (the profiler hashes every column once per table) passes
+//! it to [`column_dict_with_fingerprint`] instead of hashing again. Hits
+//! and misses are reported through `catdb-trace` counters
+//! ([`COUNTER_DICT_HITS`] / [`COUNTER_DICT_MISSES`]) so the hit ratio
+//! shows up in run traces.
 
 use crate::column::Column;
 use crate::fingerprint::column_fingerprint;
+use crate::shortest::{write_float, write_int};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -29,15 +47,18 @@ pub const COUNTER_DICT_HITS: &str = "dict.hits";
 pub const COUNTER_DICT_MISSES: &str = "dict.misses";
 
 /// Interned view of one column: sorted distinct rendered values, a code
-/// per row, and per-value counts.
+/// per row, and per-value counts. The arena's `u32` offsets cap a column
+/// at 4 GiB of distinct text, far above a daemon frame (16 MiB) or a
+/// spill page (65,536 rows).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValueDict {
-    /// Distinct non-null rendered values, sorted ascending (the same
-    /// order a `BTreeSet<String>` over the renders would iterate in).
-    values: Vec<String>,
-    /// Occurrences of each distinct value, parallel to `values`.
+    /// Distinct non-null rendered values, sorted ascending, back to back.
+    arena: String,
+    /// Value `i` is `arena[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Occurrences of each distinct value, in value order.
     counts: Vec<usize>,
-    /// Per-row code into `values`; [`NULL_CODE`] for missing entries.
+    /// Per-row code into the values; [`NULL_CODE`] for missing entries.
     codes: Vec<u32>,
     /// Number of non-null rows (`counts` sums to this).
     non_null: usize,
@@ -47,50 +68,36 @@ impl ValueDict {
     /// Build a dictionary for `col`, rendering each distinct raw value
     /// exactly once. Prefer [`column_dict`], which consults the cache.
     pub fn build(col: &Column) -> ValueDict {
-        // Pass 1: map each row to a provisional code via the *typed*
-        // value (no rendering), counting occurrences as we go.
-        let (tmp_codes, mut rendered, tmp_counts) = match col {
-            Column::Int(v) => provisional_codes(v.iter(), |x| *x, |x| x.to_string()),
-            Column::Bool(v) => provisional_codes(v.iter(), |x| *x, |x| x.to_string()),
-            Column::Str(v) => provisional_codes(v.iter(), |x| x.as_str(), |x| x.clone()),
-            // Floats are keyed by raw bits, so bitwise-distinct values
-            // that render identically (NaN payloads) are merged by the
-            // string sort below.
+        let interned = match col {
+            Column::Int(v) => Interned::by_sorting(v, |x| *x, |out, x| write_int(out, *x)),
+            // Keyed by raw bits: bitwise-distinct values that render
+            // identically (NaN payloads) merge in the render sort.
             Column::Float(v) => {
-                provisional_codes(v.iter(), |x| x.to_bits(), |x| crate::Value::Float(*x).render())
+                Interned::by_sorting(v, |x| x.to_bits(), |out, x| write_float(out, *x))
             }
+            Column::Bool(v) => Interned::by_sorting(
+                v,
+                |x| *x,
+                |out, x| {
+                    out.push_str(if *x { "true" } else { "false" });
+                    Ok(())
+                },
+            ),
+            Column::Str(v) => Interned::by_hashing(v),
         };
-
-        // Pass 2: sort the distinct renders, merging provisional codes
-        // whose renders collide, and remap the per-row codes. Each render
-        // is visited once, so it moves into `values` instead of being
-        // cloned.
-        let mut order: Vec<u32> = (0..rendered.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| rendered[a as usize].cmp(&rendered[b as usize]));
-        let mut values: Vec<String> = Vec::with_capacity(rendered.len());
-        let mut counts: Vec<usize> = Vec::with_capacity(rendered.len());
-        let mut remap: Vec<u32> = vec![0; rendered.len()];
-        for &tmp in &order {
-            let render = std::mem::take(&mut rendered[tmp as usize]);
-            if values.last() != Some(&render) {
-                values.push(render);
-                counts.push(0);
-            }
-            let final_code = (values.len() - 1) as u32;
-            remap[tmp as usize] = final_code;
-            counts[final_code as usize] += tmp_counts[tmp as usize];
-        }
-        let codes: Vec<u32> = tmp_codes
-            .iter()
-            .map(|&c| if c == NULL_CODE { NULL_CODE } else { remap[c as usize] })
-            .collect();
-        let non_null = counts.iter().sum();
-        ValueDict { values, counts, codes, non_null }
+        interned.into_sorted()
     }
 
     /// Distinct non-null rendered values, sorted ascending.
-    pub fn values(&self) -> &[String] {
-        &self.values
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &str> + DoubleEndedIterator + Clone {
+        self.offsets.windows(2).map(|w| &self.arena[w[0] as usize..w[1] as usize])
+    }
+
+    /// Rendered value of a non-null code. Panics on [`NULL_CODE`] or a
+    /// code past [`ValueDict::n_distinct`], as slice indexing does.
+    pub fn value(&self, code: u32) -> &str {
+        let i = code as usize;
+        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Occurrence count of each distinct value, parallel to `values()`.
@@ -105,7 +112,7 @@ impl ValueDict {
 
     /// Number of distinct non-null values.
     pub fn n_distinct(&self) -> usize {
-        self.values.len()
+        self.counts.len()
     }
 
     /// Number of non-null rows.
@@ -113,14 +120,18 @@ impl ValueDict {
         self.non_null
     }
 
-    /// Rendered value for a code (`None` for [`NULL_CODE`]).
-    pub fn value_of(&self, code: u32) -> Option<&str> {
-        self.values.get(code as usize).map(String::as_str)
-    }
-
     /// Code of a rendered value, if present.
     pub fn code_of(&self, value: &str) -> Option<u32> {
-        self.values.binary_search_by(|v| v.as_str().cmp(value)).ok().map(|i| i as u32)
+        let (mut lo, mut hi) = (0, self.n_distinct() as u32);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.value(mid).cmp(value) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     /// Highest occurrence count among the distinct values (0 if empty).
@@ -129,39 +140,128 @@ impl ValueDict {
     }
 }
 
-/// Pass 1 of the build: per-row provisional codes keyed by the typed
-/// value, rendering each distinct value exactly once on first sight.
-fn provisional_codes<'a, T, K, KF, RF>(
-    rows: impl Iterator<Item = &'a Option<T>>,
-    key: KF,
-    render: RF,
-) -> (Vec<u32>, Vec<String>, Vec<usize>)
-where
-    T: 'a,
-    K: std::hash::Hash + Eq,
-    KF: Fn(&'a T) -> K,
-    RF: Fn(&'a T) -> String,
-{
-    let mut by_key: HashMap<K, u32> = HashMap::new();
-    let mut rendered: Vec<String> = Vec::new();
-    let mut counts: Vec<usize> = Vec::new();
-    let mut codes: Vec<u32> = Vec::new();
-    for row in rows {
-        match row {
-            None => codes.push(NULL_CODE),
-            Some(v) => {
-                let next = rendered.len() as u32;
-                let code = *by_key.entry(key(v)).or_insert_with(|| {
-                    rendered.push(render(v));
-                    counts.push(0);
-                    next
-                });
-                counts[code as usize] += 1;
-                codes.push(code);
-            }
+/// A column interned in first-pass order: provisional codes per row and
+/// each provisional value rendered once into an arena.
+struct Interned {
+    codes: Vec<u32>,
+    arena: String,
+    /// Provisional value `i` is `arena[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    counts: Vec<usize>,
+}
+
+impl Interned {
+    fn with_rows(rows: usize) -> Interned {
+        Interned {
+            codes: vec![NULL_CODE; rows],
+            arena: String::new(),
+            offsets: vec![0],
+            counts: Vec::new(),
         }
     }
-    (codes, rendered, counts)
+
+    /// Close the value just rendered into the arena.
+    fn push_value(&mut self, count: usize) -> u32 {
+        self.offsets.push(arena_offset(&self.arena));
+        self.counts.push(count);
+        (self.counts.len() - 1) as u32
+    }
+
+    fn render(&self, i: u32) -> &str {
+        let i = i as usize;
+        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Intern typed rows: sort `(key, row)` pairs and give each run of
+    /// equal keys one provisional code, rendering the run's value once.
+    fn by_sorting<T, K: Ord + Copy>(
+        rows: &[Option<T>],
+        key: impl Fn(&T) -> K,
+        render: impl Fn(&mut String, &T) -> std::fmt::Result,
+    ) -> Interned {
+        let mut keyed: Vec<(K, u32)> = rows
+            .iter()
+            .enumerate()
+            .filter_map(|(r, x)| x.as_ref().map(|x| (key(x), r as u32)))
+            .collect();
+        keyed.sort_unstable_by_key(|&(k, _)| k);
+        let mut out = Interned::with_rows(rows.len());
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            let first = rows[run[0].1 as usize].as_ref().expect("keyed rows are non-null");
+            render(&mut out.arena, first).expect("writing to a String never fails");
+            let code = out.push_value(run.len());
+            for &(_, r) in run {
+                out.codes[r as usize] = code;
+            }
+        }
+        out
+    }
+
+    /// Intern string rows through std's randomly keyed hash map.
+    fn by_hashing(rows: &[Option<String>]) -> Interned {
+        let mut out = Interned::with_rows(rows.len());
+        let mut by_value: HashMap<&str, u32> = HashMap::new();
+        for (r, row) in rows.iter().enumerate() {
+            let Some(s) = row else { continue };
+            let code = *by_value.entry(s.as_str()).or_insert_with(|| {
+                out.arena.push_str(s);
+                out.push_value(0)
+            });
+            out.counts[code as usize] += 1;
+            out.codes[r] = code;
+        }
+        out
+    }
+
+    /// Sort the provisional values by render, merging renders that
+    /// collide, and remap the per-row codes to the sorted order.
+    fn into_sorted(mut self) -> ValueDict {
+        let n = self.counts.len();
+        let mut order: Vec<(u64, u32)> =
+            (0..n as u32).map(|i| (prefix_key(self.render(i)), i)).collect();
+        // The prefix decides most comparisons; equal prefixes fall back
+        // to the full bytes, so the order is exactly `str`'s.
+        order.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0).then_with(|| self.render(a.1).cmp(self.render(b.1)))
+        });
+        let mut arena = String::with_capacity(self.arena.len());
+        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut counts: Vec<usize> = Vec::with_capacity(n);
+        let mut remap: Vec<u32> = vec![0; n];
+        let mut last: Option<&str> = None;
+        for &(_, i) in &order {
+            let render = self.render(i);
+            if last != Some(render) {
+                arena.push_str(render);
+                offsets.push(arena_offset(&arena));
+                counts.push(0);
+                last = Some(render);
+            }
+            let code = counts.len() - 1;
+            remap[i as usize] = code as u32;
+            counts[code] += self.counts[i as usize];
+        }
+        let mut codes = std::mem::take(&mut self.codes);
+        for c in codes.iter_mut().filter(|c| **c != NULL_CODE) {
+            *c = remap[*c as usize];
+        }
+        let non_null = counts.iter().sum();
+        ValueDict { arena, offsets, counts, codes, non_null }
+    }
+}
+
+fn arena_offset(arena: &str) -> u32 {
+    u32::try_from(arena.len()).expect("a column's distinct values exceed 4 GiB of text")
+}
+
+/// The first 8 bytes of `s`, big-endian, zero-padded: comparing two
+/// prefixes orders the strings as `str` does, or ties.
+fn prefix_key(s: &str) -> u64 {
+    let mut prefix = [0u8; 8];
+    let head = &s.as_bytes()[..s.len().min(8)];
+    prefix[..head.len()].copy_from_slice(head);
+    u64::from_be_bytes(prefix)
 }
 
 const CACHE_CAP: usize = 512;
@@ -174,8 +274,14 @@ fn cache() -> &'static Mutex<HashMap<u128, Arc<ValueDict>>> {
 /// Dictionary for `col`, served from the global content-addressed cache
 /// when the same column content has been seen before in this process.
 pub fn column_dict(col: &Column) -> Arc<ValueDict> {
-    let fp = column_fingerprint(col);
-    if let Some(dict) = cache().lock().unwrap().get(&fp) {
+    column_dict_with_fingerprint(col, column_fingerprint(col))
+}
+
+/// [`column_dict`] for a caller that already holds the column's
+/// [`column_fingerprint`], which must be `fingerprint`.
+pub fn column_dict_with_fingerprint(col: &Column, fingerprint: u128) -> Arc<ValueDict> {
+    debug_assert_eq!(fingerprint, column_fingerprint(col));
+    if let Some(dict) = cache().lock().unwrap().get(&fingerprint) {
         catdb_trace::add_counter(COUNTER_DICT_HITS, 1.0);
         return dict.clone();
     }
@@ -187,14 +293,158 @@ pub fn column_dict(col: &Column) -> Arc<ValueDict> {
         // rebuild, so wholesale eviction beats bookkeeping an LRU.
         cache.clear();
     }
-    cache.insert(fp, dict.clone());
+    cache.insert(fingerprint, dict.clone());
     dict
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// The two-pass build this module replaced: provisional codes through
+    /// a hash map keyed by the typed value, then a sort of the rendered
+    /// `String`s. Returns `(values, counts, codes, non_null)`.
+    fn oracle_build(col: &Column) -> (Vec<String>, Vec<usize>, Vec<u32>, usize) {
+        fn provisional<'a, T: 'a, K: std::hash::Hash + Eq>(
+            rows: impl Iterator<Item = &'a Option<T>>,
+            key: impl Fn(&'a T) -> K,
+            render: impl Fn(&'a T) -> String,
+        ) -> (Vec<u32>, Vec<String>, Vec<usize>) {
+            let mut by_key: HashMap<K, u32> = HashMap::new();
+            let (mut rendered, mut counts, mut codes) = (Vec::new(), Vec::new(), Vec::new());
+            for row in rows {
+                match row {
+                    None => codes.push(NULL_CODE),
+                    Some(v) => {
+                        let next = rendered.len() as u32;
+                        let code = *by_key.entry(key(v)).or_insert_with(|| {
+                            rendered.push(render(v));
+                            counts.push(0);
+                            next
+                        });
+                        counts[code as usize] += 1;
+                        codes.push(code);
+                    }
+                }
+            }
+            (codes, rendered, counts)
+        }
+        let (tmp_codes, mut rendered, tmp_counts) = match col {
+            Column::Int(v) => provisional(v.iter(), |x| *x, |x| x.to_string()),
+            Column::Bool(v) => provisional(v.iter(), |x| *x, |x| x.to_string()),
+            Column::Str(v) => provisional(v.iter(), |x| x.as_str(), |x| x.clone()),
+            Column::Float(v) => {
+                provisional(v.iter(), |x| x.to_bits(), |x| crate::Value::Float(*x).render())
+            }
+        };
+        let mut order: Vec<u32> = (0..rendered.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| rendered[a as usize].cmp(&rendered[b as usize]));
+        let mut values: Vec<String> = Vec::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut remap: Vec<u32> = vec![0; rendered.len()];
+        for &tmp in &order {
+            let render = std::mem::take(&mut rendered[tmp as usize]);
+            if values.last() != Some(&render) {
+                values.push(render);
+                counts.push(0);
+            }
+            remap[tmp as usize] = (values.len() - 1) as u32;
+            counts[values.len() - 1] += tmp_counts[tmp as usize];
+        }
+        let codes = tmp_codes
+            .iter()
+            .map(|&c| if c == NULL_CODE { NULL_CODE } else { remap[c as usize] })
+            .collect();
+        let non_null = counts.iter().sum();
+        (values, counts, codes, non_null)
+    }
+
+    fn rows<T: Clone + 'static>(
+        value: impl Strategy<Value = T> + 'static,
+    ) -> BoxedStrategy<Vec<Option<T>>> {
+        let cell = prop_oneof![Just(None), value.prop_map(Some)];
+        prop::collection::vec(cell, 0..40).boxed()
+    }
+
+    fn int_values() -> BoxedStrategy<i64> {
+        prop_oneof![
+            -12i64..12,
+            // Nine- and ten-digit renders share their first 8 bytes.
+            1_234_567_800i64..1_234_567_899,
+            123_456_780i64..123_456_789,
+            i64::MIN..i64::MAX,
+            Just(i64::MIN),
+            Just(i64::MAX),
+        ]
+        .boxed()
+    }
+
+    fn float_values() -> BoxedStrategy<f64> {
+        let quiet_nan = f64::NAN.to_bits();
+        prop_oneof![
+            (-8i64..8).prop_map(|k| k as f64 / 4.0),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            // NaNs with assorted payloads and signs all render `NaN`.
+            (0u64..1 << 51).prop_map(move |p| f64::from_bits(quiet_nan | p)),
+            (0u64..1 << 51).prop_map(move |p| f64::from_bits((quiet_nan | p) | 1 << 63)),
+            (1u64..1 << 20).prop_map(|p| f64::from_bits(0x7ff0_0000_0000_0000 | p)),
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+            // Renders that agree on their first 8 bytes.
+            (0i64..64).prop_map(|k| 1234.5678 + k as f64 * 1e-7),
+            (0i64..64).prop_map(|k| 1e15 + k as f64),
+        ]
+        .boxed()
+    }
+
+    fn str_values() -> BoxedStrategy<String> {
+        prop_oneof![
+            "[ab]{0,2}",
+            "abcdefgh[a-c]{0,3}",
+            "abcdefg[gh]{0,2}",
+            "[a-z ]{0,12}",
+            "x_y[0-9]{1,2}",
+            Just("é".to_string()),
+            Just("e\u{301}".to_string()),
+            Just(String::new()),
+        ]
+        .boxed()
+    }
+
+    fn columns() -> BoxedStrategy<Column> {
+        prop_oneof![
+            rows(int_values()).prop_map(Column::Int),
+            rows(float_values()).prop_map(Column::Float),
+            rows(str_values()).prop_map(Column::Str),
+            rows(prop_oneof![Just(true), Just(false)]).prop_map(Column::Bool),
+            Just(Column::Int(vec![])),
+            Just(Column::Float(vec![None; 5])),
+            Just(Column::Str(vec![None; 3])),
+            Just(Column::Bool(vec![None])),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn build_matches_the_two_pass_oracle(col in columns()) {
+            let dict = ValueDict::build(&col);
+            let (values, counts, codes, non_null) = oracle_build(&col);
+            prop_assert_eq!(dict.values().collect::<Vec<_>>(), values);
+            prop_assert_eq!(dict.counts(), &counts[..]);
+            prop_assert_eq!(dict.codes(), &codes[..]);
+            prop_assert_eq!(dict.non_null(), non_null);
+            for (code, value) in dict.values().enumerate() {
+                prop_assert_eq!(dict.code_of(value), Some(code as u32));
+            }
+        }
+    }
 
     #[test]
     fn values_match_btreeset_order_and_counts_match_occurrences() {
@@ -209,7 +459,10 @@ mod tests {
         let dict = ValueDict::build(&col);
         let set: BTreeSet<String> =
             col.iter_values().filter(|v| !v.is_null()).map(|v| v.render()).collect();
-        assert_eq!(dict.values().to_vec(), set.into_iter().collect::<Vec<_>>());
+        assert_eq!(
+            dict.values().collect::<Vec<_>>(),
+            set.iter().map(String::as_str).collect::<Vec<_>>()
+        );
         assert_eq!(dict.counts(), &[3, 2]); // apple ×3, pear ×2
         assert_eq!(dict.non_null(), 5);
         assert_eq!(dict.max_count(), 3);
@@ -221,11 +474,12 @@ mod tests {
         let col = Column::from_i64(vec![30, 1, 30, 2]);
         let dict = ValueDict::build(&col);
         for (i, &code) in dict.codes().iter().enumerate() {
-            assert_eq!(dict.value_of(code).unwrap(), col.get(i).render());
-            assert_eq!(dict.code_of(dict.value_of(code).unwrap()), Some(code));
+            assert_eq!(dict.value(code), col.get(i).render());
+            assert_eq!(dict.code_of(dict.value(code)), Some(code));
         }
         // Lexicographic, not numeric, order — same as rendered BTreeSet.
-        assert_eq!(dict.values(), &["1", "2", "30"]);
+        assert_eq!(dict.values().collect::<Vec<_>>(), ["1", "2", "30"]);
+        assert_eq!(dict.code_of("3"), None);
     }
 
     #[test]
@@ -235,7 +489,7 @@ mod tests {
         assert!(payload.is_nan());
         let col = Column::Float(vec![Some(quiet), Some(payload), Some(1.0)]);
         let dict = ValueDict::build(&col);
-        assert_eq!(dict.values(), &["1.0", "NaN"]);
+        assert_eq!(dict.values().collect::<Vec<_>>(), ["1.0", "NaN"]);
         assert_eq!(dict.counts(), &[1, 2]);
         assert_eq!(dict.codes(), &[1, 1, 0]);
     }
@@ -249,7 +503,7 @@ mod tests {
         let mut changed = col.clone();
         changed.set(0, crate::Value::Int(9)).unwrap();
         let c = column_dict(&changed);
-        assert_eq!(c.values(), &["7", "8", "9"]);
+        assert_eq!(c.values().collect::<Vec<_>>(), ["7", "8", "9"]);
     }
 
     #[test]

@@ -25,6 +25,7 @@ mod dict;
 mod error;
 mod fingerprint;
 mod schema;
+mod shortest;
 mod table;
 mod value;
 
@@ -34,9 +35,12 @@ pub use csv::{
     read_csv, read_csv_path, read_csv_str, to_csv_string, write_csv, CsvOptions, COUNTER_CSV_BYTES,
     COUNTER_CSV_DEGRADED, COUNTER_CSV_ROWS, DEFAULT_NULL_MARKERS, MAX_CSV_BYTES, SPAN_CSV_INGEST,
 };
-pub use dict::{column_dict, ValueDict, COUNTER_DICT_HITS, COUNTER_DICT_MISSES, NULL_CODE};
+pub use dict::{
+    column_dict, column_dict_with_fingerprint, ValueDict, COUNTER_DICT_HITS, COUNTER_DICT_MISSES,
+    NULL_CODE,
+};
 pub use error::{Result, TableError};
-pub use fingerprint::{column_fingerprint, table_fingerprint};
+pub use fingerprint::{column_fingerprint, table_fingerprint, table_fingerprint_from_columns};
 pub use schema::{Field, Schema};
 pub use table::{JoinKind, Table};
 pub use value::{DataType, Value};

@@ -6,6 +6,7 @@
 //! latter live in the data catalog (see `catdb-catalog`); this module only
 //! covers physical storage.
 
+use crate::shortest::write_float;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -123,30 +124,11 @@ impl Value {
     }
 }
 
-/// Float formatting that round-trips and avoids noisy `1.0000000000000002`.
+/// Float text that round-trips: shortest digits, `.0` on integral values.
 fn format_float(v: f64) -> String {
     let mut s = String::new();
     write_float(&mut s, v).expect("String formatting never fails");
     s
-}
-
-/// Write a float with [`format_float`] semantics straight into a writer.
-///
-/// Branch analysis mirrors the old string-inspecting version: `Display`
-/// for `f64` never uses scientific notation, so a fractional finite value
-/// always carries a `.`, infinities render as `inf`, and the only case
-/// that needs a `.0` suffix is a finite integral value too large for the
-/// `{:.1}` fast path.
-fn write_float<W: fmt::Write>(w: &mut W, v: f64) -> fmt::Result {
-    if v.is_nan() {
-        w.write_str("NaN")
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        write!(w, "{v:.1}")
-    } else if v.is_finite() && v == v.trunc() {
-        write!(w, "{v}.0")
-    } else {
-        write!(w, "{v}")
-    }
 }
 
 impl fmt::Display for Value {
@@ -241,6 +223,121 @@ mod tests {
         ];
         for v in vals {
             assert_eq!(v.to_string(), v.render(), "Display/render diverged for {v:?}");
+        }
+    }
+
+    /// The float writer before the shortest-digits writer replaced it:
+    /// core's `Display`, with `.0` on integral values.
+    fn oracle_write_float(v: f64) -> String {
+        if v.is_nan() {
+            "NaN".to_string()
+        } else if v == v.trunc() && v.abs() < 1e15 {
+            format!("{v:.1}")
+        } else if v.is_finite() && v == v.trunc() {
+            format!("{v}.0")
+        } else {
+            format!("{v}")
+        }
+    }
+
+    fn assert_matches_oracle(v: f64) {
+        let got = Value::Float(v).render();
+        assert_eq!(got, oracle_write_float(v), "bits {:#018x}", v.to_bits());
+        assert_eq!(Value::Float(v).to_string(), got);
+    }
+
+    #[test]
+    fn float_writer_matches_core_on_random_bit_patterns() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_f10a7);
+        for _ in 0..1_000_000 {
+            assert_matches_oracle(f64::from_bits(rng.gen::<u64>()));
+        }
+    }
+
+    #[test]
+    fn float_writer_matches_core_on_edge_classes() {
+        let next_up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let next_down = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let mut edges = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            next_down(f64::MIN_POSITIVE),
+            next_up(f64::MIN_POSITIVE),
+            f64::MAX,
+            next_down(f64::MAX),
+            f64::EPSILON,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(f64::NAN.to_bits() ^ 1),
+            1e15,
+            1e16,
+            1e21,
+            1e22,
+            1e23,
+            5e-324,
+            0.1 + 0.2,
+            1.0000000000000002,
+        ];
+        // Subnormals: the smallest ones, powers of two, and the largest.
+        for bits in (1..64).chain((0..52).map(|k| 1u64 << k)).chain([(1u64 << 52) - 1]) {
+            edges.push(f64::from_bits(bits));
+        }
+        // 2^k and 10^k, each with its neighbours one ulp away.
+        for k in -1074i64..=1023 {
+            let bits = if k < -1022 { 1u64 << (k + 1074) } else { ((k + 1023) as u64) << 52 };
+            let p = f64::from_bits(bits);
+            edges.extend([p, next_up(p), next_down(p)]);
+        }
+        for k in -323..=308 {
+            let p: f64 = format!("1e{k}").parse().unwrap();
+            edges.extend([p, next_up(p), next_down(p)]);
+        }
+        // Integers around the integral-branch boundary and where
+        // integral doubles stop being consecutive.
+        for centre in [1e15, 2f64.powi(53), 1e16, 1e21] {
+            let mut lo = centre;
+            let mut hi = centre;
+            for _ in 0..64 {
+                edges.extend([lo, hi]);
+                lo = next_down(lo);
+                hi = next_up(hi);
+            }
+            for d in -64i64..=64 {
+                edges.push(centre + d as f64);
+            }
+        }
+        // Exact dyadic fractions where the shortest digits cut an exact
+        // ...5 tie: core rounds those up, not to even.
+        edges.push(f64::from_bits(0x42e7_a6d3_3538_c974)); // 208042203924043.625
+        for base in [1e13, 2f64.powi(47), 2f64.powi(49), 1e15 - 7.0] {
+            for j in 0..64 {
+                edges.push(base + j as f64 / 64.0);
+            }
+        }
+        for v in edges {
+            assert_matches_oracle(v);
+            assert_matches_oracle(-v);
+        }
+    }
+
+    #[test]
+    fn float_writer_matches_core_on_short_decimal_strings() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc5f);
+        for _ in 0..200_000 {
+            // CSV-like cells: a few integer digits, a few fraction
+            // digits, sometimes an exponent.
+            let int = rng.gen_range(0u64..1_000_000);
+            let frac_digits = rng.gen_range(0usize..8);
+            let frac = rng.gen_range(0u64..10u64.pow(frac_digits as u32).max(1));
+            let mut text = format!("{int}.{frac:0frac_digits$}");
+            if rng.gen_range(0u32..4) == 0 {
+                text.push_str(&format!("e{}", rng.gen_range(-30i32..30)));
+            }
+            let v: f64 = text.parse().unwrap();
+            assert_matches_oracle(v);
+            assert_matches_oracle(-v);
         }
     }
 

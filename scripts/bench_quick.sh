@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Quick perf snapshot: run the criterion micro benches with a reduced
-# per-bench budget and record the profiling / training / chain-scheduler /
-# CSV-ingest hot-path numbers in results/BENCH_perf.json, alongside the
-# pre-runtime baselines measured on the same container class. The CSV
-# entry compares against the frozen seed reader benched live in the same
-# run, so its speedup is an apples-to-apples same-machine figure. Also runs the chain
+# per-bench budget and record the profiling / cold value-dictionary /
+# float-rendering / training / chain-scheduler / CSV-ingest hot-path
+# numbers in results/BENCH_perf.json, alongside the pre-runtime
+# baselines measured on the same container class. The CSV entry compares
+# against the frozen seed reader benched live in the same run, so its
+# speedup is an apples-to-apples same-machine figure. Also runs the chain
 # cache smoke (cold + warm CLI run sharing one --llm-cache file) and
 # folds its hit/zero-billing figures into the snapshot. Intended as a
 # non-blocking CI step — failures here report a regression but never
@@ -59,6 +60,14 @@ DAG_SPEEDUP="${DAG_LINE#*speedup=}"; DAG_SPEEDUP="${DAG_SPEEDUP%% *}"
 # one 16-wide Pearson sweep per pair); the median of three runs.
 BASE_PROFILING_MS=102.467
 BASE_PROFILING_KDD98_MS=565.282
+# Cold column pass baselines (300 ms budget, 2-core reference host):
+# median ms/iter of a fresh ValueDict::build over every column, and of
+# rendering 100k floats, before typed interning into one arena and the
+# shortest-digits float writer (SipHash interning, core f64 Display);
+# the median of three runs.
+BASE_DICT_GAS_MS=101.985
+BASE_DICT_KDD98_MS=166.096
+BASE_RENDER_F64_MS=11.382
 # Forest baseline (300 ms budget, same machine class): mean ms/iter before
 # the shared runtime and incremental tree-split scan landed.
 BASE_FOREST_MS=29.803
@@ -66,6 +75,8 @@ BASE_FOREST_MS=29.803
 awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     -v base_prof="$BASE_PROFILING_MS" -v base_prof_kdd98="$BASE_PROFILING_KDD98_MS" \
     -v base_forest="$BASE_FOREST_MS" \
+    -v base_dict_gas="$BASE_DICT_GAS_MS" -v base_dict_kdd98="$BASE_DICT_KDD98_MS" \
+    -v base_render="$BASE_RENDER_F64_MS" \
     -v smoke_hits="$SMOKE_HITS" -v smoke_warm_tokens="$SMOKE_WARM_TOKENS" \
     -v serve_clients="$SERVE_CLIENTS" -v serve_cold_ms="$SERVE_COLD_MS" \
     -v serve_warm_ms="$SERVE_WARM_MS" -v serve_warm_rps="$SERVE_WARM_RPS" \
@@ -83,6 +94,9 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   }
   $1 == "gas-drift_2000rows" { prof_ms = to_ms($2) }
   $1 == "kdd98_1500rows" { prof_kdd98_ms = to_ms($2) }
+  $1 == "value_dict_build_gas-drift_2000rows" { dict_gas_ms = to_ms($2) }
+  $1 == "value_dict_build_kdd98_1500rows" { dict_kdd98_ms = to_ms($2) }
+  $1 == "render_f64_100k" { render_ms = to_ms($2) }
   $1 == "random_forest_20trees_1000x20" { forest_ms = to_ms($2) }
   $1 == "random_forest_binned_20trees_1000x20" { binned_ms = to_ms($2) }
   $1 == "knn_blocked_1000x20" { knn_ms = to_ms($2) }
@@ -94,7 +108,8 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "seed_ingest_50k_mixed" { csv_seed_ms = to_ms($2) }
   $1 == "write_roundtrip_50k_mixed" { csv_rt_ms = to_ms($2) }
   END {
-    if (prof_ms == 0 || prof_kdd98_ms == 0 || forest_ms == 0 || binned_ms == 0 || knn_ms == 0 ||
+    if (prof_ms == 0 || prof_kdd98_ms == 0 || dict_gas_ms == 0 || dict_kdd98_ms == 0 ||
+        render_ms == 0 || forest_ms == 0 || binned_ms == 0 || knn_ms == 0 ||
         chain_seq_ms == 0 || chain_conc_ms == 0 ||
         cache_cold_ms == 0 || cache_warm_ms == 0 ||
         csv_ingest_ms == 0 || csv_seed_ms == 0 || csv_rt_ms == 0) {
@@ -117,6 +132,22 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "      \"rows_per_sec\": %.0f,\n", 1500 / (prof_kdd98_ms / 1000) >> out
     printf "      \"baseline_ms\": %.3f,\n", base_prof_kdd98 >> out
     printf "      \"speedup\": %.2f\n", base_prof_kdd98 / prof_kdd98_ms >> out
+    printf "    },\n" >> out
+    printf "    \"table/value_dict_build_gas-drift_2000rows\": {\n" >> out
+    printf "      \"median_ms\": %.3f,\n", dict_gas_ms >> out
+    printf "      \"baseline_ms\": %.3f,\n", base_dict_gas >> out
+    printf "      \"speedup\": %.2f\n", base_dict_gas / dict_gas_ms >> out
+    printf "    },\n" >> out
+    printf "    \"table/value_dict_build_kdd98_1500rows\": {\n" >> out
+    printf "      \"median_ms\": %.3f,\n", dict_kdd98_ms >> out
+    printf "      \"baseline_ms\": %.3f,\n", base_dict_kdd98 >> out
+    printf "      \"speedup\": %.2f\n", base_dict_kdd98 / dict_kdd98_ms >> out
+    printf "    },\n" >> out
+    printf "    \"table/render_f64_100k\": {\n" >> out
+    printf "      \"median_ms\": %.3f,\n", render_ms >> out
+    printf "      \"ns_per_value\": %.1f,\n", render_ms * 10 >> out
+    printf "      \"baseline_ms\": %.3f,\n", base_render >> out
+    printf "      \"speedup\": %.2f\n", base_render / render_ms >> out
     printf "    },\n" >> out
     printf "    \"models/random_forest_20trees_1000x20\": {\n" >> out
     printf "      \"mean_ms\": %.3f,\n", forest_ms >> out
@@ -180,6 +211,8 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "  }\n" >> out
     printf "}\n" >> out
     printf "profiling : %.3f ms/iter gas-drift (baseline %.3f, %.2fx), %.3f ms/iter kdd98 (baseline %.3f, %.2fx)\n", prof_ms, base_prof, base_prof / prof_ms, prof_kdd98_ms, base_prof_kdd98, base_prof_kdd98 / prof_kdd98_ms
+    printf "dict      : %.3f ms gas-drift (baseline %.3f, %.2fx), %.3f ms kdd98 (baseline %.3f, %.2fx) cold builds\n", dict_gas_ms, base_dict_gas, base_dict_gas / dict_gas_ms, dict_kdd98_ms, base_dict_kdd98, base_dict_kdd98 / dict_kdd98_ms
+    printf "render    : %.3f ms per 100k floats (baseline %.3f, %.2fx)\n", render_ms, base_render, base_render / render_ms
     printf "forest    : %.3f ms/iter (baseline %.3f, %.2fx)\n", forest_ms, base_forest, base_forest / forest_ms
     printf "binned    : %.3f ms/iter (exact %.3f, %.2fx)\n", binned_ms, forest_ms, forest_ms / binned_ms
     printf "knn       : %.3f ms/iter fit+predict 1000x20 (blocked kernel)\n", knn_ms
