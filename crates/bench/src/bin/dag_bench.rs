@@ -1,15 +1,14 @@
 //! `pipeline/dag_parallel` bench: one preprocessing-heavy pipeline
-//! executed sequentially and as a step DAG on the shared pool. The
-//! program fans out per-column impute/scale/encode steps — the shape
-//! Algorithm 2's generated pipelines actually take — so the DAG
-//! scheduler's antichain waves get real independent work. Prints a
-//! single `key=value` line for `scripts/bench_quick.sh` /
-//! `scripts/dag_smoke.sh` to parse.
+//! executed as a step DAG on the shared pool. The program fans out
+//! per-column impute/scale/drop steps — the shape Algorithm 2's
+//! generated pipelines actually take — so the scheduler's antichain
+//! waves get real independent work. Prints a single `key=value` line
+//! for `scripts/bench_quick.sh` to parse.
 //!
 //! Usage: dag_bench [rows] [float_cols] [cat_cols]
 
 use catdb_ml::TaskKind;
-use catdb_pipeline::{execute, parse, Environment, ExecMode, ExecutionConfig};
+use catdb_pipeline::{execute, parse, Environment, ExecutionConfig};
 use catdb_table::{Column, Table};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -68,27 +67,19 @@ fn program_src(float_cols: usize, cat_cols: usize) -> String {
     src
 }
 
-fn run_ms(
-    mode: ExecMode,
-    iters: usize,
-    rows: usize,
-    float_cols: usize,
-    cat_cols: usize,
-) -> (f64, f64) {
+/// Best-of-`iters` wall time of one execution, in ms.
+fn run_ms(iters: usize, rows: usize, float_cols: usize, cat_cols: usize) -> f64 {
     let (train, test) = dataset(rows, float_cols, cat_cols);
     let program = parse(&program_src(float_cols, cat_cols)).unwrap();
-    let cfg =
-        ExecutionConfig { exec_mode: mode, ..ExecutionConfig::new(TaskKind::BinaryClassification) };
+    let cfg = ExecutionConfig::new(TaskKind::BinaryClassification);
     let env = Environment::default();
     let mut best = f64::MAX;
-    let mut headline = 0.0;
     for _ in 0..iters {
         let started = Instant::now();
-        let eval = execute(&program, &train, &test, &env, &cfg).unwrap();
+        execute(&program, &train, &test, &env, &cfg).unwrap();
         best = best.min(started.elapsed().as_secs_f64() * 1e3);
-        headline = eval.test.headline();
     }
-    (best, headline)
+    best
 }
 
 fn main() {
@@ -96,13 +87,9 @@ fn main() {
     let float_cols: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(16);
     let cat_cols: usize = std::env::args().nth(3).and_then(|s| s.parse().ok()).unwrap_or(16);
     let steps = 2 * float_cols + 2 * cat_cols + 1;
-    let iters = 3;
-    let (seq_ms, seq_headline) = run_ms(ExecMode::Seq, iters, rows, float_cols, cat_cols);
-    let (dag_ms, dag_headline) = run_ms(ExecMode::Dag, iters, rows, float_cols, cat_cols);
-    assert_eq!(seq_headline, dag_headline, "dag evaluation diverged from sequential");
+    let dag_ms = run_ms(3, rows, float_cols, cat_cols);
     println!(
-        "dag_bench: rows={rows} steps={steps} threads={} seq_ms={seq_ms:.1} dag_ms={dag_ms:.1} speedup={:.2}",
+        "dag_bench: rows={rows} steps={steps} threads={} dag_ms={dag_ms:.1}",
         catdb_runtime::pool_size(),
-        seq_ms / dag_ms,
     );
 }

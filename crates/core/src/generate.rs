@@ -11,9 +11,8 @@ use catdb_catalog::CatalogEntry;
 use catdb_llm::{CostLedger, LanguageModel, LlmError, LlmTaskKind, Prompt};
 use catdb_ml::TaskKind;
 use catdb_pipeline::{
-    execute, parse, ColumnRef, EncodeSpec, Environment, ErrorCategory, Evaluation, ExecMode,
-    ExecutionConfig, ImputeSpec, ModelAlgo, ModelFamily, ModelSpec, PipelineError, Program, Step,
-    StepCache,
+    execute, parse, ColumnRef, EncodeSpec, Environment, ErrorCategory, Evaluation, ExecutionConfig,
+    ImputeSpec, ModelAlgo, ModelFamily, ModelSpec, PipelineError, Program, Step,
 };
 use catdb_sched::{CompletionCache, LlmScheduler, DEFAULT_LLM_CONCURRENCY};
 use catdb_table::{DataType, Table};
@@ -60,11 +59,6 @@ pub struct CatDbConfig {
     /// Split-search strategy forwarded to the tree-family estimators
     /// (`--split-mode`): exact scans or histogram-binned training.
     pub split_mode: catdb_ml::SplitMode,
-    /// Pipeline scheduling strategy (`--exec-mode`): strict source order
-    /// or dependency-DAG antichains with step memoization. DAG mode
-    /// shares one [`StepCache`] across the whole session, so Algorithm 4
-    /// fix-loop iterations re-execute only the steps a fix changed.
-    pub exec_mode: ExecMode,
 }
 
 impl Default for CatDbConfig {
@@ -83,7 +77,6 @@ impl Default for CatDbConfig {
             llm_cache_path: None,
             llm_cache: None,
             split_mode: catdb_ml::SplitMode::Exact,
-            exec_mode: ExecMode::Seq,
         }
     }
 }
@@ -410,19 +403,12 @@ pub fn generate_pipeline(
     };
 
     let task = entry.task_kind();
-    // One step cache for the whole session: validation runs, full runs,
-    // and every fix-loop iteration share it, so only the steps an error
-    // fix actually changed (plus their dependents) re-execute.
-    let step_cache = (cfg.exec_mode == ExecMode::Dag).then(|| Arc::new(StepCache::new()));
     let exec_cfg = ExecutionConfig {
         memory_limit: cfg.memory_limit,
         task,
         seed: cfg.seed,
         fast_validation: false,
         split_mode: cfg.split_mode,
-        exec_mode: cfg.exec_mode,
-        step_cache: step_cache.clone(),
-        inject_fault_step: None,
     };
     let n_train = train.n_rows().max(1);
     let validation_fraction =
@@ -437,9 +423,6 @@ pub fn generate_pipeline(
         seed: cfg.seed,
         fast_validation: true,
         split_mode: cfg.split_mode,
-        exec_mode: cfg.exec_mode,
-        step_cache,
-        inject_fault_step: None,
     };
 
     // ---- Validation & error-management loop (Algorithm 4, lines 3–15) ----

@@ -13,23 +13,20 @@ use crate::prompt::PromptOptions;
 use catdb_catalog::{MultiTableDataset, RefinementReport};
 use catdb_llm::{LanguageModel, ModelProfile, RouteSpec, Transport};
 use catdb_ml::{SplitMode, TaskKind};
-use catdb_pipeline::ExecMode;
 use catdb_profiler::ProfileMode;
 use catdb_sched::{CompletionCache, LlmScheduler};
 use catdb_table::TableError;
 use std::fmt;
 use std::sync::Arc;
 
-/// The execution strategies of a run: how columns are profiled, how
-/// trees search splits, and how pipeline steps are scheduled.
+/// The execution strategies of a run: how columns are profiled and how
+/// trees search splits.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Engine {
     /// Tree split search (`--split-mode`).
     pub split: SplitMode,
     /// Profiling strategy (`--profile-mode`).
     pub profile: ProfileMode,
-    /// Pipeline step scheduling (`--exec-mode`).
-    pub exec: ExecMode,
 }
 
 /// Everything a one-shot run takes besides its data.
@@ -120,7 +117,6 @@ impl RunSpec {
             llm_concurrency: self.llm_concurrency,
             llm_cache: cache,
             split_mode: self.engine.split,
-            exec_mode: self.engine.exec,
             ..Default::default()
         };
         let result = catdb_pipgen(&entry, &prepared, llm, &cfg).map_err(RunError::Generate)?;

@@ -6,91 +6,46 @@
 //! makes the real dependency structure explicit — each step declares the
 //! column sets it reads and writes, edges are inferred from read/write
 //! conflicts, and whole-table steps (wildcards, row-count changers, the
-//! model) become barriers — and [`execute_dag`] schedules antichains of
+//! model) become barriers — and [`execute`] schedules antichains of
 //! ready steps concurrently on `catdb-runtime`.
 //!
 //! # Determinism
 //!
-//! DAG execution is byte-identical to the sequential interpreter at any
-//! `CATDB_THREADS`:
+//! Execution is observationally the strict source-order interpretation
+//! of the program, at any `CATDB_THREADS`:
 //!
 //! * steps in a wave run against an immutable snapshot of the current
 //!   tables and return only their *column diff* (the write set they
 //!   replaced, dropped, or appended);
-//! * diffs are merged back in step-index order, which reproduces the
-//!   sequential column layout exactly because every operator either
-//!   replaces columns in place or appends generated columns at the end;
+//! * diffs are merged back in step-index order. Every operator either
+//!   replaces columns in place or appends generated columns at the end,
+//!   and appending steps depend on one another, so columns land in
+//!   source order;
 //! * `PipelineOp` trace events and memory checks happen at merge time,
-//!   in step-index order, from the merged authoritative state;
-//! * on failure the merge reports the smallest-index failing step — the
-//!   same error sequential execution would have raised first.
+//!   and events are emitted in step-index order;
+//! * on failure, only the steps before the failing one keep running, so
+//!   the reported error is the one the smallest-index failing step
+//!   raises — the error source-order interpretation meets first.
 //!
-//! # Memoization and step-level fault recovery
-//!
-//! A [`StepCache`] memoizes step outputs keyed by a lineage fingerprint:
-//! the input-table fingerprints, the execution-config bits that affect
-//! interpretation, and the rendered text of the step plus all its
-//! transitive ancestors. A fix-loop iteration that rewrites one failing
-//! step leaves every other step's lineage untouched, so Algorithm 4
-//! re-executions skip unchanged prefixes *and* completed siblings of the
-//! failed step — only the repaired step recomputes. Sibling outputs are
-//! inserted into the cache even when the wave fails, which is what makes
-//! the step-granularity retry cheap.
+//! Memory-limit checks run on the merged state, which may already hold
+//! independent later steps, so under a memory limit the failing step can
+//! differ from source order.
 
 use crate::ast::{ColumnRef, EncodeSpec, Program, Step};
 use crate::environment::Environment;
 use crate::errors::{ErrorKind, PipelineError};
 use crate::executor::{
-    apply_step, check_memory, finish_evaluation, injected_fault, resolve_imports, step_label,
-    step_line, Evaluation, ExecutionConfig, TaskMetrics,
+    apply_step, check_memory, finish_evaluation, resolve_imports, step_label, step_line,
+    Evaluation, ExecutionConfig, TaskMetrics,
 };
-use catdb_table::{table_fingerprint, Column, Table};
+use catdb_table::{Column, Table};
 use serde::Serialize;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 use std::time::Instant;
 
-/// Trace counter: DAG step-cache lookups that returned a memoized output.
-pub const COUNTER_STEP_CACHE_HITS: &str = "step_cache.hits";
-/// Trace counter: DAG step-cache lookups that missed.
-pub const COUNTER_STEP_CACHE_MISSES: &str = "step_cache.misses";
 /// Trace counter: waves (antichains) the DAG scheduler executed.
 pub const COUNTER_DAG_WAVES: &str = "dag.waves";
-/// Trace span wrapping the DAG wave loop.
-pub const SPAN_DAG_SCHEDULE: &str = "dag_schedule";
-
-/// Step scheduling strategy for [`crate::execute`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Strict source-order interpretation.
-    #[default]
-    Seq,
-    /// Dependency-DAG scheduling with step memoization.
-    Dag,
-}
-
-impl ExecMode {
-    /// Parse a `--exec-mode` value: `seq` (or `sequential`) | `dag`.
-    pub fn parse(s: &str) -> Result<ExecMode, String> {
-        match s.trim() {
-            "seq" | "sequential" => Ok(ExecMode::Seq),
-            "dag" => Ok(ExecMode::Dag),
-            other => Err(format!("unknown exec mode '{other}'; expected seq or dag")),
-        }
-    }
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecMode::Seq => write!(f, "seq"),
-            ExecMode::Dag => write!(f, "dag"),
-        }
-    }
-}
 
 /// The set of columns a step reads or writes: exact names plus prefixes
 /// of encoder-generated names (`{col}=` for one-hot/k-hot indicators,
@@ -265,8 +220,10 @@ pub struct StepDag {
 
 impl StepDag {
     /// Infer the dependency DAG of a program. Step `j` depends on step
-    /// `i < j` when either is a barrier or their column sets conflict
-    /// (write-read, write-write, or read-write on any shared column).
+    /// `i < j` when either is a barrier, their column sets conflict
+    /// (write-read, write-write, or read-write on any shared column), or
+    /// both append generated columns (only encoders write prefixes), so
+    /// appended columns keep source order.
     pub fn compile(program: &Program) -> StepDag {
         let metas: Vec<(ColSet, ColSet, bool)> = program.steps.iter().map(step_sets).collect();
         let mut nodes = Vec::with_capacity(program.steps.len());
@@ -279,6 +236,7 @@ impl StepDag {
                     || wi.intersects(&reads)
                     || wi.intersects(&writes)
                     || ri.intersects(&writes)
+                    || (!wi.prefixes.is_empty() && !writes.prefixes.is_empty())
                 {
                     deps.push(i);
                 }
@@ -323,24 +281,10 @@ impl StepDag {
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("DAG serializes")
     }
-
-    /// Transitive dependency closure per node, ascending.
-    fn ancestors(&self) -> Vec<BTreeSet<usize>> {
-        let mut anc: Vec<BTreeSet<usize>> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let mut set = BTreeSet::new();
-            for &d in &node.deps {
-                set.insert(d);
-                set.extend(anc[d].iter().copied());
-            }
-            anc.push(set);
-        }
-        anc
-    }
 }
 
 /// Column-level difference one local step applied to one table.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct TableDiff {
     /// Columns replaced in place (possibly with a new dtype).
     replaced: Vec<(String, Column)>,
@@ -350,120 +294,9 @@ struct TableDiff {
     appended: Vec<(String, Column)>,
 }
 
-#[derive(Clone, Default)]
 struct StepDiff {
     train: TableDiff,
     test: TableDiff,
-}
-
-/// Memoized output of one step.
-#[derive(Clone)]
-enum CachedOutput {
-    /// A local step's column diff (applies to any table state whose
-    /// lineage matches the key).
-    Diff(Box<StepDiff>),
-    /// A barrier step's full output tables (its lineage covers every
-    /// prior step, so the whole state is determined by the key).
-    Full { train: Table, test: Table },
-    /// A model step's evaluation result.
-    Model { train: TaskMetrics, test: TaskMetrics, n_features: usize },
-}
-
-/// Step-output memoization shared across DAG executions. Keys are
-/// lineage fingerprints (input-table fingerprints + config bits + the
-/// rendered step text of the step and all its transitive ancestors), so
-/// entries survive fix-loop rewrites of *other* steps and repeated runs
-/// over the same inputs, and never collide across validation/full
-/// configs or different seeds.
-pub struct StepCache {
-    entries: Mutex<HashMap<u128, CachedOutput>>,
-    capacity: usize,
-}
-
-impl Default for StepCache {
-    fn default() -> Self {
-        StepCache::new()
-    }
-}
-
-impl fmt::Debug for StepCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "StepCache({} entries)", self.len())
-    }
-}
-
-impl StepCache {
-    pub fn new() -> StepCache {
-        StepCache::with_capacity(1024)
-    }
-
-    pub fn with_capacity(capacity: usize) -> StepCache {
-        StepCache { entries: Mutex::new(HashMap::new()), capacity }
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Look up a step output, recording a `step_cache.hits` or
-    /// `step_cache.misses` trace counter either way.
-    fn get(&self, key: u128) -> Option<CachedOutput> {
-        let out = self.entries.lock().unwrap().get(&key).cloned();
-        catdb_trace::add_counter(
-            if out.is_some() { COUNTER_STEP_CACHE_HITS } else { COUNTER_STEP_CACHE_MISSES },
-            1.0,
-        );
-        out
-    }
-
-    /// Insert a step output; silently drops entries past capacity (the
-    /// cache is an accelerator, never a correctness dependency).
-    fn insert(&self, key: u128, value: CachedOutput) {
-        let mut entries = self.entries.lock().unwrap();
-        if entries.len() < self.capacity || entries.contains_key(&key) {
-            entries.insert(key, value);
-        }
-    }
-}
-
-/// Fingerprint of everything outside the program that shapes execution:
-/// the input tables and the config bits the interpreter reads.
-fn base_key(train: &Table, test: &Table, cfg: &ExecutionConfig) -> u128 {
-    let (train, test) = (table_fingerprint(train), table_fingerprint(test));
-    let mut h1 = DefaultHasher::new();
-    let mut h2 = DefaultHasher::new();
-    0x5eed_cafe_u64.hash(&mut h2);
-    for h in [&mut h1, &mut h2] {
-        train.hash(h);
-        test.hash(h);
-        format!(
-            "{:?}|{:?}|{}|{:?}|{:?}",
-            cfg.task, cfg.seed, cfg.fast_validation, cfg.memory_limit, cfg.split_mode
-        )
-        .hash(h);
-    }
-    ((h1.finish() as u128) << 64) | h2.finish() as u128
-}
-
-/// Lineage fingerprint of step `idx`: the base key plus the rendered
-/// text of every transitive ancestor (in index order) and of the step
-/// itself. No per-step data hashing — ancestry pins the data.
-fn step_key(base: u128, nodes: &[DagNode], ancestors: &BTreeSet<usize>, idx: usize) -> u128 {
-    let mut h1 = DefaultHasher::new();
-    let mut h2 = DefaultHasher::new();
-    0xdead_beef_u64.hash(&mut h2);
-    for h in [&mut h1, &mut h2] {
-        base.hash(h);
-        for &a in ancestors {
-            nodes[a].render.hash(h);
-        }
-        nodes[idx].render.hash(h);
-    }
-    ((h1.finish() as u128) << 64) | h2.finish() as u128
 }
 
 /// Clone only the columns a local step can touch (reads ∪ writes,
@@ -505,71 +338,68 @@ fn table_diff(pre: &Table, post: &Table, writes: &ColSet) -> TableDiff {
     diff
 }
 
-/// Apply a memoized/merged diff to the authoritative table. Failures map
-/// exactly like the sequential interpreter's table errors.
-fn apply_table_diff(table: &mut Table, diff: &TableDiff, line: usize) -> Result<(), PipelineError> {
+/// Apply a merged diff to the authoritative table. Failures map exactly
+/// like the interpreter's table errors.
+fn apply_table_diff(table: &mut Table, diff: TableDiff, line: usize) -> Result<(), PipelineError> {
     let map = |e: catdb_table::TableError| {
         PipelineError::new(ErrorKind::ColumnNotFound, e.to_string()).at_line(line)
     };
-    for (name, col) in &diff.replaced {
-        table.replace_column(name, col.clone()).map_err(map)?;
+    for (name, col) in diff.replaced {
+        table.replace_column(&name, col).map_err(map)?;
     }
     for name in &diff.dropped {
         table.drop_column(name).map_err(map)?;
     }
-    for (name, col) in &diff.appended {
-        table.add_column(name.clone(), col.clone()).map_err(map)?;
+    for (name, col) in diff.appended {
+        table.add_column(name, col).map_err(map)?;
     }
     Ok(())
 }
 
-/// Result of running (or recalling) one wave member, pre-merge.
-enum WaveOut {
-    Diff { diff: Box<StepDiff>, micros: u64, fresh: bool },
-    Failed(PipelineError),
-}
-
 /// A step's `PipelineOp` payload, captured at merge time but emitted
 /// only once every earlier step has also merged — so the event stream
-/// is in step-index order, identical to sequential execution, at any
-/// thread count.
+/// is in step-index order at any thread count.
 struct PendingOp {
-    op: String,
+    op: &'static str,
     rows_in: usize,
     rows_out: usize,
     micros: u64,
 }
 
-/// Run the post-step checks the sequential interpreter runs, in the
-/// same order, and record the step's `PipelineOp` payload for ordered
-/// emission. Encode steps check memory before the record too (their
-/// sequential per-column check fires on the same state for
-/// single-column references).
-fn check_and_record(
-    step: &Step,
-    line: usize,
-    rows_in: usize,
-    micros: u64,
-    train: &Table,
-    test: &Table,
-    cfg: &ExecutionConfig,
-) -> Result<PendingOp, PipelineError> {
-    if matches!(step, Step::Encode { .. } | Step::Augment { .. } | Step::Rebalance { .. }) {
-        check_memory(train, test, cfg, line)?;
+/// What a run has built so far: the tables, the model result once
+/// trained, and the `PipelineOp` payloads of merged steps.
+struct State {
+    train: Table,
+    test: Table,
+    model: Option<(TaskMetrics, TaskMetrics, usize)>,
+    pending: Vec<Option<PendingOp>>,
+}
+
+impl State {
+    /// Record step `idx`'s `PipelineOp` payload, then run the post-step
+    /// memory check. The interpreter emits before checking, so a step
+    /// that fails the check still has its event in the stream.
+    fn record(
+        &mut self,
+        idx: usize,
+        step: &Step,
+        rows_in: usize,
+        micros: u64,
+        cfg: &ExecutionConfig,
+    ) -> Result<(), PipelineError> {
+        let rows_out = self.train.n_rows();
+        self.pending[idx] = Some(PendingOp { op: step_label(step), rows_in, rows_out, micros });
+        check_memory(&self.train, &self.test, cfg, step_line(idx))
     }
-    let op =
-        PendingOp { op: step_label(step).to_string(), rows_in, rows_out: train.n_rows(), micros };
-    check_memory(train, test, cfg, line)?;
-    Ok(op)
 }
 
 /// Execute a program by scheduling antichains of its dependency DAG on
-/// the shared runtime pool. See the module docs for the determinism and
-/// memoization contract.
-pub(crate) fn execute_dag(
+/// the shared runtime pool. See the module docs for the determinism
+/// contract.
+pub fn execute(
     program: &Program,
-    train0: &Table,
-    test0: &Table,
+    train: &Table,
+    test: &Table,
     env: &Environment,
     cfg: &ExecutionConfig,
 ) -> Result<Evaluation, PipelineError> {
@@ -580,73 +410,46 @@ pub(crate) fn execute_dag(
 
     let dag = StepDag::compile(program);
     let n = dag.nodes.len();
-    let cache = cfg.step_cache.clone();
-    let keys: Vec<u128> = match &cache {
-        Some(_) => {
-            let base = base_key(train0, test0, cfg);
-            let ancestors = dag.ancestors();
-            (0..n).map(|i| step_key(base, &dag.nodes, &ancestors[i], i)).collect()
-        }
-        None => Vec::new(),
-    };
-
-    let _sched_span = catdb_trace::span(SPAN_DAG_SCHEDULE);
-    let mut train = train0.clone();
-    let mut test = test0.clone();
-    let mut model_result: Option<(TaskMetrics, TaskMetrics, usize)> = None;
+    let pending = (0..n).map(|_| None).collect();
+    let mut state = State { train: train.clone(), test: test.clone(), model: None, pending };
     let mut done = vec![false; n];
-    let mut completed = 0usize;
+    let mut failure: Option<(usize, PipelineError)> = None;
     let mut waves = 0u64;
-    let mut pending: Vec<Option<PendingOp>> = (0..n).map(|_| None).collect();
     let mut next_emit = 0usize;
 
-    while completed < n {
-        let wave: Vec<usize> =
-            (0..n).filter(|&i| !done[i] && dag.nodes[i].deps.iter().all(|&d| done[d])).collect();
-        debug_assert!(!wave.is_empty(), "acyclic by construction");
+    loop {
+        // After a failure only earlier steps still matter: one of them
+        // may fail too, and the smallest failing index wins.
+        let limit = failure.as_ref().map_or(n, |(idx, _)| *idx);
+        let wave: Vec<usize> = (0..limit)
+            .filter(|&i| !done[i] && dag.nodes[i].deps.iter().all(|&d| done[d]))
+            .collect();
+        if wave.is_empty() {
+            break;
+        }
         waves += 1;
-
-        if wave.len() == 1 {
-            run_singleton(
-                &dag,
-                wave[0],
-                program,
-                &mut train,
-                &mut test,
-                &mut model_result,
-                cfg,
-                target.as_deref(),
-                cache.as_deref(),
-                &keys,
-                &mut pending,
-            )?;
+        let result = if let &[idx] = wave.as_slice() {
+            run_singleton(idx, program, &mut state, cfg, target.as_deref()).map_err(|e| (idx, e))
         } else {
             // A barrier's dependents cover every other step, so barriers
             // only ever surface in singleton waves.
             debug_assert!(wave.iter().all(|&i| !dag.nodes[i].barrier));
-            run_wave(
-                &dag,
-                &wave,
-                program,
-                &mut train,
-                &mut test,
-                cfg,
-                target.as_deref(),
-                cache.as_deref(),
-                &keys,
-                &mut pending,
-            )?;
-        }
+            run_wave(&dag, &wave, program, &mut state, cfg, target.as_deref())
+        };
         for &i in &wave {
             done[i] = true;
         }
-        completed += wave.len();
+        if let Err(failed) = result {
+            failure = Some(failed);
+        }
         // Emit every step whose predecessors have all merged: waves
-        // complete out of step order, the event stream must not.
-        while next_emit < n {
-            let Some(op) = pending[next_emit].take() else { break };
+        // complete out of step order, the event stream must not. Nothing
+        // past a failing step is emitted.
+        let last = failure.as_ref().map_or(n, |(idx, _)| *idx + 1);
+        while next_emit < last {
+            let Some(op) = state.pending[next_emit].take() else { break };
             catdb_trace::emit(catdb_trace::TraceEvent::PipelineOp {
-                op: op.op,
+                op: op.op.to_string(),
                 rows_in: op.rows_in,
                 rows_out: op.rows_out,
                 micros: op.micros,
@@ -655,210 +458,80 @@ pub(crate) fn execute_dag(
         }
     }
     catdb_trace::add_counter(COUNTER_DAG_WAVES, waves as f64);
-
-    finish_evaluation(program, &train, &test, cfg, model_result, started)
+    if let Some((_, e)) = failure {
+        return Err(e);
+    }
+    debug_assert!(done.iter().all(|&d| d), "acyclic by construction");
+    finish_evaluation(program, &state.train, &state.test, cfg, state.model, started)
 }
 
 /// Execute a singleton wave (barriers, models, or a lone local step)
-/// directly against the authoritative tables — the exact sequential code
-/// path — with cache recall/fill around it.
-#[allow(clippy::too_many_arguments)]
+/// in place on the authoritative tables.
 fn run_singleton(
-    dag: &StepDag,
     idx: usize,
     program: &Program,
-    train: &mut Table,
-    test: &mut Table,
-    model_result: &mut Option<(TaskMetrics, TaskMetrics, usize)>,
+    state: &mut State,
     cfg: &ExecutionConfig,
     target: Option<&str>,
-    cache: Option<&StepCache>,
-    keys: &[u128],
-    pending: &mut [Option<PendingOp>],
 ) -> Result<(), PipelineError> {
+    let started = Instant::now();
+    let rows_in = state.train.n_rows();
     let step = &program.steps[idx];
+    let seen = state.model.is_some();
     let line = step_line(idx);
-    let rows_in = train.n_rows();
-    if cfg.inject_fault_step == Some(idx) {
-        return Err(injected_fault(idx));
+    if let Some(model) =
+        apply_step(step, line, &mut state.train, &mut state.test, cfg, target, seen)?
+    {
+        state.model = Some(model);
     }
-
-    if let Some(cache) = cache {
-        if let Some(hit) = cache.get(keys[idx]) {
-            match hit {
-                CachedOutput::Diff(diff) => {
-                    apply_table_diff(train, &diff.train, line)?;
-                    apply_table_diff(test, &diff.test, line)?;
-                }
-                CachedOutput::Full { train: t, test: te } => {
-                    *train = t;
-                    *test = te;
-                }
-                CachedOutput::Model { train: tm, test: te, n_features } => {
-                    if model_result.is_some() {
-                        return Err(PipelineError::new(
-                            ErrorKind::ModelTaskMismatch,
-                            "pipeline trains more than one model",
-                        )
-                        .at_line(line));
-                    }
-                    *model_result = Some((tm, te, n_features));
-                }
-            }
-            pending[idx] = Some(check_and_record(step, line, rows_in, 0, train, test, cfg)?);
-            return Ok(());
-        }
-    }
-
-    let node = &dag.nodes[idx];
-    let step_started = Instant::now();
-    // Local steps diff cheaply against a projection snapshot taken
-    // before execution; barriers are cached whole.
-    let pre_train =
-        (!node.barrier && cache.is_some()).then(|| project(train, &node.reads, &node.writes));
-    let pre_test =
-        (!node.barrier && cache.is_some()).then(|| project(test, &node.reads, &node.writes));
-    let result = apply_step(step, line, train, test, cfg, target, model_result.is_some())?;
-    if let Some(cache) = cache {
-        match &result {
-            Some((tm, te, n_features)) => cache.insert(
-                keys[idx],
-                CachedOutput::Model {
-                    train: tm.clone(),
-                    test: te.clone(),
-                    n_features: *n_features,
-                },
-            ),
-            None if node.barrier => cache
-                .insert(keys[idx], CachedOutput::Full { train: train.clone(), test: test.clone() }),
-            None => {
-                let diff = StepDiff {
-                    train: table_diff(
-                        pre_train.as_ref().expect("local snapshot"),
-                        &project(train, &node.reads, &node.writes),
-                        &node.writes,
-                    ),
-                    test: table_diff(
-                        pre_test.as_ref().expect("local snapshot"),
-                        &project(test, &node.reads, &node.writes),
-                        &node.writes,
-                    ),
-                };
-                cache.insert(keys[idx], CachedOutput::Diff(Box::new(diff)));
-            }
-        }
-    }
-    if let Some(model) = result {
-        *model_result = Some(model);
-    }
-    pending[idx] = Some(check_and_record(
-        step,
-        line,
-        rows_in,
-        step_started.elapsed().as_micros() as u64,
-        train,
-        test,
-        cfg,
-    )?);
-    Ok(())
+    state.record(idx, step, rows_in, started.elapsed().as_micros() as u64, cfg)
 }
 
 /// Execute an antichain of local steps concurrently against an immutable
-/// snapshot, then merge their column diffs in step-index order.
-#[allow(clippy::too_many_arguments)]
+/// snapshot, then merge their column diffs in step-index order. The
+/// first failure in that order stops the merge.
 fn run_wave(
     dag: &StepDag,
     wave: &[usize],
     program: &Program,
-    train: &mut Table,
-    test: &mut Table,
+    state: &mut State,
     cfg: &ExecutionConfig,
     target: Option<&str>,
-    cache: Option<&StepCache>,
-    keys: &[u128],
-    pending: &mut [Option<PendingOp>],
-) -> Result<(), PipelineError> {
-    // Cache recall happens up front, in index order, so hit/miss
-    // counters and cache contents are identical at every thread count.
-    let mut outs: Vec<Option<WaveOut>> = wave
-        .iter()
-        .map(|&idx| {
-            cache.and_then(|c| c.get(keys[idx])).map(|hit| match hit {
-                CachedOutput::Diff(diff) => WaveOut::Diff { diff, micros: 0, fresh: false },
-                // Waves never contain barriers or models.
-                CachedOutput::Full { .. } | CachedOutput::Model { .. } => {
-                    unreachable!("local step cached a non-diff output")
-                }
-            })
-        })
-        .collect();
-
-    let misses: Vec<usize> =
-        wave.iter().enumerate().filter(|(p, _)| outs[*p].is_none()).map(|(_, &i)| i).collect();
-    let snapshot_train = &*train;
-    let snapshot_test = &*test;
-    let computed: Vec<(usize, WaveOut)> =
-        catdb_runtime::parallel_map(catdb_runtime::pool_size(), &misses, |_, &idx| {
-            if cfg.inject_fault_step == Some(idx) {
-                return (idx, WaveOut::Failed(injected_fault(idx)));
-            }
+) -> Result<(), (usize, PipelineError)> {
+    let (snapshot_train, snapshot_test) = (&state.train, &state.test);
+    let outs: Vec<(u64, Result<StepDiff, PipelineError>)> =
+        catdb_runtime::parallel_map(catdb_runtime::pool_size(), wave, |_, &idx| {
             let node = &dag.nodes[idx];
-            let step = &program.steps[idx];
-            let line = step_line(idx);
-            let step_started = Instant::now();
+            let started = Instant::now();
             let pre_train = project(snapshot_train, &node.reads, &node.writes);
             let pre_test = project(snapshot_test, &node.reads, &node.writes);
-            let mut local_train = pre_train.clone();
-            let mut local_test = pre_test.clone();
-            match apply_step(step, line, &mut local_train, &mut local_test, cfg, target, false) {
-                Ok(_) => {
-                    let diff = StepDiff {
-                        train: table_diff(&pre_train, &local_train, &node.writes),
-                        test: table_diff(&pre_test, &local_test, &node.writes),
-                    };
-                    (
-                        idx,
-                        WaveOut::Diff {
-                            diff: Box::new(diff),
-                            micros: step_started.elapsed().as_micros() as u64,
-                            fresh: true,
-                        },
-                    )
-                }
-                Err(e) => (idx, WaveOut::Failed(e)),
-            }
+            let mut train = pre_train.clone();
+            let mut test = pre_test.clone();
+            let step = &program.steps[idx];
+            let diff = apply_step(step, step_line(idx), &mut train, &mut test, cfg, target, false)
+                .map(|_| StepDiff {
+                    train: table_diff(&pre_train, &train, &node.writes),
+                    test: table_diff(&pre_test, &test, &node.writes),
+                });
+            (started.elapsed().as_micros() as u64, diff)
         });
-    for (idx, out) in computed {
-        let pos = wave.iter().position(|&i| i == idx).expect("wave member");
-        outs[pos] = Some(out);
-    }
 
-    // Fill the cache for every completed step — including siblings of a
-    // failed one, which is what lets a step-granularity retry reuse them.
-    if let Some(cache) = cache {
-        for (pos, &idx) in wave.iter().enumerate() {
-            if let Some(WaveOut::Diff { diff, fresh: true, .. }) = &outs[pos] {
-                cache.insert(keys[idx], CachedOutput::Diff(diff.clone()));
+    for (&idx, (micros, diff)) in wave.iter().zip(outs) {
+        let merge = |state: &mut State| -> Result<(), PipelineError> {
+            let line = step_line(idx);
+            let rows_in = state.train.n_rows();
+            let diff = diff?;
+            apply_table_diff(&mut state.train, diff.train, line)?;
+            apply_table_diff(&mut state.test, diff.test, line)?;
+            // An encoder checks memory inside the step; here it only
+            // saw its projection, so check the merged state.
+            let step = &program.steps[idx];
+            if matches!(step, Step::Encode { .. }) {
+                check_memory(&state.train, &state.test, cfg, line)?;
             }
-        }
-    }
-
-    // Deterministic merge: apply diffs, checks, and trace events in step
-    // index order; the first failure in that order is the authoritative
-    // error (identical to what sequential execution raises first).
-    for (pos, &idx) in wave.iter().enumerate() {
-        let step = &program.steps[idx];
-        let line = step_line(idx);
-        match outs[pos].take().expect("wave member resolved") {
-            WaveOut::Failed(e) => return Err(e),
-            WaveOut::Diff { diff, micros, .. } => {
-                let rows_in = train.n_rows();
-                apply_table_diff(train, &diff.train, line)?;
-                apply_table_diff(test, &diff.test, line)?;
-                pending[idx] =
-                    Some(check_and_record(step, line, rows_in, micros, train, test, cfg)?);
-            }
-        }
+            state.record(idx, step, rows_in, micros, cfg)
+        };
+        merge(state).map_err(|e| (idx, e))?;
     }
     Ok(())
 }
@@ -867,19 +540,11 @@ fn run_wave(
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use catdb_ml::TaskKind;
+    use catdb_table::Column;
 
     fn program(src: &str) -> Program {
         parse(src).unwrap()
-    }
-
-    #[test]
-    fn exec_mode_parses_and_renders() {
-        assert_eq!(ExecMode::parse("seq").unwrap(), ExecMode::Seq);
-        assert_eq!(ExecMode::parse("sequential").unwrap(), ExecMode::Seq);
-        assert_eq!(ExecMode::parse(" dag ").unwrap(), ExecMode::Dag);
-        assert!(ExecMode::parse("threads").is_err());
-        assert_eq!(ExecMode::Seq.to_string(), "seq");
-        assert_eq!(ExecMode::Dag.to_string(), "dag");
     }
 
     #[test]
@@ -909,11 +574,14 @@ mod tests {
     #[test]
     fn encoder_prefixes_conflict_with_generated_consumers() {
         let p = program(
-            "pipeline {\n  encode \"c\" method onehot;\n  impute \"c=red\" strategy mean;\n  model classifier decision_tree target \"y\";\n}",
+            "pipeline {\n  encode \"c\" method onehot;\n  impute \"c=red\" strategy mean;\n  encode \"d\" method hash buckets 4;\n  encode \"e\" method ordinal;\n  model classifier decision_tree target \"y\";\n}",
         );
         let dag = StepDag::compile(&p);
         // Imputing a generated one-hot column depends on the encoder.
         assert_eq!(dag.nodes[1].deps, vec![0]);
+        // Appending encoders keep source order; in-place ones need not.
+        assert_eq!(dag.nodes[2].deps, vec![0]);
+        assert!(dag.nodes[3].deps.is_empty());
     }
 
     #[test]
@@ -973,5 +641,113 @@ mod tests {
         assert!(!enc.intersects(&ColSet::one("d")));
         assert!(enc.intersects(&ColSet::all()));
         assert!(!ColSet::default().intersects(&ColSet::all()));
+    }
+
+    /// Program text for one draw: `(op, column)` pairs become named
+    /// impute/scale/encode/drop steps on columns of a fitting type (an
+    /// impute-then-encode pair gives an appending encoder a dependency),
+    /// or barriers; `flags` may turn a seventh of the named steps to a
+    /// hallucinated column and add a cleanup tail and a second model.
+    fn oracle_program(steps: &[(usize, usize)], flags: (usize, usize, usize)) -> String {
+        let num = ["n0", "n1"];
+        let txt = ["s0", "s1", "s2", "s3", "s4", "s5"];
+        let any = ["n0", "n1", "s0", "s1", "s2", "s3", "s4", "s5"];
+        let barriers =
+            ["impute * strategy most_frequent", "drop_null_rows", "encode * method onehot"];
+        let mut src = String::from("pipeline {\n");
+        for &(op, col) in steps {
+            let pick = |pool: &[&'static str]| match col {
+                6 if flags.0 == 0 => "ghost",
+                _ => pool[col % pool.len()],
+            };
+            let step = match op {
+                0 => format!("impute \"{}\" strategy mean", pick(&num)),
+                1 => format!("impute \"{}\" strategy most_frequent", pick(&txt)),
+                2 => format!("scale \"{}\" method standard", pick(&num)),
+                3 => format!("scale \"{}\" method minmax", pick(&num)),
+                4 => format!("encode \"{}\" method onehot", pick(&txt)),
+                5 => format!("encode \"{}\" method ordinal", pick(&txt)),
+                6 => format!("encode \"{}\" method hash buckets 4", pick(&txt)),
+                7 => format!("drop \"{}\"", pick(&any)),
+                8 => format!(
+                    "impute \"{0}\" strategy most_frequent;\n  encode \"{0}\" method onehot",
+                    pick(&txt)
+                ),
+                _ => barriers[col % barriers.len()].to_string(),
+            };
+            src += &format!("  {step};\n");
+        }
+        if flags.1 == 0 {
+            src += "  impute * strategy mean;\n  impute * strategy most_frequent;\n  encode * method ordinal;\n";
+        }
+        src += "  model classifier random_forest target \"y\" trees 6 depth 4;\n";
+        if flags.2 == 0 {
+            src += "  model classifier decision_tree target \"y\";\n";
+        }
+        src + "}"
+    }
+
+    /// Two numeric and six string columns, every other one with gaps,
+    /// and a binary target.
+    fn oracle_tables() -> (Table, Table) {
+        let n = 90;
+        let cell = |k: usize, i: usize| {
+            (k.is_multiple_of(2) || !(i + k).is_multiple_of(7)).then_some((i * k + i) % 11)
+        };
+        let mut columns: Vec<(String, Column)> = (0..8)
+            .map(|k| {
+                let cells = (0..n).map(move |i| cell(k, i));
+                match k {
+                    0 | 1 => (
+                        format!("n{k}"),
+                        Column::Float(cells.map(|c| c.map(|v| v as f64 - 4.0)).collect()),
+                    ),
+                    _ => (
+                        format!("s{}", k - 2),
+                        Column::Str(cells.map(|c| c.map(|v| format!("v{}", v % 4))).collect()),
+                    ),
+                }
+            })
+            .collect();
+        let y: Vec<&str> = (0..n).map(|i| if (i * 13) % 17 < 8 { "n" } else { "p" }).collect();
+        columns.push(("y".into(), Column::from_strings(y)));
+        Table::from_columns(columns).unwrap().train_test_split(0.7, 0).unwrap()
+    }
+
+    /// The run's outcome — the evaluation with wall-clock zeroed, or the
+    /// error's kind, line and message — and its `PipelineOp` stream
+    /// without timings.
+    fn traced(run: impl FnOnce() -> Result<Evaluation, PipelineError>) -> (String, Vec<String>) {
+        let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+        let guard = catdb_trace::install(sink.clone());
+        let outcome = run().map(|e| Evaluation { elapsed_seconds: 0.0, ..e });
+        drop(guard);
+        let ops = sink.snapshot().events_modulo_timing().into_iter().filter_map(|e| match e {
+            catdb_trace::TraceEvent::PipelineOp { op, rows_in, rows_out, .. } => {
+                Some(format!("{op} {rows_in}->{rows_out}"))
+            }
+            _ => None,
+        });
+        (format!("{:?}", outcome.map_err(|e| (e.kind, e.line, e.message))), ops.collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The scheduler is observationally the sequential interpreter:
+        /// same evaluation, same first error, same `PipelineOp` stream.
+        #[test]
+        fn scheduler_matches_sequential_oracle(
+            steps in proptest::collection::vec((0usize..10, 0usize..7), 1..14),
+            flags in (0usize..3, 0usize..2, 0usize..6),
+        ) {
+            let src = oracle_program(&steps, flags);
+            let program = parse(&src).unwrap();
+            let (train, test) = oracle_tables();
+            let (env, cfg) = (Environment::default(), ExecutionConfig::new(TaskKind::BinaryClassification));
+            let oracle = traced(|| crate::executor::execute_seq(&program, &train, &test, &env, &cfg));
+            let scheduled = traced(|| execute(&program, &train, &test, &env, &cfg));
+            proptest::prop_assert_eq!(oracle, scheduled, "program:\n{}", src);
+        }
     }
 }

@@ -1,6 +1,7 @@
-//! Pipeline interpreter: runs a parsed [`Program`] against train/test
-//! tables inside an [`Environment`], producing either an [`Evaluation`] or
-//! a classified [`PipelineError`] (the input to CatDB's error management).
+//! Pipeline step semantics: how each step of a parsed [`Program`]
+//! transforms the train/test tables inside an [`Environment`], ending in
+//! either an [`Evaluation`] or a classified [`PipelineError`] (the input
+//! to CatDB's error management). The scheduler in `dag` drives them.
 //!
 //! Failure semantics mirror the Python/sklearn substrate of the original
 //! system: string features crash featurization, NaNs crash model fitting,
@@ -8,7 +9,6 @@
 //! exhaust the memory envelope, TabPFN enforces its input limits.
 
 use crate::ast::*;
-use crate::dag::{execute_dag, ExecMode, StepCache};
 use crate::environment::{step_package, Environment, PREINSTALLED};
 use crate::errors::{ErrorKind, PipelineError};
 use catdb_ml::transform::TransformError;
@@ -38,15 +38,6 @@ pub struct ExecutionConfig {
     pub fast_validation: bool,
     /// Split-search strategy for the tree-family estimators.
     pub split_mode: SplitMode,
-    /// Step scheduling strategy: strict sequential interpretation or the
-    /// dependency-DAG scheduler (byte-identical outputs either way).
-    pub exec_mode: ExecMode,
-    /// Step-output memoization shared across executions (fix-loop
-    /// iterations, repeated runs). Only consulted in DAG mode.
-    pub step_cache: Option<std::sync::Arc<StepCache>>,
-    /// Test hook: fail the step at this index with a deterministic
-    /// runtime error before executing it (fault-recovery tests).
-    pub inject_fault_step: Option<usize>,
 }
 
 impl ExecutionConfig {
@@ -57,9 +48,6 @@ impl ExecutionConfig {
             seed: 42,
             fast_validation: false,
             split_mode: SplitMode::Exact,
-            exec_mode: ExecMode::Seq,
-            step_cache: None,
-            inject_fault_step: None,
         }
     }
 }
@@ -106,12 +94,6 @@ pub struct Evaluation {
 /// 1-based line of step `idx` in [`Program::render`]'s listing.
 pub(crate) fn step_line(idx: usize) -> usize {
     idx + 2 // line 1 is "pipeline {"
-}
-
-/// The deterministic error raised by `ExecutionConfig::inject_fault_step`.
-pub(crate) fn injected_fault(idx: usize) -> PipelineError {
-    PipelineError::new(ErrorKind::NumericalInstability, format!("injected fault at step {idx}"))
-        .at_line(step_line(idx))
 }
 
 fn map_transform_err(e: TransformError, line: usize) -> PipelineError {
@@ -442,7 +424,7 @@ pub(crate) fn resolve_imports(program: &Program, env: &Environment) -> Result<()
 
 /// Interpret one step against `train`/`test` in place. Returns the model
 /// result for [`Step::Model`], `None` otherwise. Shared verbatim between
-/// the sequential interpreter and the DAG scheduler, so both execute
+/// the DAG scheduler and the sequential test oracle, so both execute
 /// identical operator semantics (including mid-step memory checks).
 #[allow(clippy::type_complexity)]
 pub(crate) fn apply_step(
@@ -598,24 +580,10 @@ pub(crate) fn apply_step(
     Ok(model_result)
 }
 
-/// Execute a program end to end, dispatching on
-/// [`ExecutionConfig::exec_mode`]: the strict sequential interpreter or
-/// the dependency-DAG scheduler. Both produce byte-identical tables,
-/// evaluations, and trace events (timing aside) for any program.
-pub fn execute(
-    program: &Program,
-    train: &Table,
-    test: &Table,
-    env: &Environment,
-    cfg: &ExecutionConfig,
-) -> Result<Evaluation, PipelineError> {
-    match cfg.exec_mode {
-        ExecMode::Seq => execute_seq(program, train, test, env, cfg),
-        ExecMode::Dag => execute_dag(program, train, test, env, cfg),
-    }
-}
-
-fn execute_seq(
+/// Strict source-order interpretation: the reference oracle the DAG
+/// scheduler is tested against.
+#[cfg(test)]
+pub(crate) fn execute_seq(
     program: &Program,
     train: &Table,
     test: &Table,
@@ -635,9 +603,6 @@ fn execute_seq(
         let line = step_line(idx);
         let step_started = Instant::now();
         let rows_in = train.n_rows();
-        if cfg.inject_fault_step == Some(idx) {
-            return Err(injected_fault(idx));
-        }
         if let Some(result) = apply_step(
             step,
             line,
@@ -661,8 +626,8 @@ fn execute_seq(
     finish_evaluation(program, &train, &test, cfg, model_result, started)
 }
 
-/// Shared tail of both executors: demand a model result and assemble the
-/// [`Evaluation`].
+/// Shared tail of the scheduler and the oracle: demand a model result
+/// and assemble the [`Evaluation`].
 pub(crate) fn finish_evaluation(
     program: &Program,
     train: &Table,
@@ -690,6 +655,7 @@ pub(crate) fn finish_evaluation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::execute;
     use crate::parser::parse;
     use catdb_table::Column;
 

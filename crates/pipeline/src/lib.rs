@@ -6,9 +6,10 @@
 //!
 //! * the [`Program`] / [`Step`] AST and its canonical text rendering,
 //! * a [`parse`]r that classifies malformed text into syntax-class errors,
-//! * an [`execute`] interpreter over [`catdb_table::Table`]s with
-//!   fail-loudly semantics (NaNs, string features, hallucinated columns,
-//!   memory blow-ups, model limits),
+//! * an [`execute`] scheduler that runs a program's step dependency DAG
+//!   over [`catdb_table::Table`]s with fail-loudly semantics (NaNs,
+//!   string features, hallucinated columns, memory blow-ups, model
+//!   limits),
 //! * the paper's 23-type [`ErrorKind`] taxonomy in three categories
 //!   (KB / SE / RE) that drives CatDB's error management, and
 //! * a simulated package [`Environment`] for knowledge-base error repair.
@@ -40,11 +41,8 @@ pub use ast::{
     ColumnRef, EncodeSpec, ImputeSpec, ModelAlgo, ModelFamily, ModelSpec, OutlierSpec, Program,
     Step,
 };
-pub use dag::{
-    topo_order, ColSet, DagError, DagNode, ExecMode, StepCache, StepDag, COUNTER_DAG_WAVES,
-    COUNTER_STEP_CACHE_HITS, COUNTER_STEP_CACHE_MISSES, SPAN_DAG_SCHEDULE,
-};
+pub use dag::{execute, topo_order, ColSet, DagError, DagNode, StepDag, COUNTER_DAG_WAVES};
 pub use environment::{required_packages, step_package, Environment, INSTALLABLE, PREINSTALLED};
 pub use errors::{ErrorCategory, ErrorKind, PipelineError};
-pub use executor::{execute, Evaluation, ExecutionConfig, TaskMetrics};
+pub use executor::{Evaluation, ExecutionConfig, TaskMetrics};
 pub use parser::parse;

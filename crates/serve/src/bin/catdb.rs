@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  catdb run --csv FILE --target COLUMN --task binary|multiclass|regression\n            [--model gpt-4o|gemini-1.5-pro|llama3.1-70b|gpt-4o-mini] [--beta N] [--alpha K]\n            [--route role=model,...|auto] [--route-target-accuracy F]\n            [--split-mode exact|binned|binned:BINS]\n            [--profile-mode exact|sketch|sketch:ROWS]\n            [--exec-mode seq|dag] [--dag-out FILE]\n            [--no-refine] [--seed N] [--trace-out FILE]\n            [--fault-rate F] [--max-retries N] [--llm-timeout SECONDS]\n            [--llm-concurrency N] [--llm-cache FILE]\n  catdb profile --csv FILE [--profile-mode exact|sketch|sketch:ROWS]\n  catdb serve --port N [--host ADDR] [--max-inflight N] [--max-queued N]\n            [--budget-tokens F] [--budget-refill F] [--llm-cache FILE]\n            [--llm-concurrency N] [--fault-rate F] [--max-retries N]\n            [--llm-timeout SECONDS] [--shutdown-token TOKEN]\n  catdb client --port N [--host ADDR] [--tenant NAME]\n            (--dataset NAME [--rows N] | --csv FILE --target COLUMN --task KIND)\n            [--model M] [--route SPEC|auto] [--split-mode MODE] [--profile-mode MODE]\n            [--exec-mode seq|dag] [--seed N] [--beta N] [--alpha K]\n            [--no-refine] [--stream] [--clients N] [--out-dir DIR]\n  catdb client --port N --shutdown TOKEN"
+        "usage:\n  catdb run --csv FILE --target COLUMN --task binary|multiclass|regression\n            [--model gpt-4o|gemini-1.5-pro|llama3.1-70b|gpt-4o-mini] [--beta N] [--alpha K]\n            [--route role=model,...|auto] [--route-target-accuracy F]\n            [--split-mode exact|binned|binned:BINS]\n            [--profile-mode exact|sketch|sketch:ROWS] [--dag-out FILE]\n            [--no-refine] [--seed N] [--trace-out FILE]\n            [--fault-rate F] [--max-retries N] [--llm-timeout SECONDS]\n            [--llm-concurrency N] [--llm-cache FILE]\n  catdb profile --csv FILE [--profile-mode exact|sketch|sketch:ROWS]\n  catdb serve --port N [--host ADDR] [--max-inflight N] [--max-queued N]\n            [--budget-tokens F] [--budget-refill F] [--llm-cache FILE]\n            [--llm-concurrency N] [--fault-rate F] [--max-retries N]\n            [--llm-timeout SECONDS] [--shutdown-token TOKEN]\n  catdb client --port N [--host ADDR] [--tenant NAME]\n            (--dataset NAME [--rows N] | --csv FILE --target COLUMN --task KIND)\n            [--model M] [--route SPEC|auto] [--split-mode MODE] [--profile-mode MODE]\n            [--seed N] [--beta N] [--alpha K]\n            [--no-refine] [--stream] [--clients N] [--out-dir DIR]\n  catdb client --port N --shutdown TOKEN"
     );
     ExitCode::from(2)
 }
@@ -45,7 +45,7 @@ struct Args {
     route: Option<String>,
     /// End-to-end accuracy target for `--route auto`.
     route_target_accuracy: f64,
-    /// `--split-mode`, `--profile-mode` and `--exec-mode`.
+    /// `--split-mode` and `--profile-mode`.
     engine: Engine,
     /// File receiving the final pipeline's dependency DAG as JSON.
     dag_out: Option<String>,
@@ -177,7 +177,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--split-mode" => args.engine.split = value(rest, flag, catdb_ml::SplitMode::parse)?,
             "--profile-mode" => args.engine.profile = value(rest, flag, ProfileMode::parse)?,
-            "--exec-mode" => args.engine.exec = value(rest, flag, catdb_pipeline::ExecMode::parse)?,
             "--dag-out" => args.dag_out = Some(value(rest, flag, str::parse)?),
             "--beta" => args.beta = value(rest, flag, str::parse)?,
             "--alpha" => args.alpha = Some(value(rest, flag, str::parse)?),
@@ -370,6 +369,9 @@ fn cmd_run(args: &Args) -> ExitCode {
     }
     let result = run.result;
     println!("{}", result.code);
+    // A requested output file that is not written fails the run, after
+    // everything else has been reported.
+    let mut unwritten = false;
     if let Some(path) = &args.dag_out {
         // Export the final pipeline's dependency DAG (nodes with their
         // read/write column sets, barrier flags, and inferred edges).
@@ -378,10 +380,16 @@ fn cmd_run(args: &Args) -> ExitCode {
                 let dag = catdb_pipeline::StepDag::compile(&program);
                 match std::fs::write(path, dag.to_json()) {
                     Ok(()) => eprintln!("[dag: {} node(s) written to {path}]", dag.nodes.len()),
-                    Err(e) => eprintln!("failed to write DAG to {path}: {e}"),
+                    Err(e) => {
+                        eprintln!("failed to write DAG to {path}: {e}");
+                        unwritten = true;
+                    }
                 }
             }
-            Err(e) => eprintln!("cannot export DAG: final pipeline does not parse: {e}"),
+            Err(e) => {
+                eprintln!("cannot export DAG: final pipeline does not parse: {e}");
+                unwritten = true;
+            }
         }
     }
     if let Some(cache) = &cache {
@@ -411,7 +419,10 @@ fn cmd_run(args: &Args) -> ExitCode {
                 trace.spans.len(),
                 trace.events.len()
             ),
-            Err(e) => eprintln!("failed to write trace to {path}: {e}"),
+            Err(e) => {
+                eprintln!("failed to write trace to {path}: {e}");
+                unwritten = true;
+            }
         }
     }
     match &result.results.evaluation {
@@ -432,7 +443,11 @@ fn cmd_run(args: &Args) -> ExitCode {
                 "billed: {:.6} USD | {} billed call(s) | {} cache hit(s)",
                 measured.usd, measured.llm_calls, measured.cache_hits,
             );
-            ExitCode::SUCCESS
+            if unwritten {
+                ExitCode::FAILURE
+            } else {
+                ExitCode::SUCCESS
+            }
         }
         None => {
             eprintln!("no executable pipeline found; errors:");
@@ -656,11 +671,17 @@ mod tests {
 
     #[test]
     fn flags_fill_the_run_spec() {
-        let flags = ["run", "--beta", "2", "--exec-mode", "dag", "--fault-rate", "0.5"];
+        let flags = ["run", "--beta", "2", "--split-mode", "binned", "--fault-rate", "0.5"];
         let Ok(args) = parse(&flags) else { panic!("valid flags rejected") };
         let spec = args.run_spec().expect("default model");
         assert_eq!(spec.beta, 2);
-        assert_eq!(spec.engine.exec, catdb_pipeline::ExecMode::Dag);
+        assert_eq!(spec.engine.split, catdb_ml::SplitMode::parse("binned").unwrap());
         assert_eq!(spec.transport.fault_rate, 0.5);
+    }
+
+    #[test]
+    fn the_removed_scheduling_flag_is_an_unknown_argument() {
+        let err = parse(&["run", "--exec-mode", "dag"]).err().expect("--exec-mode rejected");
+        assert_eq!(err, "unknown argument: --exec-mode");
     }
 }

@@ -22,7 +22,6 @@
 use catdb_core::{Engine, RunSpec};
 use catdb_llm::{resolve_route, ModelProfile, Transport, DEFAULT_ROUTE_TARGET_ACCURACY};
 use catdb_ml::{SplitMode, TaskKind};
-use catdb_pipeline::ExecMode;
 use catdb_profiler::ProfileMode;
 use catdb_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
@@ -83,11 +82,6 @@ pub struct GenerateRequest {
     /// predate sketch profiling still decode.
     #[serde(default)]
     pub profile_mode: Option<String>,
-    /// Pipeline scheduling (`seq` | `dag`); `None` means sequential.
-    /// Optional on the wire so older clients that predate DAG execution
-    /// still decode.
-    #[serde(default)]
-    pub exec_mode: Option<String>,
     pub seed: u64,
     /// Chain chunks (1 = single prompt).
     pub beta: usize,
@@ -111,7 +105,6 @@ impl GenerateRequest {
             route: None,
             split_mode: None,
             profile_mode: None,
-            exec_mode: None,
             seed: 42,
             beta: 1,
             alpha: None,
@@ -136,7 +129,6 @@ impl GenerateRequest {
             route: spec.route.as_ref().map(|route| route.canonical(&spec.model)),
             split_mode: non_default(spec.engine.split),
             profile_mode: non_default(spec.engine.profile),
-            exec_mode: non_default(spec.engine.exec),
             seed: spec.seed,
             beta: spec.beta,
             alpha: spec.alpha,
@@ -183,7 +175,6 @@ impl GenerateRequest {
         let engine = Engine {
             split: mode("split_mode", &self.split_mode, SplitMode::parse)?,
             profile: mode("profile_mode", &self.profile_mode, ProfileMode::parse)?,
-            exec: mode("exec_mode", &self.exec_mode, ExecMode::parse)?,
         };
         let spec = RunSpec {
             model,
@@ -378,7 +369,6 @@ mod tests {
             route: Some("refine=llama,fix=mini".into()),
             split_mode: Some("binned:128".into()),
             profile_mode: Some("sketch:4096".into()),
-            exec_mode: Some("dag".into()),
             seed: 9,
             beta: 3,
             alpha: Some(12),
@@ -495,36 +485,43 @@ mod tests {
         assert_eq!(back.model, request().model);
     }
 
+    /// A length-prefixed frame around a JSON payload.
+    fn frame(json: &str) -> Vec<u8> {
+        let mut bytes = (json.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(json.as_bytes());
+        bytes
+    }
+
     #[test]
     fn requests_without_exec_mode_field_still_decode() {
-        // Clients that predate DAG execution omit `exec_mode`; the
-        // server must read that as sequential.
-        let v = serde_json::to_value(&request());
-        let stripped = match v {
-            serde_json::Value::Object(m) => serde_json::Value::Object(
-                m.iter()
-                    .filter(|(k, _)| k.as_str() != "exec_mode")
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-                    .into(),
-            ),
-            _ => unreachable!("requests serialize as objects"),
+        // Version-1 clients may still send `exec_mode` (`seq` | `dag`)
+        // from when it picked between two executors. There is one now:
+        // the field is ignored, so a frame with it runs the same spec as
+        // a frame without it.
+        let spec = |json: &str| {
+            let ClientFrame::Submit(req) = decode_frame(&frame(json)).unwrap() else {
+                panic!("not a Submit frame: {json}")
+            };
+            req.to_spec(&Transport::default(), 1).unwrap()
         };
-        let back: GenerateRequest = serde::Deserialize::deserialize(&stripped).unwrap();
-        assert_eq!(back.exec_mode, None);
-        assert_eq!(back.model, request().model);
+        let plain = encode_frame(&ClientFrame::Submit(Box::new(request()))).unwrap();
+        let plain = std::str::from_utf8(&plain[4..]).unwrap();
+        for mode in ["seq", "dag"] {
+            let with =
+                plain.replacen(r#"{"tenant":"#, &format!(r#"{{"exec_mode":"{mode}","tenant":"#), 1);
+            assert_ne!(with, plain);
+            assert_eq!(spec(&with), spec(plain));
+        }
     }
 
     /// A `Submit` payload with every field set and non-default modes, as
     /// the version-1 encoder wrote it before requests were built from a
-    /// [`RunSpec`].
+    /// [`RunSpec`] and before `exec_mode` was dropped.
     const V1_SUBMIT: &str = r#"{"Submit":{"tenant":"team-a","dataset":{"Builtin":{"name":"diabetes","rows":200,"seed":9}},"target":"label","task":"binary","model":"gemini-1.5-pro","route":"refine=llama3.1-70b,generate=gemini-1.5-pro,select=gemini-1.5-pro,fix=gpt-4o-mini:2","split_mode":"binned:128","profile_mode":"sketch:4096","exec_mode":"dag","seed":9,"beta":3,"alpha":12,"refine":false,"stream":true}}"#;
 
     #[test]
     fn v1_submit_fixture_maps_to_its_spec_and_back_byte_for_byte() {
-        let mut bytes = (V1_SUBMIT.len() as u32).to_le_bytes().to_vec();
-        bytes.extend_from_slice(V1_SUBMIT.as_bytes());
-        let ClientFrame::Submit(req) = decode_frame(&bytes).unwrap() else {
+        let ClientFrame::Submit(req) = decode_frame(&frame(V1_SUBMIT)).unwrap() else {
             panic!("fixture is not a Submit frame")
         };
         let transport = Transport { fault_rate: 0.1, ..Transport::default() };
@@ -543,7 +540,6 @@ mod tests {
             engine: Engine {
                 split: SplitMode::Binned { bins: 128 },
                 profile: ProfileMode::Sketch { chunk_rows: 4096 },
-                exec: ExecMode::Dag,
             },
         };
         assert_eq!(spec, expected);
@@ -554,17 +550,21 @@ mod tests {
             stream: req.stream,
             ..GenerateRequest::from_spec(req.tenant.clone(), req.dataset.clone(), &spec)
         };
-        assert_eq!(encode_frame(&ClientFrame::Submit(Box::new(back))).unwrap(), bytes);
+        // The ignored `exec_mode` is the one field the re-encode drops.
+        let without_exec_mode = V1_SUBMIT.replace(r#""exec_mode":"dag","#, "");
+        assert_eq!(
+            encode_frame(&ClientFrame::Submit(Box::new(back))).unwrap(),
+            frame(&without_exec_mode)
+        );
     }
 
     #[test]
     fn to_spec_errors_name_the_bad_field() {
         let builtin = DatasetSpec::Builtin { name: "wifi".into(), rows: 10, seed: 1 };
         type Edit = fn(&mut GenerateRequest);
-        let cases: [(&str, Edit); 6] = [
+        let cases: [(&str, Edit); 5] = [
             ("bad split_mode 'binned:0': ", |r| r.split_mode = Some("binned:0".into())),
             ("bad profile_mode 'sketchy': ", |r| r.profile_mode = Some("sketchy".into())),
-            ("bad exec_mode 'parallel': ", |r| r.exec_mode = Some("parallel".into())),
             ("bad route 'refine=claude': ", |r| r.route = Some("refine=claude".into())),
             ("unknown model 'gpt-5'", |r| r.model = "gpt-5".into()),
             ("unknown task 'clustering'", |r| r.task = Some("clustering".into())),
