@@ -9,8 +9,8 @@ use catdb_core::{generate_chain_source, CatDbConfig, PromptBuilder, PromptOption
 use catdb_data::{generate, GenOptions};
 use catdb_llm::{Completion, LanguageModel, LlmError, ModelProfile, Prompt, SimLlm};
 use catdb_ml::{
-    Classifier, ForestConfig, KnnClassifier, KnnConfig, LogisticRegression, Matrix,
-    RandomForestClassifier, SplitMode,
+    Classifier, ForestConfig, GradientBoostingClassifier, KnnClassifier, KnnConfig,
+    LogisticRegression, Matrix, RandomForestClassifier, SplitMode,
 };
 use catdb_pipeline::{execute, parse, Environment, ExecutionConfig};
 use catdb_profiler::{profile_table, ProfileOptions};
@@ -148,6 +148,31 @@ fn bench_parse_execute(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shape of the costliest `paper_runs` fits: 700 rows of 23 numeric
+/// features (every third one integer-valued) and ten 16-level
+/// categoricals one-hot encoded into 160 columns, with 3 classes.
+fn boosting_data() -> (Matrix, Vec<usize>) {
+    let mut state = 0x1234_5678_9ABC_DEF1u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut rows = Vec::with_capacity(700);
+    let mut y = Vec::with_capacity(700);
+    for _ in 0..700 {
+        let mut row: Vec<f64> = (0..23)
+            .map(|j| if j % 3 == 0 { (next() % 20) as f64 } else { (next() % 10_000) as f64 / 1e3 })
+            .collect();
+        let levels: Vec<usize> = (0..10).map(|_| (next() % 16) as usize).collect();
+        for &level in &levels {
+            row.extend((0..16).map(|l| (l == level) as usize as f64));
+        }
+        y.push(((row[0] + row[1] * 2.0) as usize + levels[0] + (next() % 3 == 0) as usize) % 3);
+        rows.push(row);
+    }
+    (Matrix::from_rows(&rows), y)
+}
+
 fn bench_models(c: &mut Criterion) {
     let n = 1000;
     let d = 20;
@@ -195,6 +220,12 @@ fn bench_models(c: &mut Criterion) {
     });
     group.bench_function("logistic_1000x20", |b| {
         b.iter(|| LogisticRegression::default().fit(black_box(&x), &y, 2).unwrap())
+    });
+    // Exact one-vs-rest boosting, 60 rounds of depth-4 regression stages
+    // per class: the model behind most of `paper_runs` tree-fit time.
+    let (xb, yb) = boosting_data();
+    group.bench_function("gradient_boosting_3class_60rounds_700x183", |b| {
+        b.iter(|| GradientBoostingClassifier::default().fit(black_box(&xb), &yb, 3).unwrap())
     });
     group.finish();
 }

@@ -6,7 +6,9 @@ use crate::estimator::{
     Regressor, RegressorModel, Result,
 };
 use crate::matrix::Matrix;
-use crate::tree::{binned_for, fit_reg_tree, SplitMode, TreeConfig, TreeRegressorModel};
+use crate::tree::{
+    binned_for, fit_reg_stage, presort_for, SplitMode, TreeConfig, TreeRegressorModel,
+};
 
 /// Boosting hyper-parameters.
 #[derive(Debug, Clone)]
@@ -64,16 +66,20 @@ impl Regressor for GradientBoostingRegressor {
         let base = y.iter().sum::<f64>() / y.len() as f64;
         let mut pred = vec![base; y.len()];
         let mut stages = Vec::with_capacity(self.config.n_rounds);
-        // The feature matrix never changes across rounds: quantize once.
+        // The feature matrix never changes across rounds: quantize or
+        // presort it once, and reuse one buffer for each stage's copy.
         let binned = binned_for(x, &stage_config(&self.config, 0));
+        let presort = presort_for(x, &stage_config(&self.config, 0));
+        let mut lists = Vec::new();
         for round in 0..self.config.n_rounds {
             let residuals: Vec<f64> = y.iter().zip(&pred).map(|(t, p)| t - p).collect();
-            let tree = fit_reg_tree(
+            let tree = fit_reg_stage(
                 x,
                 &residuals,
-                (0..x.rows()).collect(),
                 &stage_config(&self.config, round as u64),
                 binned.as_ref(),
+                presort.as_ref(),
+                &mut lists,
             );
             let update = tree.predict_unchecked(x);
             for (p, u) in pred.iter_mut().zip(&update) {
@@ -127,13 +133,16 @@ impl Classifier for GradientBoostingClassifier {
         // identical no matter how many threads participate.
         let class_ids: Vec<usize> = (0..n_classes).collect();
         let limit = catdb_runtime::pool_size().saturating_add(1);
-        // One shared quantization across every class and round.
+        // One shared quantization or presort across every class and round;
+        // each class thread copies the presort into one reused buffer.
         let binned = binned_for(x, &stage_config(&self.config, 0));
+        let presort = presort_for(x, &stage_config(&self.config, 0));
         let classes = catdb_runtime::parallel_map(limit, &class_ids, |_, &c| {
             let targets: Vec<f64> = y.iter().map(|&l| (l == c) as usize as f64).collect();
             let pos = targets.iter().sum::<f64>().clamp(1.0, n - 1.0);
             let prior = (pos / (n - pos)).ln();
             let mut margin = vec![prior; y.len()];
+            let mut lists = Vec::new();
             let mut stages = Vec::with_capacity(self.config.n_rounds);
             for round in 0..self.config.n_rounds {
                 // Negative gradient of logistic loss: t − σ(margin).
@@ -142,12 +151,13 @@ impl Classifier for GradientBoostingClassifier {
                     .zip(&margin)
                     .map(|(t, m)| t - 1.0 / (1.0 + (-m).exp()))
                     .collect();
-                let tree = fit_reg_tree(
+                let tree = fit_reg_stage(
                     x,
                     &grad,
-                    (0..x.rows()).collect(),
                     &stage_config(&self.config, (c * self.config.n_rounds + round) as u64),
                     binned.as_ref(),
+                    presort.as_ref(),
+                    &mut lists,
                 );
                 for (m, u) in margin.iter_mut().zip(tree.predict_unchecked(x)) {
                     *m += self.config.learning_rate * u;

@@ -5,7 +5,20 @@
 //! Two split-search strategies share the same tree structure:
 //!
 //! * [`SplitMode::Exact`] — the original sorted-scan search, bit-identical
-//!   to the seed implementation.
+//!   to the seed implementation. A fit that scans every feature at every
+//!   node (`feature_subsample: None`: single trees and boosting stages)
+//!   sorts each feature's rows once, stably under `total_cmp`, into a
+//!   feature-major presort. A node owns the same contiguous range of every
+//!   feature's list, and a split stably partitions each range into left
+//!   rows then right rows. A child's rows keep their parent's relative
+//!   order, so the partitioned range equals a stable sort of the child's
+//!   rows: ties stay in the order the regression scan sums them in, and
+//!   the trees are the ones per-node sorting grows. Boosting builds the
+//!   presort of rows `0..n` once per ensemble ([`presort_for`]) and every
+//!   stage partitions a copy of it. Forests sample √d features per node,
+//!   where d partitions per split cost more than k sorts, so they keep
+//!   sorting per node; classification sorts there are unstable, since
+//!   tied keys have equal bits and class counts are integers.
 //! * [`SplitMode::Binned`] — LightGBM-style histogram search over a shared
 //!   [`BinnedDataset`]: per-node histograms of (count, class counts |
 //!   sum, sum-of-squares) are accumulated in one pass over `u8` codes, and
@@ -17,7 +30,7 @@ use crate::estimator::{
     check_finite, validate_classification, validate_regression, Classifier, ClassifierModel,
     Regressor, RegressorModel, Result,
 };
-use crate::matrix::Matrix;
+use crate::matrix::{ColMajor, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -184,19 +197,10 @@ fn gini_weighted_rest(parent: &[usize], left: &[usize], n: usize) -> f64 {
     n_f * (1.0 - sum_sq / (n_f * n_f))
 }
 
-/// Sort `(value, row)` pairs for feature `f` into `vals` and collect the
-/// boundaries between distinct values into `boundaries`. Returns `false`
-/// when the feature is constant at this node (no candidates).
-fn prepare_candidates(
-    x: &Matrix,
-    rows: &[usize],
-    f: usize,
-    vals: &mut Vec<(f64, usize)>,
-    boundaries: &mut Vec<usize>,
-) -> bool {
-    vals.clear();
-    vals.extend(rows.iter().map(|&r| (x.get(r, f), r)));
-    vals.sort_by(|a, b| a.0.total_cmp(&b.0));
+/// Collect the positions where the ascending `(value, row)` list `vals`
+/// steps to a larger value into `boundaries`. Returns `false` when the
+/// feature is constant at this node (no candidates).
+fn candidate_boundaries(vals: &[(f64, usize)], boundaries: &mut Vec<usize>) -> bool {
     if vals[0].0 == vals[vals.len() - 1].0 {
         return false;
     }
@@ -207,6 +211,91 @@ fn prepare_candidates(
         }
     }
     true
+}
+
+/// Stable per-feature sorts of a fit's rows under `total_cmp`, as row
+/// ids, feature-major (`order[f * n..(f + 1) * n]`), beside a
+/// column-major copy of the values they sort. Boosting builds one over
+/// rows `0..n` per ensemble and shares it read-only by every stage.
+pub(crate) struct Presort {
+    cols: ColMajor,
+    order: Vec<u32>,
+}
+
+impl Presort {
+    fn build(x: &Matrix, rows: &[usize]) -> Presort {
+        let cols = ColMajor::from_matrix(x);
+        let mut order = Vec::with_capacity(rows.len() * x.cols());
+        for f in 0..x.cols() {
+            let col = cols.col(f);
+            let start = order.len();
+            order.extend(rows.iter().map(|&r| r as u32));
+            order[start..].sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+        }
+        Presort { cols, order }
+    }
+}
+
+/// The presort an exact fit without feature subsampling reads (`None`
+/// for every other config), like [`binned_for`] for the quantization.
+pub(crate) fn presort_for(x: &Matrix, cfg: &TreeConfig) -> Option<Presort> {
+    presorted(cfg).then(|| Presort::build(x, &(0..x.rows()).collect::<Vec<_>>()))
+}
+
+/// Whether a fit grows from a partitioned presort instead of sorting
+/// per node.
+fn presorted(cfg: &TreeConfig) -> bool {
+    cfg.split_mode == SplitMode::Exact && cfg.feature_subsample.is_none()
+}
+
+/// A fit's presort order, partitioned in place as the tree grows: the
+/// node whose rows start at offset `lo` owns `lo..lo + len` of every
+/// feature's list.
+struct Partitioned<'a> {
+    cols: &'a ColMajor,
+    order: &'a mut [u32],
+    /// Length of each feature's list (the rows of the fit).
+    n: usize,
+    /// Marks of the rows going left at the current split, by row id.
+    goes_left: Vec<bool>,
+    scratch: Vec<u32>,
+}
+
+impl<'a> Partitioned<'a> {
+    fn new(cols: &'a ColMajor, order: &'a mut [u32], n: usize) -> Self {
+        Partitioned { cols, order, n, goes_left: vec![false; cols.rows()], scratch: Vec::new() }
+    }
+
+    fn list(&self, f: usize, lo: usize, len: usize) -> &[u32] {
+        let start = f * self.n + lo;
+        &self.order[start..start + len]
+    }
+
+    /// Stably move the `left` rows of the node at `lo..lo + len` ahead of
+    /// its other rows in every feature's list.
+    fn split(&mut self, lo: usize, len: usize, left: &[usize]) {
+        for &r in left {
+            self.goes_left[r] = true;
+        }
+        for list in self.order.chunks_exact_mut(self.n) {
+            let node = &mut list[lo..lo + len];
+            self.scratch.clear();
+            let mut kept = 0;
+            for i in 0..len {
+                let r = node[i];
+                if self.goes_left[r as usize] {
+                    node[kept] = r;
+                    kept += 1;
+                } else {
+                    self.scratch.push(r);
+                }
+            }
+            node[kept..].copy_from_slice(&self.scratch);
+        }
+        for &r in left {
+            self.goes_left[r] = false;
+        }
+    }
 }
 
 /// Flattened per-node histogram over all features of a [`BinnedDataset`]:
@@ -315,6 +404,8 @@ struct Builder<'a> {
     cfg: &'a TreeConfig,
     rng: StdRng,
     binned: Option<&'a BinnedDataset>,
+    /// Exact fits without feature subsampling read their sorted lists here.
+    sorted: Option<Partitioned<'a>>,
     hist_builds: u64,
     hist_subtractions: u64,
 }
@@ -323,7 +414,35 @@ impl Builder<'_> {
     fn fit(&mut self, rows: Vec<usize>) -> Node {
         match self.binned {
             Some(_) => self.build_binned(rows, 0, None),
-            None => self.build(rows, 0),
+            None => self.build(rows, 0, 0),
+        }
+    }
+
+    /// Whether a node of `len` rows at `depth` may split; every other node
+    /// becomes a leaf without looking at its features.
+    fn may_split(&self, len: usize, depth: usize) -> bool {
+        depth < self.cfg.max_depth && len >= 2 * self.cfg.min_samples_leaf
+    }
+
+    /// Fill `vals` with feature `f`'s `(value, row)` pairs at the node,
+    /// ascending under `total_cmp`: the node's range `lo..` of the
+    /// presort, or a sort of `rows`. Regression sorts stably, so tied
+    /// rows keep `rows` order, the order the SSE scan sums them in.
+    /// Classification may sort unstably: tied keys have equal bits and
+    /// the class counts at a cut between distinct values do not depend
+    /// on tie order.
+    fn node_values(&self, f: usize, rows: &[usize], lo: usize, vals: &mut Vec<(f64, usize)>) {
+        vals.clear();
+        if let Some(sorted) = &self.sorted {
+            let col = sorted.cols.col(f);
+            let list = sorted.list(f, lo, rows.len());
+            vals.extend(list.iter().map(|&r| (col[r as usize], r as usize)));
+            return;
+        }
+        vals.extend(rows.iter().map(|&r| (self.x.get(r, f), r)));
+        match self.target {
+            Target::Class { .. } => vals.sort_unstable_by(|a, b| a.0.total_cmp(&b.0)),
+            Target::Reg { .. } => vals.sort_by(|a, b| a.0.total_cmp(&b.0)),
         }
     }
 
@@ -383,7 +502,7 @@ impl Builder<'_> {
     /// parent (scan of the smaller sibling + subtraction), so each level
     /// scans the raw codes at most once for the smaller half of its rows.
     fn build_binned(&mut self, rows: Vec<usize>, depth: usize, hist: Option<Hist>) -> Node {
-        if depth >= self.cfg.max_depth || rows.len() < 2 * self.cfg.min_samples_leaf {
+        if !self.may_split(rows.len(), depth) {
             return self.target.leaf(&rows);
         }
         // One pass over the node's labels covers purity + parent impurity
@@ -535,11 +654,10 @@ impl Builder<'_> {
         Node::Split { feature, threshold, left, right }
     }
 
-    fn build(&mut self, rows: Vec<usize>, depth: usize) -> Node {
-        if depth >= self.cfg.max_depth
-            || rows.len() < 2 * self.cfg.min_samples_leaf
-            || self.target.is_pure(&rows)
-        {
+    /// Exact recursion over the node's `rows`, which start at offset `lo`
+    /// of every presorted list when the fit has one.
+    fn build(&mut self, rows: Vec<usize>, depth: usize, lo: usize) -> Node {
+        if !self.may_split(rows.len(), depth) || self.target.is_pure(&rows) {
             return self.target.leaf(&rows);
         }
         let parent_impurity = self.target.weighted_impurity(&rows);
@@ -574,7 +692,8 @@ impl Builder<'_> {
                 }
                 let mut left_counts = vec![0usize; *n_classes];
                 for &f in &features {
-                    if !prepare_candidates(self.x, &rows, f, &mut vals, &mut boundaries) {
+                    self.node_values(f, &rows, lo, &mut vals);
+                    if !candidate_boundaries(&vals, &mut boundaries) {
                         continue; // constant feature at this node
                     }
                     let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
@@ -602,7 +721,8 @@ impl Builder<'_> {
             }
             Target::Reg { y } => {
                 for &f in &features {
-                    if !prepare_candidates(self.x, &rows, f, &mut vals, &mut boundaries) {
+                    self.node_values(f, &rows, lo, &mut vals);
+                    if !candidate_boundaries(&vals, &mut boundaries) {
                         continue; // constant feature at this node
                     }
                     let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
@@ -646,6 +766,7 @@ impl Builder<'_> {
         let Some((_, feature, threshold)) = best else {
             return self.target.leaf(&rows);
         };
+        let len = rows.len();
         let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
             rows.into_iter().partition(|&r| self.x.get(r, feature) <= threshold);
         if left_rows.is_empty() || right_rows.is_empty() {
@@ -654,8 +775,16 @@ impl Builder<'_> {
             let all: Vec<usize> = left_rows.into_iter().chain(right_rows).collect();
             return self.target.leaf(&all);
         }
-        let left = Box::new(self.build(left_rows, depth + 1));
-        let right = Box::new(self.build(right_rows, depth + 1));
+        // Children that cannot split never read the lists.
+        if self.may_split(left_rows.len(), depth + 1) || self.may_split(right_rows.len(), depth + 1)
+        {
+            if let Some(sorted) = &mut self.sorted {
+                sorted.split(lo, len, &left_rows);
+            }
+        }
+        let right_lo = lo + left_rows.len();
+        let left = Box::new(self.build(left_rows, depth + 1, lo));
+        let right = Box::new(self.build(right_rows, depth + 1, right_lo));
         Node::Split { feature, threshold, left, right }
     }
 }
@@ -734,23 +863,60 @@ pub(crate) fn fit_class_tree_on(
     cfg: &TreeConfig,
     binned: Option<&BinnedDataset>,
 ) -> TreeClassifierModel {
+    let target = Target::Class { y, n_classes };
+    let root = grow(x, target, rows, cfg, binned, None, &mut Vec::new());
+    TreeClassifierModel { root, n_classes }
+}
+
+/// Grow one tree over `rows`. An exact fit without feature subsampling
+/// partitions a presort: a copy of `presort`'s order made in `lists` when
+/// given (it must then cover exactly `rows`, i.e. `0..n`), otherwise a
+/// fresh presort of `rows`.
+fn grow(
+    x: &Matrix,
+    target: Target,
+    rows: Vec<usize>,
+    cfg: &TreeConfig,
+    binned: Option<&BinnedDataset>,
+    presort: Option<&Presort>,
+    lists: &mut Vec<u32>,
+) -> Node {
     let _span = catdb_trace::span("tree_fit");
     let binned = match cfg.split_mode {
         SplitMode::Binned { .. } => binned,
         SplitMode::Exact => None,
     };
+    let mut local = None;
+    let sorted = if presorted(cfg) {
+        let (cols, order): (&ColMajor, &mut [u32]) = match presort {
+            Some(shared) => {
+                debug_assert_eq!(shared.order.len(), rows.len() * x.cols());
+                lists.clear();
+                lists.extend_from_slice(&shared.order);
+                (&shared.cols, lists)
+            }
+            None => {
+                let own = local.insert(Presort::build(x, &rows));
+                (&own.cols, &mut own.order)
+            }
+        };
+        Some(Partitioned::new(cols, order, rows.len()))
+    } else {
+        None
+    };
     let mut builder = Builder {
         x,
-        target: Target::Class { y, n_classes },
+        target,
         cfg,
         rng: StdRng::seed_from_u64(cfg.seed),
         binned,
+        sorted,
         hist_builds: 0,
         hist_subtractions: 0,
     };
     let root = builder.fit(rows);
     flush_hist_counters(&builder);
-    TreeClassifierModel { root, n_classes }
+    root
 }
 
 impl ClassifierModel for TreeClassifierModel {
@@ -800,23 +966,24 @@ pub(crate) fn fit_reg_tree(
     cfg: &TreeConfig,
     binned: Option<&BinnedDataset>,
 ) -> TreeRegressorModel {
-    let _span = catdb_trace::span("tree_fit");
-    let binned = match cfg.split_mode {
-        SplitMode::Binned { .. } => binned,
-        SplitMode::Exact => None,
-    };
-    let mut builder = Builder {
-        x,
-        target: Target::Reg { y },
-        cfg,
-        rng: StdRng::seed_from_u64(cfg.seed),
-        binned,
-        hist_builds: 0,
-        hist_subtractions: 0,
-    };
-    let root = builder.fit(rows);
-    flush_hist_counters(&builder);
-    TreeRegressorModel { root }
+    TreeRegressorModel {
+        root: grow(x, Target::Reg { y }, rows, cfg, binned, None, &mut Vec::new()),
+    }
+}
+
+/// One boosting stage: a regression tree over rows `0..n`. In exact mode
+/// it partitions a copy of the ensemble's `presort` made in `lists`, a
+/// buffer the caller reuses across rounds.
+pub(crate) fn fit_reg_stage(
+    x: &Matrix,
+    y: &[f64],
+    cfg: &TreeConfig,
+    binned: Option<&BinnedDataset>,
+    presort: Option<&Presort>,
+    lists: &mut Vec<u32>,
+) -> TreeRegressorModel {
+    let rows = (0..x.rows()).collect();
+    TreeRegressorModel { root: grow(x, Target::Reg { y }, rows, cfg, binned, presort, lists) }
 }
 
 impl RegressorModel for TreeRegressorModel {
@@ -848,6 +1015,7 @@ impl TreeRegressorModel {
 mod tests {
     use super::*;
     use crate::metrics::{accuracy, r2};
+    use rand::Rng;
 
     fn xor_data() -> (Matrix, Vec<usize>) {
         let mut rows = Vec::new();
@@ -901,6 +1069,131 @@ mod tests {
         let proba = model.predict_proba(&x).unwrap();
         assert!((proba[0][0] - 2.0 / 3.0).abs() < 1e-9);
         assert!((proba[3][1] - 1.0).abs() < 1e-9);
+    }
+
+    /// Tie-heavy matrix, by column: small integers, 0/1 flags or ±0.0.
+    fn tie_matrix(cells: &[u8], d: usize) -> Matrix {
+        let n = cells.len() / d;
+        let data = cells[..n * d]
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| match i % d % 3 {
+                0 => f64::from(b % 5),
+                1 => f64::from(b % 2),
+                _ => [-0.0, 0.0, 1.0][usize::from(b % 3)],
+            })
+            .collect();
+        Matrix::from_vec(n, d, data)
+    }
+
+    /// A fresh stable sort of `rows` by feature `f`, as (value bits, row).
+    fn stable_sort(x: &Matrix, rows: &[usize], f: usize) -> Vec<(u64, usize)> {
+        let mut vals: Vec<(f64, usize)> = rows.iter().map(|&r| (x.get(r, f), r)).collect();
+        vals.sort_by(|a, b| a.0.total_cmp(&b.0));
+        vals.into_iter().map(|(v, r)| (v.to_bits(), r)).collect()
+    }
+
+    /// Split `rows` at random down to depth 4, checking at every node that
+    /// each feature's partitioned range is a fresh stable sort of its rows.
+    fn check_ranges(
+        sorted: &mut Partitioned,
+        x: &Matrix,
+        rows: Vec<usize>,
+        lo: usize,
+        depth: usize,
+        rng: &mut StdRng,
+    ) {
+        for f in 0..x.cols() {
+            let got: Vec<(u64, usize)> = sorted
+                .list(f, lo, rows.len())
+                .iter()
+                .map(|&r| (x.get(r as usize, f).to_bits(), r as usize))
+                .collect();
+            assert_eq!(got, stable_sort(x, &rows, f), "feature {f} at depth {depth}");
+        }
+        if depth == 4 || rows.len() < 2 {
+            return;
+        }
+        let goes_left: Vec<bool> = (0..x.rows()).map(|_| rng.gen_bool(0.5)).collect();
+        let (left, right): (Vec<usize>, Vec<usize>) = rows.iter().partition(|&&r| goes_left[r]);
+        sorted.split(lo, rows.len(), &left);
+        let right_lo = lo + left.len();
+        check_ranges(sorted, x, left, lo, depth + 1, rng);
+        check_ranges(sorted, x, right, right_lo, depth + 1, rng);
+    }
+
+    /// The leaf each row of `x` lands in, as bit patterns.
+    fn leaf_bits(root: &Node, x: &Matrix) -> Vec<Vec<u64>> {
+        (0..x.rows())
+            .map(|r| match descend(root, x.row(r)) {
+                Node::ClassLeaf(p) => p.iter().map(|v| v.to_bits()).collect(),
+                Node::RegLeaf(v) => vec![v.to_bits()],
+                Node::Split { .. } => unreachable!("descend stops at leaves"),
+            })
+            .collect()
+    }
+
+    /// Grow with a sort per node, whatever the config's subsampling.
+    fn grow_per_node(x: &Matrix, target: Target, rows: Vec<usize>, cfg: &TreeConfig) -> Node {
+        let mut builder = Builder {
+            x,
+            target,
+            cfg,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            binned: None,
+            sorted: None,
+            hist_builds: 0,
+            hist_subtractions: 0,
+        };
+        builder.fit(rows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The presort invariant behind bit-identical exact fits: a stable
+        /// partition of a stably sorted parent is a stable sort of the
+        /// child, tie order included, so presorted trees equal trees that
+        /// sort at every node (regression sums ties in that order).
+        #[test]
+        fn partitioned_presort_matches_per_node_sorts(
+            cells in proptest::prop::collection::vec(0u8..30, 20..400),
+            seed in 0u64..u64::MAX,
+            bootstrap in 0u8..2,
+            min_samples_leaf in 1usize..4,
+            max_thresholds in 1usize..12,
+        ) {
+            let x = tie_matrix(&cells, 5);
+            let n = x.rows();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows: Vec<usize> = if bootstrap == 1 {
+                (0..n).map(|_| rng.gen_range(0..n)).collect()
+            } else {
+                (0..n).collect()
+            };
+            // Targets spread over many magnitudes, so sums depend on order.
+            let y_reg: Vec<f64> =
+                (0..n).map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(0..12))).collect();
+            let y_class: Vec<usize> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+
+            let Presort { cols, mut order } = Presort::build(&x, &rows);
+            let mut sorted = Partitioned::new(&cols, &mut order, rows.len());
+            check_ranges(&mut sorted, &x, rows.clone(), 0, 0, &mut rng);
+
+            let cfg = TreeConfig { max_depth: 5, min_samples_leaf, max_thresholds, ..Default::default() };
+            let reg = grow(&x, Target::Reg { y: &y_reg }, rows.clone(), &cfg, None, None, &mut Vec::new());
+            let oracle = grow_per_node(&x, Target::Reg { y: &y_reg }, rows.clone(), &cfg);
+            proptest::prop_assert_eq!(leaf_bits(&reg, &x), leaf_bits(&oracle, &x));
+            if bootstrap == 0 {
+                let shared = presort_for(&x, &cfg);
+                let stage = fit_reg_stage(&x, &y_reg, &cfg, None, shared.as_ref(), &mut Vec::new());
+                proptest::prop_assert_eq!(leaf_bits(&stage.root, &x), leaf_bits(&oracle, &x));
+            }
+            let target = Target::Class { y: &y_class, n_classes: 3 };
+            let class = grow(&x, target, rows.clone(), &cfg, None, None, &mut Vec::new());
+            let oracle = grow_per_node(&x, Target::Class { y: &y_class, n_classes: 3 }, rows, &cfg);
+            proptest::prop_assert_eq!(leaf_bits(&class, &x), leaf_bits(&oracle, &x));
+        }
     }
 
     #[test]

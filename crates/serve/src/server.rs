@@ -39,8 +39,10 @@ use catdb_sched::CompletionCache;
 use catdb_table::{read_csv_path, read_csv_str, CsvOptions};
 use catdb_trace::TraceSink;
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::io::{Read, Write};
 use std::net::TcpListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -209,7 +211,10 @@ impl Server {
                 } else {
                     Arc::new(TraceSink::new())
                 };
-                let outcome = self.run_request(&req, &sink);
+                // A panicking request answers with an error frame; the
+                // daemon and the request's admission slot survive it.
+                let outcome = catch_unwind(AssertUnwindSafe(|| self.run_request(&req, &sink)))
+                    .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
                 let terminal = match outcome {
                     Ok(mut response) => {
                         permit.charge(response.billed_tokens as f64);
@@ -310,6 +315,10 @@ impl Server {
     ) -> Result<GenerateResponse, String> {
         let _guard = catdb_trace::install(sink.clone());
         let _span = catdb_trace::span("serve_request");
+        #[cfg(test)]
+        if req.tenant == tests::PANIC_TENANT {
+            panic!("injected panic for tenant {}", req.tenant);
+        }
         let opts = &self.inner.opts;
         let (spec, task) = req.to_spec(&opts.transport, opts.llm_concurrency)?;
         let (dataset, target, task) = Self::resolve_dataset(req, task)?;
@@ -335,11 +344,24 @@ impl Server {
     }
 }
 
+/// The error message a panicked request answers with.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let detail = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    format!("internal error: request panicked: {detail}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{shutdown, submit};
     use crate::protocol::GenerateRequest;
+
+    /// Requests from this tenant panic inside `run_request`.
+    pub(super) const PANIC_TENANT: &str = "panic-on-purpose";
 
     fn wifi_request(tenant: &str) -> GenerateRequest {
         GenerateRequest::new(
@@ -445,6 +467,23 @@ mod tests {
             crate::client::Outcome::Error(message) => assert!(message.contains("unknown model")),
             other => panic!("expected error frame, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_panicking_request_gets_an_error_frame_and_frees_its_slot() {
+        let server = Server::new(ServeOptions::default());
+        let mut stream = server.connect_in_proc();
+        let outcome = submit(&mut stream, &wifi_request(PANIC_TENANT), |_, _| {}).unwrap();
+        match outcome {
+            crate::client::Outcome::Error(message) => {
+                assert!(message.contains("request panicked: injected panic"), "{message}")
+            }
+            other => panic!("expected error frame, got {other:?}"),
+        }
+        assert_eq!(server.admission().inflight(), 0, "panicked request leaked its slot");
+        let mut stream = server.connect_in_proc();
+        let outcome = submit(&mut stream, &wifi_request("acme"), |_, _| {}).unwrap();
+        assert!(outcome.response().is_some(), "the next request failed: {outcome:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Content fingerprints for columns and tables.
 //!
-//! The dictionary cache (`crate::dict`), the profiler's memo and the DAG
-//! executor's step cache key derived data by *content*, not by identity:
+//! The dictionary cache (`crate::dict`) and the profiler's memo key
+//! derived data by *content*, not by identity:
 //! a mutated or rebuilt column hashes to a different fingerprint, so
 //! stale entries can never be served and no explicit invalidation hooks
 //! are needed on the mutation paths.
@@ -45,15 +45,10 @@ pub fn column_fingerprint(col: &Column) -> u128 {
     feed.finish()
 }
 
-/// 128-bit content fingerprint of a whole table: schema (names + types,
-/// in order) plus every column's content.
-pub fn table_fingerprint(table: &Table) -> u128 {
-    let columns: Vec<u128> = table.iter_columns().map(|(_, c)| column_fingerprint(c)).collect();
-    table_fingerprint_from_columns(table, &columns)
-}
-
-/// [`table_fingerprint`] from the table's column fingerprints, in schema
-/// order, as [`column_fingerprint`] computes them.
+/// 128-bit content fingerprint of a whole table — row count, schema
+/// (names + types, in order) and every column's content — from the
+/// table's column fingerprints, in schema order, as
+/// [`column_fingerprint`] computes them.
 pub fn table_fingerprint_from_columns(table: &Table, columns: &[u128]) -> u128 {
     assert_eq!(columns.len(), table.n_cols(), "one fingerprint per column");
     let hash = |seed: u64| {
@@ -163,6 +158,11 @@ mod tests {
         assert_ne!(column_fingerprint(&ints), column_fingerprint(&bools));
     }
 
+    fn table_fingerprint(table: &Table) -> u128 {
+        let columns: Vec<u128> = table.iter_columns().map(|(_, c)| column_fingerprint(c)).collect();
+        table_fingerprint_from_columns(table, &columns)
+    }
+
     #[test]
     fn table_fingerprint_sees_renames_and_data() {
         let t1 = Table::from_columns(vec![("a", Column::from_i64(vec![1, 2]))]).unwrap();
@@ -184,9 +184,14 @@ mod tests {
 
     #[test]
     fn table_fingerprint_is_derived_from_column_fingerprints() {
+        // Only the row count, the schema and the given fingerprints count:
+        // another table's column fingerprints give that table's result.
         let t = two_columns();
-        let columns: Vec<u128> = t.iter_columns().map(|(_, c)| column_fingerprint(c)).collect();
-        assert_eq!(table_fingerprint(&t), table_fingerprint_from_columns(&t, &columns));
+        let mut other = t.clone();
+        other.column_mut("a").unwrap().set(1, Value::Int(3)).unwrap();
+        let columns: Vec<u128> = other.iter_columns().map(|(_, c)| column_fingerprint(c)).collect();
+        assert_eq!(table_fingerprint_from_columns(&t, &columns), table_fingerprint(&other));
+        assert_ne!(table_fingerprint(&t), table_fingerprint(&other));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use dict::{
     NULL_CODE,
 };
 pub use error::{Result, TableError};
-pub use fingerprint::{column_fingerprint, table_fingerprint, table_fingerprint_from_columns};
+pub use fingerprint::{column_fingerprint, table_fingerprint_from_columns};
 pub use schema::{Field, Schema};
 pub use table::{JoinKind, Table};
 pub use value::{DataType, Value};

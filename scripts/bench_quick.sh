@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Quick perf snapshot: run the criterion micro benches with a reduced
 # per-bench budget and record the profiling / cold value-dictionary /
-# float-rendering / training / chain-scheduler / CSV-ingest hot-path
-# numbers in results/BENCH_perf.json, alongside the pre-runtime
+# float-rendering / training (forest, boosting, k-NN) / chain-scheduler /
+# CSV-ingest hot-path numbers in results/BENCH_perf.json, alongside the pre-runtime
 # baselines measured on the same container class, plus the DAG pipeline
 # executor at 8 threads (65 steps) and 1 thread (5 steps). The CSV entry compares
 # against the frozen seed reader benched live in the same run, so its
@@ -74,6 +74,10 @@ BASE_RENDER_F64_MS=11.382
 # Forest baseline (300 ms budget, same machine class): mean ms/iter before
 # the shared runtime and incremental tree-split scan landed.
 BASE_FOREST_MS=29.803
+# Boosting baseline (120 ms budget, 2-core reference host): median ms/iter
+# of the 3-class, 60-round boosting fit on 700x183 while exact stages
+# still sorted every feature at every node; the median of three runs.
+BASE_BOOST_MS=1005.0
 # Sequential-interpreter baselines (2-core reference host): best-of-3
 # dag_bench seq_ms, median of three runs, before the interpreter was
 # retired — the 65-step pipeline at CATDB_THREADS=8 and the 5-step one
@@ -83,7 +87,7 @@ BASE_DAG5_SEQ_MS=19.8
 
 awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     -v base_prof="$BASE_PROFILING_MS" -v base_prof_kdd98="$BASE_PROFILING_KDD98_MS" \
-    -v base_forest="$BASE_FOREST_MS" \
+    -v base_forest="$BASE_FOREST_MS" -v base_boost="$BASE_BOOST_MS" \
     -v base_dict_gas="$BASE_DICT_GAS_MS" -v base_dict_kdd98="$BASE_DICT_KDD98_MS" \
     -v base_render="$BASE_RENDER_F64_MS" \
     -v smoke_hits="$SMOKE_HITS" -v smoke_warm_tokens="$SMOKE_WARM_TOKENS" \
@@ -109,6 +113,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "random_forest_20trees_1000x20" { forest_ms = to_ms($2) }
   $1 == "random_forest_binned_20trees_1000x20" { binned_ms = to_ms($2) }
   $1 == "knn_blocked_1000x20" { knn_ms = to_ms($2) }
+  $1 == "gradient_boosting_3class_60rounds_700x183" { boost_ms = to_ms($2) }
   $1 == "chain_gen_beta4_seq" { chain_seq_ms = to_ms($2) }
   $1 == "chain_gen_beta4_conc4" { chain_conc_ms = to_ms($2) }
   $1 == "cache_cold_miss" { cache_cold_ms = to_ms($2) }
@@ -118,7 +123,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "write_roundtrip_50k_mixed" { csv_rt_ms = to_ms($2) }
   END {
     if (prof_ms == 0 || prof_kdd98_ms == 0 || dict_gas_ms == 0 || dict_kdd98_ms == 0 ||
-        render_ms == 0 || forest_ms == 0 || binned_ms == 0 || knn_ms == 0 ||
+        render_ms == 0 || forest_ms == 0 || binned_ms == 0 || knn_ms == 0 || boost_ms == 0 ||
         chain_seq_ms == 0 || chain_conc_ms == 0 ||
         cache_cold_ms == 0 || cache_warm_ms == 0 ||
         csv_ingest_ms == 0 || csv_seed_ms == 0 || csv_rt_ms == 0) {
@@ -173,6 +178,11 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "    \"models/knn_blocked\": {\n" >> out
     printf "      \"mean_ms\": %.3f,\n", knn_ms >> out
     printf "      \"queries_per_sec\": %.0f\n", 1000 / (knn_ms / 1000) >> out
+    printf "    },\n" >> out
+    printf "    \"models/gradient_boosting_3class_60rounds_700x183\": {\n" >> out
+    printf "      \"median_ms\": %.3f,\n", boost_ms >> out
+    printf "      \"baseline_ms\": %.3f,\n", base_boost >> out
+    printf "      \"speedup\": %.2f\n", base_boost / boost_ms >> out
     printf "    },\n" >> out
     printf "    \"chain/generate_beta4_3ms_latency\": {\n" >> out
     printf "      \"sequential_ms\": %.3f,\n", chain_seq_ms >> out
@@ -232,6 +242,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "forest    : %.3f ms/iter (baseline %.3f, %.2fx)\n", forest_ms, base_forest, base_forest / forest_ms
     printf "binned    : %.3f ms/iter (exact %.3f, %.2fx)\n", binned_ms, forest_ms, forest_ms / binned_ms
     printf "knn       : %.3f ms/iter fit+predict 1000x20 (blocked kernel)\n", knn_ms
+    printf "boosting  : %.3f ms/iter 3-class 60 rounds 700x183 (baseline %.3f, %.2fx)\n", boost_ms, base_boost, base_boost / boost_ms
     printf "chain     : %.3f ms seq vs %.3f ms conc4 (%.2fx)\n", chain_seq_ms, chain_conc_ms, chain_seq_ms / chain_conc_ms
     printf "cache     : %.4f ms miss vs %.4f ms hit (%.2fx); warm smoke %d hit(s), %d billed token(s)\n", cache_cold_ms, cache_warm_ms, cache_cold_ms / cache_warm_ms, smoke_hits, smoke_warm_tokens
     printf "csv       : %.3f ms ingest vs %.3f ms seed reader (%.2fx); %.3f ms write+read roundtrip\n", csv_ingest_ms, csv_seed_ms, csv_seed_ms / csv_ingest_ms, csv_rt_ms

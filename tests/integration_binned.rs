@@ -16,9 +16,9 @@
 use catdb_automl::BasicFeaturizer;
 use catdb_data::{generate, GenOptions};
 use catdb_ml::{
-    metrics, BinnedDataset, BoostConfig, Classifier, DecisionTreeClassifier, ForestConfig,
-    GradientBoostingClassifier, KnnClassifier, KnnConfig, Matrix, RandomForestClassifier,
-    RandomForestRegressor, Regressor, SplitMode, TreeConfig,
+    metrics, BinnedDataset, BoostConfig, Classifier, DecisionTreeClassifier, DecisionTreeRegressor,
+    ForestConfig, GradientBoostingClassifier, GradientBoostingRegressor, KnnClassifier, KnnConfig,
+    Matrix, RandomForestClassifier, RandomForestRegressor, Regressor, SplitMode, TreeConfig,
 };
 use proptest::prelude::*;
 
@@ -89,6 +89,65 @@ fn exact_mode_is_bit_identical_to_seed_goldens_at_any_thread_count() {
     let m = KnnClassifier { config: KnnConfig { k: 5 } }.fit(&x, &yc, 2).unwrap();
     let h = hash_f64s(m.predict_proba(&x).unwrap().into_iter().flatten());
     assert_eq!(h, GOLDEN_KNN_CLASS, "k-NN drifted");
+}
+
+/// Tie-heavy synthetic dataset: an integer column, a ±0.0 column and a
+/// four-way one-hot block, so most split candidates sit between runs of
+/// equal values and regression sums depend on the order ties are visited.
+/// Returns the matrix, 3-class labels and a regression target.
+fn tie_heavy_data(n: usize) -> (Matrix, Vec<usize>, Vec<f64>) {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |k: u64| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) % k
+    };
+    let mut rows = Vec::with_capacity(n);
+    let mut y_class = Vec::with_capacity(n);
+    let mut y_reg = Vec::with_capacity(n);
+    for _ in 0..n {
+        let a = next(7) as f64 - 3.0;
+        let z = [-0.0, 0.0, 0.0, 1.0][next(4) as usize];
+        let cat = next(4) as usize;
+        let noise = next(5);
+        let mut row = vec![a, z];
+        row.extend((0..4).map(|c| (c == cat) as usize as f64));
+        rows.push(row);
+        y_class.push((a.abs() as usize + cat + (noise == 0) as usize) % 3);
+        y_reg.push(a * 1.5 + cat as f64 - z + noise as f64 * 0.25);
+    }
+    (Matrix::from_rows(&rows), y_class, y_reg)
+}
+
+// Golden prediction hashes on the tie-heavy data, captured before exact
+// fits moved from per-node sorts to a partitioned presort.
+const GOLDEN_TIES_BOOST_REG: u64 = 0x4e857efcc0bd407;
+const GOLDEN_TIES_TREE_REG: u64 = 0x7bb9623d769a6ad2;
+const GOLDEN_TIES_BOOST_CLASS3: u64 = 0xd3dfd801becb4e02;
+
+#[test]
+fn exact_mode_is_bit_identical_to_goldens_on_tie_heavy_data() {
+    let (x, yc, yr) = tie_heavy_data(300);
+    let m = GradientBoostingRegressor {
+        config: BoostConfig { n_rounds: 20, seed: 5, ..Default::default() },
+    }
+    .fit(&x, &yr)
+    .unwrap();
+    let h = hash_f64s(m.predict(&x).unwrap());
+    assert_eq!(h, GOLDEN_TIES_BOOST_REG, "gradient boosting regressor drifted");
+
+    let m = DecisionTreeRegressor { config: TreeConfig { max_depth: 8, ..Default::default() } }
+        .fit(&x, &yr)
+        .unwrap();
+    let h = hash_f64s(m.predict(&x).unwrap());
+    assert_eq!(h, GOLDEN_TIES_TREE_REG, "decision tree regressor drifted");
+
+    let m = GradientBoostingClassifier {
+        config: BoostConfig { n_rounds: 20, seed: 5, ..Default::default() },
+    }
+    .fit(&x, &yc, 3)
+    .unwrap();
+    let h = hash_f64s(m.predict_proba(&x).unwrap().into_iter().flatten());
+    assert_eq!(h, GOLDEN_TIES_BOOST_CLASS3, "3-class gradient boosting drifted");
 }
 
 #[test]
