@@ -6,33 +6,28 @@
 //! better; (ii) very large prompts degrade quality (rules get ignored);
 //! (iii) CatDB Chain stays high where the single prompt degrades.
 
-use catdb_bench::{llm_for, pct, prepare, render_table, save_results, test_score, BenchArgs};
-use catdb_core::{generate_pipeline, CatDbConfig, MetadataConfig, PromptOptions};
+use catdb_bench::{pct, prepare, render_table, save_results, test_score, BenchArgs};
+use catdb_core::{generate_pipeline, MetadataConfig, RunSpec};
 use catdb_data::{generate, GenOptions};
 use serde_json::json;
 
 fn main() {
     let args = BenchArgs::parse();
-    let opts = GenOptions { max_rows: args.max_rows.min(1_200), scale: 1.0, seed: args.seed };
+    let opts = GenOptions { max_rows: args.max_rows.min(1_200), ..args.gen_options() };
+    let spec = args.spec("gemini-1.5-pro", args.run.seed);
     let mut results = Vec::new();
 
     // --- (a)/(b): metadata combinations on two contrasting datasets ---
     let mut combo_rows = Vec::new();
     for name in ["eu-it", "utility"] {
         let g = generate(name, &opts).expect("known dataset");
-        let llm = llm_for("gemini-1.5-pro", args.seed);
-        let p = prepare(&g, true, &llm, args.seed);
+        let llm = spec.llm();
+        let p = prepare(&g, &spec, &*llm);
         let mut row = vec![name.to_string()];
         for combo in 1..=11 {
-            let cfg = CatDbConfig {
-                prompt: PromptOptions {
-                    metadata: MetadataConfig::combination(combo),
-                    ..Default::default()
-                },
-                seed: args.seed,
-                ..Default::default()
-            };
-            let outcome = generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg);
+            let mut cfg = spec.config(None);
+            cfg.prompt.metadata = MetadataConfig::combination(combo);
+            let outcome = generate_pipeline(&p.entry, &p.train, &p.test, &*llm, &cfg);
             let score = test_score(&outcome);
             row.push(pct(score));
             results.push(json!({
@@ -55,17 +50,13 @@ fn main() {
 
     // --- (c): top-K sweep on the widest dataset (KDD98, 478 columns) ---
     let g = generate("kdd98", &opts).expect("known dataset");
-    let llm = llm_for("gemini-1.5-pro", args.seed);
-    let p = prepare(&g, true, &llm, args.seed);
+    let llm = spec.llm();
+    let p = prepare(&g, &spec, &*llm);
     let mut topk_rows = Vec::new();
     let sweeps: &[Option<usize>] = &[Some(20), Some(60), Some(120), Some(260), Some(400), None];
-    for alpha in sweeps {
-        let cfg = CatDbConfig {
-            prompt: PromptOptions { alpha: *alpha, ..Default::default() },
-            seed: args.seed,
-            ..Default::default()
-        };
-        let outcome = generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg);
+    for &alpha in sweeps {
+        let outcome =
+            RunSpec { alpha, ..spec.clone() }.generate(&p.entry, &p.train, &p.test, &*llm, None);
         let score = test_score(&outcome);
         let label = alpha.map(|a| a.to_string()).unwrap_or_else(|| "all".into());
         topk_rows.push(vec![
@@ -91,12 +82,8 @@ fn main() {
     // --- (d): CatDB vs CatDB Chain on the wide dataset ---
     let mut chain_rows = Vec::new();
     for (label, beta) in [("CatDB (beta=1)", 1usize), ("CatDB Chain (beta=4)", 4)] {
-        let cfg = CatDbConfig {
-            prompt: PromptOptions { beta, ..Default::default() },
-            seed: args.seed,
-            ..Default::default()
-        };
-        let outcome = generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg);
+        let outcome =
+            RunSpec { beta, ..spec.clone() }.generate(&p.entry, &p.train, &p.test, &*llm, None);
         let score = test_score(&outcome);
         chain_rows.push(vec![
             label.to_string(),

@@ -11,9 +11,9 @@ use catdb_baselines::{
     run_aide, run_autogen, run_caafe, AideConfig, AutoGenConfig, CaafeConfig, CaafeModel,
 };
 use catdb_bench::{
-    llm_for, paper_llms, pct, prepare, render_table, run_catdb, save_results, test_score, traced,
-    BenchArgs,
+    paper_llms, pct, prepare, render_table, save_results, test_score, traced, BenchArgs,
 };
+use catdb_core::RunSpec;
 use catdb_data::generate;
 use serde_json::json;
 
@@ -42,30 +42,23 @@ fn main() {
     for name in DATASETS {
         let g = generate(name, &args.gen_options()).expect("known dataset");
         for llm_name in paper_llms() {
-            let prep_llm = llm_for(llm_name, args.seed);
-            let p = prepare(&g, true, &prep_llm, args.seed);
+            let spec = args.spec(llm_name, args.run.seed);
+            let p = prepare(&g, &spec, &*spec.llm());
+            let catdb = |beta: usize, seed: u64| {
+                let spec = RunSpec { beta, ..args.spec(llm_name, seed) };
+                let llm = spec.llm();
+                traced(|| test_score(&spec.generate(&p.entry, &p.train, &p.test, &*llm, None)))
+            };
             let systems: Vec<(&str, TracedRun)> = vec![
-                (
-                    "catdb",
-                    Box::new(|seed| {
-                        let llm = llm_for(llm_name, seed);
-                        traced(|| test_score(&run_catdb(&p, &llm, 1, seed)))
-                    }),
-                ),
-                (
-                    "catdb_chain",
-                    Box::new(|seed| {
-                        let llm = llm_for(llm_name, seed);
-                        traced(|| test_score(&run_catdb(&p, &llm, 2, seed)))
-                    }),
-                ),
+                ("catdb", Box::new(|seed| catdb(1, seed))),
+                ("catdb_chain", Box::new(|seed| catdb(2, seed))),
                 (
                     "caafe_tabpfn",
                     Box::new(|seed| {
-                        let llm = llm_for(llm_name, seed);
+                        let llm = args.spec(llm_name, seed).llm();
                         let cfg = CaafeConfig { seed, ..Default::default() };
                         traced(|| {
-                            run_caafe(&p.raw_train, &p.raw_test, &p.target, p.task, &llm, &cfg)
+                            run_caafe(&p.raw_train, &p.raw_test, &p.target, p.task, &*llm, &cfg)
                                 .test_score
                                 .unwrap_or(f64::NAN)
                         })
@@ -74,14 +67,14 @@ fn main() {
                 (
                     "caafe_rforest",
                     Box::new(|seed| {
-                        let llm = llm_for(llm_name, seed);
+                        let llm = args.spec(llm_name, seed).llm();
                         let cfg = CaafeConfig {
                             model: CaafeModel::RandomForest,
                             seed,
                             ..Default::default()
                         };
                         traced(|| {
-                            run_caafe(&p.raw_train, &p.raw_test, &p.target, p.task, &llm, &cfg)
+                            run_caafe(&p.raw_train, &p.raw_test, &p.target, p.task, &*llm, &cfg)
                                 .test_score
                                 .unwrap_or(f64::NAN)
                         })
@@ -90,10 +83,10 @@ fn main() {
                 (
                     "aide",
                     Box::new(|seed| {
-                        let llm = llm_for(llm_name, seed);
+                        let llm = args.spec(llm_name, seed).llm();
                         let cfg = AideConfig { seed, ..Default::default() };
                         traced(|| {
-                            run_aide(&p.raw_train, &p.raw_test, &p.target, p.task, &llm, &cfg)
+                            run_aide(&p.raw_train, &p.raw_test, &p.target, p.task, &*llm, &cfg)
                                 .test_score
                                 .unwrap_or(f64::NAN)
                         })
@@ -102,10 +95,10 @@ fn main() {
                 (
                     "autogen",
                     Box::new(|seed| {
-                        let llm = llm_for(llm_name, seed);
+                        let llm = args.spec(llm_name, seed).llm();
                         let cfg = AutoGenConfig { seed, ..Default::default() };
                         traced(|| {
-                            run_autogen(&p.raw_train, &p.raw_test, &p.target, p.task, &llm, &cfg)
+                            run_autogen(&p.raw_train, &p.raw_test, &p.target, p.task, &*llm, &cfg)
                                 .test_score
                                 .unwrap_or(f64::NAN)
                         })
@@ -114,7 +107,7 @@ fn main() {
             ];
             for (system, run) in systems {
                 let runs: Vec<(f64, catdb_trace::Trace)> =
-                    (0..iterations).map(|i| run(args.seed + 1000 * i as u64)).collect();
+                    (0..iterations).map(|i| run(args.run.seed + 1000 * i as u64)).collect();
                 let scores: Vec<f64> = runs.iter().map(|(s, _)| *s).collect();
                 // Error-management effort comes from the trace, not the
                 // outcome structs: every repair attempt is an

@@ -7,9 +7,8 @@
 //! pipeline runtime is the smallest.
 
 use catdb_baselines::{run_aide, run_autogen, run_caafe, AideConfig, AutoGenConfig, CaafeConfig};
-use catdb_bench::{
-    llm_for, paper_llms, prepare, render_table, run_catdb, save_results, traced, BenchArgs,
-};
+use catdb_bench::{paper_llms, prepare, render_table, save_results, traced, BenchArgs};
+use catdb_core::RunSpec;
 use catdb_data::generate;
 use serde_json::json;
 
@@ -65,8 +64,8 @@ fn main() {
     for name in DATASETS {
         let g = generate(name, &args.gen_options()).expect("known dataset");
         for llm_name in paper_llms() {
-            let prep_llm = llm_for(llm_name, args.seed);
-            let p = prepare(&g, true, &prep_llm, args.seed);
+            let spec = args.spec(llm_name, args.run.seed);
+            let p = prepare(&g, &spec, &*spec.llm());
             let mut accs: Vec<(&str, Acc)> = vec![
                 ("catdb", Acc::default()),
                 ("catdb_chain", Acc::default()),
@@ -81,53 +80,56 @@ fn main() {
                 accs.push(("catdb_routed", Acc::default()));
             }
             for i in 0..iterations {
-                let seed = args.seed + 31 * i as u64;
-                let llm = llm_for(llm_name, seed);
-                let (o, t) = traced(|| run_catdb(&p, &llm, 1, seed));
+                let seed = args.run.seed + 31 * i as u64;
+                let catdb = |spec: &RunSpec| {
+                    let llm = spec.llm();
+                    traced(|| spec.generate(&p.entry, &p.train, &p.test, &*llm, None))
+                };
+                let spec = args.spec(llm_name, seed);
+                let (o, t) = catdb(&spec);
                 accs[0].1.add(&t, o.llm_seconds, o.elapsed_seconds);
-                let llm = llm_for(llm_name, seed);
-                let (o, t) = traced(|| run_catdb(&p, &llm, 2, seed));
+                let (o, t) = catdb(&RunSpec { beta: 2, ..spec.clone() });
                 accs[1].1.add(&t, o.llm_seconds, o.elapsed_seconds);
                 // Baselines are traced through the simulator's LlmCall
                 // instrumentation — no baseline-side changes needed.
-                let llm = llm_for(llm_name, seed);
+                let llm = spec.llm();
                 let (b, t) = traced(|| {
                     run_caafe(
                         &p.raw_train,
                         &p.raw_test,
                         &p.target,
                         p.task,
-                        &llm,
+                        &*llm,
                         &CaafeConfig { seed, ..Default::default() },
                     )
                 });
                 accs[2].1.add(&t, b.llm_seconds, b.elapsed_seconds);
-                let llm = llm_for(llm_name, seed);
+                let llm = spec.llm();
                 let (b, t) = traced(|| {
                     run_aide(
                         &p.raw_train,
                         &p.raw_test,
                         &p.target,
                         p.task,
-                        &llm,
+                        &*llm,
                         &AideConfig { seed, ..Default::default() },
                     )
                 });
                 accs[3].1.add(&t, b.llm_seconds, b.elapsed_seconds);
-                let llm = llm_for(llm_name, seed);
+                let llm = spec.llm();
                 let (b, t) = traced(|| {
                     run_autogen(
                         &p.raw_train,
                         &p.raw_test,
                         &p.target,
                         p.task,
-                        &llm,
+                        &*llm,
                         &AutoGenConfig { seed, ..Default::default() },
                     )
                 });
                 accs[4].1.add(&t, b.llm_seconds, b.elapsed_seconds);
-                if let Some(llm) = args.routed_llm(llm_name, seed) {
-                    let (o, t) = traced(|| run_catdb(&p, llm.as_ref(), 1, seed));
+                if let Some(routed) = args.routed(llm_name, seed) {
+                    let (o, t) = catdb(&routed);
                     accs[5].1.add(&t, o.llm_seconds, o.elapsed_seconds);
                 }
             }
@@ -156,6 +158,6 @@ fn main() {
     );
     save_results(
         "fig12_cost",
-        &json!({ "iterations": iterations, "route": args.route, "records": records }),
+        &json!({ "iterations": iterations, "route": args.run.route, "records": records }),
     );
 }

@@ -7,9 +7,8 @@
 //! profile and for regression / multi-table datasets.
 
 use catdb_baselines::{run_caafe, CaafeConfig};
-use catdb_bench::{
-    llm_for, paper_llms, prepare, render_table, run_catdb_traced, save_results, traced, BenchArgs,
-};
+use catdb_bench::{paper_llms, prepare, render_table, save_results, traced, BenchArgs};
+use catdb_core::RunSpec;
 use catdb_data::generate;
 use serde_json::json;
 
@@ -73,26 +72,29 @@ fn main() {
     for name in DATASETS {
         let g = generate(name, &args.gen_options()).expect("known dataset");
         for llm_name in &llms {
-            let prep_llm = llm_for(llm_name, args.seed);
-            let p = prepare(&g, true, &prep_llm, args.seed);
+            let spec = args.spec(llm_name, args.run.seed);
+            let p = prepare(&g, &spec, &*spec.llm());
+            let catdb = |spec: &RunSpec| {
+                let llm = spec.llm();
+                traced(|| spec.generate(&p.entry, &p.train, &p.test, &*llm, None)).1
+            };
             for (system, beta) in [("catdb", 1usize), ("catdb_chain", 3)] {
-                let llm = llm_for(llm_name, args.seed);
-                let (_o, trace) = run_catdb_traced(&p, &llm, beta, args.seed);
+                let trace = catdb(&RunSpec { beta, ..spec.clone() });
                 push_split(&mut rows, &mut records, name, llm_name, system, &trace);
             }
-            if let Some(llm) = args.routed_llm(llm_name, args.seed) {
-                let (_o, trace) = run_catdb_traced(&p, llm.as_ref(), 1, args.seed);
+            if let Some(routed) = args.routed(llm_name, args.run.seed) {
+                let trace = catdb(&routed);
                 push_split(&mut rows, &mut records, name, llm_name, "catdb_routed", &trace);
             }
             // CAAFE total for comparison (single ledger bucket).
-            let llm = llm_for(llm_name, args.seed);
+            let llm = spec.llm();
             let (b, trace) = traced(|| {
                 run_caafe(
                     &p.raw_train,
                     &p.raw_test,
                     &p.target,
                     p.task,
-                    &llm,
+                    &*llm,
                     &CaafeConfig::default(),
                 )
             });
@@ -121,5 +123,5 @@ fn main() {
             &rows,
         )
     );
-    save_results("fig13_tokens", &json!({ "route": args.route, "records": records }));
+    save_results("fig13_tokens", &json!({ "route": args.run.route, "records": records }));
 }

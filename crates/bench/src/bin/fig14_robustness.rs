@@ -18,11 +18,11 @@
 
 use catdb_automl::{run_automl, AutoMlConfig, AutoMlOutcome, ToolProfile};
 use catdb_baselines::{run_caafe, CaafeConfig, CaafeModel};
-use catdb_bench::{llm_for, pct, render_table, save_results, BenchArgs};
+use catdb_bench::{pct, prepare, render_table, save_results, traced, BenchArgs};
 use catdb_catalog::CatalogEntry;
-use catdb_core::{generate_pipeline, measured_cost, CatDbConfig};
+use catdb_core::{measured_cost, RunSpec};
 use catdb_data::{corrupt, generate, Corruption};
-use catdb_llm::{ModelProfile, Transport};
+use catdb_llm::Transport;
 use catdb_profiler::{profile_table, ProfileOptions};
 use serde_json::json;
 
@@ -37,8 +37,8 @@ fn corruption_study(args: &BenchArgs) -> (Vec<Vec<String>>, Vec<serde_json::Valu
         let flat = g.dataset.materialize().expect("materialize");
         for kind in [Corruption::Outliers, Corruption::MissingValues, Corruption::Mixed] {
             for ratio in RATIOS {
-                let corrupted = corrupt(&flat, &g.target, kind, ratio, args.seed);
-                let (train, test) = corrupted.train_test_split(0.7, args.seed).expect("split");
+                let corrupted = corrupt(&flat, &g.target, kind, ratio, args.run.seed);
+                let (train, test) = corrupted.train_test_split(0.7, args.run.seed).expect("split");
                 // CatDB re-profiles the corrupted data (its rules see the
                 // injected missingness/outliers and react).
                 let profile = profile_table(name, &corrupted, &ProfileOptions::default());
@@ -48,10 +48,8 @@ fn corruption_study(args: &BenchArgs) -> (Vec<Vec<String>>, Vec<serde_json::Valu
                 // average over repetitions).
                 let catdb_scores: Vec<f64> = (0..3u64)
                     .filter_map(|i| {
-                        let seed = args.seed + 97 * i;
-                        let llm = llm_for("gemini-1.5-pro", seed);
-                        let cfg = CatDbConfig { seed, ..Default::default() };
-                        let o = generate_pipeline(&entry, &train, &test, &llm, &cfg);
+                        let spec = args.spec("gemini-1.5-pro", args.run.seed + 97 * i);
+                        let o = spec.generate(&entry, &train, &test, &*spec.llm(), None);
                         o.evaluation.map(|e| e.test.headline())
                     })
                     .collect();
@@ -63,7 +61,7 @@ fn corruption_study(args: &BenchArgs) -> (Vec<Vec<String>>, Vec<serde_json::Valu
 
                 let automl_cfg = AutoMlConfig {
                     time_budget_seconds: 8.0,
-                    seed: args.seed,
+                    seed: args.run.seed,
                     ..Default::default()
                 };
                 let mut cells = vec![
@@ -88,13 +86,13 @@ fn corruption_study(args: &BenchArgs) -> (Vec<Vec<String>>, Vec<serde_json::Valu
                         }),
                     );
                 }
-                let llm2 = llm_for("gemini-1.5-pro", args.seed);
+                let llm = args.spec("gemini-1.5-pro", args.run.seed).llm();
                 let caafe = run_caafe(
                     &train,
                     &test,
                     &g.target,
                     g.task,
-                    &llm2,
+                    &*llm,
                     &CaafeConfig { model: CaafeModel::RandomForest, ..Default::default() },
                 );
                 cells.push(caafe.cell());
@@ -127,16 +125,17 @@ fn fault_sweep(args: &BenchArgs) -> (Vec<Vec<String>>, Vec<serde_json::Value>) {
             let mut usd_total = 0.0;
             let mut retry_usd = 0.0;
             for i in 0..n_seeds {
-                let seed = args.seed + 97 * i;
-                let transport = Transport { fault_rate: rate, ..args.transport };
-                let llm = transport.build(&ModelProfile::gemini_1_5_pro(), None, seed);
-                let cfg = CatDbConfig { seed, ..Default::default() };
+                let spec = RunSpec {
+                    transport: Transport { fault_rate: rate, ..args.run.transport },
+                    ..args.spec("gemini-1.5-pro", args.run.seed + 97 * i)
+                };
+                let llm = spec.llm();
                 // The whole session — catalog refinement and generation —
                 // rides the resilient transport, so the sweep sees the
                 // call volume a production run would.
-                let (outcome, trace) = catdb_bench::traced(|| {
-                    let p = catdb_bench::prepare(&g, true, llm.as_ref(), seed);
-                    generate_pipeline(&p.entry, &p.train, &p.test, llm.as_ref(), &cfg)
+                let (outcome, trace) = traced(|| {
+                    let p = prepare(&g, &spec, &*llm);
+                    spec.generate(&p.entry, &p.train, &p.test, &*llm, None)
                 });
                 if outcome.success {
                     successes += 1;

@@ -10,8 +10,8 @@
 //! much larger KB share than the Llama-like profile (21 % vs 2.5 %);
 //! disabling error management collapses the success rate.
 
-use catdb_bench::{llm_for, paper_llms, prepare, render_table, save_results, BenchArgs};
-use catdb_core::{generate_pipeline, CatDbConfig, ErrorTraceDb};
+use catdb_bench::{paper_llms, prepare, render_table, save_results, BenchArgs};
+use catdb_core::{generate_pipeline, ErrorTraceDb};
 use catdb_data::generate;
 use serde_json::json;
 
@@ -26,13 +26,11 @@ fn main() {
     for llm_name in paper_llms() {
         for name in DATASETS {
             let g = generate(name, &args.gen_options()).expect("known dataset");
-            let prep_llm = llm_for(llm_name, args.seed);
-            let p = prepare(&g, true, &prep_llm, args.seed);
+            let spec = args.spec(llm_name, args.run.seed);
+            let p = prepare(&g, &spec, &*spec.llm());
             for s in 0..sessions {
-                let seed = args.seed + 7919 * s as u64;
-                let llm = llm_for(llm_name, seed);
-                let cfg = CatDbConfig { seed, ..Default::default() };
-                let outcome = generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg);
+                let spec = args.spec(llm_name, args.run.seed + 7919 * s as u64);
+                let outcome = spec.generate(&p.entry, &p.train, &p.test, &*spec.llm(), None);
                 db.extend(outcome.traces);
             }
         }
@@ -78,8 +76,8 @@ fn main() {
 
     // Error-management ablation on the dirtiest dataset.
     let g = generate("eu-it", &args.gen_options()).expect("known dataset");
-    let prep_llm = llm_for("llama3.1-70b", args.seed);
-    let p = prepare(&g, true, &prep_llm, args.seed);
+    let spec = args.spec("llama3.1-70b", args.run.seed);
+    let p = prepare(&g, &spec, &*spec.llm());
     for (label, kb, llm_fix, fallback) in [
         ("kb + llm + fallback", true, true, true),
         ("kb + llm", true, true, false),
@@ -90,16 +88,12 @@ fn main() {
         let mut successes = 0;
         let runs = sessions.max(4);
         for s in 0..runs {
-            let seed = args.seed + 104_729 * s as u64;
-            let llm = llm_for("llama3.1-70b", seed);
-            let cfg = CatDbConfig {
-                seed,
-                use_knowledge_base: kb,
-                use_llm_fix: llm_fix,
-                handcraft_fallback: fallback,
-                ..Default::default()
-            };
-            if generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg).success {
+            let spec = args.spec("llama3.1-70b", args.run.seed + 104_729 * s as u64);
+            let mut cfg = spec.config(None);
+            cfg.use_knowledge_base = kb;
+            cfg.use_llm_fix = llm_fix;
+            cfg.handcraft_fallback = fallback;
+            if generate_pipeline(&p.entry, &p.train, &p.test, &*spec.llm(), &cfg).success {
                 successes += 1;
             }
         }

@@ -5,25 +5,23 @@
 //! Paper shape: systematic reduction of distinct items; list features get
 //! extracted into their unique items (Yelp 2060 → 512-style drops).
 
-use catdb_bench::{llm_for, render_table, save_results, BenchArgs};
-use catdb_catalog::{refine_dataset, RefineAction, RefineOptions};
+use catdb_bench::{render_table, save_results, BenchArgs};
+use catdb_catalog::RefineAction;
 use catdb_data::generate;
-use catdb_profiler::{profile_table, ProfileOptions};
 use serde_json::json;
 
 const CLEANING_DATASETS: [&str; 6] = ["eu-it", "wifi", "etailing", "survey", "utility", "yelp"];
 
 fn main() {
     let args = BenchArgs::parse();
-    let llm = llm_for("gemini-1.5-pro", args.seed);
+    let spec = args.spec("gemini-1.5-pro", args.run.seed);
+    let llm = spec.llm();
     let mut rows = Vec::new();
     let mut records = Vec::new();
     for name in CLEANING_DATASETS {
         let g = generate(name, &args.gen_options()).expect("known dataset");
-        let flat = g.dataset.materialize().expect("materialize");
-        let profile = profile_table(name, &flat, &ProfileOptions::default());
-        let (_, _, report) =
-            refine_dataset(name, &flat, &profile, &g.target, &llm, &RefineOptions::default());
+        let collected = spec.collect(&g.dataset, &g.target, g.task, &*llm).expect("collect");
+        let report = collected.refined.expect("refinement is on").report;
         for r in &report.refinements {
             let action = match &r.action {
                 RefineAction::DedupValues { merged } => format!("dedup ({merged} merged)"),

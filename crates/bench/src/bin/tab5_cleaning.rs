@@ -11,9 +11,8 @@ use catdb_automl::{run_automl, AutoMlConfig, AutoMlOutcome, ToolProfile};
 use catdb_baselines::{
     run_aide, run_autogen, run_caafe, AideConfig, AutoGenConfig, CaafeConfig, CaafeModel,
 };
-use catdb_bench::{llm_for, prepare, render_table, save_results, BenchArgs};
+use catdb_bench::{prepare, render_table, save_results, BenchArgs};
 use catdb_clean::{learn2clean, saga, SagaConfig};
-use catdb_core::{generate_pipeline, CatDbConfig};
 use catdb_data::generate;
 use serde_json::json;
 
@@ -31,16 +30,17 @@ fn main() {
 
     for name in CLEANING_DATASETS {
         let g = generate(name, &args.gen_options()).expect("known dataset");
-        let llm = llm_for("gemini-1.5-pro", args.seed);
-        let p = prepare(&g, true, &llm, args.seed);
+        let spec = args.spec("gemini-1.5-pro", args.run.seed);
+        let llm = spec.llm();
+        let llm = &*llm;
+        let p = prepare(&g, &spec, llm);
         let mut row = vec![name.to_string()];
         let mut record = serde_json::Map::new();
         record.insert("dataset".into(), json!(name));
 
         // CatDB on original vs refined catalog/data.
-        let cfg = CatDbConfig { seed: args.seed, ..Default::default() };
-        let original = generate_pipeline(&p.raw_entry, &p.raw_train, &p.raw_test, &llm, &cfg);
-        let refined = generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg);
+        let original = spec.generate(&p.raw_entry, &p.raw_train, &p.raw_test, llm, None);
+        let refined = spec.generate(&p.entry, &p.train, &p.test, llm, None);
         for (label, outcome) in [("catdb_original", &original), ("catdb_refined", &refined)] {
             let (tr, te) = match &outcome.evaluation {
                 Some(e) => (Some(e.train.accuracy_pct()), Some(e.test.accuracy_pct())),
@@ -61,7 +61,7 @@ fn main() {
                     &p.raw_test,
                     &p.target,
                     p.task,
-                    &llm,
+                    llm,
                     &CaafeConfig::default(),
                 ),
             ),
@@ -72,20 +72,13 @@ fn main() {
                     &p.raw_test,
                     &p.target,
                     p.task,
-                    &llm,
+                    llm,
                     &CaafeConfig { model: CaafeModel::RandomForest, ..Default::default() },
                 ),
             ),
             (
                 "aide",
-                run_aide(
-                    &p.raw_train,
-                    &p.raw_test,
-                    &p.target,
-                    p.task,
-                    &llm,
-                    &AideConfig::default(),
-                ),
+                run_aide(&p.raw_train, &p.raw_test, &p.target, p.task, llm, &AideConfig::default()),
             ),
             (
                 "autogen",
@@ -94,7 +87,7 @@ fn main() {
                     &p.raw_test,
                     &p.target,
                     p.task,
-                    &llm,
+                    llm,
                     &AutoGenConfig::default(),
                 ),
             ),
@@ -112,11 +105,11 @@ fn main() {
 
         // AutoML on original data, then AutoML after a cleaning workflow.
         let automl_cfg =
-            AutoMlConfig { time_budget_seconds: 12.0, seed: args.seed, ..Default::default() };
+            AutoMlConfig { time_budget_seconds: 12.0, seed: args.run.seed, ..Default::default() };
         let cleaned = match saga(&p.raw_train, &p.target, p.task, &SagaConfig::default()) {
             Ok(r) => Some(("SAGA", r)),
             Err(_) => {
-                learn2clean(&p.raw_train, &p.target, p.task, args.seed).ok().map(|r| ("L2C", r))
+                learn2clean(&p.raw_train, &p.target, p.task, args.run.seed).ok().map(|r| ("L2C", r))
             }
         };
         let clean_label =

@@ -10,9 +10,8 @@
 use catdb_baselines::{
     run_aide, run_autogen, run_caafe, AideConfig, AutoGenConfig, CaafeConfig, CaafeModel,
 };
-use catdb_bench::{llm_for, prepare, render_table, save_results, traced, BenchArgs};
+use catdb_bench::{prepare, render_table, save_results, traced, BenchArgs};
 use catdb_clean::{saga, SagaConfig};
-use catdb_core::{generate_pipeline, CatDbConfig};
 use catdb_data::generate;
 use catdb_ml::{AugmentMethod, Augmenter, TaskKind, Transform};
 use serde_json::json;
@@ -30,34 +29,35 @@ fn main() {
     let mut records = Vec::new();
     for name in CLEANING_DATASETS {
         let g = generate(name, &args.gen_options()).expect("known dataset");
-        let llm = llm_for("gemini-1.5-pro", args.seed);
-        let p = prepare(&g, true, &llm, args.seed);
-        let cfg = CatDbConfig { seed: args.seed, ..Default::default() };
+        let spec = args.spec("gemini-1.5-pro", args.run.seed);
+        let llm = spec.llm();
+        let llm = &*llm;
+        let p = prepare(&g, &spec, llm);
 
         // CatDB pipeline execution time (local work: validation + runs).
         let (orig, orig_trace) =
-            traced(|| generate_pipeline(&p.raw_entry, &p.raw_train, &p.raw_test, &llm, &cfg));
+            traced(|| spec.generate(&p.raw_entry, &p.raw_train, &p.raw_test, llm, None));
         let (refined, refined_trace) =
-            traced(|| generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg));
+            traced(|| spec.generate(&p.entry, &p.train, &p.test, llm, None));
 
         let caafe =
-            run_caafe(&p.raw_train, &p.raw_test, &p.target, p.task, &llm, &CaafeConfig::default());
+            run_caafe(&p.raw_train, &p.raw_test, &p.target, p.task, llm, &CaafeConfig::default());
         let caafe_rf = run_caafe(
             &p.raw_train,
             &p.raw_test,
             &p.target,
             p.task,
-            &llm,
+            llm,
             &CaafeConfig { model: CaafeModel::RandomForest, ..Default::default() },
         );
         let aide =
-            run_aide(&p.raw_train, &p.raw_test, &p.target, p.task, &llm, &AideConfig::default());
+            run_aide(&p.raw_train, &p.raw_test, &p.target, p.task, llm, &AideConfig::default());
         let autogen = run_autogen(
             &p.raw_train,
             &p.raw_test,
             &p.target,
             p.task,
-            &llm,
+            llm,
             &AutoGenConfig::default(),
         );
 

@@ -9,10 +9,9 @@
 
 use catdb_automl::{run_automl, AutoMlConfig, AutoMlOutcome, ToolProfile};
 use catdb_baselines::{run_aide, run_autogen, run_caafe, AideConfig, AutoGenConfig, CaafeConfig};
-use catdb_bench::{
-    llm_for, pct, prepare, render_table, run_catdb, save_results, test_score, BenchArgs,
-};
+use catdb_bench::{pct, prepare, render_table, save_results, test_score, BenchArgs};
 use catdb_clean::{saga, SagaConfig};
+use catdb_core::RunSpec;
 use catdb_data::generate;
 use serde_json::json;
 
@@ -27,10 +26,10 @@ fn main() {
     for name in DATASETS {
         let g = generate(name, &args.gen_options()).expect("known dataset");
         // AutoML + cleaning run once per dataset (LLM-independent).
-        let prep_llm = llm_for("gemini-1.5-pro", args.seed);
-        let p = prepare(&g, true, &prep_llm, args.seed);
+        let spec = args.spec("gemini-1.5-pro", args.run.seed);
+        let p = prepare(&g, &spec, &*spec.llm());
         let automl_cfg =
-            AutoMlConfig { time_budget_seconds: 12.0, seed: args.seed, ..Default::default() };
+            AutoMlConfig { time_budget_seconds: 12.0, seed: args.run.seed, ..Default::default() };
         let cleaning = saga(&p.raw_train, &p.target, p.task, &SagaConfig::default()).ok();
         let prep_label = cleaning.as_ref().map(|c| c.label()).unwrap_or_else(|| "-".into());
         let mut automl_cells = Vec::new();
@@ -47,35 +46,40 @@ fn main() {
         }
 
         for llm_name in &llms {
-            let llm = llm_for(llm_name, args.seed);
-            let single = run_catdb(&p, &llm, 1, args.seed);
-            let llm2 = llm_for(llm_name, args.seed ^ 0xABCD);
-            let chain = run_catdb(&p, &llm2, 4, args.seed);
-            let llm3 = llm_for(llm_name, args.seed);
+            let spec = args.spec(llm_name, args.run.seed);
+            let single = spec.generate(&p.entry, &p.train, &p.test, &*spec.llm(), None);
+            // The chain's LLM draws from its own seed; generation keeps the
+            // run seed.
+            let chain_llm = RunSpec { seed: args.run.seed ^ 0xABCD, ..spec.clone() }.llm();
+            let chain = RunSpec { beta: 4, ..spec.clone() }.generate(
+                &p.entry,
+                &p.train,
+                &p.test,
+                &*chain_llm,
+                None,
+            );
             let caafe = run_caafe(
                 &p.raw_train,
                 &p.raw_test,
                 &p.target,
                 p.task,
-                &llm3,
+                &*spec.llm(),
                 &CaafeConfig::default(),
             );
-            let llm4 = llm_for(llm_name, args.seed);
             let aide = run_aide(
                 &p.raw_train,
                 &p.raw_test,
                 &p.target,
                 p.task,
-                &llm4,
+                &*spec.llm(),
                 &AideConfig::default(),
             );
-            let llm5 = llm_for(llm_name, args.seed);
             let autogen = run_autogen(
                 &p.raw_train,
                 &p.raw_test,
                 &p.target,
                 p.task,
-                &llm5,
+                &*spec.llm(),
                 &AutoGenConfig::default(),
             );
 

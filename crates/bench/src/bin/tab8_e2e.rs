@@ -9,10 +9,8 @@
 use catdb_baselines::{
     run_aide, run_autogen, run_caafe, AideConfig, AutoGenConfig, CaafeConfig, CaafeModel,
 };
-use catdb_bench::{
-    llm_for, paper_llms, prepare, render_table, run_catdb_with, save_results, traced, BenchArgs,
-};
-use catdb_core::{generate_pipeline, measured_cost, CatDbConfig, PromptOptions};
+use catdb_bench::{paper_llms, prepare, render_table, save_results, traced, BenchArgs};
+use catdb_core::{measured_cost, RunSpec};
 use catdb_data::generate;
 use catdb_sched::CompletionCache;
 use serde_json::json;
@@ -65,52 +63,47 @@ fn main() {
         ];
         for name in DATASETS {
             let g = generate(name, &args.gen_options()).expect("known dataset");
-            let prep_llm = llm_for(llm_name, args.seed);
-            let p = prepare(&g, true, &prep_llm, args.seed);
+            let spec = args.spec(llm_name, args.run.seed);
+            let p = prepare(&g, &spec, &*spec.llm());
 
-            let llm = llm_for(llm_name, args.seed);
-            let o = run_catdb_with(&p, &llm, 1, args.seed, args.llm_concurrency, None);
-            tallies[0].1.add(o.success, o.elapsed_seconds + o.llm_seconds);
-            let llm = llm_for(llm_name, args.seed);
-            let o = run_catdb_with(&p, &llm, 3, args.seed, args.llm_concurrency, None);
-            tallies[1].1.add(o.success, o.elapsed_seconds + o.llm_seconds);
-            let llm = llm_for(llm_name, args.seed);
+            for (slot, beta) in [(0, 1), (1, 3)] {
+                let spec = RunSpec { beta, ..spec.clone() };
+                let o = spec.generate(&p.entry, &p.train, &p.test, &*spec.llm(), None);
+                tallies[slot].1.add(o.success, o.elapsed_seconds + o.llm_seconds);
+            }
             let b = run_caafe(
                 &p.raw_train,
                 &p.raw_test,
                 &p.target,
                 p.task,
-                &llm,
+                &*spec.llm(),
                 &CaafeConfig::default(),
             );
             tallies[2].1.add(b.success, b.elapsed_seconds + b.llm_seconds);
-            let llm = llm_for(llm_name, args.seed);
             let b = run_caafe(
                 &p.raw_train,
                 &p.raw_test,
                 &p.target,
                 p.task,
-                &llm,
+                &*spec.llm(),
                 &CaafeConfig { model: CaafeModel::RandomForest, ..Default::default() },
             );
             tallies[3].1.add(b.success, b.elapsed_seconds + b.llm_seconds);
-            let llm = llm_for(llm_name, args.seed);
             let b = run_aide(
                 &p.raw_train,
                 &p.raw_test,
                 &p.target,
                 p.task,
-                &llm,
+                &*spec.llm(),
                 &AideConfig::default(),
             );
             tallies[4].1.add(b.success, b.elapsed_seconds + b.llm_seconds);
-            let llm = llm_for(llm_name, args.seed);
             let b = run_autogen(
                 &p.raw_train,
                 &p.raw_test,
                 &p.target,
                 p.task,
-                &llm,
+                &*spec.llm(),
                 &AutoGenConfig::default(),
             );
             tallies[5].1.add(b.success, b.elapsed_seconds + b.llm_seconds);
@@ -142,20 +135,16 @@ fn main() {
     let mut topk_records = Vec::new();
     for llm_name in paper_llms() {
         let g = generate("cmc", &args.gen_options()).expect("known dataset");
-        let prep_llm = llm_for(llm_name, args.seed);
-        let p = prepare(&g, true, &prep_llm, args.seed);
-        let llm = llm_for(llm_name, args.seed);
+        let spec = args.spec(llm_name, args.run.seed);
+        let p = prepare(&g, &spec, &*spec.llm());
+        let llm = spec.llm();
         let cache = Arc::new(CompletionCache::new(4096));
         for pass in 1..=2usize {
             for alpha in [Some(4), Some(8), None] {
-                let cfg = CatDbConfig {
-                    prompt: PromptOptions { alpha, ..Default::default() },
-                    seed: args.seed,
-                    llm_concurrency: args.llm_concurrency,
-                    llm_cache: Some(cache.clone()),
-                    ..Default::default()
-                };
-                let (o, t) = traced(|| generate_pipeline(&p.entry, &p.train, &p.test, &llm, &cfg));
+                let spec = RunSpec { alpha, ..spec.clone() };
+                let (o, t) = traced(|| {
+                    spec.generate(&p.entry, &p.train, &p.test, &*llm, Some(cache.clone()))
+                });
                 let m = measured_cost(&t);
                 let alpha_label = alpha.map_or("all".to_string(), |a| a.to_string());
                 topk_rows.push(vec![

@@ -1,29 +1,22 @@
 //! # catdb-bench — experiment harness
 //!
 //! Shared utilities for the per-table/per-figure experiment binaries
-//! (`src/bin/*.rs`): dataset preparation (generate → materialize →
-//! profile → optionally refine → split), system runners with uniform
-//! result rows, plain-text table rendering, and JSON result persistence
-//! under `results/`.
+//! (`src/bin/*.rs`): the shared flags, each run's [`RunSpec`], dataset
+//! preparation on its collection half (generate → materialize → profile
+//! → optionally refine → split), uniform result rows, plain-text table
+//! rendering, and JSON result persistence under `results/`.
 
 use catdb_catalog::CatalogEntry;
-use catdb_core::{generate_pipeline, CatDbConfig, GenerationOutcome, PromptOptions};
+use catdb_core::{Engine, GenerationOutcome, RunFlags, RunSpec};
 use catdb_data::{GenOptions, GeneratedDataset};
-use catdb_llm::{
-    resolve_route, LanguageModel, ModelProfile, RouteError, SimLlm, Transport,
-    DEFAULT_ROUTE_TARGET_ACCURACY,
-};
+use catdb_llm::{LanguageModel, ModelProfile, RouteSpec};
 use catdb_ml::TaskKind;
-use catdb_profiler::{profile_table, ProfileOptions};
-use catdb_sched::{CompletionCache, DEFAULT_LLM_CONCURRENCY};
 use catdb_table::Table;
 use serde_json::json;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// A dataset prepared for experiments.
 pub struct Prepared {
-    pub name: String,
     pub entry: CatalogEntry,
     pub train: Table,
     pub test: Table,
@@ -32,55 +25,34 @@ pub struct Prepared {
     pub raw_train: Table,
     pub raw_test: Table,
     pub refinement: Option<catdb_catalog::RefinementReport>,
-    pub profile_seconds: f64,
     pub task: TaskKind,
     pub target: String,
 }
 
-/// Generate + profile + (optionally) refine + split one paper dataset.
-pub fn prepare(g: &GeneratedDataset, refine: bool, llm: &dyn LanguageModel, seed: u64) -> Prepared {
-    let materialized = g.dataset.materialize().expect("materialize");
-    let popts = ProfileOptions::default();
-    let profile = profile_table(g.spec.name, &materialized, &popts);
-    let profile_seconds = profile.elapsed_seconds;
-    let raw_entry = CatalogEntry::new(g.spec.name, g.target.clone(), g.task, profile.clone());
-    let (raw_train, raw_test) = materialized.train_test_split(0.7, seed).expect("split");
-
-    let (entry, train, test, refinement) = if refine {
-        let (prepared, refined_profile, report) = catdb_catalog::refine_dataset(
-            g.spec.name,
-            &materialized,
-            &profile,
-            &g.target,
-            llm,
-            &catdb_catalog::RefineOptions::default(),
-        );
-        let entry = CatalogEntry::new(g.spec.name, g.target.clone(), g.task, refined_profile);
-        let (train, test) = prepared.train_test_split(0.7, seed).expect("split");
-        (entry, train, test, Some(report))
-    } else {
-        (raw_entry.clone(), raw_train.clone(), raw_test.clone(), None)
+/// Collect one paper dataset under `spec` (refinement through `llm` when
+/// `spec.refine` is set), then split the raw and the refined table 70/30
+/// under `spec.seed`.
+pub fn prepare(g: &GeneratedDataset, spec: &RunSpec, llm: &dyn LanguageModel) -> Prepared {
+    let collected = spec.collect(&g.dataset, &g.target, g.task, llm).expect("collect");
+    let (raw_train, raw_test) = collected.raw.train_test_split(0.7, spec.seed).expect("split");
+    let (entry, train, test, refinement) = match collected.refined {
+        Some(r) => {
+            let (train, test) = r.table.train_test_split(0.7, spec.seed).expect("split");
+            (r.entry, train, test, Some(r.report))
+        }
+        None => (collected.raw_entry.clone(), raw_train.clone(), raw_test.clone(), None),
     };
-
     Prepared {
-        name: g.spec.name.to_string(),
         entry,
         train,
         test,
-        raw_entry,
+        raw_entry: collected.raw_entry,
         raw_train,
         raw_test,
         refinement,
-        profile_seconds,
         task: g.task,
         target: g.target.clone(),
     }
-}
-
-/// Build a simulated LLM for one of the paper's model names.
-pub fn llm_for(name: &str, seed: u64) -> SimLlm {
-    let profile = ModelProfile::by_name(name).unwrap_or_else(ModelProfile::gpt_4o);
-    SimLlm::new(profile, seed)
 }
 
 /// The three paper models in table order.
@@ -88,74 +60,9 @@ pub fn paper_llms() -> Vec<&'static str> {
     vec!["gpt-4o", "gemini-1.5-pro", "llama3.1-70b"]
 }
 
-/// Build the per-role routed transport for a bench run: one simulated
-/// resilient backend per distinct model in the route spec, all sharing
-/// `seed` so routed runs stay byte-deterministic. `route` accepts the
-/// same grammar as `catdb run --route` (including `auto`).
-pub fn routed_llm_for(
-    default_model: &str,
-    route: &str,
-    target_accuracy: f64,
-    seed: u64,
-    transport: &Transport,
-) -> Result<Box<dyn LanguageModel>, RouteError> {
-    let profile = ModelProfile::by_name(default_model).unwrap_or_else(ModelProfile::gpt_4o);
-    let spec = resolve_route(route, target_accuracy)?;
-    Ok(transport.build(&profile, Some(&spec), seed))
-}
-
-/// Run CatDB (β = 1) or CatDB Chain (β > 1) on a prepared dataset.
-pub fn run_catdb(
-    p: &Prepared,
-    llm: &dyn LanguageModel,
-    beta: usize,
-    seed: u64,
-) -> GenerationOutcome {
-    run_catdb_with(p, llm, beta, seed, DEFAULT_LLM_CONCURRENCY, None)
-}
-
-/// [`run_catdb`] with explicit scheduler knobs: the fan-out bound for the
-/// chain's independent per-chunk prompts, and an optional completion
-/// cache shared across runs (a sweep re-visiting a configuration replays
-/// its completions for free).
-pub fn run_catdb_with(
-    p: &Prepared,
-    llm: &dyn LanguageModel,
-    beta: usize,
-    seed: u64,
-    llm_concurrency: usize,
-    cache: Option<Arc<CompletionCache>>,
-) -> GenerationOutcome {
-    let cfg = CatDbConfig {
-        prompt: PromptOptions { beta, ..Default::default() },
-        seed,
-        llm_concurrency,
-        llm_cache: cache,
-        ..Default::default()
-    };
-    generate_pipeline(&p.entry, &p.train, &p.test, llm, &cfg)
-}
-
-/// Like [`run_catdb`], but under a fresh trace sink: returns the outcome
-/// together with the recorded [`catdb_trace::Trace`], from which the
-/// figure binaries read their token/cost/iteration/runtime numbers.
-pub fn run_catdb_traced(
-    p: &Prepared,
-    llm: &dyn LanguageModel,
-    beta: usize,
-    seed: u64,
-) -> (GenerationOutcome, catdb_trace::Trace) {
-    let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
-    let outcome = {
-        let _guard = catdb_trace::install(sink.clone());
-        run_catdb(p, llm, beta, seed)
-    };
-    (outcome, sink.snapshot())
-}
-
 /// Run any closure under a fresh trace sink, returning its value and the
-/// recorded trace (used to trace baseline systems, whose LLM calls are
-/// captured by the simulator's instrumentation).
+/// recorded trace (the figure binaries read their token, cost, iteration
+/// and runtime numbers from it).
 pub fn traced<T>(f: impl FnOnce() -> T) -> (T, catdb_trace::Trace) {
     let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
     let value = {
@@ -169,120 +76,78 @@ pub fn traced<T>(f: impl FnOnce() -> T) -> (T, catdb_trace::Trace) {
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     pub max_rows: usize,
-    pub seed: u64,
     /// Quick mode trims iteration counts for smoke runs.
     pub quick: bool,
     /// CI smoke mode: tiny dataset, one seed, fully deterministic stdout
     /// (implies `quick`; used by the determinism gate, which runs a bin
     /// twice and diffs the output).
     pub smoke: bool,
-    /// `--fault-rate`, `--max-retries` and `--llm-timeout`.
-    pub transport: Transport,
-    /// Concurrent in-flight LLM requests for the chain's fan-out stages.
-    pub llm_concurrency: usize,
-    /// Per-role model routing spec (`refine=llama,fix=mini` or `auto`);
-    /// when set, figure binaries add a `catdb_routed` system row.
-    pub route: Option<String>,
-    /// End-to-end accuracy target for `--route auto`.
-    pub route_target_accuracy: f64,
+    /// `--seed`, the transport trio, `--llm-concurrency` and `--route`,
+    /// parsed by the same code as `catdb run`'s.
+    pub run: RunFlags,
+    /// `--route`, resolved once at startup; when set, figure binaries
+    /// add a `catdb_routed` system row.
+    pub route: Option<RouteSpec>,
 }
 
 impl BenchArgs {
-    /// Parse `--max-rows N`, `--seed N`, `--quick`, `--smoke`,
-    /// `--fault-rate F`, `--max-retries N`, `--llm-timeout S`,
-    /// `--llm-concurrency N`, `--route SPEC|auto`,
-    /// `--route-target-accuracy F` from argv.
+    /// Parse argv, or exit 2 with an error naming the offending flag.
     pub fn parse() -> BenchArgs {
-        let mut args = BenchArgs {
-            max_rows: 2_000,
-            seed: 7,
-            quick: false,
-            smoke: false,
-            transport: Transport::default(),
-            llm_concurrency: DEFAULT_LLM_CONCURRENCY,
-            route: None,
-            route_target_accuracy: DEFAULT_ROUTE_TARGET_ACCURACY,
-        };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--max-rows" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.max_rows = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.seed = v;
-                        i += 1;
-                    }
-                }
-                "--fault-rate" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.transport.fault_rate = v;
-                        i += 1;
-                    }
-                }
-                "--max-retries" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.transport.max_retries = v;
-                        i += 1;
-                    }
-                }
-                "--llm-timeout" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.transport.llm_timeout = Some(v);
-                        i += 1;
-                    }
-                }
-                "--llm-concurrency" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.llm_concurrency = v;
-                        i += 1;
-                    }
-                }
-                "--route" => {
-                    if let Some(v) = argv.get(i + 1) {
-                        args.route = Some(v.clone());
-                        i += 1;
-                    }
-                }
-                "--route-target-accuracy" => {
-                    if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                        args.route_target_accuracy = v;
-                        i += 1;
-                    }
-                }
-                "--quick" => args.quick = true,
-                "--smoke" => {
-                    args.smoke = true;
-                    args.quick = true;
-                    args.max_rows = 300;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        args
-    }
-
-    /// The routed LLM for this run's `--route`, or `None` when unrouted.
-    /// A malformed spec aborts the binary with the structured parse error
-    /// (bench runs should fail loudly, not silently fall back).
-    pub fn routed_llm(&self, default_model: &str, seed: u64) -> Option<Box<dyn LanguageModel>> {
-        self.route.as_ref().map(|route| {
-            routed_llm_for(default_model, route, self.route_target_accuracy, seed, &self.transport)
-                .unwrap_or_else(|e| {
-                    eprintln!("bad --route '{route}': {e}");
-                    std::process::exit(2);
-                })
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        BenchArgs::from_args(&argv).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
         })
     }
 
+    /// Parse `--max-rows N`, `--quick`, `--smoke` and the [`RunFlags`].
+    /// A missing or malformed value, a bad `--route` or an unknown flag
+    /// is an error.
+    pub fn from_args(argv: &[String]) -> Result<BenchArgs, String> {
+        let mut max_rows = 2_000;
+        let (mut quick, mut smoke) = (false, false);
+        let mut run = RunFlags::new(7);
+        let mut rest = argv.iter();
+        while let Some(flag) = rest.next() {
+            match flag.as_str() {
+                "--max-rows" => max_rows = catdb_core::value(&mut rest, flag, str::parse)?,
+                "--quick" => quick = true,
+                "--smoke" => (smoke, quick, max_rows) = (true, true, 300),
+                other => {
+                    if !run.parse_flag(other, &mut rest)? {
+                        return Err(format!("unknown argument: {other}"));
+                    }
+                }
+            }
+        }
+        let route = run.resolve_route()?;
+        Ok(BenchArgs { max_rows, quick, smoke, run, route })
+    }
+
+    /// The unrouted run of paper model `model` at `seed`, with this
+    /// invocation's transport and fan-out: β = 1, refinement on.
+    pub fn spec(&self, model: &str, seed: u64) -> RunSpec {
+        RunSpec {
+            model: ModelProfile::by_name(model).expect("a paper model"),
+            route: None,
+            seed,
+            alpha: None,
+            beta: 1,
+            refine: true,
+            llm_concurrency: self.run.llm_concurrency,
+            transport: self.run.transport,
+            engine: Engine::default(),
+        }
+    }
+
+    /// [`BenchArgs::spec`] under `--route`, or `None` when unrouted.
+    pub fn routed(&self, model: &str, seed: u64) -> Option<RunSpec> {
+        let route = self.route.clone()?;
+        Some(RunSpec { route: Some(route), ..self.spec(model, seed) })
+    }
+
     pub fn gen_options(&self) -> GenOptions {
-        GenOptions { max_rows: self.max_rows, scale: 1.0, seed: self.seed }
+        GenOptions { max_rows: self.max_rows, scale: 1.0, seed: self.run.seed }
     }
 }
 
@@ -364,27 +229,66 @@ mod tests {
     use super::*;
     use catdb_data::generate;
 
-    #[test]
-    fn prepare_produces_consistent_splits() {
-        let opts = GenOptions { max_rows: 300, ..Default::default() };
-        let g = generate("diabetes", &opts).unwrap();
-        let llm = llm_for("gemini-1.5-pro", 1);
-        let p = prepare(&g, true, &llm, 3);
-        assert_eq!(p.train.n_rows() + p.test.n_rows(), 300);
-        assert_eq!(p.raw_train.n_rows(), p.train.n_rows());
-        assert!(p.refinement.is_some());
-        assert!(p.profile_seconds >= 0.0);
+    fn parse(words: &[&str]) -> Result<BenchArgs, String> {
+        let argv: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        BenchArgs::from_args(&argv)
+    }
+
+    fn diabetes() -> GeneratedDataset {
+        generate("diabetes", &GenOptions { max_rows: 300, ..Default::default() }).unwrap()
     }
 
     #[test]
-    fn run_catdb_end_to_end_on_prepared() {
-        let opts = GenOptions { max_rows: 300, ..Default::default() };
-        let g = generate("diabetes", &opts).unwrap();
-        let llm = llm_for("gpt-4o", 1);
-        let p = prepare(&g, true, &llm, 3);
-        let outcome = run_catdb(&p, &llm, 1, 3);
+    fn prepare_produces_consistent_splits() {
+        let args = parse(&[]).unwrap();
+        let spec = args.spec("gemini-1.5-pro", 3);
+        let p = prepare(&diabetes(), &spec, &*spec.llm());
+        assert_eq!(p.train.n_rows() + p.test.n_rows(), 300);
+        assert_eq!(p.raw_train.n_rows(), p.train.n_rows());
+        assert!(p.refinement.is_some());
+    }
+
+    #[test]
+    fn spec_generates_end_to_end_on_prepared() {
+        let spec = parse(&[]).unwrap().spec("gpt-4o", 3);
+        let llm = spec.llm();
+        let p = prepare(&diabetes(), &spec, &*llm);
+        let outcome = spec.generate(&p.entry, &p.train, &p.test, &*llm, None);
         assert!(outcome.success);
         assert!(test_score(&outcome) > 0.5);
+    }
+
+    #[test]
+    fn flags_reach_every_spec() {
+        let args = parse(&[
+            "--smoke",
+            "--seed",
+            "11",
+            "--fault-rate",
+            "0.3",
+            "--llm-concurrency",
+            "2",
+            "--route",
+            "refine=llama,fix=mini",
+        ])
+        .unwrap();
+        assert_eq!((args.max_rows, args.quick, args.run.seed), (300, true, 11));
+        let spec = args.spec("gpt-4o", 5);
+        assert_eq!((spec.seed, spec.llm_concurrency, spec.route), (5, 2, None));
+        assert_eq!(spec.transport.fault_rate, 0.3);
+        let routed = args.routed("gpt-4o", 5).expect("--route was given");
+        assert_eq!(routed.llm().model_name(), "gpt-4o");
+        assert!(parse(&[]).unwrap().routed("gpt-4o", 5).is_none());
+    }
+
+    #[test]
+    fn bad_flags_are_errors_that_name_the_flag() {
+        assert_eq!(parse(&["--smoke", "--seed"]).unwrap_err(), "--seed needs a value");
+        let err = parse(&["--seed", "abc"]).unwrap_err();
+        assert!(err.starts_with("bad --seed 'abc': "), "{err}");
+        assert_eq!(parse(&["--bogus"]).unwrap_err(), "unknown argument: --bogus");
+        let err = parse(&["--route", "refine=mistral"]).unwrap_err();
+        assert!(err.starts_with("bad --route 'refine=mistral': unknown route model"), "{err}");
     }
 
     #[test]
@@ -396,15 +300,6 @@ mod tests {
         );
         assert!(text.contains("=== T ==="));
         assert!(text.contains("333"));
-    }
-
-    #[test]
-    fn routed_llm_for_builds_from_spec_and_rejects_garbage() {
-        let transport = Transport::default();
-        let llm = routed_llm_for("gpt-4o", "refine=llama,fix=mini", 0.95, 7, &transport)
-            .expect("valid spec");
-        assert_eq!(llm.model_name(), "gpt-4o");
-        assert!(routed_llm_for("gpt-4o", "refine=claude", 0.95, 7, &transport).is_err());
     }
 
     #[test]

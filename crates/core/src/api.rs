@@ -6,9 +6,10 @@
 //! P   = catdb_pipgen(md, llm)       /* P.code, P.results           */
 //! ```
 //!
-//! [`catdb_collect`] materializes a (possibly multi-table) dataset,
-//! profiles it, optionally runs the LLM-assisted catalog refinement, and
-//! returns the catalog entry together with the prepared table.
+//! [`collect`] materializes a (possibly multi-table) dataset, profiles
+//! it, and optionally runs the LLM-assisted catalog refinement, keeping
+//! both the raw and the refined catalog; [`catdb_collect`] projects that
+//! onto the catalog entry and table generation runs on.
 //! [`catdb_pipgen`] splits the prepared data, runs Algorithm 4, and
 //! returns the generated code plus its execution results.
 
@@ -30,6 +31,53 @@ pub struct CollectOptions {
     pub refine_options: RefineOptions,
 }
 
+/// What collection produced: the raw catalog entry and table, plus the
+/// refined ones when refinement ran.
+pub struct Collected {
+    pub raw_entry: CatalogEntry,
+    pub raw: Table,
+    pub refined: Option<Refined>,
+}
+
+/// The output of the LLM-assisted catalog refinement.
+pub struct Refined {
+    pub entry: CatalogEntry,
+    pub table: Table,
+    pub report: RefinementReport,
+}
+
+impl Collected {
+    /// The entry and table generation runs on (the refined ones when
+    /// refinement ran), with the refinement report.
+    pub fn into_prepared(self) -> (CatalogEntry, Table, Option<RefinementReport>) {
+        match self.refined {
+            Some(r) => (r.entry, r.table, Some(r.report)),
+            None => (self.raw_entry, self.raw, None),
+        }
+    }
+}
+
+/// Materialize and profile a dataset once, then refine it when
+/// `opts.refine` is set.
+pub fn collect(
+    dataset: &MultiTableDataset,
+    target: &str,
+    task: TaskKind,
+    llm: &dyn LanguageModel,
+    opts: &CollectOptions,
+) -> Result<Collected, catdb_table::TableError> {
+    let raw = dataset.materialize()?;
+    let profile = profile_table(&dataset.name, &raw, &opts.profile);
+    let refined = opts.refine.then(|| {
+        let (table, refined_profile, report) =
+            refine_dataset(&dataset.name, &raw, &profile, target, llm, &opts.refine_options);
+        let entry = CatalogEntry::new(dataset.name.clone(), target, task, refined_profile);
+        Refined { entry, table, report }
+    });
+    let raw_entry = CatalogEntry::new(dataset.name.clone(), target, task, profile);
+    Ok(Collected { raw_entry, raw, refined })
+}
+
 /// `catdb_collect`: profile (and optionally refine) a dataset into a
 /// catalog entry plus the prepared single-table data.
 pub fn catdb_collect(
@@ -39,16 +87,7 @@ pub fn catdb_collect(
     llm: &dyn LanguageModel,
     opts: &CollectOptions,
 ) -> Result<(CatalogEntry, Table, Option<RefinementReport>), catdb_table::TableError> {
-    let materialized = dataset.materialize()?;
-    let profile = profile_table(&dataset.name, &materialized, &opts.profile);
-    if !opts.refine {
-        let entry = CatalogEntry::new(dataset.name.clone(), target, task, profile);
-        return Ok((entry, materialized, None));
-    }
-    let (prepared, refined_profile, report) =
-        refine_dataset(&dataset.name, &materialized, &profile, target, llm, &opts.refine_options);
-    let entry = CatalogEntry::new(dataset.name.clone(), target, task, refined_profile);
-    Ok((entry, prepared, Some(report)))
+    collect(dataset, target, task, llm, opts).map(Collected::into_prepared)
 }
 
 /// The result object of `catdb_pipgen` (`P.code` / `P.results`).

@@ -120,16 +120,12 @@ pub fn measured_cost(trace: &catdb_trace::Trace) -> MeasuredCost {
 /// counts must reproduce `Trace::total_llm_cost` exactly when the same
 /// profile served all calls — the consistency the cost tests pin down.
 pub fn reprice(trace: &catdb_trace::Trace, profile: &catdb_llm::ModelProfile) -> f64 {
-    trace
-        .events_modulo_timing()
-        .iter()
-        .map(|e| match e {
-            catdb_trace::TraceEvent::LlmCall { prompt_tokens, completion_tokens, .. } => {
-                profile.cost_usd(*prompt_tokens, *completion_tokens)
-            }
-            _ => 0.0,
-        })
-        .sum()
+    catdb_trace::canonical_sum(trace.events.iter().filter_map(|r| match &r.event {
+        catdb_trace::TraceEvent::LlmCall { prompt_tokens, completion_tokens, .. } => {
+            Some(profile.cost_usd(*prompt_tokens, *completion_tokens))
+        }
+        _ => None,
+    }))
 }
 
 #[cfg(test)]
@@ -203,7 +199,7 @@ mod tests {
                 measured.usd,
                 expected
             );
-            assert!((reprice(&trace, &profile) - measured.usd).abs() < 1e-12);
+            assert_eq!(reprice(&trace, &profile).to_bits(), trace.total_llm_cost().to_bits());
         }
     }
 

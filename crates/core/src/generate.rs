@@ -16,7 +16,6 @@ use catdb_pipeline::{
 };
 use catdb_sched::{CompletionCache, LlmScheduler, DEFAULT_LLM_CONCURRENCY};
 use catdb_table::{DataType, Table};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,8 +32,6 @@ pub struct CatDbConfig {
     pub max_fix_attempts: usize,
     /// Rows sampled for the quick local validation run.
     pub validation_rows: usize,
-    /// Simulated memory envelope for pipeline execution.
-    pub memory_limit: Option<usize>,
     pub seed: u64,
     /// Ablation switches for the error-management study.
     pub use_knowledge_base: bool,
@@ -49,12 +46,9 @@ pub struct CatDbConfig {
     /// independent prompts (`--llm-concurrency`). Chunk-ordered assembly
     /// keeps results byte-identical at any value.
     pub llm_concurrency: usize,
-    /// JSON-lines file backing the completion cache (`--llm-cache`);
-    /// entries persist across runs and warm starts are zero-billed.
-    pub llm_cache_path: Option<PathBuf>,
     /// Pre-built cache handle, shared across sessions (e.g. one cache
-    /// spanning a whole config sweep). Takes precedence over
-    /// `llm_cache_path`.
+    /// spanning a whole config sweep, or a persistent one behind
+    /// `--llm-cache`).
     pub llm_cache: Option<Arc<CompletionCache>>,
     /// Split-search strategy forwarded to the tree-family estimators
     /// (`--split-mode`): exact scans or histogram-binned training.
@@ -67,14 +61,12 @@ impl Default for CatDbConfig {
             prompt: PromptOptions::default(),
             max_fix_attempts: 15,
             validation_rows: 400,
-            memory_limit: None,
             seed: 42,
             use_knowledge_base: true,
             use_llm_fix: true,
             handcraft_fallback: true,
             disallowed_packages: Vec::new(),
             llm_concurrency: DEFAULT_LLM_CONCURRENCY,
-            llm_cache_path: None,
             llm_cache: None,
             split_mode: catdb_ml::SplitMode::Exact,
         }
@@ -83,16 +75,11 @@ impl Default for CatDbConfig {
 
 impl CatDbConfig {
     /// The completion cache this config asks for: the shared handle if
-    /// one was provided, else a fresh cache (disk-backed when
-    /// `llm_cache_path` is set).
+    /// one was provided, else a fresh session-local cache.
     pub fn completion_cache(&self) -> Arc<CompletionCache> {
-        if let Some(cache) = &self.llm_cache {
-            return cache.clone();
-        }
-        Arc::new(match &self.llm_cache_path {
-            Some(path) => CompletionCache::persistent(path, SESSION_CACHE_CAPACITY),
-            None => CompletionCache::new(SESSION_CACHE_CAPACITY),
-        })
+        self.llm_cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(CompletionCache::new(SESSION_CACHE_CAPACITY)))
     }
 }
 
@@ -404,26 +391,13 @@ pub fn generate_pipeline(
 
     let task = entry.task_kind();
     let exec_cfg = ExecutionConfig {
-        memory_limit: cfg.memory_limit,
-        task,
         seed: cfg.seed,
-        fast_validation: false,
         split_mode: cfg.split_mode,
+        ..ExecutionConfig::new(task)
     };
-    let n_train = train.n_rows().max(1);
-    let validation_fraction =
-        (cfg.validation_rows.min(n_train) as f64 / n_train as f64).clamp(0.0, 1.0);
     let val_train = train.sample(cfg.validation_rows, cfg.seed);
     let val_test = test.sample((cfg.validation_rows / 3).max(30), cfg.seed ^ 1);
-    let val_cfg = ExecutionConfig {
-        memory_limit: cfg
-            .memory_limit
-            .map(|m| ((m as f64) * validation_fraction).max(64_000.0) as usize),
-        task,
-        seed: cfg.seed,
-        fast_validation: true,
-        split_mode: cfg.split_mode,
-    };
+    let val_cfg = ExecutionConfig { fast_validation: true, ..exec_cfg.clone() };
 
     // ---- Validation & error-management loop (Algorithm 4, lines 3–15) ----
     let mut source = initial.unwrap_or_else(|| handcraft_program(entry).render());

@@ -12,8 +12,9 @@
 //!   Table 2 / Figure 8.
 //! * [`cost`] — the token cost model (Equations 1–2).
 //! * [`api`] — the paper's user API: `catdb_collect` / `catdb_pipgen`.
-//! * [`run`] — [`RunSpec`], the one run path `catdb run` and the serve
-//!   daemon share.
+//! * [`run`] — [`RunSpec`], the one run path `catdb run`, the serve
+//!   daemon and the experiment binaries share, and [`RunFlags`], the
+//!   flags the CLI and the experiment binaries both parse.
 //!
 //! ```no_run
 //! use catdb_core::{catdb_collect, catdb_pipgen, CatDbConfig, CollectOptions};
@@ -40,7 +41,9 @@ pub mod prompt;
 pub mod rules;
 pub mod run;
 
-pub use api::{catdb_collect, catdb_pipgen, CollectOptions, PipgenResult};
+pub use api::{
+    catdb_collect, catdb_pipgen, collect, CollectOptions, Collected, PipgenResult, Refined,
+};
 pub use cost::{measured_cost, reprice, MeasuredCost};
 pub use generate::{
     generate_chain_source, generate_pipeline, handcraft_program, CatDbConfig, GenerationOutcome,
@@ -48,4 +51,4 @@ pub use generate::{
 pub use kb::{ErrorTrace, ErrorTraceDb, FixedBy, KbFix, KnowledgeBase};
 pub use prompt::{PromptBuilder, PromptOptions};
 pub use rules::{derive_rules, labels_imbalanced, schema_line, MetadataConfig};
-pub use run::{Engine, RunError, RunOutcome, RunSpec};
+pub use run::{value, Engine, RunError, RunFlags, RunOutcome, RunSpec};

@@ -15,8 +15,8 @@
 //! `--clients N`, drives N concurrent connections — against it.
 
 use catdb_catalog::MultiTableDataset;
-use catdb_core::{measured_cost, Engine, RunSpec};
-use catdb_llm::{resolve_route, ModelProfile, Transport, DEFAULT_ROUTE_TARGET_ACCURACY};
+use catdb_core::{measured_cost, value, Engine, RunFlags, RunSpec};
+use catdb_llm::ModelProfile;
 use catdb_ml::TaskKind;
 use catdb_profiler::{profile_table, ProfileMode, ProfileOptions};
 use catdb_serve::{
@@ -41,10 +41,8 @@ struct Args {
     target: Option<String>,
     task: Option<String>,
     model: String,
-    /// Per-role model routing (`refine=llama,fix=mini` or `auto`).
-    route: Option<String>,
-    /// End-to-end accuracy target for `--route auto`.
-    route_target_accuracy: f64,
+    /// `--seed`, the transport trio, `--llm-concurrency` and `--route`.
+    run: RunFlags,
     /// `--split-mode` and `--profile-mode`.
     engine: Engine,
     /// File receiving the final pipeline's dependency DAG as JSON.
@@ -52,12 +50,7 @@ struct Args {
     beta: usize,
     alpha: Option<usize>,
     refine: bool,
-    seed: u64,
     trace_out: Option<String>,
-    /// `--fault-rate`, `--max-retries` and `--llm-timeout`.
-    transport: Transport,
-    /// Concurrent in-flight LLM requests for the chain's fan-out stages.
-    llm_concurrency: usize,
     /// JSON-lines file persisting the completion cache across runs.
     llm_cache: Option<String>,
     // serve / client knobs
@@ -94,37 +87,18 @@ impl Args {
                 self.model
             )
         })?;
-        let route = self
-            .route
-            .as_deref()
-            .map(|r| {
-                resolve_route(r, self.route_target_accuracy)
-                    .map_err(|e| format!("bad --route '{r}': {e}"))
-            })
-            .transpose()?;
         Ok(RunSpec {
             model,
-            route,
-            seed: self.seed,
+            route: self.run.resolve_route()?,
+            seed: self.run.seed,
             alpha: self.alpha,
             beta: self.beta,
             refine: self.refine,
-            llm_concurrency: self.llm_concurrency,
-            transport: self.transport,
+            llm_concurrency: self.run.llm_concurrency,
+            transport: self.run.transport,
             engine: self.engine,
         })
     }
-}
-
-/// The token after `flag`, parsed by `parse`. A missing or unparseable
-/// value is an error that names the flag.
-fn value<T, E: std::fmt::Display>(
-    rest: &mut std::slice::Iter<String>,
-    flag: &str,
-    parse: impl FnOnce(&str) -> Result<T, E>,
-) -> Result<T, String> {
-    let raw = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    parse(raw).map_err(|e| format!("bad {flag} '{raw}': {e}"))
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -135,17 +109,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         target: None,
         task: None,
         model: "gpt-4o".into(),
-        route: None,
-        route_target_accuracy: DEFAULT_ROUTE_TARGET_ACCURACY,
+        run: RunFlags::new(42),
         engine: Engine::default(),
         dag_out: None,
         beta: 1,
         alpha: None,
         refine: true,
-        seed: 42,
         trace_out: None,
-        transport: Transport::default(),
-        llm_concurrency: catdb_sched::DEFAULT_LLM_CONCURRENCY,
         llm_cache: None,
         host: "127.0.0.1".into(),
         port: None,
@@ -171,21 +141,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--target" => args.target = Some(value(rest, flag, str::parse)?),
             "--task" => args.task = Some(value(rest, flag, str::parse)?),
             "--model" => args.model = value(rest, flag, str::parse)?,
-            "--route" => args.route = Some(value(rest, flag, str::parse)?),
-            "--route-target-accuracy" => {
-                args.route_target_accuracy = value(rest, flag, str::parse)?
-            }
             "--split-mode" => args.engine.split = value(rest, flag, catdb_ml::SplitMode::parse)?,
             "--profile-mode" => args.engine.profile = value(rest, flag, ProfileMode::parse)?,
             "--dag-out" => args.dag_out = Some(value(rest, flag, str::parse)?),
             "--beta" => args.beta = value(rest, flag, str::parse)?,
             "--alpha" => args.alpha = Some(value(rest, flag, str::parse)?),
-            "--seed" => args.seed = value(rest, flag, str::parse)?,
             "--trace-out" => args.trace_out = Some(value(rest, flag, str::parse)?),
-            "--fault-rate" => args.transport.fault_rate = value(rest, flag, str::parse)?,
-            "--max-retries" => args.transport.max_retries = value(rest, flag, str::parse)?,
-            "--llm-timeout" => args.transport.llm_timeout = Some(value(rest, flag, str::parse)?),
-            "--llm-concurrency" => args.llm_concurrency = value(rest, flag, str::parse)?,
             "--llm-cache" => args.llm_cache = Some(value(rest, flag, str::parse)?),
             "--no-refine" => args.refine = false,
             "--host" => args.host = value(rest, flag, str::parse)?,
@@ -202,7 +163,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--out-dir" => args.out_dir = Some(value(rest, flag, str::parse)?),
             "--stream" => args.stream = true,
             "--shutdown" => args.shutdown = Some(value(rest, flag, str::parse)?),
-            other => return Err(format!("unknown argument: {other}")),
+            other => {
+                if !args.run.parse_flag(other, rest)? {
+                    return Err(format!("unknown argument: {other}"));
+                }
+            }
         }
     }
     Ok(args)
@@ -475,8 +440,8 @@ fn cmd_serve(args: &Args) -> ExitCode {
             ..Default::default()
         },
         cache_path: args.llm_cache.as_ref().map(std::path::PathBuf::from),
-        llm_concurrency: args.llm_concurrency,
-        transport: args.transport,
+        llm_concurrency: args.run.llm_concurrency,
+        transport: args.run.transport,
         shutdown_token: args.shutdown_token.clone(),
         ..Default::default()
     };
@@ -515,7 +480,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
 fn client_request(args: &Args) -> Result<GenerateRequest, String> {
     let dataset = match (&args.dataset, &args.csv) {
         (Some(name), None) => {
-            DatasetSpec::Builtin { name: name.clone(), rows: args.rows, seed: args.seed }
+            DatasetSpec::Builtin { name: name.clone(), rows: args.rows, seed: args.run.seed }
         }
         (None, Some(path)) => {
             let text =

@@ -333,6 +333,16 @@ pub fn max_counter(name: &str, value: f64) {
     }
 }
 
+/// Sum dollar amounts in one fixed order, ascending by
+/// [`f64::total_cmp`]. Parallel LLM fan-out emits costs in completion
+/// order, so a plain running sum could differ in the last bit between
+/// two runs of the same seed; every cost total goes through here.
+pub fn canonical_sum(values: impl IntoIterator<Item = f64>) -> f64 {
+    let mut values: Vec<f64> = values.into_iter().collect();
+    values.sort_by(f64::total_cmp);
+    values.into_iter().sum()
+}
+
 /// RAII span on the current sink; ends when dropped. A no-op handle is
 /// returned when no sink is installed.
 pub struct SpanScope {
@@ -392,13 +402,10 @@ impl Trace {
 
     /// Total simulated dollar cost over all LLM calls.
     pub fn total_llm_cost(&self) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::LlmCall { cost, .. } => Some(*cost),
-                _ => None,
-            })
-            .sum()
+        canonical_sum(self.events.iter().filter_map(|r| match &r.event {
+            TraceEvent::LlmCall { cost, .. } => Some(*cost),
+            _ => None,
+        }))
     }
 
     /// Number of LLM calls recorded.
@@ -425,13 +432,10 @@ impl Trace {
 
     /// Wasted dollar cost over all [`TraceEvent::LlmRetry`] events.
     pub fn retry_cost(&self) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::LlmRetry { cost, .. } => Some(*cost),
-                _ => None,
-            })
-            .sum()
+        canonical_sum(self.events.iter().filter_map(|r| match &r.event {
+            TraceEvent::LlmRetry { cost, .. } => Some(*cost),
+            _ => None,
+        }))
     }
 
     /// Total simulated backoff seconds spent waiting between retries.
@@ -478,13 +482,10 @@ impl Trace {
 
     /// Total dollar cost the cache hits avoided re-spending upstream.
     pub fn cache_saved_cost(&self) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::CacheHit { saved_cost, .. } => Some(*saved_cost),
-                _ => None,
-            })
-            .sum()
+        canonical_sum(self.events.iter().filter_map(|r| match &r.event {
+            TraceEvent::CacheHit { saved_cost, .. } => Some(*saved_cost),
+            _ => None,
+        }))
     }
 
     /// `(prompt, completion)` tokens per prompt task, attributing each
@@ -864,6 +865,39 @@ mod tests {
         let by_task = t.llm_tokens_by_task();
         assert_eq!(by_task["pipeline_generation"], (100, 10));
         assert_eq!(by_task["error_fix"], (200, 20));
+    }
+
+    #[test]
+    fn cost_totals_do_not_depend_on_emission_order() {
+        let total = |costs: [f64; 3]| {
+            let sink = TraceSink::new();
+            for cost in costs {
+                sink.emit(TraceEvent::LlmCall {
+                    model: "gpt-4o".into(),
+                    prompt_tokens: 1,
+                    completion_tokens: 1,
+                    cost,
+                });
+                sink.emit(TraceEvent::LlmRetry {
+                    model: "gpt-4o".into(),
+                    attempt: 1,
+                    error: "timeout".into(),
+                    backoff_seconds: 0.0,
+                    prompt_tokens: 1,
+                    cost,
+                });
+                sink.emit(TraceEvent::CacheHit {
+                    model: "gpt-4o".into(),
+                    saved_tokens: 1,
+                    saved_cost: cost,
+                    coalesced: false,
+                });
+            }
+            let t = sink.snapshot();
+            [t.total_llm_cost(), t.retry_cost(), t.cache_saved_cost()].map(f64::to_bits)
+        };
+        // A running sum in emission order gives 0.6000000000000001 forward and 0.6 backward.
+        assert_eq!(total([0.1, 0.2, 0.3]), total([0.3, 0.2, 0.1]));
     }
 
     #[test]

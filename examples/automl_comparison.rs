@@ -8,24 +8,21 @@ use catdb_automl::{run_automl, AutoMlConfig, AutoMlOutcome, ToolProfile};
 use catdb_baselines::{
     run_aide, run_autogen, run_caafe, AideConfig, AutoGenConfig, CaafeConfig, CaafeModel,
 };
-use catdb_catalog::{refine_dataset, CatalogEntry, RefineOptions};
-use catdb_core::{generate_pipeline, CatDbConfig};
+use catdb_core::{collect, generate_pipeline, CatDbConfig, CollectOptions};
 use catdb_data::{generate, GenOptions};
 use catdb_llm::{ModelProfile, SimLlm};
-use catdb_profiler::{profile_table, ProfileOptions};
 
 fn main() {
     let g = generate("etailing", &GenOptions { max_rows: 800, scale: 1.0, seed: 9 })
         .expect("known dataset");
-    let flat = g.dataset.materialize().expect("materialize");
     let llm = SimLlm::new(ModelProfile::gpt_4o(), 9);
 
-    let profile = profile_table("etailing", &flat, &ProfileOptions::default());
-    let (prepared, refined_profile, _) =
-        refine_dataset("etailing", &flat, &profile, &g.target, &llm, &RefineOptions::default());
-    let entry = CatalogEntry::new("etailing", g.target.clone(), g.task, refined_profile);
-    let (train, test) = prepared.train_test_split(0.7, 9).expect("split");
-    let (raw_train, raw_test) = flat.train_test_split(0.7, 9).expect("split");
+    let opts = CollectOptions { refine: true, ..Default::default() };
+    let collected = collect(&g.dataset, &g.target, g.task, &llm, &opts).expect("collect");
+    let (raw_train, raw_test) = collected.raw.train_test_split(0.7, 9).expect("split");
+    let refined = collected.refined.expect("refinement is on");
+    let entry = refined.entry;
+    let (train, test) = refined.table.train_test_split(0.7, 9).expect("split");
 
     println!("{:<16} {:>10} {:>10} {:>10}", "system", "test score", "tokens", "seconds");
     println!("{}", "-".repeat(52));

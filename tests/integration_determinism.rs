@@ -164,7 +164,8 @@ fn chain_output_identical_with_warm_disk_cache() {
         // A fresh CompletionCache instance per run: every warm run
         // exercises the JSON-lines load path, exactly like a second CLI
         // invocation sharing the same --llm-cache file.
-        let cfg = CatDbConfig { llm_cache_path: Some(path.clone()), ..chain_cfg(concurrency) };
+        let cache = Arc::new(CompletionCache::persistent(&path, 4096));
+        let cfg = CatDbConfig { llm_cache: Some(cache), ..chain_cfg(concurrency) };
         generate_chain_source(&entry, &llm, &cfg).expect("chain")
     };
     let cold = run(2);

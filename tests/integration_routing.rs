@@ -4,10 +4,10 @@
 //! routings bill strictly less than the uniform-strong baseline while
 //! still producing a working pipeline.
 
-use catdb_bench::{prepare, routed_llm_for, run_catdb, run_catdb_with, test_score, traced};
-use catdb_core::measured_cost;
+use catdb_bench::{prepare, test_score, traced, BenchArgs};
+use catdb_core::{measured_cost, RunSpec};
 use catdb_data::{generate, GenOptions};
-use catdb_llm::{Prompt, RouteError, RouteSpec, Transport};
+use catdb_llm::{Prompt, RouteError, RouteSpec};
 use catdb_sched::Fingerprint;
 use proptest::prelude::*;
 
@@ -68,18 +68,25 @@ proptest! {
     }
 }
 
+/// The bench's routed run of gpt-4o under `--route route` at `seed`.
+fn routed_spec(route: &str, seed: u64) -> RunSpec {
+    let argv = ["--route", route].map(String::from);
+    let args = BenchArgs::from_args(&argv).expect("valid route");
+    args.routed("gpt-4o", seed).expect("--route was given")
+}
+
 #[test]
 fn routed_chain_output_identical_across_llm_concurrency() {
     let g = generate("diabetes", &GenOptions { max_rows: 300, scale: 1.0, seed: 7 })
         .expect("known dataset");
-    let prep_llm = routed_llm_for("gpt-4o", CHEAP, 0.95, 11, &Transport::default()).expect("route");
-    let p = prepare(&g, true, prep_llm.as_ref(), 11);
+    let spec = routed_spec(CHEAP, 11);
+    let p = prepare(&g, &spec, &*spec.llm());
     let mut sources = Vec::new();
     for concurrency in [1usize, 4] {
         // Fresh transport per run: retry/breaker state must not leak
         // between concurrency levels.
-        let llm = routed_llm_for("gpt-4o", CHEAP, 0.95, 11, &Transport::default()).expect("route");
-        let outcome = run_catdb_with(&p, llm.as_ref(), 2, 11, concurrency, None);
+        let spec = RunSpec { beta: 2, llm_concurrency: concurrency, ..spec.clone() };
+        let outcome = spec.generate(&p.entry, &p.train, &p.test, &*spec.llm(), None);
         assert!(outcome.success, "routed chain failed at concurrency {concurrency}");
         sources.push(outcome.source);
     }
@@ -91,10 +98,11 @@ fn routed_chain_output_identical_across_llm_concurrency() {
 fn routed_run_cost(route: &str, seed: u64) -> (f64, bool, f64) {
     let g = generate("diabetes", &GenOptions { max_rows: 300, scale: 1.0, seed })
         .expect("known dataset");
-    let llm = routed_llm_for("gpt-4o", route, 0.95, seed, &Transport::default()).expect("route");
+    let spec = routed_spec(route, seed);
+    let llm = spec.llm();
     let (outcome, trace) = traced(|| {
-        let p = prepare(&g, true, llm.as_ref(), seed);
-        run_catdb(&p, llm.as_ref(), 1, seed)
+        let p = prepare(&g, &spec, &*llm);
+        spec.generate(&p.entry, &p.train, &p.test, &*llm, None)
     });
     let cost = measured_cost(&trace);
     assert!(cost.llm_calls > 0, "route '{route}' billed no LLM calls");

@@ -2,7 +2,8 @@
 //! through `catdb-trace` — prompt/LLM accounting, span nesting, pipeline
 //! operator coverage, and JSON export/import fidelity.
 
-use catdb_bench::{llm_for, prepare, run_catdb_traced};
+use catdb_bench::{prepare, traced, BenchArgs};
+use catdb_core::RunSpec;
 use catdb_data::{generate, GenOptions};
 use catdb_trace::{Trace, TraceEvent};
 
@@ -10,11 +11,17 @@ fn gen_opts() -> GenOptions {
     GenOptions { max_rows: 350, scale: 1.0, seed: 11 }
 }
 
+/// The bench's default run of `model` at `seed`.
+fn bench_spec(model: &str, seed: u64) -> RunSpec {
+    BenchArgs::from_args(&[]).expect("no flags").spec(model, seed)
+}
+
 fn diabetes_trace() -> (catdb_core::GenerationOutcome, Trace) {
     let g = generate("diabetes", &gen_opts()).unwrap();
-    let llm = llm_for("gpt-4o", 11);
-    let p = prepare(&g, true, &llm, 11);
-    run_catdb_traced(&p, &llm, 1, 11)
+    let spec = bench_spec("gpt-4o", 11);
+    let llm = spec.llm();
+    let p = prepare(&g, &spec, &*llm);
+    traced(|| spec.generate(&p.entry, &p.train, &p.test, &*llm, None))
 }
 
 #[test]
@@ -75,8 +82,9 @@ fn trace_json_round_trip_is_identity() {
 #[test]
 fn refinement_and_profiling_are_traced() {
     let g = generate("eu-it", &gen_opts()).unwrap();
-    let llm = llm_for("gemini-1.5-pro", 5);
-    let (p, trace) = catdb_bench::traced(|| prepare(&g, true, &llm, 5));
+    let spec = bench_spec("gemini-1.5-pro", 5);
+    let llm = spec.llm();
+    let (p, trace) = traced(|| prepare(&g, &spec, &*llm));
     assert!(p.refinement.is_some());
 
     let events = trace.events_modulo_timing();
