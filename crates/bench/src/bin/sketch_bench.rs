@@ -11,7 +11,7 @@
 //! `profiler/sketch_10m_rows`: the CSV is written to a temp directory,
 //! ingested through [`ChunkedTable`] (peak RSS stays O(chunk)), and
 //! profiled with mergeable sketches; ingest and profile are timed
-//! separately. The `gen` mode feeds `scripts/outofcore_smoke.sh`, which
+//! separately. The `gen` mode feeds `scripts/smoke.sh outofcore`, which
 //! profiles a file several times larger than a hard `ulimit -v` cap.
 
 use catdb_profiler::{profile_chunked, ProfileMode, ProfileOptions};

@@ -67,7 +67,9 @@ fn tokenize_line(line: &str, line_no: usize) -> Result<Vec<Token>, PipelineError
                         break;
                     }
                 }
-                let num = s.parse::<f64>().map_err(|_| {
+                // A literal that overflows to infinity would render as
+                // `inf`, which does not parse back, so it is malformed too.
+                let num = s.parse::<f64>().ok().filter(|n| n.is_finite()).ok_or_else(|| {
                     PipelineError::new(
                         ErrorKind::UnknownKeyword,
                         format!("malformed number literal '{s}'"),
@@ -551,6 +553,21 @@ pipeline {
         let m = p.model().unwrap();
         assert_eq!(m.param("l2"), Some(0.5));
         assert_eq!(m.family, ModelFamily::Regressor);
+    }
+
+    #[test]
+    fn overflowing_number_literals_are_malformed() {
+        for literal in ["1e999", "-1e999", "1E400"] {
+            let src = format!("pipeline {{\n  drop_high_missing threshold {literal};\n}}\n");
+            let err = parse(&src).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::UnknownKeyword, "{literal}");
+            assert_eq!(err.line, Some(2));
+            assert_eq!(err.message, format!("malformed number literal '{literal}'"));
+        }
+        // Underflow to zero is finite and renders back as a literal.
+        let p = parse("pipeline {\n  drop_high_missing threshold 1e-999;\n}\n").unwrap();
+        assert_eq!(p.steps[0], Step::DropHighMissing { threshold: 0.0 });
+        assert_eq!(parse(&p.render()).unwrap(), p);
     }
 
     #[test]

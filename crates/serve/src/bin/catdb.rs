@@ -402,7 +402,7 @@ fn cmd_run(args: &Args) -> ExitCode {
                 result.results.traces.len(),
             );
             // Billed spend from the trace (cache hits bill zero); the
-            // smoke-route CI job compares this line across routings.
+            // `route` smoke gate compares this line across routings.
             let measured = measured_cost(&sink.snapshot());
             eprintln!(
                 "billed: {:.6} USD | {} billed call(s) | {} cache hit(s)",

@@ -7,7 +7,8 @@
 # executor at 8 threads (65 steps) and 1 thread (5 steps). The CSV entry compares
 # against the frozen seed reader benched live in the same run, so its
 # speedup is an apples-to-apples same-machine figure. Also runs the chain
-# cache smoke (cold + warm CLI run sharing one --llm-cache file) and
+# cache smoke (`scripts/smoke.sh chain_cache`: cold + warm CLI run
+# sharing one --llm-cache file) and
 # folds its hit/zero-billing figures into the snapshot. Intended as a
 # non-blocking CI step — failures here report a regression but never
 # break the build.
@@ -26,7 +27,7 @@ echo "== cargo bench -p catdb-bench --bench micro (budget ${BUDGET_MS} ms/bench)
 CATDB_BENCH_BUDGET_MS="$BUDGET_MS" cargo bench -p catdb-bench --bench micro | tee "$RAW"
 
 echo "== chain cache smoke (cold + warm run sharing one cache file) =="
-SMOKE_LINE="$(scripts/chain_cache_smoke.sh | tail -1)"
+SMOKE_LINE="$(scripts/smoke.sh chain_cache | tail -1)"
 echo "$SMOKE_LINE"
 SMOKE_HITS="${SMOKE_LINE#*hits=}"; SMOKE_HITS="${SMOKE_HITS%% *}"
 SMOKE_WARM_TOKENS="${SMOKE_LINE#*warm_tokens=}"; SMOKE_WARM_TOKENS="${SMOKE_WARM_TOKENS%% *}"

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper's evaluation.
-# Usage: scripts/run_all_experiments.sh [--quick]
+# Usage: scripts/run_all_experiments.sh [flags...]
+# Every flag (e.g. --quick --seed 3) is passed to each binary unchanged.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-EXTRA=${1:-}
 BINS=(
   fig9_profiling
   fig10_metadata
@@ -24,6 +24,6 @@ cargo build --release -p catdb-bench
 mkdir -p results
 for bin in "${BINS[@]}"; do
   echo "==> $bin"
-  ./target/release/"$bin" $EXTRA | tee "results/$bin.txt"
+  ./target/release/"$bin" "$@" | tee "results/$bin.txt"
 done
 echo "All experiment outputs are under results/"
