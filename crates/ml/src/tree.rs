@@ -18,7 +18,10 @@
 //!   stage partitions a copy of it. Forests sample √d features per node,
 //!   where d partitions per split cost more than k sorts, so they keep
 //!   sorting per node; classification sorts there are unstable, since
-//!   tied keys have equal bits and class counts are integers.
+//!   tied keys have equal bits and class counts are integers. Regression
+//!   scans in two passes ([`Builder::reg_split`]): O(1) approximate gains
+//!   filter the cuts, and the exact SSE loop runs only for the cuts that
+//!   a proven error bound ([`gain_error_bound`]) leaves able to win.
 //! * [`SplitMode::Binned`] — LightGBM-style histogram search over a shared
 //!   [`BinnedDataset`]: per-node histograms of (count, class counts |
 //!   sum, sum-of-squares) are accumulated in one pass over `u8` codes, and
@@ -132,11 +135,10 @@ impl Target<'_> {
                 gini_weighted(&counts, rows.len())
             }
             Target::Reg { y } => {
-                let n = rows.len() as f64;
                 if rows.is_empty() {
                     return 0.0;
                 }
-                let mean: f64 = rows.iter().map(|&r| y[r]).sum::<f64>() / n;
+                let mean = mean(y, rows);
                 rows.iter().map(|&r| (y[r] - mean).powi(2)).sum()
             }
         }
@@ -157,14 +159,7 @@ impl Target<'_> {
                 }
                 Node::ClassLeaf(counts)
             }
-            Target::Reg { y } => {
-                let mean = if rows.is_empty() {
-                    0.0
-                } else {
-                    rows.iter().map(|&r| y[r]).sum::<f64>() / rows.len() as f64
-                };
-                Node::RegLeaf(mean)
-            }
+            Target::Reg { y } => Node::RegLeaf(mean(y, rows)),
         }
     }
 
@@ -174,6 +169,15 @@ impl Target<'_> {
             Target::Reg { y } => rows.windows(2).all(|w| (y[w[0]] - y[w[1]]).abs() < 1e-12),
         }
     }
+}
+
+/// Mean of `y` over `rows` (0 for none), summed in `rows` order: a
+/// regression leaf's value and the centre of its node's impurity.
+fn mean(y: &[f64], rows: &[usize]) -> f64 {
+    if rows.is_empty() {
+        return 0.0;
+    }
+    rows.iter().map(|&r| y[r]).sum::<f64>() / rows.len() as f64
 }
 
 fn gini_weighted(counts: &[usize], n: usize) -> f64 {
@@ -211,6 +215,121 @@ fn candidate_boundaries(vals: &[(f64, usize)], boundaries: &mut Vec<usize>) -> b
         }
     }
     true
+}
+
+/// The exact child SSE of a regression cut: the targets of the sorted
+/// `vals` before `cut` go left, whose running sum in that order is
+/// `left_sum`. Each side takes its mean, then sums its squared deviations
+/// from its own first row. Exact regression fits are reproducible bit for
+/// bit because this order never changes.
+fn child_sse(y: &[f64], vals: &[(f64, usize)], cut: usize, left_sum: f64) -> f64 {
+    let left_mean = left_sum / cut as f64;
+    let mut left_sse = 0.0f64;
+    for &(_, r) in &vals[..cut] {
+        left_sse += (y[r] - left_mean).powi(2);
+    }
+    let mut right_sum = 0.0f64;
+    for &(_, r) in &vals[cut..] {
+        right_sum += y[r];
+    }
+    let right_mean = right_sum / (vals.len() - cut) as f64;
+    let mut right_sse = 0.0f64;
+    for &(_, r) in &vals[cut..] {
+        right_sse += (y[r] - right_mean).powi(2);
+    }
+    left_sse + right_sse
+}
+
+/// A bound `B` on |approximate gain − exact gain| for every cut of a
+/// regression node of `n ≥ 2` rows with computed impurity `parent` (`P`)
+/// and targets of magnitude at most `max_abs` (`M`); infinite when the
+/// analysis does not apply.
+///
+/// Notation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+/// ch. 2–3): unit roundoff `u = 2⁻⁵³`, `γₖ = ku/(1 − ku)`, and
+/// `g = γ_{n+2}`. Every `+ − × /` rounds as `fl(a∘b) = (a∘b)(1 + δ)`,
+/// `|δ| ≤ u`, and a product of `k` such factors is `1 + θₖ`, `|θₖ| ≤ γₖ`,
+/// so a sum of `m` terms `aᵢ`, added in any order, is off by at most
+/// `γ_{m−1} Σ|aᵢ|` (§4.2; adding to an exact `0.0` does not round).
+/// Take a side of `m` rows with targets `tᵢ`, true mean `μ`, true SSE
+/// `S = Σ(tᵢ − μ)²`, shift `c` (the node mean that `P` was computed
+/// around), `wᵢ = tᵢ − c` exactly, `Q_s = Σwᵢ²` and `W = Σwᵢ`, so that
+/// `S = Q_s − W²/m ≤ Q_s`. Let `Q` be `Q_s` summed over both sides.
+///
+/// * **Exact loop** ([`child_sse`]). The mean is off by
+///   `|m̂ − μ| ≤ γ_m Σ|tᵢ|/m ≤ γ_n M`. Each squared deviation carries
+///   `θ₃` (the subtraction enters squared) and the sum `θ_{m−1}`, and
+///   `Σ(tᵢ − m̂)² = S + m(m̂ − μ)²`, so the side is off by at most
+///   `(1 + g) m γ_n² M² + g S`. Both sides together:
+///   `E = (1 + g) n g² M² + g Q`.
+/// * **Filter** (`zᵢ = fl(tᵢ − c)`, sums `Ẑ` of `zᵢ` and `Q̂` of
+///   `fl(zᵢ²)`, SSE `fl(Q̂ − fl(Ẑ²)/m)`). `|Ẑ − W| ≤ γ_m Σ|wᵢ|` and
+///   `|Q̂ − Q_s| ≤ γ_{m+2} Q_s`. By Cauchy–Schwarz `Σ|wᵢ| ≤ √(m Q_s)`, so
+///   `|Ẑ² − W²|/m ≤ γ_m (2 + γ_m) Q_s`. With the rounding of the square,
+///   the division and the subtraction, the side is off by at most
+///   `4.1 g Q_s`, once `g ≤ 1/32` and `u ≤ g/4` (true for `n ≥ 2`).
+///
+/// Adding the two sides' SSEs and subtracting from `P` rounds three more
+/// times in each pass. Summing everything, with `Q ≤ Q̂/(1 − g) ≤
+/// 1.04 P` (the node's `Q̂` in row order is `P` itself), the two gains
+/// differ by at most `7 g P + 1.05 n g² M²`. The returned `B` more than
+/// doubles both terms, which also covers the rounding in evaluating `B`.
+///
+/// The `M²` term is the exact loop's: with targets like `10¹⁵ + small
+/// integers` its mean is off by many ulps of `10¹⁵`, while the shifted
+/// filter stays accurate. Sums formed as `total − prefix` would carry the
+/// whole node's rounding error into a small right side; the filter adds
+/// up only a side's own rows, so each side carries only its own.
+///
+/// Side conditions, each met by returning an infinite `B` (every cut then
+/// runs the exact loop): `g ≤ 1/32` (n below about 2.7·10¹⁴); no overflow,
+/// since every partial sum of the exact loop is at most `4.3 n M²`, so
+/// `8 n M²` must be finite; a finite `P`. Underflow breaks the relative
+/// model only for products and quotients (a sum whose result is
+/// subnormal is exact); each adds at most `2⁻¹⁰⁷⁵` absolutely, scaled by
+/// at most `5M + 1` on the way to a gain, which the last term covers.
+/// A cut whose approximate gain overflows is never filtered out.
+fn gain_error_bound(n: usize, parent: f64, max_abs: f64) -> f64 {
+    let n = n as f64;
+    let nu = (n + 2.0) * (f64::EPSILON / 2.0);
+    if nu > 1.0 / 33.0 || !(8.0 * n * max_abs * max_abs).is_finite() || !parent.is_finite() {
+        return f64::INFINITY;
+    }
+    let g = nu / (1.0 - nu);
+    16.0 * g * parent
+        + 4.0 * n * g * g * max_abs * max_abs
+        + (n + 4.0) * (max_abs + 1.0) * f64::MIN_POSITIVE
+}
+
+/// `(Σz, Σz²)` over the targets of `vals` shifted by `shift`
+/// (`z = y − shift`), in four interleaved lanes so the additions overlap.
+/// The filter's error bound holds for any order of summation.
+fn shifted_sums(y: &[f64], vals: &[(f64, usize)], shift: f64) -> (f64, f64) {
+    let mut sum = [0.0f64; 4];
+    let mut sumsq = [0.0f64; 4];
+    let chunks = vals.chunks_exact(4);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &(_, r)) in chunk.iter().enumerate() {
+            let z = y[r] - shift;
+            sum[lane] += z;
+            sumsq[lane] += z * z;
+        }
+    }
+    for (lane, &(_, r)) in rest.iter().enumerate() {
+        let z = y[r] - shift;
+        sum[lane] += z;
+        sumsq[lane] += z * z;
+    }
+    ((sum[0] + sum[1]) + (sum[2] + sum[3]), (sumsq[0] + sumsq[1]) + (sumsq[2] + sumsq[3]))
+}
+
+/// A regression cut scored by the filter pass: its feature, the cut
+/// (sorted rows `..cut` go left) and the approximate gain.
+struct Cut {
+    feature: usize,
+    cut: usize,
+    approx: f64,
 }
 
 /// Stable per-feature sorts of a fit's rows under `total_cmp`, as row
@@ -263,7 +382,7 @@ struct Partitioned<'a> {
 
 impl<'a> Partitioned<'a> {
     fn new(cols: &'a ColMajor, order: &'a mut [u32], n: usize) -> Self {
-        Partitioned { cols, order, n, goes_left: vec![false; cols.rows()], scratch: Vec::new() }
+        Partitioned { cols, order, n, goes_left: vec![false; cols.rows()], scratch: vec![0; n] }
     }
 
     fn list(&self, f: usize, lo: usize, len: usize) -> &[u32] {
@@ -277,20 +396,21 @@ impl<'a> Partitioned<'a> {
         for &r in left {
             self.goes_left[r] = true;
         }
+        // Branch-free: each row is written to both destinations and only
+        // the matching cursor advances (`kept` never passes `i`), so rows
+        // in no particular order cost no branch mispredictions.
         for list in self.order.chunks_exact_mut(self.n) {
             let node = &mut list[lo..lo + len];
-            self.scratch.clear();
-            let mut kept = 0;
+            let (mut kept, mut moved) = (0, 0);
             for i in 0..len {
                 let r = node[i];
-                if self.goes_left[r as usize] {
-                    node[kept] = r;
-                    kept += 1;
-                } else {
-                    self.scratch.push(r);
-                }
+                let goes_left = self.goes_left[r as usize];
+                node[kept] = r;
+                self.scratch[moved] = r;
+                kept += usize::from(goes_left);
+                moved += usize::from(!goes_left);
             }
-            node[kept..].copy_from_slice(&self.scratch);
+            node[kept..].copy_from_slice(&self.scratch[..moved]);
         }
         for &r in left {
             self.goes_left[r] = false;
@@ -408,9 +528,34 @@ struct Builder<'a> {
     sorted: Option<Partitioned<'a>>,
     hist_builds: u64,
     hist_subtractions: u64,
+    /// Regression cuts scored by the filter pass.
+    split_candidates: u64,
+    /// Regression cuts the verify pass ran the exact loop for.
+    split_exact: u64,
 }
 
-impl Builder<'_> {
+impl<'a> Builder<'a> {
+    fn new(
+        x: &'a Matrix,
+        target: Target<'a>,
+        cfg: &'a TreeConfig,
+        binned: Option<&'a BinnedDataset>,
+        sorted: Option<Partitioned<'a>>,
+    ) -> Self {
+        Builder {
+            x,
+            target,
+            cfg,
+            rng: StdRng::seed_from_u64(cfg.seed),
+            binned,
+            sorted,
+            hist_builds: 0,
+            hist_subtractions: 0,
+            split_candidates: 0,
+            split_exact: 0,
+        }
+    }
+
     fn fit(&mut self, rows: Vec<usize>) -> Node {
         match self.binned {
             Some(_) => self.build_binned(rows, 0, None),
@@ -444,6 +589,177 @@ impl Builder<'_> {
             Target::Class { .. } => vals.sort_unstable_by(|a, b| a.0.total_cmp(&b.0)),
             Target::Reg { .. } => vals.sort_by(|a, b| a.0.total_cmp(&b.0)),
         }
+    }
+
+    /// The best regression cut at the node as `(gain, feature, threshold)`,
+    /// the one an exhaustive scan in `features` order with a strict `>`
+    /// picks, in two passes.
+    ///
+    /// * **Filter** ([`Builder::score_cuts`]). Every cut gets an O(1)
+    ///   approximate gain `P − Σ (Σz² − (Σz)²/k)` over both sides, from
+    ///   sums of the shifted targets `z`. With `B` the bound on
+    ///   |approximate − exact gain|, the floor is the largest approximate
+    ///   gain minus `B`: some cut's exact gain reaches it.
+    /// * **Verify.** Re-gather only the features with a live cut (`approx
+    ///   + B` at least the floor and above `1e-12`, or a non-finite
+    ///   approximation) and run the exact loop ([`child_sse`], same
+    ///   running `left_sum`) for those cuts alone, in scan order.
+    ///
+    /// The exhaustive scan keeps the first cut with the largest exact
+    /// gain above `1e-12`. That cut is live: its approximate gain plus
+    /// `B` reaches its exact gain, which is at least the floor, and
+    /// rounding is monotone, so the float comparisons agree. Every cut
+    /// before it gains strictly less, so the verify pass keeps the same
+    /// cut with the same gain bits.
+    fn reg_split(
+        &mut self,
+        y: &[f64],
+        features: &[usize],
+        rows: &[usize],
+        lo: usize,
+        parent_impurity: f64,
+    ) -> Option<(f64, usize, f64)> {
+        let max_abs = rows.iter().fold(0.0f64, |m, &r| m.max(y[r].abs()));
+        let bound = gain_error_bound(rows.len(), parent_impurity, max_abs);
+        let mut vals: Vec<(f64, usize)> = Vec::with_capacity(rows.len());
+        let cuts = self.score_cuts(y, features, rows, lo, parent_impurity, &mut vals);
+        let top = cuts
+            .iter()
+            .map(|c| c.approx)
+            .filter(|a| a.is_finite())
+            .fold(f64::NEG_INFINITY, f64::max);
+        let floor = top - bound;
+        let live = |c: &Cut| {
+            !c.approx.is_finite() || (c.approx + bound >= floor && c.approx + bound > 1e-12)
+        };
+        self.split_candidates += cuts.len() as u64;
+        let mut best: Option<(f64, usize, f64)> = None;
+        for group in cuts.chunk_by(|a, b| a.feature == b.feature) {
+            if !group.iter().any(live) {
+                continue;
+            }
+            let f = group[0].feature;
+            self.node_values(f, rows, lo, &mut vals);
+            let (mut pos, mut left_sum) = (0usize, 0.0f64);
+            for c in group.iter().filter(|c| live(c)) {
+                while pos < c.cut {
+                    left_sum += y[vals[pos].1];
+                    pos += 1;
+                }
+                self.split_exact += 1;
+                let gain = parent_impurity - child_sse(y, &vals, c.cut, left_sum);
+                if best.as_ref().is_none_or(|b| gain > b.0) && gain > 1e-12 {
+                    let threshold = (vals[c.cut - 1].0 + vals[c.cut].0) / 2.0;
+                    best = Some((gain, f, threshold));
+                }
+            }
+        }
+        best
+    }
+
+    /// The filter pass of [`Builder::reg_split`]: every candidate cut of
+    /// every feature in `features`, in scan order, with its approximate
+    /// gain. The targets are shifted by the node mean, the centre
+    /// `parent_impurity` was computed around, as [`gain_error_bound`]
+    /// requires. One pass sums each run of rows between consecutive cuts
+    /// ([`shifted_sums`]); a cut's left sums then add up the runs before
+    /// it and its right sums the runs after it, from the last row, so each
+    /// side carries only its own rounding error.
+    fn score_cuts(
+        &self,
+        y: &[f64],
+        features: &[usize],
+        rows: &[usize],
+        lo: usize,
+        parent_impurity: f64,
+        vals: &mut Vec<(f64, usize)>,
+    ) -> Vec<Cut> {
+        let n = rows.len();
+        let min_leaf = self.cfg.min_samples_leaf;
+        let shift = mean(y, rows);
+        let mut boundaries: Vec<usize> = Vec::new();
+        let mut runs: Vec<(f64, f64)> = Vec::new();
+        let mut cuts: Vec<Cut> = Vec::new();
+        for &f in features {
+            self.node_values(f, rows, lo, vals);
+            if !candidate_boundaries(vals, &mut boundaries) {
+                continue; // constant feature at this node
+            }
+            let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
+            let first = cuts.len();
+            cuts.extend(
+                boundaries
+                    .iter()
+                    .step_by(stride)
+                    .filter(|&&cut| cut >= min_leaf && n - cut >= min_leaf)
+                    .map(|&cut| Cut { feature: f, cut, approx: 0.0 }),
+            );
+            let feature_cuts = &mut cuts[first..];
+            if feature_cuts.is_empty() {
+                continue;
+            }
+            runs.clear();
+            let mut start = 0;
+            for c in feature_cuts.iter() {
+                runs.push(shifted_sums(y, &vals[start..c.cut], shift));
+                start = c.cut;
+            }
+            runs.push(shifted_sums(y, &vals[start..], shift));
+            let (mut sum, mut sumsq) = (0.0f64, 0.0f64);
+            for (c, &(s, q)) in feature_cuts.iter_mut().zip(&runs) {
+                sum += s;
+                sumsq += q;
+                c.approx = sumsq - sum * sum / c.cut as f64; // left SSE for now
+            }
+            let (mut sum, mut sumsq) = (0.0f64, 0.0f64);
+            for (c, &(s, q)) in feature_cuts.iter_mut().rev().zip(runs[1..].iter().rev()) {
+                sum += s;
+                sumsq += q;
+                let right = sumsq - sum * sum / (n - c.cut) as f64;
+                c.approx = parent_impurity - (c.approx + right);
+            }
+        }
+        cuts
+    }
+
+    /// The exhaustive regression scan [`Builder::reg_split`] replaced: the
+    /// exact loop at every cut. Tests check the two agree at every node.
+    #[cfg(test)]
+    fn exhaustive_reg_split(
+        &self,
+        y: &[f64],
+        features: &[usize],
+        rows: &[usize],
+        lo: usize,
+        parent_impurity: f64,
+    ) -> Option<(f64, usize, f64)> {
+        let mut best: Option<(f64, usize, f64)> = None;
+        let mut vals: Vec<(f64, usize)> = Vec::with_capacity(rows.len());
+        let mut boundaries: Vec<usize> = Vec::new();
+        for &f in features {
+            self.node_values(f, rows, lo, &mut vals);
+            if !candidate_boundaries(&vals, &mut boundaries) {
+                continue;
+            }
+            let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
+            let mut pos = 0usize;
+            let mut left_sum = 0.0f64;
+            for &cut in boundaries.iter().step_by(stride) {
+                while pos < cut {
+                    left_sum += y[vals[pos].1];
+                    pos += 1;
+                }
+                if cut < self.cfg.min_samples_leaf || vals.len() - cut < self.cfg.min_samples_leaf {
+                    continue;
+                }
+                let gain = parent_impurity - child_sse(y, &vals, cut, left_sum);
+                if best.as_ref().is_none_or(|b| gain > b.0) && gain > 1e-12 {
+                    let threshold = (vals[cut - 1].0 + vals[cut].0) / 2.0;
+                    best = Some((gain, f, threshold));
+                }
+            }
+        }
+        best
     }
 
     /// Build the full-feature histogram for a node in one pass over the u8
@@ -678,9 +994,8 @@ impl Builder<'_> {
         // scratch per candidate (O(n) each), the scan walks the sorted
         // order once: classification keeps incremental class counts (the
         // counts are exact integers, so the Gini floats are bit-identical
-        // to the recomputing version), regression keeps a running prefix
-        // sum for the left mean (same addition order as before) and only
-        // touches each side once per candidate for the SSE.
+        // to the recomputing version); regression filters the cuts first
+        // and runs its exact loop for the few that can win (`reg_split`).
         let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
         let mut vals: Vec<(f64, usize)> = Vec::with_capacity(rows.len());
         let mut boundaries: Vec<usize> = Vec::new();
@@ -720,46 +1035,14 @@ impl Builder<'_> {
                 }
             }
             Target::Reg { y } => {
-                for &f in &features {
-                    self.node_values(f, &rows, lo, &mut vals);
-                    if !candidate_boundaries(&vals, &mut boundaries) {
-                        continue; // constant feature at this node
-                    }
-                    let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
-                    let mut pos = 0usize;
-                    let mut left_sum = 0.0f64;
-                    for &cut in boundaries.iter().step_by(stride) {
-                        while pos < cut {
-                            left_sum += y[vals[pos].1];
-                            pos += 1;
-                        }
-                        if cut < self.cfg.min_samples_leaf
-                            || vals.len() - cut < self.cfg.min_samples_leaf
-                        {
-                            continue;
-                        }
-                        let left_mean = left_sum / cut as f64;
-                        let mut left_sse = 0.0f64;
-                        for &(_, r) in &vals[..cut] {
-                            left_sse += (y[r] - left_mean).powi(2);
-                        }
-                        let mut right_sum = 0.0f64;
-                        for &(_, r) in &vals[cut..] {
-                            right_sum += y[r];
-                        }
-                        let right_mean = right_sum / (vals.len() - cut) as f64;
-                        let mut right_sse = 0.0f64;
-                        for &(_, r) in &vals[cut..] {
-                            right_sse += (y[r] - right_mean).powi(2);
-                        }
-                        let child = left_sse + right_sse;
-                        let gain = parent_impurity - child;
-                        if best.as_ref().is_none_or(|b| gain > b.0) && gain > 1e-12 {
-                            let threshold = (vals[cut - 1].0 + vals[cut].0) / 2.0;
-                            best = Some((gain, f, threshold));
-                        }
-                    }
-                }
+                let y = *y; // the fit's slice, not a borrow of `self`
+                best = self.reg_split(y, &features, &rows, lo, parent_impurity);
+                #[cfg(test)]
+                assert_eq!(
+                    split_bits(best),
+                    split_bits(self.exhaustive_reg_split(y, &features, &rows, lo, parent_impurity)),
+                    "pruned regression scan diverged from the exhaustive scan"
+                );
             }
         }
 
@@ -831,14 +1114,26 @@ pub(crate) fn binned_for(x: &Matrix, cfg: &TreeConfig) -> Option<BinnedDataset> 
     }
 }
 
-/// Flush the per-fit histogram counters into the trace layer.
-fn flush_hist_counters(builder: &Builder) {
-    if builder.hist_builds > 0 {
-        catdb_trace::add_counter("ml.hist_builds", builder.hist_builds as f64);
+/// Flush the per-fit counters into the trace layer: histogram work in
+/// binned mode, and in exact regression the cuts the filter scored
+/// against those the exact loop verified (the prune ratio).
+fn flush_counters(builder: &Builder) {
+    for (name, count) in [
+        ("ml.hist_builds", builder.hist_builds),
+        ("ml.hist_subtractions", builder.hist_subtractions),
+        ("ml.split_candidates", builder.split_candidates),
+        ("ml.split_exact", builder.split_exact),
+    ] {
+        if count > 0 {
+            catdb_trace::add_counter(name, count as f64);
+        }
     }
-    if builder.hist_subtractions > 0 {
-        catdb_trace::add_counter("ml.hist_subtractions", builder.hist_subtractions as f64);
-    }
+}
+
+/// A split search result as comparable bits: `(gain, feature, threshold)`.
+#[cfg(test)]
+fn split_bits(best: Option<(f64, usize, f64)>) -> Option<(u64, usize, u64)> {
+    best.map(|(gain, f, threshold)| (gain.to_bits(), f, threshold.to_bits()))
 }
 
 /// Internal fit that skips validation (forests validate once up front).
@@ -904,18 +1199,9 @@ fn grow(
     } else {
         None
     };
-    let mut builder = Builder {
-        x,
-        target,
-        cfg,
-        rng: StdRng::seed_from_u64(cfg.seed),
-        binned,
-        sorted,
-        hist_builds: 0,
-        hist_subtractions: 0,
-    };
+    let mut builder = Builder::new(x, target, cfg, binned, sorted);
     let root = builder.fit(rows);
-    flush_hist_counters(&builder);
+    flush_counters(&builder);
     root
 }
 
@@ -1135,17 +1421,7 @@ mod tests {
 
     /// Grow with a sort per node, whatever the config's subsampling.
     fn grow_per_node(x: &Matrix, target: Target, rows: Vec<usize>, cfg: &TreeConfig) -> Node {
-        let mut builder = Builder {
-            x,
-            target,
-            cfg,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            binned: None,
-            sorted: None,
-            hist_builds: 0,
-            hist_subtractions: 0,
-        };
-        builder.fit(rows)
+        Builder::new(x, target, cfg, None, None).fit(rows)
     }
 
     proptest::proptest! {
@@ -1194,6 +1470,145 @@ mod tests {
             let oracle = grow_per_node(&x, Target::Class { y: &y_class, n_classes: 3 }, rows, &cfg);
             proptest::prop_assert_eq!(leaf_bits(&class, &x), leaf_bits(&oracle, &x));
         }
+    }
+
+    /// Columns built to make regression cuts tie or nearly tie: small
+    /// integers, an exact duplicate of them, a near duplicate (`+1e-9` on
+    /// some rows), ±0.0, a constant column and a continuous one.
+    fn near_tie_matrix(n: usize, rng: &mut StdRng) -> Matrix {
+        let mut data = Vec::with_capacity(n * 6);
+        for _ in 0..n {
+            let a = f64::from(rng.gen_range(0u8..6));
+            let near = a + f64::from(rng.gen_range(0u8..2)) * 1e-9;
+            let z = [-0.0, 0.0][rng.gen_range(0usize..2)];
+            data.extend([a, a, near, z, 2.5, rng.gen_range(-1.0..1.0)]);
+        }
+        Matrix::from_vec(n, 6, data)
+    }
+
+    /// Targets whose gains are hard to approximate: huge offsets plus
+    /// small integers, many magnitudes, small integers (exact gain ties),
+    /// or constant runs of ±0.0 and 1.
+    fn hard_targets(kind: u8, x: &Matrix, rng: &mut StdRng) -> Vec<f64> {
+        (0..x.rows())
+            .map(|r| match kind {
+                0 => 1e9 + f64::from(rng.gen_range(0u8..5)),
+                1 => 1e15 + f64::from(rng.gen_range(0u8..8)),
+                2 => -1e15 + 3.0 * x.get(r, 0) + f64::from(rng.gen_range(0u8..2)),
+                3 => rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(0..12)),
+                4 => f64::from(rng.gen_range(0u8..3)),
+                _ => [-0.0, 0.0, 1.0][(r / 7 + usize::from(x.get(r, 0) > 2.0)) % 3],
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Under `cfg(test)` every exact regression node also runs the
+        /// exhaustive scan and asserts the pruned scan picked the same
+        /// `(gain bits, feature, threshold)`; these fits drive that check
+        /// through single trees, boosting stages on a shared presort and
+        /// forest trees on bootstrap rows.
+        #[test]
+        fn pruned_regression_scan_matches_exhaustive_scan(
+            seed in 0u64..u64::MAX,
+            n in 2usize..260,
+            kind in 0u8..6,
+            min_samples_leaf in 1usize..4,
+            max_thresholds in 1usize..40,
+            subsample in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = near_tie_matrix(n, &mut rng);
+            let y = hard_targets(kind, &x, &mut rng);
+            let cfg = TreeConfig { max_depth: 8, min_samples_leaf, max_thresholds, ..Default::default() };
+            fit_reg_tree(&x, &y, (0..n).collect(), &cfg, None);
+            let shared = presort_for(&x, &cfg);
+            fit_reg_stage(&x, &y, &cfg, None, shared.as_ref(), &mut Vec::new());
+            let forest = TreeConfig { feature_subsample: Some(subsample + 1), seed, ..cfg };
+            let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            fit_reg_tree(&x, &y, bootstrap, &forest, None);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The lemma behind the filter: at a node, every cut's approximate
+        /// gain lies within `gain_error_bound` of the exact loop's gain.
+        #[test]
+        fn approximate_gains_lie_within_the_bound(
+            seed in 0u64..u64::MAX,
+            n in 2usize..260,
+            kind in 0u8..6,
+            max_thresholds in 1usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = near_tie_matrix(n, &mut rng);
+            let y = hard_targets(kind, &x, &mut rng);
+            let rows: Vec<usize> = (0..n).collect();
+            let cfg = TreeConfig { max_thresholds, ..Default::default() };
+            let builder = Builder::new(&x, Target::Reg { y: &y }, &cfg, None, None);
+            let parent = builder.target.weighted_impurity(&rows);
+            let max_abs = y.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            let bound = gain_error_bound(n, parent, max_abs);
+            let features: Vec<usize> = (0..x.cols()).collect();
+            let mut vals = Vec::new();
+            for c in builder.score_cuts(&y, &features, &rows, 0, parent, &mut vals) {
+                builder.node_values(c.feature, &rows, 0, &mut vals);
+                let left_sum = vals[..c.cut].iter().fold(0.0, |s, &(_, r)| s + y[r]);
+                let exact = parent - child_sse(&y, &vals, c.cut, left_sum);
+                proptest::prop_assert!(
+                    (c.approx - exact).abs() <= bound,
+                    "cut {} of feature {}: approx {} exact {} bound {bound}",
+                    c.cut, c.feature, c.approx, exact
+                );
+            }
+        }
+    }
+
+    /// A fit's filter counters: every exact evaluation is a scored
+    /// candidate, and on well separated data few candidates reach the
+    /// exact loop.
+    #[test]
+    fn filter_sends_few_cuts_to_the_exact_loop_on_separated_data() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let n = 400;
+        let rows: Vec<Vec<f64>> =
+            (0..n).map(|i| vec![i as f64, rng.gen(), rng.gen(), rng.gen()]).collect();
+        let y: Vec<f64> =
+            (0..n).map(|i| (i / 100) as f64 * 10.0 + rng.gen_range(-0.1..0.1)).collect();
+        let x = Matrix::from_rows(&rows);
+        let cfg = TreeConfig { max_depth: 3, ..Default::default() };
+        let mut builder = Builder::new(&x, Target::Reg { y: &y }, &cfg, None, None);
+        let root = builder.fit((0..n).collect());
+        fn splits(node: &Node) -> u64 {
+            match node {
+                Node::Split { left, right, .. } => 1 + splits(left) + splits(right),
+                _ => 0,
+            }
+        }
+        // Depth 3 with noisy targets: every searched node splits.
+        assert_eq!(splits(&root), 7);
+        assert!(builder.split_exact <= builder.split_candidates);
+        assert!(builder.split_candidates >= 7 * 4 * 32, "{}", builder.split_candidates);
+        assert!(
+            builder.split_exact >= 7 && builder.split_exact <= 2 * 7,
+            "{}",
+            builder.split_exact
+        );
+
+        let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+        {
+            let _guard = catdb_trace::install(sink.clone());
+            DecisionTreeRegressor { config: cfg.clone() }.fit(&x, &y).unwrap();
+            let labels: Vec<usize> = y.iter().map(|&v| (v > 15.0) as usize).collect();
+            DecisionTreeClassifier::default().fit(&x, &labels, 2).unwrap();
+        }
+        let counters = sink.snapshot().counters;
+        assert_eq!(counters["ml.split_candidates"], builder.split_candidates as f64);
+        assert_eq!(counters["ml.split_exact"], builder.split_exact as f64);
     }
 
     #[test]

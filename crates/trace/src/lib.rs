@@ -152,7 +152,6 @@ pub struct Trace {
 }
 
 struct SinkState {
-    next_span: u64,
     /// Open spans, innermost last (per sink, which in practice means per
     /// installing thread — worker threads emit events, not spans).
     stack: Vec<u64>,
@@ -187,7 +186,6 @@ impl TraceSink {
         TraceSink {
             epoch: Instant::now(),
             state: Mutex::new(SinkState {
-                next_span: 0,
                 stack: Vec::new(),
                 spans: Vec::new(),
                 events: Vec::new(),
@@ -225,8 +223,7 @@ impl TraceSink {
     pub fn begin_span(&self, name: &str) -> u64 {
         let at = self.now_micros();
         let mut s = self.state.lock();
-        let id = s.next_span;
-        s.next_span += 1;
+        let id = s.spans.len() as u64;
         let parent = s.stack.last().copied();
         s.spans.push(SpanRecord {
             id,
@@ -240,12 +237,15 @@ impl TraceSink {
     }
 
     /// Close a span by id. Tolerates out-of-order closes (the id is
-    /// removed wherever it sits in the stack) and double closes (no-op).
+    /// removed wherever it sits in the stack), double closes and unknown
+    /// ids (no-ops). Ids are dense from 0 in push order, so a span's
+    /// record sits at its id.
     pub fn end_span(&self, id: u64) {
         let at = self.now_micros();
         let mut s = self.state.lock();
         s.stack.retain(|&open| open != id);
-        if let Some(record) = s.spans.iter_mut().find(|r| r.id == id) {
+        let record = usize::try_from(id).ok().and_then(|i| s.spans.get_mut(i));
+        if let Some(record) = record {
             if record.end_micros.is_none() {
                 record.end_micros = Some(at);
             }
@@ -657,6 +657,33 @@ mod tests {
         sink.end_span(b);
         let t = sink.snapshot();
         assert_eq!(t.events[0].span, Some(b));
+        t.check_well_formed().unwrap();
+    }
+
+    #[test]
+    fn end_span_closes_by_id_and_ignores_double_and_unknown_ids() {
+        let sink = TraceSink::new();
+        let ids: Vec<u64> = ["a", "b", "c"].iter().map(|name| sink.begin_span(name)).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        sink.end_span(1);
+        let closed = sink.snapshot().spans[1].end_micros;
+        assert!(closed.is_some());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        sink.end_span(1); // double close keeps the first end
+        sink.end_span(3); // unknown ids change nothing
+        sink.end_span(u64::MAX);
+        let t = sink.snapshot();
+        assert_eq!(t.spans.len(), 3);
+        assert_eq!(t.spans[1].end_micros, closed);
+        assert!(t.spans[0].end_micros.is_none() && t.spans[2].end_micros.is_none());
+        sink.end_span(2);
+        sink.end_span(0);
+        let t = sink.snapshot();
+        assert!(t
+            .spans
+            .iter()
+            .enumerate()
+            .all(|(i, s)| s.id == i as u64 && s.end_micros.is_some()));
         t.check_well_formed().unwrap();
     }
 

@@ -150,6 +150,53 @@ fn exact_mode_is_bit_identical_to_goldens_on_tie_heavy_data() {
     assert_eq!(h, GOLDEN_TIES_BOOST_CLASS3, "3-class gradient boosting drifted");
 }
 
+/// Large-offset, near-tie regression data: an integer column, an exact
+/// duplicate of it, a near duplicate (offset by 1e-9 on half the rows), a
+/// ±0.0 column and a continuous column, with targets `offset + small
+/// integers`. The split gains are tiny next to the squared targets, so a
+/// fit that added the targets in another order would grow other trees.
+fn offset_near_tie_data(n: usize, offset: f64) -> (Matrix, Vec<f64>) {
+    let mut state = 0xD1B5_4A32_D192_ED03u64;
+    let mut next = move |k: u64| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) % k
+    };
+    let mut rows = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    for _ in 0..n {
+        let a = next(9) as f64;
+        let near = a + next(2) as f64 * 1e-9;
+        let z = [-0.0, 0.0][next(2) as usize];
+        let c = next(1000) as f64 / 7.0;
+        rows.push(vec![a, a, near, z, c]);
+        y.push(offset + (a as u64 * 3 + next(4)) as f64);
+    }
+    (Matrix::from_rows(&rows), y)
+}
+
+// Golden prediction hashes on large-offset, near-tie data, captured
+// before the regression split scan was pruned.
+const GOLDEN_OFFSET_BOOST_REG: u64 = 0x2aa36c2edd6dc560;
+const GOLDEN_OFFSET_TREE_REG: u64 = 0x5f7529b3d3eb766b;
+
+#[test]
+fn exact_mode_is_bit_identical_to_goldens_on_large_offset_near_ties() {
+    let (x, y) = offset_near_tie_data(300, 1e9);
+    let m = GradientBoostingRegressor {
+        config: BoostConfig { n_rounds: 20, seed: 5, ..Default::default() },
+    }
+    .fit(&x, &y)
+    .unwrap();
+    let h = hash_f64s(m.predict(&x).unwrap());
+    assert_eq!(h, GOLDEN_OFFSET_BOOST_REG, "gradient boosting regressor drifted: {h:#x}");
+
+    let (x, y) = offset_near_tie_data(300, 1e15);
+    let cfg = TreeConfig { max_depth: 12, min_samples_leaf: 1, ..Default::default() };
+    let m = DecisionTreeRegressor { config: cfg }.fit(&x, &y).unwrap();
+    let h = hash_f64s(m.predict(&x).unwrap());
+    assert_eq!(h, GOLDEN_OFFSET_TREE_REG, "decision tree regressor drifted: {h:#x}");
+}
+
 #[test]
 fn binned_mode_is_deterministic_across_thread_counts() {
     let (x, yc, _) = lcg_data(400, 10);
