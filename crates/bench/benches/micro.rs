@@ -227,6 +227,15 @@ fn bench_models(c: &mut Criterion) {
     group.bench_function("gradient_boosting_3class_60rounds_700x183", |b| {
         b.iter(|| GradientBoostingClassifier::default().fit(black_box(&xb), &yb, 3).unwrap())
     });
+    // A 60-tree forest on the same shape, on one thread: the rank-table
+    // split search of forest trees (one shared table, √d features a node).
+    let forest = ForestConfig { n_trees: 60, n_threads: 1, ..Default::default() };
+    group.bench_function("random_forest_3class_60trees_700x183", |b| {
+        b.iter(|| {
+            let clf = RandomForestClassifier { config: forest.clone() };
+            clf.fit(black_box(&xb), &yb, 3).unwrap()
+        })
+    });
     group.finish();
 }
 

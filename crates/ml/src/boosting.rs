@@ -6,9 +6,7 @@ use crate::estimator::{
     Regressor, RegressorModel, Result,
 };
 use crate::matrix::Matrix;
-use crate::tree::{
-    binned_for, fit_reg_stage, presort_for, SplitMode, TreeConfig, TreeRegressorModel,
-};
+use crate::tree::{fit_reg_stage, split_index, SplitMode, TreeConfig, TreeRegressorModel};
 
 /// Boosting hyper-parameters.
 #[derive(Debug, Clone)]
@@ -68,8 +66,7 @@ impl Regressor for GradientBoostingRegressor {
         let mut stages = Vec::with_capacity(self.config.n_rounds);
         // The feature matrix never changes across rounds: quantize or
         // presort it once, and reuse one buffer for each stage's copy.
-        let binned = binned_for(x, &stage_config(&self.config, 0));
-        let presort = presort_for(x, &stage_config(&self.config, 0));
+        let index = split_index(x, &stage_config(&self.config, 0));
         let mut lists = Vec::new();
         for round in 0..self.config.n_rounds {
             let residuals: Vec<f64> = y.iter().zip(&pred).map(|(t, p)| t - p).collect();
@@ -77,8 +74,7 @@ impl Regressor for GradientBoostingRegressor {
                 x,
                 &residuals,
                 &stage_config(&self.config, round as u64),
-                binned.as_ref(),
-                presort.as_ref(),
+                &index,
                 &mut lists,
             );
             let update = tree.predict_unchecked(x);
@@ -135,8 +131,7 @@ impl Classifier for GradientBoostingClassifier {
         let limit = catdb_runtime::pool_size().saturating_add(1);
         // One shared quantization or presort across every class and round;
         // each class thread copies the presort into one reused buffer.
-        let binned = binned_for(x, &stage_config(&self.config, 0));
-        let presort = presort_for(x, &stage_config(&self.config, 0));
+        let index = split_index(x, &stage_config(&self.config, 0));
         let classes = catdb_runtime::parallel_map(limit, &class_ids, |_, &c| {
             let targets: Vec<f64> = y.iter().map(|&l| (l == c) as usize as f64).collect();
             let pos = targets.iter().sum::<f64>().clamp(1.0, n - 1.0);
@@ -155,8 +150,7 @@ impl Classifier for GradientBoostingClassifier {
                     x,
                     &grad,
                     &stage_config(&self.config, (c * self.config.n_rounds + round) as u64),
-                    binned.as_ref(),
-                    presort.as_ref(),
+                    &index,
                     &mut lists,
                 );
                 for (m, u) in margin.iter_mut().zip(tree.predict_unchecked(x)) {

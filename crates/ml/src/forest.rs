@@ -8,7 +8,7 @@ use crate::estimator::{
     Regressor, RegressorModel, Result,
 };
 use crate::matrix::Matrix;
-use crate::tree::{binned_for, fit_class_tree_on, fit_reg_tree, SplitMode, TreeConfig};
+use crate::tree::{fit_class_tree_on, fit_reg_tree, split_index, SplitMode, TreeConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -79,11 +79,11 @@ impl Classifier for RandomForestClassifier {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let samples: Vec<Vec<usize>> =
             (0..cfg.n_trees).map(|_| bootstrap_rows(n, &mut rng)).collect();
-        // Quantize once; every tree shares the same codes and bin edges.
-        let binned = binned_for(x, &tree_config(cfg, x.cols(), cfg.seed));
+        // Quantize or rank once; every tree shares the result.
+        let index = split_index(x, &tree_config(cfg, x.cols(), cfg.seed));
         let trees = catdb_runtime::parallel_map(cfg.n_threads, &samples, |t, sample| {
             let tc = tree_config(cfg, x.cols(), cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-            fit_class_tree_on(x, y, sample.clone(), n_classes, &tc, binned.as_ref())
+            fit_class_tree_on(x, y, sample.clone(), n_classes, &tc, Some(&index))
         });
         Ok(Box::new(ForestClassifierModel { trees, n_classes }))
     }
@@ -92,21 +92,16 @@ impl Classifier for RandomForestClassifier {
 impl ClassifierModel for ForestClassifierModel {
     fn predict_proba(&self, x: &Matrix) -> Result<Vec<Vec<f64>>> {
         check_finite(x, "prediction features")?;
-        let mut acc = vec![vec![0.0; self.n_classes]; x.rows()];
+        // One flat buffer; each row sums its trees in tree order.
+        let mut acc = vec![0.0; x.rows() * self.n_classes];
         for tree in &self.trees {
-            for (row_acc, p) in acc.iter_mut().zip(tree.predict_proba(x)?) {
-                for (a, v) in row_acc.iter_mut().zip(p) {
-                    *a += v;
-                }
-            }
+            tree.add_proba(x, &mut acc);
         }
         let k = self.trees.len() as f64;
-        for row in &mut acc {
-            for v in row.iter_mut() {
-                *v /= k;
-            }
-        }
-        Ok(acc)
+        Ok(acc
+            .chunks_exact(self.n_classes)
+            .map(|row| row.iter().map(|v| v / k).collect())
+            .collect())
     }
 
     fn n_classes(&self) -> usize {
@@ -136,10 +131,10 @@ impl Regressor for RandomForestRegressor {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let samples: Vec<Vec<usize>> =
             (0..cfg.n_trees).map(|_| bootstrap_rows(n, &mut rng)).collect();
-        let binned = binned_for(x, &tree_config(cfg, x.cols(), cfg.seed));
+        let index = split_index(x, &tree_config(cfg, x.cols(), cfg.seed));
         let trees = catdb_runtime::parallel_map(cfg.n_threads, &samples, |t, sample| {
             let tc = tree_config(cfg, x.cols(), cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-            fit_reg_tree(x, y, sample.clone(), &tc, binned.as_ref())
+            fit_reg_tree(x, y, sample.clone(), &tc, Some(&index))
         });
         Ok(Box::new(ForestRegressorModel { trees }))
     }
@@ -196,6 +191,45 @@ mod tests {
         let model = RandomForestRegressor { config: cfg }.fit(&x, &y).unwrap();
         let pred = model.predict(&x).unwrap();
         assert!(r2(&y, &pred) > 0.9);
+    }
+
+    /// The flat accumulator sums each row's tree distributions in tree
+    /// order, as adding per-tree probability vectors did, bit for bit.
+    #[test]
+    fn forest_proba_equals_the_mean_of_tree_probas() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let rows: Vec<Vec<f64>> =
+            (0..120).map(|_| vec![rng.gen_range(0..6) as f64, rng.gen()]).collect();
+        let y: Vec<usize> =
+            rows.iter().map(|r| (r[0] as usize + (r[1] > 0.7) as usize) % 3).collect();
+        let x = Matrix::from_rows(&rows);
+        let cfg = ForestConfig { n_trees: 7, max_depth: 3, ..Default::default() };
+        let index = split_index(&x, &tree_config(&cfg, 2, cfg.seed));
+        let trees: Vec<_> = (0..cfg.n_trees as u64)
+            .map(|t| {
+                let sample = bootstrap_rows(x.rows(), &mut rng);
+                fit_class_tree_on(&x, &y, sample, 3, &tree_config(&cfg, 2, t), Some(&index))
+            })
+            .collect();
+        let mut want = vec![vec![0.0; 3]; x.rows()];
+        for tree in &trees {
+            for (acc, p) in want.iter_mut().zip(tree.predict_proba(&x).unwrap()) {
+                for (a, v) in acc.iter_mut().zip(p) {
+                    *a += v;
+                }
+            }
+        }
+        let k = trees.len() as f64;
+        let want: Vec<Vec<u64>> =
+            want.iter().map(|row| row.iter().map(|v| (v / k).to_bits()).collect()).collect();
+        let model = ForestClassifierModel { trees, n_classes: 3 };
+        let got: Vec<Vec<u64>> = model
+            .predict_proba(&x)
+            .unwrap()
+            .iter()
+            .map(|row| row.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -14,14 +14,18 @@
 //!   order, so the partitioned range equals a stable sort of the child's
 //!   rows: ties stay in the order the regression scan sums them in, and
 //!   the trees are the ones per-node sorting grows. Boosting builds the
-//!   presort of rows `0..n` once per ensemble ([`presort_for`]) and every
+//!   presort of rows `0..n` once per ensemble ([`split_index`]) and every
 //!   stage partitions a copy of it. Forests sample √d features per node,
-//!   where d partitions per split cost more than k sorts, so they keep
-//!   sorting per node; classification sorts there are unstable, since
-//!   tied keys have equal bits and class counts are integers. Regression
-//!   scans in two passes ([`Builder::reg_split`]): O(1) approximate gains
-//!   filter the cuts, and the exact SSE loop runs only for the cuts that
-//!   a proven error bound ([`gain_error_bound`]) leaves able to win.
+//!   where d partitions per split cost more than k orderings, so a forest
+//!   builds one [`RankTable`] instead: each feature's dense rank per row.
+//!   A node orders a sampled feature's rows by counting ranks or by
+//!   sorting `u64` rank keys, stably by position, which is exactly a
+//!   stable sort of the values; at a classification node a feature with
+//!   few distinct values is scanned from a (rank, class) histogram
+//!   without ordering its rows at all. Regression scans in two passes
+//!   ([`Builder::reg_split`]): O(1) approximate gains filter the cuts,
+//!   and the exact SSE loop runs only for the cuts that a proven error
+//!   bound ([`gain_error_bound`]) leaves able to win.
 //! * [`SplitMode::Binned`] — LightGBM-style histogram search over a shared
 //!   [`BinnedDataset`]: per-node histograms of (count, class counts |
 //!   sum, sum-of-squares) are accumulated in one pass over `u8` codes, and
@@ -201,6 +205,27 @@ fn gini_weighted_rest(parent: &[usize], left: &[usize], n: usize) -> f64 {
     n_f * (1.0 - sum_sq / (n_f * n_f))
 }
 
+/// Whether a cut's `gain` beats the best so far (`best`, first wins on
+/// ties) and clears the `1e-12` floor every split search applies.
+fn improves<T>(best: &Option<(f64, usize, T)>, gain: f64) -> bool {
+    best.as_ref().is_none_or(|b| gain > b.0) && gain > 1e-12
+}
+
+/// The threshold of an exact cut between adjacent distinct values
+/// `a < b` of a node: their midpoint when that is finite and below `b`,
+/// else `a`. The midpoint of adjacent floats can round up to `b` (as for
+/// `a = 1 + 2⁻⁵²`), and `a + b` can overflow; either way `value <=
+/// threshold` would send every row left. Rounding is monotone, so the
+/// result always lies in `a ≤ t < b`.
+fn split_threshold(a: f64, b: f64) -> f64 {
+    let mid = (a + b) / 2.0;
+    if mid.is_finite() && mid < b {
+        mid
+    } else {
+        a
+    }
+}
+
 /// Collect the positions where the ascending `(value, row)` list `vals`
 /// steps to a larger value into `boundaries`. Returns `false` when the
 /// feature is constant at this node (no candidates).
@@ -324,12 +349,166 @@ fn shifted_sums(y: &[f64], vals: &[(f64, usize)], shift: f64) -> (f64, f64) {
     ((sum[0] + sum[1]) + (sum[2] + sum[3]), (sumsq[0] + sumsq[1]) + (sumsq[2] + sumsq[3]))
 }
 
+/// The sum of per-rank `(Σz, Σz²)` pairs: one run of a feature's rows.
+fn add_sums(sums: &[(f64, f64)]) -> (f64, f64) {
+    sums.iter().fold((0.0, 0.0), |(s, q), &(a, b)| (s + a, q + b))
+}
+
 /// A regression cut scored by the filter pass: its feature, the cut
 /// (sorted rows `..cut` go left) and the approximate gain.
 struct Cut {
     feature: usize,
     cut: usize,
     approx: f64,
+}
+
+/// Fill in the approximate gains of one feature's `cuts`, in cut order,
+/// from the `(Σz, Σz²)` of the runs of rows they separate (`runs[i]` ends
+/// at cut `i`; one more run follows the last cut) at a node of `n` rows.
+/// A cut's left sums add up the runs before it and its right sums the
+/// runs after it, from the last row, so each side carries only its own
+/// rounding error.
+fn approx_gains(cuts: &mut [Cut], runs: &[(f64, f64)], n: usize, parent_impurity: f64) {
+    if cuts.is_empty() {
+        return;
+    }
+    let (mut sum, mut sumsq) = (0.0f64, 0.0f64);
+    for (c, &(s, q)) in cuts.iter_mut().zip(runs) {
+        sum += s;
+        sumsq += q;
+        c.approx = sumsq - sum * sum / c.cut as f64; // left SSE for now
+    }
+    let (mut sum, mut sumsq) = (0.0f64, 0.0f64);
+    for (c, &(s, q)) in cuts.iter_mut().rev().zip(runs[1..].iter().rev()) {
+        sum += s;
+        sumsq += q;
+        let right = sumsq - sum * sum / (n - c.cut) as f64;
+        c.approx = parent_impurity - (c.approx + right);
+    }
+}
+
+/// The classification split search at one node: Gini gains of each
+/// feature's cuts (boundaries between distinct values, strided to at
+/// most `max_thresholds`), keeping the first largest. Left class counts
+/// grow as a scan walks the node in value order; they are exact
+/// integers, so the gains equal those of recounting each side.
+struct ClassScan<'a> {
+    y: &'a [usize],
+    /// The node's class counts, and its rows' labels in `rows` order.
+    counts: Vec<usize>,
+    labels: Vec<u32>,
+    impurity: f64,
+    min_leaf: usize,
+    max_thresholds: usize,
+    left: Vec<usize>,
+    boundaries: Vec<usize>,
+    rank_cuts: Vec<RankCut>,
+    /// Row counts per (rank, class) of the feature being scanned.
+    hist: Vec<u32>,
+    best: Option<(f64, usize, f64)>,
+}
+
+impl<'a> ClassScan<'a> {
+    fn new(
+        y: &'a [usize],
+        n_classes: usize,
+        rows: &[usize],
+        impurity: f64,
+        cfg: &TreeConfig,
+    ) -> Self {
+        let mut counts = vec![0usize; n_classes];
+        let mut labels = Vec::with_capacity(rows.len());
+        for &r in rows {
+            counts[y[r]] += 1;
+            labels.push(y[r] as u32);
+        }
+        ClassScan {
+            y,
+            counts,
+            labels,
+            impurity,
+            min_leaf: cfg.min_samples_leaf,
+            max_thresholds: cfg.max_thresholds,
+            left: vec![0; n_classes],
+            boundaries: Vec::new(),
+            rank_cuts: Vec::new(),
+            hist: Vec::new(),
+            best: None,
+        }
+    }
+
+    /// Score the cut of feature `f` that sends the `cut` rows counted in
+    /// `left` left, between its adjacent values `a < b`.
+    fn offer(&mut self, f: usize, cut: usize, a: f64, b: f64) {
+        let n = self.labels.len();
+        if cut < self.min_leaf || n - cut < self.min_leaf {
+            return;
+        }
+        let child =
+            gini_weighted(&self.left, cut) + gini_weighted_rest(&self.counts, &self.left, n - cut);
+        let gain = self.impurity - child;
+        if improves(&self.best, gain) {
+            self.best = Some((gain, f, split_threshold(a, b)));
+        }
+    }
+
+    /// Scan feature `f` over the node's sorted `(value, row)` pairs.
+    fn sorted(&mut self, f: usize, vals: &[(f64, usize)]) {
+        if !candidate_boundaries(vals, &mut self.boundaries) {
+            return; // constant feature at this node
+        }
+        let stride = (self.boundaries.len() / self.max_thresholds).max(1);
+        self.left.fill(0);
+        let mut pos = 0usize;
+        for i in (0..self.boundaries.len()).step_by(stride) {
+            let cut = self.boundaries[i];
+            while pos < cut {
+                self.left[self.y[vals[pos].1]] += 1;
+                pos += 1;
+            }
+            self.offer(f, cut, vals[cut - 1].0, vals[cut].0);
+        }
+    }
+
+    /// Scan feature `f` without ordering the node's rows: one pass counts
+    /// them per (rank, class), and the cuts walk the ranks present. They
+    /// are the cuts [`ClassScan::sorted`] finds, at the same positions,
+    /// with the same left counts and the same neighbouring values.
+    fn ranks(&mut self, table: &RankTable, f: usize, rows: &[usize]) {
+        let (ranks, values) = (table.ranks(f), table.values(f));
+        let nc = self.counts.len();
+        self.hist.clear();
+        self.hist.resize(values.len() * nc, 0);
+        for (&r, &label) in rows.iter().zip(&self.labels) {
+            self.hist[ranks[r] as usize * nc + label as usize] += 1;
+        }
+        let hist = &self.hist;
+        let count = |k: usize| hist[k * nc..(k + 1) * nc].iter().sum::<u32>() as usize;
+        rank_boundaries(values, count, &mut self.rank_cuts);
+        let stride = (self.rank_cuts.len() / self.max_thresholds).max(1);
+        self.left.fill(0);
+        let mut next = 0usize; // first rank not yet counted left
+        for i in (0..self.rank_cuts.len()).step_by(stride) {
+            let RankCut { cut, below, above } = self.rank_cuts[i];
+            for slot in self.hist[next * nc..above * nc].chunks_exact(nc) {
+                for (acc, &c) in self.left.iter_mut().zip(slot) {
+                    *acc += c as usize;
+                }
+            }
+            next = above;
+            self.offer(f, cut, values[below], values[above]);
+        }
+    }
+}
+
+/// Fill `vals` with feature `f`'s `(value, row)` pairs over `rows` by a
+/// gather and a stable sort: the order every exact fit's node sequences
+/// must equal.
+#[cfg(test)]
+fn sort_values(x: &Matrix, f: usize, rows: &[usize], vals: &mut Vec<(f64, usize)>) {
+    vals.clear();
+    vals.extend(rows.iter().map(|&r| (x.get(r, f), r)));
+    vals.sort_by(|a, b| a.0.total_cmp(&b.0));
 }
 
 /// Stable per-feature sorts of a fit's rows under `total_cmp`, as row
@@ -355,16 +534,181 @@ impl Presort {
     }
 }
 
-/// The presort an exact fit without feature subsampling reads (`None`
-/// for every other config), like [`binned_for`] for the quantization.
-pub(crate) fn presort_for(x: &Matrix, cfg: &TreeConfig) -> Option<Presort> {
-    presorted(cfg).then(|| Presort::build(x, &(0..x.rows()).collect::<Vec<_>>()))
+/// Per-feature dense ranks of every row of a matrix under `total_cmp`,
+/// feature-major (`ranks[f * n + r]`), beside each feature's distinct
+/// values in ascending order. Equal bit patterns share a rank, so `-0.0`
+/// and `0.0` get two. A forest builds one per fit and shares it
+/// read-only by every tree: 4 bytes per cell plus 8 per distinct value.
+pub(crate) struct RankTable {
+    n: usize,
+    ranks: Vec<u32>,
+    values: Vec<f64>,
+    /// Feature `f`'s distinct values are `values[starts[f]..starts[f + 1]]`.
+    starts: Vec<usize>,
 }
 
-/// Whether a fit grows from a partitioned presort instead of sorting
-/// per node.
-fn presorted(cfg: &TreeConfig) -> bool {
-    cfg.split_mode == SplitMode::Exact && cfg.feature_subsample.is_none()
+/// A cut found by walking a feature's ranks at a node: the `cut` rows
+/// ranked below `above` go left, and `below` is the largest rank among
+/// them.
+#[derive(Clone, Copy)]
+struct RankCut {
+    cut: usize,
+    below: usize,
+    above: usize,
+}
+
+impl RankTable {
+    fn build(x: &Matrix) -> RankTable {
+        let (n, d) = (x.rows(), x.cols());
+        let n32 = u32::try_from(n).expect("a rank table holds fewer than 2³² rows");
+        let mut ranks = vec![0u32; n * d];
+        let mut values: Vec<f64> = Vec::new();
+        let mut starts = Vec::with_capacity(d + 1);
+        let mut col = vec![0.0f64; n];
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        for f in 0..d {
+            let out = &mut ranks[f * n..(f + 1) * n];
+            for (r, v) in col.iter_mut().enumerate() {
+                *v = x.get(r, f);
+            }
+            order.clear();
+            order.extend(0..n32);
+            order.sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            let start = values.len();
+            starts.push(start);
+            for &r in &order {
+                let v = col[r as usize];
+                if values.len() == start || values[values.len() - 1].to_bits() != v.to_bits() {
+                    values.push(v);
+                }
+                out[r as usize] = (values.len() - 1 - start) as u32;
+            }
+        }
+        starts.push(values.len());
+        RankTable { n, ranks, values, starts }
+    }
+
+    fn ranks(&self, f: usize) -> &[u32] {
+        &self.ranks[f * self.n..(f + 1) * self.n]
+    }
+
+    fn values(&self, f: usize) -> &[f64] {
+        &self.values[self.starts[f]..self.starts[f + 1]]
+    }
+
+    /// Whether feature `f` has few enough distinct values, for a node of
+    /// `len` rows, that a pass over its ranks costs no more than the
+    /// node's rows: the node is then ordered by counting ranks, and
+    /// scanned from per-rank histograms where the target allows.
+    fn few_values(&self, f: usize, len: usize) -> bool {
+        self.values(f).len() <= len
+    }
+
+    /// Fill `seq.vals` with feature `f`'s `(value, row)` pairs over
+    /// `rows`, ascending by rank and stable by position in `rows`, which
+    /// is exactly a stable sort of the values under `total_cmp`.
+    fn node_values(&self, f: usize, rows: &[usize], seq: &mut Sequence) {
+        if self.few_values(f, rows.len()) {
+            self.counting_sort(f, rows, seq);
+        } else {
+            self.key_sort(f, rows, seq);
+        }
+    }
+
+    /// [`RankTable::node_values`] by a counting sort over the ranks:
+    /// `O(len + distinct values)`.
+    fn counting_sort(&self, f: usize, rows: &[usize], seq: &mut Sequence) {
+        let (ranks, values) = (self.ranks(f), self.values(f));
+        let next = &mut seq.scratch;
+        next.clear();
+        next.resize(values.len() + 1, 0);
+        for &r in rows {
+            next[ranks[r] as usize + 1] += 1;
+        }
+        for k in 1..next.len() {
+            next[k] += next[k - 1];
+        }
+        seq.vals.clear();
+        seq.vals.resize(rows.len(), (0.0, 0));
+        for &r in rows {
+            let k = ranks[r] as usize;
+            seq.vals[next[k] as usize] = (values[k], r);
+            next[k] += 1;
+        }
+    }
+
+    /// [`RankTable::node_values`] by sorting the keys `rank << 32 |
+    /// position`, which are distinct, so any sort is stable by position.
+    fn key_sort(&self, f: usize, rows: &[usize], seq: &mut Sequence) {
+        let (ranks, values) = (self.ranks(f), self.values(f));
+        assert!(rows.len() <= 1 << 32, "a node holds at most 2³² rows");
+        let keys = &mut seq.scratch;
+        keys.clear();
+        keys.extend(rows.iter().enumerate().map(|(i, &r)| u64::from(ranks[r]) << 32 | i as u64));
+        keys.sort_unstable();
+        seq.vals.clear();
+        seq.vals.extend(
+            keys.iter().map(|&k| (values[(k >> 32) as usize], rows[(k & 0xFFFF_FFFF) as usize])),
+        );
+    }
+}
+
+/// Collect into `cuts` the cuts of a feature at a node from its row
+/// count per rank (`count(k)`, `values` the feature's distinct values):
+/// one where the next present rank's value is IEEE-greater than the last
+/// present one, so `-0.0` and `0.0` fall on the same side, as in
+/// [`candidate_boundaries`] over the node's sorted rows.
+fn rank_boundaries(values: &[f64], count: impl Fn(usize) -> usize, cuts: &mut Vec<RankCut>) {
+    cuts.clear();
+    let (mut pos, mut last) = (0usize, None::<usize>);
+    for (k, &v) in values.iter().enumerate() {
+        let c = count(k);
+        if c == 0 {
+            continue;
+        }
+        if let Some(below) = last.filter(|&p| v > values[p]) {
+            cuts.push(RankCut { cut: pos, below, above: k });
+        }
+        pos += c;
+        last = Some(k);
+    }
+}
+
+/// A node's `(value, row)` pairs for one feature, ascending under
+/// `total_cmp` and stable by position in the node's rows, plus the
+/// scratch a rank table orders them in.
+#[derive(Default)]
+struct Sequence {
+    vals: Vec<(f64, usize)>,
+    scratch: Vec<u64>,
+}
+
+/// What a fit builds once from `x` and every tree of an ensemble reads:
+/// the quantized codes in binned mode; in exact mode the presort of the
+/// fit's rows when every node scans every feature (single trees,
+/// boosting stages), else a rank table (forest trees, which sample
+/// features per node).
+pub(crate) enum SplitIndex {
+    Binned(BinnedDataset),
+    Presort(Presort),
+    Ranks(RankTable),
+}
+
+impl SplitIndex {
+    /// The index a fit of `cfg` over `rows` reads. A presort covers
+    /// exactly `rows`; the other kinds cover every row of `x`.
+    fn build(x: &Matrix, rows: &[usize], cfg: &TreeConfig) -> SplitIndex {
+        match (cfg.split_mode, cfg.feature_subsample) {
+            (SplitMode::Binned { bins }, _) => SplitIndex::Binned(BinnedDataset::build(x, bins)),
+            (SplitMode::Exact, None) => SplitIndex::Presort(Presort::build(x, rows)),
+            (SplitMode::Exact, Some(_)) => SplitIndex::Ranks(RankTable::build(x)),
+        }
+    }
+}
+
+/// The index an ensemble of `cfg` trees over rows `0..n` of `x` shares.
+pub(crate) fn split_index(x: &Matrix, cfg: &TreeConfig) -> SplitIndex {
+    SplitIndex::build(x, &(0..x.rows()).collect::<Vec<_>>(), cfg)
 }
 
 /// A fit's presort order, partitioned in place as the tree grows: the
@@ -518,14 +862,27 @@ fn scan_feature(
 /// concatenation and the result is identical at any thread count).
 const PARALLEL_SCAN_CELLS: usize = 1 << 15;
 
+/// Where a fit's nodes find their rows in value order: a fit's view of
+/// its [`SplitIndex`].
+enum NodeOrder<'a> {
+    /// Binned mode scans codes and never orders rows.
+    Binned(&'a BinnedDataset),
+    /// The fit's presort, partitioned as the tree grows.
+    Presort(Partitioned<'a>),
+    /// A shared rank table; each node orders the features it samples.
+    Ranks(&'a RankTable),
+    /// A gather-and-sort of each node's rows: the oracle the other exact
+    /// orders are tested against.
+    #[cfg(test)]
+    Sort,
+}
+
 struct Builder<'a> {
     x: &'a Matrix,
     target: Target<'a>,
     cfg: &'a TreeConfig,
     rng: StdRng,
-    binned: Option<&'a BinnedDataset>,
-    /// Exact fits without feature subsampling read their sorted lists here.
-    sorted: Option<Partitioned<'a>>,
+    order: NodeOrder<'a>,
     hist_builds: u64,
     hist_subtractions: u64,
     /// Regression cuts scored by the filter pass.
@@ -535,20 +892,13 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn new(
-        x: &'a Matrix,
-        target: Target<'a>,
-        cfg: &'a TreeConfig,
-        binned: Option<&'a BinnedDataset>,
-        sorted: Option<Partitioned<'a>>,
-    ) -> Self {
+    fn new(x: &'a Matrix, target: Target<'a>, cfg: &'a TreeConfig, order: NodeOrder<'a>) -> Self {
         Builder {
             x,
             target,
             cfg,
             rng: StdRng::seed_from_u64(cfg.seed),
-            binned,
-            sorted,
+            order,
             hist_builds: 0,
             hist_subtractions: 0,
             split_candidates: 0,
@@ -557,9 +907,16 @@ impl<'a> Builder<'a> {
     }
 
     fn fit(&mut self, rows: Vec<usize>) -> Node {
-        match self.binned {
-            Some(_) => self.build_binned(rows, 0, None),
-            None => self.build(rows, 0, 0),
+        match self.order {
+            NodeOrder::Binned(_) => self.build_binned(rows, 0, None),
+            _ => self.build(rows, 0, 0),
+        }
+    }
+
+    fn binned(&self) -> &'a BinnedDataset {
+        match self.order {
+            NodeOrder::Binned(b) => b,
+            _ => unreachable!("binned build without dataset"),
         }
     }
 
@@ -569,25 +926,39 @@ impl<'a> Builder<'a> {
         depth < self.cfg.max_depth && len >= 2 * self.cfg.min_samples_leaf
     }
 
-    /// Fill `vals` with feature `f`'s `(value, row)` pairs at the node,
-    /// ascending under `total_cmp`: the node's range `lo..` of the
-    /// presort, or a sort of `rows`. Regression sorts stably, so tied
-    /// rows keep `rows` order, the order the SSE scan sums them in.
-    /// Classification may sort unstably: tied keys have equal bits and
-    /// the class counts at a cut between distinct values do not depend
-    /// on tie order.
-    fn node_values(&self, f: usize, rows: &[usize], lo: usize, vals: &mut Vec<(f64, usize)>) {
-        vals.clear();
-        if let Some(sorted) = &self.sorted {
-            let col = sorted.cols.col(f);
-            let list = sorted.list(f, lo, rows.len());
-            vals.extend(list.iter().map(|&r| (col[r as usize], r as usize)));
-            return;
+    /// Fill `seq.vals` with feature `f`'s `(value, row)` pairs at the
+    /// node, ascending under `total_cmp` and stable by position in `rows`
+    /// (tied rows keep `rows` order, the order the SSE scan sums them
+    /// in): the node's range `lo..` of the presort, or the rank table's
+    /// ordering of `rows`.
+    fn node_values(&self, f: usize, rows: &[usize], lo: usize, seq: &mut Sequence) {
+        match &self.order {
+            NodeOrder::Presort(sorted) => {
+                let col = sorted.cols.col(f);
+                let list = sorted.list(f, lo, rows.len());
+                seq.vals.clear();
+                seq.vals.extend(list.iter().map(|&r| (col[r as usize], r as usize)));
+            }
+            NodeOrder::Ranks(table) => table.node_values(f, rows, seq),
+            NodeOrder::Binned(_) => unreachable!("binned fits scan codes"),
+            #[cfg(test)]
+            NodeOrder::Sort => sort_values(self.x, f, rows, &mut seq.vals),
         }
-        vals.extend(rows.iter().map(|&r| (self.x.get(r, f), r)));
-        match self.target {
-            Target::Class { .. } => vals.sort_unstable_by(|a, b| a.0.total_cmp(&b.0)),
-            Target::Reg { .. } => vals.sort_by(|a, b| a.0.total_cmp(&b.0)),
+    }
+
+    /// Route the node's `rows` by `value <= threshold` on `feature`,
+    /// reading the values column by column where the fit keeps them so.
+    fn partition(&self, rows: Vec<usize>, f: usize, threshold: f64) -> (Vec<usize>, Vec<usize>) {
+        match &self.order {
+            NodeOrder::Presort(sorted) => {
+                let col = sorted.cols.col(f);
+                rows.into_iter().partition(|&r| col[r] <= threshold)
+            }
+            NodeOrder::Ranks(table) => {
+                let (ranks, values) = (table.ranks(f), table.values(f));
+                rows.into_iter().partition(|&r| values[ranks[r] as usize] <= threshold)
+            }
+            _ => rows.into_iter().partition(|&r| self.x.get(r, f) <= threshold),
         }
     }
 
@@ -621,8 +992,8 @@ impl<'a> Builder<'a> {
     ) -> Option<(f64, usize, f64)> {
         let max_abs = rows.iter().fold(0.0f64, |m, &r| m.max(y[r].abs()));
         let bound = gain_error_bound(rows.len(), parent_impurity, max_abs);
-        let mut vals: Vec<(f64, usize)> = Vec::with_capacity(rows.len());
-        let cuts = self.score_cuts(y, features, rows, lo, parent_impurity, &mut vals);
+        let mut seq = Sequence::default();
+        let cuts = self.score_cuts(y, features, rows, lo, parent_impurity, &mut seq);
         let top = cuts
             .iter()
             .map(|c| c.approx)
@@ -639,7 +1010,8 @@ impl<'a> Builder<'a> {
                 continue;
             }
             let f = group[0].feature;
-            self.node_values(f, rows, lo, &mut vals);
+            self.node_values(f, rows, lo, &mut seq);
+            let vals = &seq.vals;
             let (mut pos, mut left_sum) = (0usize, 0.0f64);
             for c in group.iter().filter(|c| live(c)) {
                 while pos < c.cut {
@@ -647,10 +1019,9 @@ impl<'a> Builder<'a> {
                     pos += 1;
                 }
                 self.split_exact += 1;
-                let gain = parent_impurity - child_sse(y, &vals, c.cut, left_sum);
-                if best.as_ref().is_none_or(|b| gain > b.0) && gain > 1e-12 {
-                    let threshold = (vals[c.cut - 1].0 + vals[c.cut].0) / 2.0;
-                    best = Some((gain, f, threshold));
+                let gain = parent_impurity - child_sse(y, vals, c.cut, left_sum);
+                if improves(&best, gain) {
+                    best = Some((gain, f, split_threshold(vals[c.cut - 1].0, vals[c.cut].0)));
                 }
             }
         }
@@ -661,10 +1032,12 @@ impl<'a> Builder<'a> {
     /// every feature in `features`, in scan order, with its approximate
     /// gain. The targets are shifted by the node mean, the centre
     /// `parent_impurity` was computed around, as [`gain_error_bound`]
-    /// requires. One pass sums each run of rows between consecutive cuts
-    /// ([`shifted_sums`]); a cut's left sums then add up the runs before
-    /// it and its right sums the runs after it, from the last row, so each
-    /// side carries only its own rounding error.
+    /// requires. Per feature, one pass sums each run of rows between
+    /// consecutive cuts: over the sorted rows ([`shifted_sums`]), or, for
+    /// a feature with few distinct values in a rank table, over per-rank
+    /// sums taken in one pass over the node's rows, which skips ordering
+    /// them. The bound holds for any order of summation, and each run
+    /// still adds up only its own rows ([`approx_gains`]).
     fn score_cuts(
         &self,
         y: &[f64],
@@ -672,52 +1045,69 @@ impl<'a> Builder<'a> {
         rows: &[usize],
         lo: usize,
         parent_impurity: f64,
-        vals: &mut Vec<(f64, usize)>,
+        seq: &mut Sequence,
     ) -> Vec<Cut> {
         let n = rows.len();
         let min_leaf = self.cfg.min_samples_leaf;
+        let keeps = |cut: usize| cut >= min_leaf && n - cut >= min_leaf;
         let shift = mean(y, rows);
         let mut boundaries: Vec<usize> = Vec::new();
+        let mut rank_cuts: Vec<RankCut> = Vec::new();
+        // The node's shifted targets in `rows` order, and per-rank
+        // (count, Σz, Σz²), for the rank path.
+        let mut z: Vec<f64> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut sums: Vec<(f64, f64)> = Vec::new();
         let mut runs: Vec<(f64, f64)> = Vec::new();
         let mut cuts: Vec<Cut> = Vec::new();
         for &f in features {
-            self.node_values(f, rows, lo, vals);
-            if !candidate_boundaries(vals, &mut boundaries) {
-                continue; // constant feature at this node
-            }
-            let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
             let first = cuts.len();
-            cuts.extend(
-                boundaries
-                    .iter()
-                    .step_by(stride)
-                    .filter(|&&cut| cut >= min_leaf && n - cut >= min_leaf)
-                    .map(|&cut| Cut { feature: f, cut, approx: 0.0 }),
-            );
-            let feature_cuts = &mut cuts[first..];
-            if feature_cuts.is_empty() {
-                continue;
-            }
             runs.clear();
-            let mut start = 0;
-            for c in feature_cuts.iter() {
-                runs.push(shifted_sums(y, &vals[start..c.cut], shift));
-                start = c.cut;
+            match &self.order {
+                NodeOrder::Ranks(table) if table.few_values(f, n) => {
+                    if z.is_empty() {
+                        z.extend(rows.iter().map(|&r| y[r] - shift));
+                    }
+                    let (ranks, values) = (table.ranks(f), table.values(f));
+                    counts.clear();
+                    counts.resize(values.len(), 0);
+                    sums.clear();
+                    sums.resize(values.len(), (0.0, 0.0));
+                    for (&r, &z) in rows.iter().zip(&z) {
+                        let k = ranks[r] as usize;
+                        counts[k] += 1;
+                        sums[k].0 += z;
+                        sums[k].1 += z * z;
+                    }
+                    rank_boundaries(values, |k| counts[k] as usize, &mut rank_cuts);
+                    let stride = (rank_cuts.len() / self.cfg.max_thresholds).max(1);
+                    let mut start = 0;
+                    for c in rank_cuts.iter().step_by(stride).filter(|c| keeps(c.cut)) {
+                        cuts.push(Cut { feature: f, cut: c.cut, approx: 0.0 });
+                        runs.push(add_sums(&sums[start..c.above]));
+                        start = c.above;
+                    }
+                    runs.push(add_sums(&sums[start..]));
+                }
+                _ => {
+                    self.node_values(f, rows, lo, seq);
+                    let vals = &seq.vals;
+                    if !candidate_boundaries(vals, &mut boundaries) {
+                        continue; // constant feature at this node
+                    }
+                    let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
+                    let mut start = 0;
+                    for &cut in boundaries.iter().step_by(stride).filter(|&&cut| keeps(cut)) {
+                        cuts.push(Cut { feature: f, cut, approx: 0.0 });
+                        runs.push(shifted_sums(y, &vals[start..cut], shift));
+                        start = cut;
+                    }
+                    if cuts.len() > first {
+                        runs.push(shifted_sums(y, &vals[start..], shift));
+                    }
+                }
             }
-            runs.push(shifted_sums(y, &vals[start..], shift));
-            let (mut sum, mut sumsq) = (0.0f64, 0.0f64);
-            for (c, &(s, q)) in feature_cuts.iter_mut().zip(&runs) {
-                sum += s;
-                sumsq += q;
-                c.approx = sumsq - sum * sum / c.cut as f64; // left SSE for now
-            }
-            let (mut sum, mut sumsq) = (0.0f64, 0.0f64);
-            for (c, &(s, q)) in feature_cuts.iter_mut().rev().zip(runs[1..].iter().rev()) {
-                sum += s;
-                sumsq += q;
-                let right = sumsq - sum * sum / (n - c.cut) as f64;
-                c.approx = parent_impurity - (c.approx + right);
-            }
+            approx_gains(&mut cuts[first..], &runs, n, parent_impurity);
         }
         cuts
     }
@@ -734,11 +1124,12 @@ impl<'a> Builder<'a> {
         parent_impurity: f64,
     ) -> Option<(f64, usize, f64)> {
         let mut best: Option<(f64, usize, f64)> = None;
-        let mut vals: Vec<(f64, usize)> = Vec::with_capacity(rows.len());
+        let mut seq = Sequence::default();
         let mut boundaries: Vec<usize> = Vec::new();
         for &f in features {
-            self.node_values(f, rows, lo, &mut vals);
-            if !candidate_boundaries(&vals, &mut boundaries) {
+            self.node_values(f, rows, lo, &mut seq);
+            let vals = &seq.vals;
+            if !candidate_boundaries(vals, &mut boundaries) {
                 continue;
             }
             let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
@@ -752,14 +1143,82 @@ impl<'a> Builder<'a> {
                 if cut < self.cfg.min_samples_leaf || vals.len() - cut < self.cfg.min_samples_leaf {
                     continue;
                 }
-                let gain = parent_impurity - child_sse(y, &vals, cut, left_sum);
-                if best.as_ref().is_none_or(|b| gain > b.0) && gain > 1e-12 {
-                    let threshold = (vals[cut - 1].0 + vals[cut].0) / 2.0;
-                    best = Some((gain, f, threshold));
+                let gain = parent_impurity - child_sse(y, vals, cut, left_sum);
+                if improves(&best, gain) {
+                    best = Some((gain, f, split_threshold(vals[cut - 1].0, vals[cut].0)));
                 }
             }
         }
         best
+    }
+
+    /// The best classification cut at the node as `(gain, feature,
+    /// threshold)`: the first largest Gini gain above `1e-12` over the
+    /// cuts of `features`, in order. A feature with few distinct values in
+    /// a rank table is scanned from a (rank, class) histogram
+    /// ([`ClassScan::ranks`]); every other feature from its sorted rows.
+    fn class_split(
+        &self,
+        y: &[usize],
+        n_classes: usize,
+        features: &[usize],
+        rows: &[usize],
+        lo: usize,
+        parent_impurity: f64,
+    ) -> Option<(f64, usize, f64)> {
+        let mut scan = ClassScan::new(y, n_classes, rows, parent_impurity, self.cfg);
+        let mut seq = Sequence::default();
+        for &f in features {
+            match &self.order {
+                NodeOrder::Ranks(table) if table.few_values(f, rows.len()) => {
+                    scan.ranks(table, f, rows)
+                }
+                _ => {
+                    self.node_values(f, rows, lo, &mut seq);
+                    scan.sorted(f, &seq.vals);
+                }
+            }
+        }
+        scan.best
+    }
+
+    /// [`Builder::class_split`] over a fresh sort of every feature: the
+    /// oracle tests check the rank histograms and orders against.
+    #[cfg(test)]
+    fn sorted_class_split(
+        &self,
+        y: &[usize],
+        n_classes: usize,
+        features: &[usize],
+        rows: &[usize],
+        parent_impurity: f64,
+    ) -> Option<(f64, usize, f64)> {
+        let mut scan = ClassScan::new(y, n_classes, rows, parent_impurity, self.cfg);
+        let mut vals = Vec::new();
+        for &f in features {
+            sort_values(self.x, f, rows, &mut vals);
+            scan.sorted(f, &vals);
+        }
+        scan.best
+    }
+
+    /// Check at a node of a rank-table fit that both ways the table
+    /// orders each sampled feature's rows, the counting sort and the key
+    /// sort, give exactly a fresh stable sort: value bits, rows and order.
+    #[cfg(test)]
+    fn check_rank_orders(&self, features: &[usize], rows: &[usize]) {
+        let NodeOrder::Ranks(table) = &self.order else { return };
+        let bits = |vals: &[(f64, usize)]| -> Vec<(u64, usize)> {
+            vals.iter().map(|&(v, r)| (v.to_bits(), r)).collect()
+        };
+        let (mut seq, mut oracle) = (Sequence::default(), Vec::new());
+        for &f in features {
+            sort_values(self.x, f, rows, &mut oracle);
+            table.counting_sort(f, rows, &mut seq);
+            assert_eq!(bits(&seq.vals), bits(&oracle), "counting sort of feature {f}");
+            table.key_sort(f, rows, &mut seq);
+            assert_eq!(bits(&seq.vals), bits(&oracle), "key sort of feature {f}");
+        }
     }
 
     /// Build the full-feature histogram for a node in one pass over the u8
@@ -768,7 +1227,7 @@ impl<'a> Builder<'a> {
     /// is a plain copy and the result is identical at any thread count.
     fn scan_hist(&mut self, rows: &[usize]) -> Hist {
         self.hist_builds += 1;
-        let b = self.binned.expect("binned scan without dataset");
+        let b = self.binned();
         let target = &self.target;
         // Gather the node's row indices and targets into flat arrays once;
         // the d feature passes then stream them sequentially.
@@ -849,7 +1308,7 @@ impl<'a> Builder<'a> {
         if parent_impurity <= 1e-12 {
             return self.target.leaf(&rows);
         }
-        let binned = self.binned.expect("binned build without dataset");
+        let binned = self.binned();
 
         let d = self.x.cols();
         let mut features: Vec<usize> = (0..d).collect();
@@ -895,7 +1354,7 @@ impl<'a> Builder<'a> {
                         let child = gini_weighted(&left_counts, left_n)
                             + gini_weighted_rest(parent_counts, &left_counts, right_n);
                         let gain = parent_impurity - child;
-                        if best.as_ref().is_none_or(|x| gain > x.0) && gain > 1e-12 {
+                        if improves(&best, gain) {
                             best = Some((gain, f, b));
                         }
                     }
@@ -931,7 +1390,7 @@ impl<'a> Builder<'a> {
                             (total_sumsq - left_sumsq) - right_sum * right_sum / right_n as f64;
                         let child = left_sse + right_sse;
                         let gain = parent_impurity - child;
-                        if best.as_ref().is_none_or(|x| gain > x.0) && gain > 1e-12 {
+                        if improves(&best, gain) {
                             best = Some((gain, f, b));
                         }
                     }
@@ -992,76 +1451,57 @@ impl<'a> Builder<'a> {
         // sorted values, strided to at most max_thresholds. Rather than
         // materializing left/right row sets and recomputing impurity from
         // scratch per candidate (O(n) each), the scan walks the sorted
-        // order once: classification keeps incremental class counts (the
-        // counts are exact integers, so the Gini floats are bit-identical
-        // to the recomputing version); regression filters the cuts first
-        // and runs its exact loop for the few that can win (`reg_split`).
-        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-        let mut vals: Vec<(f64, usize)> = Vec::with_capacity(rows.len());
-        let mut boundaries: Vec<usize> = Vec::new();
-        match &self.target {
+        // order once: classification keeps incremental class counts
+        // (`class_split`); regression filters the cuts first and runs its
+        // exact loop for the few that can win (`reg_split`).
+        #[cfg(test)]
+        self.check_rank_orders(&features, &rows);
+        let best = match self.target {
             Target::Class { y, n_classes } => {
-                let mut parent_counts = vec![0usize; *n_classes];
-                for &r in &rows {
-                    parent_counts[y[r]] += 1;
-                }
-                let mut left_counts = vec![0usize; *n_classes];
-                for &f in &features {
-                    self.node_values(f, &rows, lo, &mut vals);
-                    if !candidate_boundaries(&vals, &mut boundaries) {
-                        continue; // constant feature at this node
-                    }
-                    let stride = (boundaries.len() / self.cfg.max_thresholds).max(1);
-                    left_counts.fill(0);
-                    let mut pos = 0usize;
-                    for &cut in boundaries.iter().step_by(stride) {
-                        while pos < cut {
-                            left_counts[y[vals[pos].1]] += 1;
-                            pos += 1;
-                        }
-                        if cut < self.cfg.min_samples_leaf
-                            || vals.len() - cut < self.cfg.min_samples_leaf
-                        {
-                            continue;
-                        }
-                        let child = gini_weighted(&left_counts, cut)
-                            + gini_weighted_rest(&parent_counts, &left_counts, vals.len() - cut);
-                        let gain = parent_impurity - child;
-                        if best.as_ref().is_none_or(|b| gain > b.0) && gain > 1e-12 {
-                            let threshold = (vals[cut - 1].0 + vals[cut].0) / 2.0;
-                            best = Some((gain, f, threshold));
-                        }
-                    }
-                }
+                let best = self.class_split(y, n_classes, &features, &rows, lo, parent_impurity);
+                #[cfg(test)]
+                assert_eq!(
+                    split_bits(best),
+                    split_bits(self.sorted_class_split(
+                        y,
+                        n_classes,
+                        &features,
+                        &rows,
+                        parent_impurity
+                    )),
+                    "classification scan diverged from the scan over fresh sorts"
+                );
+                best
             }
             Target::Reg { y } => {
-                let y = *y; // the fit's slice, not a borrow of `self`
-                best = self.reg_split(y, &features, &rows, lo, parent_impurity);
+                let best = self.reg_split(y, &features, &rows, lo, parent_impurity);
                 #[cfg(test)]
                 assert_eq!(
                     split_bits(best),
                     split_bits(self.exhaustive_reg_split(y, &features, &rows, lo, parent_impurity)),
                     "pruned regression scan diverged from the exhaustive scan"
                 );
+                best
             }
-        }
+        };
 
         let Some((_, feature, threshold)) = best else {
             return self.target.leaf(&rows);
         };
         let len = rows.len();
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-            rows.into_iter().partition(|&r| self.x.get(r, feature) <= threshold);
+        let (left_rows, right_rows) = self.partition(rows, feature, threshold);
         if left_rows.is_empty() || right_rows.is_empty() {
-            // Should not happen given boundary selection; fall back to a leaf
-            // out of an abundance of caution.
+            // Cannot happen: a cut lies between adjacent distinct values
+            // `a < b` of the node and `split_threshold` keeps `a ≤ t < b`,
+            // so rows valued `a` go left and rows valued `b` go right. Kept
+            // as a defensive fallback.
             let all: Vec<usize> = left_rows.into_iter().chain(right_rows).collect();
             return self.target.leaf(&all);
         }
         // Children that cannot split never read the lists.
         if self.may_split(left_rows.len(), depth + 1) || self.may_split(right_rows.len(), depth + 1)
         {
-            if let Some(sorted) = &mut self.sorted {
+            if let NodeOrder::Presort(sorted) = &mut self.order {
                 sorted.split(lo, len, &left_rows);
             }
         }
@@ -1105,15 +1545,6 @@ impl Classifier for DecisionTreeClassifier {
     }
 }
 
-/// Build the quantized view a config asks for (`None` in exact mode).
-/// Ensemble fits call this once and share the result across every tree.
-pub(crate) fn binned_for(x: &Matrix, cfg: &TreeConfig) -> Option<BinnedDataset> {
-    match cfg.split_mode {
-        SplitMode::Binned { bins } => Some(BinnedDataset::build(x, bins)),
-        SplitMode::Exact => None,
-    }
-}
-
 /// Flush the per-fit counters into the trace layer: histogram work in
 /// binned mode, and in exact regression the cuts the filter scored
 /// against those the exact loop verified (the prune ratio).
@@ -1143,63 +1574,55 @@ pub(crate) fn fit_class_tree(
     n_classes: usize,
     cfg: &TreeConfig,
 ) -> TreeClassifierModel {
-    let local = binned_for(x, cfg);
-    fit_class_tree_on(x, y, (0..x.rows()).collect(), n_classes, cfg, local.as_ref())
+    fit_class_tree_on(x, y, (0..x.rows()).collect(), n_classes, cfg, None)
 }
 
-/// Internal fit over a row subset (for bagging). `binned` must be the
-/// quantization of `x` when the config selects binned mode; it is ignored
-/// in exact mode.
+/// Internal fit over a row subset (for bagging), reading `index` when
+/// given: an ensemble's [`split_index`] for `cfg`.
 pub(crate) fn fit_class_tree_on(
     x: &Matrix,
     y: &[usize],
     rows: Vec<usize>,
     n_classes: usize,
     cfg: &TreeConfig,
-    binned: Option<&BinnedDataset>,
+    index: Option<&SplitIndex>,
 ) -> TreeClassifierModel {
     let target = Target::Class { y, n_classes };
-    let root = grow(x, target, rows, cfg, binned, None, &mut Vec::new());
+    let root = grow(x, target, rows, cfg, index, &mut Vec::new());
     TreeClassifierModel { root, n_classes }
 }
 
-/// Grow one tree over `rows`. An exact fit without feature subsampling
-/// partitions a presort: a copy of `presort`'s order made in `lists` when
-/// given (it must then cover exactly `rows`, i.e. `0..n`), otherwise a
-/// fresh presort of `rows`.
+/// Grow one tree over `rows` from `index`, or from an index of its own
+/// when none is given. A presort index must cover exactly `rows`; the
+/// tree partitions a copy of its order made in `lists`.
 fn grow(
     x: &Matrix,
     target: Target,
     rows: Vec<usize>,
     cfg: &TreeConfig,
-    binned: Option<&BinnedDataset>,
-    presort: Option<&Presort>,
+    index: Option<&SplitIndex>,
     lists: &mut Vec<u32>,
 ) -> Node {
     let _span = catdb_trace::span("tree_fit");
-    let binned = match cfg.split_mode {
-        SplitMode::Binned { .. } => binned,
-        SplitMode::Exact => None,
+    let local;
+    let index = match index {
+        Some(shared) => shared,
+        None => {
+            local = SplitIndex::build(x, &rows, cfg);
+            &local
+        }
     };
-    let mut local = None;
-    let sorted = if presorted(cfg) {
-        let (cols, order): (&ColMajor, &mut [u32]) = match presort {
-            Some(shared) => {
-                debug_assert_eq!(shared.order.len(), rows.len() * x.cols());
-                lists.clear();
-                lists.extend_from_slice(&shared.order);
-                (&shared.cols, lists)
-            }
-            None => {
-                let own = local.insert(Presort::build(x, &rows));
-                (&own.cols, &mut own.order)
-            }
-        };
-        Some(Partitioned::new(cols, order, rows.len()))
-    } else {
-        None
+    let order = match index {
+        SplitIndex::Binned(binned) => NodeOrder::Binned(binned),
+        SplitIndex::Presort(presort) => {
+            debug_assert_eq!(presort.order.len(), rows.len() * x.cols());
+            lists.clear();
+            lists.extend_from_slice(&presort.order);
+            NodeOrder::Presort(Partitioned::new(&presort.cols, lists, rows.len()))
+        }
+        SplitIndex::Ranks(table) => NodeOrder::Ranks(table),
     };
-    let mut builder = Builder::new(x, target, cfg, binned, sorted);
+    let mut builder = Builder::new(x, target, cfg, order);
     let root = builder.fit(rows);
     flush_counters(&builder);
     root
@@ -1221,6 +1644,28 @@ impl ClassifierModel for TreeClassifierModel {
     }
 }
 
+impl TreeClassifierModel {
+    /// Add each row's leaf distribution into `acc` (`n_classes` slots per
+    /// row, row-major) without the finite check; forests validate once.
+    pub(crate) fn add_proba(&self, x: &Matrix, acc: &mut [f64]) {
+        let uniform = 1.0 / self.n_classes as f64;
+        for (r, out) in acc.chunks_exact_mut(self.n_classes).enumerate() {
+            match descend(&self.root, x.row(r)) {
+                Node::ClassLeaf(p) => {
+                    for (a, v) in out.iter_mut().zip(p) {
+                        *a += v;
+                    }
+                }
+                _ => {
+                    for a in out.iter_mut() {
+                        *a += uniform;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Decision-tree regressor.
 #[derive(Debug, Clone, Default)]
 pub struct DecisionTreeRegressor {
@@ -1238,38 +1683,35 @@ impl Regressor for DecisionTreeRegressor {
 
     fn fit(&self, x: &Matrix, y: &[f64]) -> Result<Box<dyn RegressorModel>> {
         validate_regression(x, y)?;
-        let local = binned_for(x, &self.config);
-        Ok(Box::new(fit_reg_tree(x, y, (0..x.rows()).collect(), &self.config, local.as_ref())))
+        Ok(Box::new(fit_reg_tree(x, y, (0..x.rows()).collect(), &self.config, None)))
     }
 }
 
-/// Internal regression-tree fit over a row subset. `binned` must be the
-/// quantization of `x` when the config selects binned mode.
+/// Internal regression-tree fit over a row subset, reading `index` when
+/// given: an ensemble's [`split_index`] for `cfg`.
 pub(crate) fn fit_reg_tree(
     x: &Matrix,
     y: &[f64],
     rows: Vec<usize>,
     cfg: &TreeConfig,
-    binned: Option<&BinnedDataset>,
+    index: Option<&SplitIndex>,
 ) -> TreeRegressorModel {
-    TreeRegressorModel {
-        root: grow(x, Target::Reg { y }, rows, cfg, binned, None, &mut Vec::new()),
-    }
+    TreeRegressorModel { root: grow(x, Target::Reg { y }, rows, cfg, index, &mut Vec::new()) }
 }
 
-/// One boosting stage: a regression tree over rows `0..n`. In exact mode
-/// it partitions a copy of the ensemble's `presort` made in `lists`, a
-/// buffer the caller reuses across rounds.
+/// One boosting stage: a regression tree over rows `0..n` from the
+/// ensemble's `index`. In exact mode it partitions a copy of the
+/// ensemble's presort made in `lists`, a buffer the caller reuses across
+/// rounds.
 pub(crate) fn fit_reg_stage(
     x: &Matrix,
     y: &[f64],
     cfg: &TreeConfig,
-    binned: Option<&BinnedDataset>,
-    presort: Option<&Presort>,
+    index: &SplitIndex,
     lists: &mut Vec<u32>,
 ) -> TreeRegressorModel {
     let rows = (0..x.rows()).collect();
-    TreeRegressorModel { root: grow(x, Target::Reg { y }, rows, cfg, binned, presort, lists) }
+    TreeRegressorModel { root: grow(x, Target::Reg { y }, rows, cfg, Some(index), lists) }
 }
 
 impl RegressorModel for TreeRegressorModel {
@@ -1374,8 +1816,8 @@ mod tests {
 
     /// A fresh stable sort of `rows` by feature `f`, as (value bits, row).
     fn stable_sort(x: &Matrix, rows: &[usize], f: usize) -> Vec<(u64, usize)> {
-        let mut vals: Vec<(f64, usize)> = rows.iter().map(|&r| (x.get(r, f), r)).collect();
-        vals.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut vals = Vec::new();
+        sort_values(x, f, rows, &mut vals);
         vals.into_iter().map(|(v, r)| (v.to_bits(), r)).collect()
     }
 
@@ -1421,7 +1863,7 @@ mod tests {
 
     /// Grow with a sort per node, whatever the config's subsampling.
     fn grow_per_node(x: &Matrix, target: Target, rows: Vec<usize>, cfg: &TreeConfig) -> Node {
-        Builder::new(x, target, cfg, None, None).fit(rows)
+        Builder::new(x, target, cfg, NodeOrder::Sort).fit(rows)
     }
 
     proptest::proptest! {
@@ -1457,16 +1899,16 @@ mod tests {
             check_ranges(&mut sorted, &x, rows.clone(), 0, 0, &mut rng);
 
             let cfg = TreeConfig { max_depth: 5, min_samples_leaf, max_thresholds, ..Default::default() };
-            let reg = grow(&x, Target::Reg { y: &y_reg }, rows.clone(), &cfg, None, None, &mut Vec::new());
+            let reg = grow(&x, Target::Reg { y: &y_reg }, rows.clone(), &cfg, None, &mut Vec::new());
             let oracle = grow_per_node(&x, Target::Reg { y: &y_reg }, rows.clone(), &cfg);
             proptest::prop_assert_eq!(leaf_bits(&reg, &x), leaf_bits(&oracle, &x));
             if bootstrap == 0 {
-                let shared = presort_for(&x, &cfg);
-                let stage = fit_reg_stage(&x, &y_reg, &cfg, None, shared.as_ref(), &mut Vec::new());
+                let shared = split_index(&x, &cfg);
+                let stage = fit_reg_stage(&x, &y_reg, &cfg, &shared, &mut Vec::new());
                 proptest::prop_assert_eq!(leaf_bits(&stage.root, &x), leaf_bits(&oracle, &x));
             }
             let target = Target::Class { y: &y_class, n_classes: 3 };
-            let class = grow(&x, target, rows.clone(), &cfg, None, None, &mut Vec::new());
+            let class = grow(&x, target, rows.clone(), &cfg, None, &mut Vec::new());
             let oracle = grow_per_node(&x, Target::Class { y: &y_class, n_classes: 3 }, rows, &cfg);
             proptest::prop_assert_eq!(leaf_bits(&class, &x), leaf_bits(&oracle, &x));
         }
@@ -1524,8 +1966,8 @@ mod tests {
             let y = hard_targets(kind, &x, &mut rng);
             let cfg = TreeConfig { max_depth: 8, min_samples_leaf, max_thresholds, ..Default::default() };
             fit_reg_tree(&x, &y, (0..n).collect(), &cfg, None);
-            let shared = presort_for(&x, &cfg);
-            fit_reg_stage(&x, &y, &cfg, None, shared.as_ref(), &mut Vec::new());
+            let shared = split_index(&x, &cfg);
+            fit_reg_stage(&x, &y, &cfg, &shared, &mut Vec::new());
             let forest = TreeConfig { feature_subsample: Some(subsample + 1), seed, ..cfg };
             let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
             fit_reg_tree(&x, &y, bootstrap, &forest, None);
@@ -1536,34 +1978,133 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// The lemma behind the filter: at a node, every cut's approximate
-        /// gain lies within `gain_error_bound` of the exact loop's gain.
+        /// gain lies within `gain_error_bound` of the exact loop's gain,
+        /// whether the runs are summed over sorted rows or, through a rank
+        /// table on bootstrap rows, per rank.
         #[test]
         fn approximate_gains_lie_within_the_bound(
             seed in 0u64..u64::MAX,
             n in 2usize..260,
             kind in 0u8..6,
             max_thresholds in 1usize..40,
+            ranked in 0u8..2,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let x = near_tie_matrix(n, &mut rng);
             let y = hard_targets(kind, &x, &mut rng);
-            let rows: Vec<usize> = (0..n).collect();
+            let table = RankTable::build(&x);
+            let (rows, order): (Vec<usize>, _) = if ranked == 1 {
+                ((0..n).map(|_| rng.gen_range(0..n)).collect(), NodeOrder::Ranks(&table))
+            } else {
+                ((0..n).collect(), NodeOrder::Sort)
+            };
             let cfg = TreeConfig { max_thresholds, ..Default::default() };
-            let builder = Builder::new(&x, Target::Reg { y: &y }, &cfg, None, None);
+            let builder = Builder::new(&x, Target::Reg { y: &y }, &cfg, order);
             let parent = builder.target.weighted_impurity(&rows);
             let max_abs = y.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             let bound = gain_error_bound(n, parent, max_abs);
             let features: Vec<usize> = (0..x.cols()).collect();
-            let mut vals = Vec::new();
-            for c in builder.score_cuts(&y, &features, &rows, 0, parent, &mut vals) {
-                builder.node_values(c.feature, &rows, 0, &mut vals);
+            let mut seq = Sequence::default();
+            for c in builder.score_cuts(&y, &features, &rows, 0, parent, &mut seq) {
+                builder.node_values(c.feature, &rows, 0, &mut seq);
+                let vals = &seq.vals;
                 let left_sum = vals[..c.cut].iter().fold(0.0, |s, &(_, r)| s + y[r]);
-                let exact = parent - child_sse(&y, &vals, c.cut, left_sum);
+                let exact = parent - child_sse(&y, vals, c.cut, left_sum);
                 proptest::prop_assert!(
                     (c.approx - exact).abs() <= bound,
                     "cut {} of feature {}: approx {} exact {} bound {bound}",
                     c.cut, c.feature, c.approx, exact
                 );
+            }
+        }
+    }
+
+    /// Columns for the rank path: small integers, a 0/1 flag, ±0.0 and 1,
+    /// a three-way one-hot block, an all-distinct column and integers
+    /// drawn from twice the row count.
+    fn rank_matrix(n: usize, rng: &mut StdRng) -> Matrix {
+        let mut data = Vec::with_capacity(n * 8);
+        for i in 0..n {
+            let hot = rng.gen_range(0..3usize);
+            data.extend([
+                f64::from(rng.gen_range(0u8..5)),
+                f64::from(rng.gen_range(0u8..2)),
+                [-0.0, 0.0, 1.0][rng.gen_range(0usize..3)],
+                (hot == 0) as usize as f64,
+                (hot == 1) as usize as f64,
+                (hot == 2) as usize as f64,
+                i as f64 + rng.gen_range(0.0..0.5),
+                rng.gen_range(0..2 * n) as f64,
+            ]);
+        }
+        Matrix::from_vec(n, 8, data)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Forest trees on bootstrap rows through a shared rank table.
+        /// Under `cfg(test)` every node checks that both ways the table
+        /// orders a sampled feature, the counting sort and the key sort,
+        /// equal a fresh stable sort (value bits, row ids and order), and
+        /// that its split equals the scan over fresh sorts (classification)
+        /// or the exhaustive scan (regression). The fits must also predict
+        /// bit-equal to fits that sort at every node.
+        #[test]
+        fn rank_table_fits_match_per_node_sorts(
+            seed in 0u64..u64::MAX,
+            n in 2usize..300,
+            kind in 0u8..6,
+            min_samples_leaf in 1usize..4,
+            max_thresholds in 1usize..20,
+            subsample in 1usize..9,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = rank_matrix(n, &mut rng);
+            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+            let y_reg = hard_targets(kind, &x, &mut rng);
+            let y_class: Vec<usize> =
+                (0..n).map(|r| (x.get(r, 0) as usize + rng.gen_range(0..2usize)) % 3).collect();
+            let cfg = TreeConfig {
+                max_depth: 8,
+                min_samples_leaf,
+                max_thresholds,
+                feature_subsample: Some(subsample),
+                seed,
+                ..Default::default()
+            };
+            let index = split_index(&x, &cfg);
+            proptest::prop_assert!(matches!(index, SplitIndex::Ranks(_)));
+            let target = Target::Reg { y: &y_reg };
+            let reg = grow(&x, target, rows.clone(), &cfg, Some(&index), &mut Vec::new());
+            let oracle = grow_per_node(&x, Target::Reg { y: &y_reg }, rows.clone(), &cfg);
+            proptest::prop_assert_eq!(leaf_bits(&reg, &x), leaf_bits(&oracle, &x));
+            let target = Target::Class { y: &y_class, n_classes: 3 };
+            let class = grow(&x, target, rows.clone(), &cfg, Some(&index), &mut Vec::new());
+            let oracle = grow_per_node(&x, Target::Class { y: &y_class, n_classes: 3 }, rows, &cfg);
+            proptest::prop_assert_eq!(leaf_bits(&class, &x), leaf_bits(&oracle, &x));
+        }
+    }
+
+    /// A cut between adjacent floats, or between floats whose sum
+    /// overflows, still separates the rows: the threshold falls back to
+    /// the lower value instead of a midpoint that sends every row left.
+    #[test]
+    fn cuts_between_adjacent_or_huge_values_split_the_rows() {
+        assert_eq!(split_threshold(1.0, 2.0), 1.5);
+        let adjacent = 1.0 + f64::EPSILON;
+        for (a, b) in [(adjacent, f64::from_bits(adjacent.to_bits() + 1)), (1e308, 1.7e308)] {
+            assert_eq!(split_threshold(a, b), a, "{a} {b}");
+            let x = Matrix::from_rows(&[vec![a], vec![a], vec![a], vec![b], vec![b], vec![b]]);
+            let labels = vec![0, 0, 0, 1, 1, 1];
+            let targets: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
+            // Presorted single trees, then forest-style trees on a rank table.
+            for feature_subsample in [None, Some(1)] {
+                let config = TreeConfig { feature_subsample, ..Default::default() };
+                let clf = DecisionTreeClassifier { config: config.clone() };
+                assert_eq!(clf.fit(&x, &labels, 2).unwrap().predict(&x).unwrap(), labels);
+                let reg = DecisionTreeRegressor { config };
+                assert_eq!(reg.fit(&x, &targets).unwrap().predict(&x).unwrap(), targets);
             }
         }
     }
@@ -1581,7 +2122,7 @@ mod tests {
             (0..n).map(|i| (i / 100) as f64 * 10.0 + rng.gen_range(-0.1..0.1)).collect();
         let x = Matrix::from_rows(&rows);
         let cfg = TreeConfig { max_depth: 3, ..Default::default() };
-        let mut builder = Builder::new(&x, Target::Reg { y: &y }, &cfg, None, None);
+        let mut builder = Builder::new(&x, Target::Reg { y: &y }, &cfg, NodeOrder::Sort);
         let root = builder.fit((0..n).collect());
         fn splits(node: &Node) -> u64 {
             match node {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Quick perf snapshot: run the criterion micro benches with a reduced
 # per-bench budget and record the profiling / cold value-dictionary /
-# float-rendering / training (forest, boosting, k-NN) / chain-scheduler /
+# float-rendering / training (forests, boosting, k-NN) / chain-scheduler /
 # CSV-ingest hot-path numbers in results/BENCH_perf.json, alongside the pre-runtime
 # baselines measured on the same container class, plus the DAG pipeline
 # executor at 8 threads (65 steps) and 1 thread (5 steps). The CSV entry compares
@@ -79,6 +79,11 @@ BASE_FOREST_MS=29.803
 # of the 3-class, 60-round boosting fit on 700x183 while exact stages
 # still sorted every feature at every node; the median of three runs.
 BASE_BOOST_MS=1005.0
+# Forest baseline (1500 ms budget, 2-core reference host): median ms/iter
+# of the 3-class, 60-tree, one-thread forest fit on the same 700x183
+# shape while forest nodes still sorted every sampled feature; the median
+# of three runs.
+BASE_FOREST3_MS=149.530
 # Sequential-interpreter baselines (2-core reference host): best-of-3
 # dag_bench seq_ms, median of three runs, before the interpreter was
 # retired — the 65-step pipeline at CATDB_THREADS=8 and the 5-step one
@@ -89,6 +94,7 @@ BASE_DAG5_SEQ_MS=19.8
 awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     -v base_prof="$BASE_PROFILING_MS" -v base_prof_kdd98="$BASE_PROFILING_KDD98_MS" \
     -v base_forest="$BASE_FOREST_MS" -v base_boost="$BASE_BOOST_MS" \
+    -v base_forest3="$BASE_FOREST3_MS" \
     -v base_dict_gas="$BASE_DICT_GAS_MS" -v base_dict_kdd98="$BASE_DICT_KDD98_MS" \
     -v base_render="$BASE_RENDER_F64_MS" \
     -v smoke_hits="$SMOKE_HITS" -v smoke_warm_tokens="$SMOKE_WARM_TOKENS" \
@@ -115,6 +121,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "random_forest_binned_20trees_1000x20" { binned_ms = to_ms($2) }
   $1 == "knn_blocked_1000x20" { knn_ms = to_ms($2) }
   $1 == "gradient_boosting_3class_60rounds_700x183" { boost_ms = to_ms($2) }
+  $1 == "random_forest_3class_60trees_700x183" { forest3_ms = to_ms($2) }
   $1 == "chain_gen_beta4_seq" { chain_seq_ms = to_ms($2) }
   $1 == "chain_gen_beta4_conc4" { chain_conc_ms = to_ms($2) }
   $1 == "cache_cold_miss" { cache_cold_ms = to_ms($2) }
@@ -125,6 +132,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   END {
     if (prof_ms == 0 || prof_kdd98_ms == 0 || dict_gas_ms == 0 || dict_kdd98_ms == 0 ||
         render_ms == 0 || forest_ms == 0 || binned_ms == 0 || knn_ms == 0 || boost_ms == 0 ||
+        forest3_ms == 0 ||
         chain_seq_ms == 0 || chain_conc_ms == 0 ||
         cache_cold_ms == 0 || cache_warm_ms == 0 ||
         csv_ingest_ms == 0 || csv_seed_ms == 0 || csv_rt_ms == 0) {
@@ -185,6 +193,11 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "      \"baseline_ms\": %.3f,\n", base_boost >> out
     printf "      \"speedup\": %.2f\n", base_boost / boost_ms >> out
     printf "    },\n" >> out
+    printf "    \"models/random_forest_3class_60trees_700x183\": {\n" >> out
+    printf "      \"median_ms\": %.3f,\n", forest3_ms >> out
+    printf "      \"baseline_ms\": %.3f,\n", base_forest3 >> out
+    printf "      \"speedup\": %.2f\n", base_forest3 / forest3_ms >> out
+    printf "    },\n" >> out
     printf "    \"chain/generate_beta4_3ms_latency\": {\n" >> out
     printf "      \"sequential_ms\": %.3f,\n", chain_seq_ms >> out
     printf "      \"concurrency4_ms\": %.3f,\n", chain_conc_ms >> out
@@ -244,6 +257,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "binned    : %.3f ms/iter (exact %.3f, %.2fx)\n", binned_ms, forest_ms, forest_ms / binned_ms
     printf "knn       : %.3f ms/iter fit+predict 1000x20 (blocked kernel)\n", knn_ms
     printf "boosting  : %.3f ms/iter 3-class 60 rounds 700x183 (baseline %.3f, %.2fx)\n", boost_ms, base_boost, base_boost / boost_ms
+    printf "forest3   : %.3f ms/iter 3-class 60 trees 700x183, 1 thread (baseline %.3f, %.2fx)\n", forest3_ms, base_forest3, base_forest3 / forest3_ms
     printf "chain     : %.3f ms seq vs %.3f ms conc4 (%.2fx)\n", chain_seq_ms, chain_conc_ms, chain_seq_ms / chain_conc_ms
     printf "cache     : %.4f ms miss vs %.4f ms hit (%.2fx); warm smoke %d hit(s), %d billed token(s)\n", cache_cold_ms, cache_warm_ms, cache_cold_ms / cache_warm_ms, smoke_hits, smoke_warm_tokens
     printf "csv       : %.3f ms ingest vs %.3f ms seed reader (%.2fx); %.3f ms write+read roundtrip\n", csv_ingest_ms, csv_seed_ms, csv_seed_ms / csv_ingest_ms, csv_rt_ms

@@ -150,6 +150,26 @@ fn exact_mode_is_bit_identical_to_goldens_on_tie_heavy_data() {
     assert_eq!(h, GOLDEN_TIES_BOOST_CLASS3, "3-class gradient boosting drifted");
 }
 
+// Golden prediction hashes of forests on the tie-heavy data, captured
+// before forest nodes moved from per-node sorts to a shared rank table.
+const GOLDEN_TIES_FOREST_CLASS3: u64 = 0xeedc80b09a09fa5;
+const GOLDEN_TIES_FOREST_REG: u64 = 0xb26ace1b1329fc2a;
+
+#[test]
+fn forests_are_bit_identical_to_goldens_on_tie_heavy_data_at_any_thread_count() {
+    let (x, yc, yr) = tie_heavy_data(300);
+    for threads in [1usize, 8] {
+        let cfg = ForestConfig { n_trees: 12, seed: 17, n_threads: threads, ..Default::default() };
+        let m = RandomForestClassifier { config: cfg.clone() }.fit(&x, &yc, 3).unwrap();
+        let h = hash_f64s(m.predict_proba(&x).unwrap().into_iter().flatten());
+        assert_eq!(h, GOLDEN_TIES_FOREST_CLASS3, "3-class forest drifted: {h:#x}");
+
+        let m = RandomForestRegressor { config: cfg }.fit(&x, &yr).unwrap();
+        let h = hash_f64s(m.predict(&x).unwrap());
+        assert_eq!(h, GOLDEN_TIES_FOREST_REG, "forest regressor drifted: {h:#x}");
+    }
+}
+
 /// Large-offset, near-tie regression data: an integer column, an exact
 /// duplicate of it, a near duplicate (offset by 1e-9 on half the rows), a
 /// ±0.0 column and a continuous column, with targets `offset + small
