@@ -14,7 +14,7 @@ use catdb_ml::{
     metrics, BoostConfig, Classifier, ClassifierModel, ForestConfig, GaussianNb,
     GradientBoostingClassifier, GradientBoostingRegressor, KnnClassifier, KnnConfig, KnnRegressor,
     LogisticRegression, Matrix, RandomForestClassifier, RandomForestRegressor, Regressor,
-    RegressorModel, RidgeRegression, SplitMode, TaskKind, TreeConfig,
+    RegressorModel, RidgeRegression, TaskKind, TreeConfig,
 };
 use catdb_table::Table;
 use std::time::Instant;
@@ -110,14 +110,11 @@ pub struct AutoMlConfig {
     /// runtime).
     pub time_budget_seconds: f64,
     pub seed: u64,
-    /// Split-search strategy for the tree-family candidates; binned mode
-    /// lets a fixed budget evaluate more of the portfolio.
-    pub split_mode: SplitMode,
 }
 
 impl Default for AutoMlConfig {
     fn default() -> Self {
-        AutoMlConfig { time_budget_seconds: 20.0, seed: 5, split_mode: SplitMode::Exact }
+        AutoMlConfig { time_budget_seconds: 20.0, seed: 5 }
     }
 }
 
@@ -164,28 +161,21 @@ impl AutoMlOutcome {
 fn classifier_candidates(
     strategy: SearchStrategy,
     seed: u64,
-    split_mode: SplitMode,
 ) -> Vec<(String, Box<dyn Classifier>)> {
     let rf = |trees: usize, depth: usize| -> Box<dyn Classifier> {
         Box::new(RandomForestClassifier {
-            config: ForestConfig {
-                n_trees: trees,
-                max_depth: depth,
-                seed,
-                split_mode,
-                ..Default::default()
-            },
+            config: ForestConfig { n_trees: trees, max_depth: depth, seed, ..Default::default() },
         })
     };
     let gb = |rounds: usize| -> Box<dyn Classifier> {
         Box::new(GradientBoostingClassifier {
-            config: BoostConfig { n_rounds: rounds, seed, split_mode, ..Default::default() },
+            config: BoostConfig { n_rounds: rounds, seed, ..Default::default() },
         })
     };
     let logistic = || -> Box<dyn Classifier> { Box::new(LogisticRegression::default()) };
     let tree = || -> Box<dyn Classifier> {
         Box::new(catdb_ml::DecisionTreeClassifier {
-            config: TreeConfig { max_depth: 8, split_mode, ..Default::default() },
+            config: TreeConfig { max_depth: 8, ..Default::default() },
         })
     };
     let knn = || -> Box<dyn Classifier> { Box::new(KnnClassifier { config: KnnConfig { k: 7 } }) };
@@ -223,20 +213,14 @@ fn classifier_candidates(
     }
 }
 
-fn regressor_candidates(
-    strategy: SearchStrategy,
-    seed: u64,
-    split_mode: SplitMode,
-) -> Vec<(String, Box<dyn Regressor>)> {
+fn regressor_candidates(strategy: SearchStrategy, seed: u64) -> Vec<(String, Box<dyn Regressor>)> {
     let rf = |trees: usize| -> Box<dyn Regressor> {
         Box::new(RandomForestRegressor {
-            config: ForestConfig { n_trees: trees, seed, split_mode, ..Default::default() },
+            config: ForestConfig { n_trees: trees, seed, ..Default::default() },
         })
     };
     let gb = || -> Box<dyn Regressor> {
-        Box::new(GradientBoostingRegressor {
-            config: BoostConfig { seed, split_mode, ..Default::default() },
-        })
+        Box::new(GradientBoostingRegressor { config: BoostConfig { seed, ..Default::default() } })
     };
     let ridge = || -> Box<dyn Regressor> { Box::new(RidgeRegression::default()) };
     let knn = || -> Box<dyn Regressor> { Box::new(KnnRegressor { config: KnnConfig { k: 7 } }) };
@@ -319,7 +303,7 @@ pub fn run_automl(
         let mut best: Option<(f64, String, Box<dyn ClassifierModel>)> = None;
         let mut stack: Vec<Box<dyn ClassifierModel>> = Vec::new();
         let mut evaluated = 0;
-        for (name, cand) in classifier_candidates(tool.strategy, cfg.seed, cfg.split_mode) {
+        for (name, cand) in classifier_candidates(tool.strategy, cfg.seed) {
             overhead_spent += tool.per_candidate_overhead;
             if started.elapsed().as_secs_f64() + overhead_spent > budget && evaluated > 0 {
                 break;
@@ -398,7 +382,7 @@ pub fn run_automl(
         let mut best: Option<(f64, String, Box<dyn RegressorModel>)> = None;
         let mut stack: Vec<Box<dyn RegressorModel>> = Vec::new();
         let mut evaluated = 0;
-        for (name, cand) in regressor_candidates(tool.strategy, cfg.seed, cfg.split_mode) {
+        for (name, cand) in regressor_candidates(tool.strategy, cfg.seed) {
             overhead_spent += tool.per_candidate_overhead;
             if started.elapsed().as_secs_f64() + overhead_spent > budget && evaluated > 0 {
                 break;

@@ -10,7 +10,7 @@ use catdb_data::{generate, GenOptions};
 use catdb_llm::{Completion, LanguageModel, LlmError, ModelProfile, Prompt, SimLlm};
 use catdb_ml::{
     Classifier, ForestConfig, GradientBoostingClassifier, KnnClassifier, KnnConfig,
-    LogisticRegression, Matrix, RandomForestClassifier, SplitMode,
+    LogisticRegression, Matrix, RandomForestClassifier,
 };
 use catdb_pipeline::{execute, parse, Environment, ExecutionConfig};
 use catdb_profiler::{profile_table, ProfileOptions};
@@ -186,21 +186,6 @@ fn bench_models(c: &mut Criterion) {
         b.iter_batched(
             || RandomForestClassifier {
                 config: ForestConfig { n_trees: 20, ..Default::default() },
-            },
-            |clf| clf.fit(black_box(&x), &y, 2).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-    // Same forest with histogram split search — the ablation pair for
-    // `random_forest_20trees_1000x20` (exact scans above).
-    group.bench_function("random_forest_binned_20trees_1000x20", |b| {
-        b.iter_batched(
-            || RandomForestClassifier {
-                config: ForestConfig {
-                    n_trees: 20,
-                    split_mode: SplitMode::Binned { bins: 256 },
-                    ..Default::default()
-                },
             },
             |clf| clf.fit(black_box(&x), &y, 2).unwrap(),
             BatchSize::SmallInput,

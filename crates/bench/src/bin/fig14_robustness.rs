@@ -59,11 +59,7 @@ fn corruption_study(args: &BenchArgs) -> (Vec<Vec<String>>, Vec<serde_json::Valu
                     catdb_scores.iter().sum::<f64>() / catdb_scores.len() as f64
                 };
 
-                let automl_cfg = AutoMlConfig {
-                    time_budget_seconds: 8.0,
-                    seed: args.run.seed,
-                    ..Default::default()
-                };
+                let automl_cfg = AutoMlConfig { time_budget_seconds: 8.0, seed: args.run.seed };
                 let mut cells = vec![
                     name.to_string(),
                     kind.label().to_string(),

@@ -104,8 +104,7 @@ fn main() {
         }
 
         // AutoML on original data, then AutoML after a cleaning workflow.
-        let automl_cfg =
-            AutoMlConfig { time_budget_seconds: 12.0, seed: args.run.seed, ..Default::default() };
+        let automl_cfg = AutoMlConfig { time_budget_seconds: 12.0, seed: args.run.seed };
         let cleaned = match saga(&p.raw_train, &p.target, p.task, &SagaConfig::default()) {
             Ok(r) => Some(("SAGA", r)),
             Err(_) => {

@@ -28,8 +28,7 @@ fn main() {
         // AutoML + cleaning run once per dataset (LLM-independent).
         let spec = args.spec("gemini-1.5-pro", args.run.seed);
         let p = prepare(&g, &spec, &*spec.llm());
-        let automl_cfg =
-            AutoMlConfig { time_budget_seconds: 12.0, seed: args.run.seed, ..Default::default() };
+        let automl_cfg = AutoMlConfig { time_budget_seconds: 12.0, seed: args.run.seed };
         let cleaning = saga(&p.raw_train, &p.target, p.task, &SagaConfig::default()).ok();
         let prep_label = cleaning.as_ref().map(|c| c.label()).unwrap_or_else(|| "-".into());
         let mut automl_cells = Vec::new();

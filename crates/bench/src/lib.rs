@@ -7,10 +7,11 @@
 //! rendering, and JSON result persistence under `results/`.
 
 use catdb_catalog::CatalogEntry;
-use catdb_core::{Engine, GenerationOutcome, RunFlags, RunSpec};
+use catdb_core::{GenerationOutcome, RunFlags, RunSpec};
 use catdb_data::{GenOptions, GeneratedDataset};
 use catdb_llm::{LanguageModel, ModelProfile, RouteSpec};
 use catdb_ml::TaskKind;
+use catdb_profiler::ProfileMode;
 use catdb_table::Table;
 use serde_json::json;
 use std::path::PathBuf;
@@ -136,7 +137,7 @@ impl BenchArgs {
             refine: true,
             llm_concurrency: self.run.llm_concurrency,
             transport: self.run.transport,
-            engine: Engine::default(),
+            profile: ProfileMode::default(),
         }
     }
 

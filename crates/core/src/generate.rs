@@ -50,9 +50,6 @@ pub struct CatDbConfig {
     /// spanning a whole config sweep, or a persistent one behind
     /// `--llm-cache`).
     pub llm_cache: Option<Arc<CompletionCache>>,
-    /// Split-search strategy forwarded to the tree-family estimators
-    /// (`--split-mode`): exact scans or histogram-binned training.
-    pub split_mode: catdb_ml::SplitMode,
 }
 
 impl Default for CatDbConfig {
@@ -68,7 +65,6 @@ impl Default for CatDbConfig {
             disallowed_packages: Vec::new(),
             llm_concurrency: DEFAULT_LLM_CONCURRENCY,
             llm_cache: None,
-            split_mode: catdb_ml::SplitMode::Exact,
         }
     }
 }
@@ -390,11 +386,7 @@ pub fn generate_pipeline(
     };
 
     let task = entry.task_kind();
-    let exec_cfg = ExecutionConfig {
-        seed: cfg.seed,
-        split_mode: cfg.split_mode,
-        ..ExecutionConfig::new(task)
-    };
+    let exec_cfg = ExecutionConfig { seed: cfg.seed, ..ExecutionConfig::new(task) };
     let val_train = train.sample(cfg.validation_rows, cfg.seed);
     let val_test = test.sample((cfg.validation_rows / 3).max(30), cfg.seed ^ 1);
     let val_cfg = ExecutionConfig { fast_validation: true, ..exec_cfg.clone() };

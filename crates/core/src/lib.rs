@@ -51,4 +51,4 @@ pub use generate::{
 pub use kb::{ErrorTrace, ErrorTraceDb, FixedBy, KbFix, KnowledgeBase};
 pub use prompt::{PromptBuilder, PromptOptions};
 pub use rules::{derive_rules, labels_imbalanced, schema_line, MetadataConfig};
-pub use run::{value, Engine, RunError, RunFlags, RunOutcome, RunSpec};
+pub use run::{value, RunError, RunFlags, RunOutcome, RunSpec};

@@ -18,22 +18,12 @@ use catdb_catalog::{CatalogEntry, MultiTableDataset, RefinementReport};
 use catdb_llm::{
     resolve_route, LanguageModel, ModelProfile, RouteSpec, Transport, DEFAULT_ROUTE_TARGET_ACCURACY,
 };
-use catdb_ml::{SplitMode, TaskKind};
+use catdb_ml::TaskKind;
 use catdb_profiler::ProfileMode;
 use catdb_sched::{CompletionCache, LlmScheduler, DEFAULT_LLM_CONCURRENCY};
 use catdb_table::{Table, TableError};
 use std::fmt;
 use std::sync::Arc;
-
-/// The execution strategies of a run: how columns are profiled and how
-/// trees search splits.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Engine {
-    /// Tree split search (`--split-mode`).
-    pub split: SplitMode,
-    /// Profiling strategy (`--profile-mode`).
-    pub profile: ProfileMode,
-}
 
 /// Everything a one-shot run takes besides its data.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +42,8 @@ pub struct RunSpec {
     /// Concurrent in-flight LLM requests for fan-out stages.
     pub llm_concurrency: usize,
     pub transport: Transport,
-    pub engine: Engine,
+    /// Profiling strategy (`--profile-mode`).
+    pub profile: ProfileMode,
 }
 
 /// What a run produced.
@@ -101,7 +92,6 @@ impl RunSpec {
             seed: self.seed,
             llm_concurrency: self.llm_concurrency,
             llm_cache: cache,
-            split_mode: self.engine.split,
             ..Default::default()
         }
     }
@@ -116,7 +106,7 @@ impl RunSpec {
         llm: &dyn LanguageModel,
     ) -> Result<Collected, TableError> {
         let mut opts = CollectOptions { refine: self.refine, ..Default::default() };
-        opts.profile.mode = self.engine.profile;
+        opts.profile.mode = self.profile;
         collect(dataset, target, task, llm, &opts)
     }
 
@@ -270,7 +260,7 @@ mod tests {
             refine: true,
             llm_concurrency: 2,
             transport: Transport::default(),
-            engine: Engine::default(),
+            profile: ProfileMode::default(),
         }
     }
 

@@ -6,7 +6,7 @@ use crate::estimator::{
     Regressor, RegressorModel, Result,
 };
 use crate::matrix::Matrix;
-use crate::tree::{fit_reg_stage, split_index, SplitMode, TreeConfig, TreeRegressorModel};
+use crate::tree::{fit_reg_stage, split_index, TreeConfig, TreeRegressorModel};
 
 /// Boosting hyper-parameters.
 #[derive(Debug, Clone)]
@@ -15,19 +15,11 @@ pub struct BoostConfig {
     pub learning_rate: f64,
     pub max_depth: usize,
     pub seed: u64,
-    /// Split-search strategy shared by every stage tree.
-    pub split_mode: SplitMode,
 }
 
 impl Default for BoostConfig {
     fn default() -> Self {
-        BoostConfig {
-            n_rounds: 60,
-            learning_rate: 0.15,
-            max_depth: 4,
-            seed: 11,
-            split_mode: SplitMode::Exact,
-        }
+        BoostConfig { n_rounds: 60, learning_rate: 0.15, max_depth: 4, seed: 11 }
     }
 }
 
@@ -38,7 +30,6 @@ fn stage_config(cfg: &BoostConfig, round: u64) -> TreeConfig {
         max_thresholds: 16,
         feature_subsample: None,
         seed: cfg.seed ^ round.wrapping_mul(0x51D_7EAD),
-        split_mode: cfg.split_mode,
     }
 }
 

@@ -8,7 +8,7 @@ use crate::estimator::{
     Regressor, RegressorModel, Result,
 };
 use crate::matrix::Matrix;
-use crate::tree::{fit_class_tree_on, fit_reg_tree, split_index, SplitMode, TreeConfig};
+use crate::tree::{fit_class_tree_on, fit_reg_tree, split_index, TreeConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -22,20 +22,11 @@ pub struct ForestConfig {
     pub seed: u64,
     /// Worker threads for tree training (1 = sequential).
     pub n_threads: usize,
-    /// Split-search strategy shared by every tree.
-    pub split_mode: SplitMode,
 }
 
 impl Default for ForestConfig {
     fn default() -> Self {
-        ForestConfig {
-            n_trees: 50,
-            max_depth: 12,
-            min_samples_leaf: 2,
-            seed: 7,
-            n_threads: 4,
-            split_mode: SplitMode::Exact,
-        }
+        ForestConfig { n_trees: 50, max_depth: 12, min_samples_leaf: 2, seed: 7, n_threads: 4 }
     }
 }
 
@@ -50,7 +41,6 @@ fn tree_config(cfg: &ForestConfig, n_features: usize, tree_seed: u64) -> TreeCon
         max_thresholds: 16,
         feature_subsample: Some(((n_features as f64).sqrt().ceil() as usize).max(1)),
         seed: tree_seed,
-        split_mode: cfg.split_mode,
     }
 }
 

@@ -16,7 +16,6 @@
 //! substrate CatDB's error-management loop is built on.
 
 pub mod augment;
-pub mod binned;
 pub mod boosting;
 mod dist;
 pub mod encode;
@@ -37,7 +36,6 @@ pub mod transform;
 mod tree;
 
 pub use augment::{AugmentMethod, Augmenter};
-pub use binned::BinnedDataset;
 pub use boosting::{BoostConfig, GradientBoostingClassifier, GradientBoostingRegressor};
 pub use encode::{FeatureHasher, KHotEncoder, OneHotEncoder, OrdinalEncoder};
 pub use estimator::{argmax, Classifier, ClassifierModel, MlError, Regressor, RegressorModel};
@@ -56,4 +54,4 @@ pub use scale::{ScaleMethod, Scaler};
 pub use select::TopKSelector;
 pub use tabpfn::{TabPfnSurrogate, TABPFN_MAX_CLASSES, TABPFN_MAX_FEATURES, TABPFN_MAX_SAMPLES};
 pub use transform::{Transform, TransformError};
-pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor, SplitMode, TreeConfig};
+pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeConfig};

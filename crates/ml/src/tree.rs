@@ -2,37 +2,28 @@
 //! reduction), with capped threshold candidates and optional feature
 //! subsampling so the trees double as random-forest base learners.
 //!
-//! Two split-search strategies share the same tree structure:
-//!
-//! * [`SplitMode::Exact`] — the original sorted-scan search, bit-identical
-//!   to the seed implementation. A fit that scans every feature at every
-//!   node (`feature_subsample: None`: single trees and boosting stages)
-//!   sorts each feature's rows once, stably under `total_cmp`, into a
-//!   feature-major presort. A node owns the same contiguous range of every
-//!   feature's list, and a split stably partitions each range into left
-//!   rows then right rows. A child's rows keep their parent's relative
-//!   order, so the partitioned range equals a stable sort of the child's
-//!   rows: ties stay in the order the regression scan sums them in, and
-//!   the trees are the ones per-node sorting grows. Boosting builds the
-//!   presort of rows `0..n` once per ensemble ([`split_index`]) and every
-//!   stage partitions a copy of it. Forests sample √d features per node,
-//!   where d partitions per split cost more than k orderings, so a forest
-//!   builds one [`RankTable`] instead: each feature's dense rank per row.
-//!   A node orders a sampled feature's rows by counting ranks or by
-//!   sorting `u64` rank keys, stably by position, which is exactly a
-//!   stable sort of the values; at a classification node a feature with
-//!   few distinct values is scanned from a (rank, class) histogram
-//!   without ordering its rows at all. Regression scans in two passes
-//!   ([`Builder::reg_split`]): O(1) approximate gains filter the cuts,
-//!   and the exact SSE loop runs only for the cuts that a proven error
-//!   bound ([`gain_error_bound`]) leaves able to win.
-//! * [`SplitMode::Binned`] — LightGBM-style histogram search over a shared
-//!   [`BinnedDataset`]: per-node histograms of (count, class counts |
-//!   sum, sum-of-squares) are accumulated in one pass over `u8` codes, and
-//!   each sibling's histogram is derived as parent − scanned-child instead
-//!   of rescanned.
+//! Split search is exact: a sorted scan, bit-identical to the seed
+//! implementation. A fit that scans every feature at every node
+//! (`feature_subsample: None`: single trees and boosting stages) sorts
+//! each feature's rows once, stably under `total_cmp`, into a
+//! feature-major presort. A node owns the same contiguous range of every
+//! feature's list, and a split stably partitions each range into left rows
+//! then right rows. A child's rows keep their parent's relative order, so
+//! the partitioned range equals a stable sort of the child's rows: ties
+//! stay in the order the regression scan sums them in, and the trees are
+//! the ones per-node sorting grows. Boosting builds the presort of rows
+//! `0..n` once per ensemble ([`split_index`]) and every stage partitions a
+//! copy of it. Forests sample √d features per node, where d partitions per
+//! split cost more than k orderings, so a forest builds one [`RankTable`]
+//! instead: each feature's dense rank per row. A node orders a sampled
+//! feature's rows by counting ranks or by sorting `u64` rank keys, stably
+//! by position, which is exactly a stable sort of the values; at a
+//! classification node a feature with few distinct values is scanned from
+//! a (rank, class) histogram without ordering its rows at all. Regression
+//! scans in two passes ([`Builder::reg_split`]): O(1) approximate gains
+//! filter the cuts, and the exact SSE loop runs only for the cuts that a
+//! proven error bound ([`gain_error_bound`]) leaves able to win.
 
-use crate::binned::{BinnedDataset, MAX_BINS};
 use crate::estimator::{
     check_finite, validate_classification, validate_regression, Classifier, ClassifierModel,
     Regressor, RegressorModel, Result,
@@ -41,64 +32,18 @@ use crate::matrix::{ColMajor, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::fmt;
-
-/// Split-search strategy for tree training.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SplitMode {
-    /// Sorted-scan threshold search (bit-identical to the seed trees).
-    #[default]
-    Exact,
-    /// Histogram search over quantized features (`2..=256` bins).
-    Binned { bins: usize },
-}
-
-impl SplitMode {
-    /// Parse `exact`, `binned`, or `binned:<bins>` (bins in `2..=256`).
-    pub fn parse(s: &str) -> std::result::Result<SplitMode, String> {
-        match s {
-            "exact" => Ok(SplitMode::Exact),
-            "binned" => Ok(SplitMode::Binned { bins: MAX_BINS }),
-            other => match other.strip_prefix("binned:") {
-                Some(n) => {
-                    let bins: usize = n.parse().map_err(|_| format!("invalid bin count `{n}`"))?;
-                    if !(2..=MAX_BINS).contains(&bins) {
-                        return Err(format!("bins must be in 2..=256, got {bins}"));
-                    }
-                    Ok(SplitMode::Binned { bins })
-                }
-                None => Err(format!(
-                    "unknown split mode `{other}` (expected `exact`, `binned`, or \
-                     `binned:<bins>`)"
-                )),
-            },
-        }
-    }
-}
-
-impl fmt::Display for SplitMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SplitMode::Exact => write!(f, "exact"),
-            SplitMode::Binned { bins } => write!(f, "binned:{bins}"),
-        }
-    }
-}
 
 /// Hyper-parameters shared by classification and regression trees.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
     pub max_depth: usize,
     pub min_samples_leaf: usize,
-    /// Cap on candidate thresholds per feature per node (quantile-strided;
-    /// exact mode only — binned mode considers every bin edge).
+    /// Cap on candidate thresholds per feature per node (quantile-strided).
     pub max_thresholds: usize,
     /// Features sampled per split; `None` = all (single trees),
     /// `Some(k)` for forests.
     pub feature_subsample: Option<usize>,
     pub seed: u64,
-    /// Split-search strategy.
-    pub split_mode: SplitMode,
 }
 
 impl Default for TreeConfig {
@@ -109,7 +54,6 @@ impl Default for TreeConfig {
             max_thresholds: 32,
             feature_subsample: None,
             seed: 0,
-            split_mode: SplitMode::Exact,
         }
     }
 }
@@ -684,24 +628,21 @@ struct Sequence {
 }
 
 /// What a fit builds once from `x` and every tree of an ensemble reads:
-/// the quantized codes in binned mode; in exact mode the presort of the
-/// fit's rows when every node scans every feature (single trees,
-/// boosting stages), else a rank table (forest trees, which sample
-/// features per node).
+/// the presort of the fit's rows when every node scans every feature
+/// (single trees, boosting stages), else a rank table (forest trees,
+/// which sample features per node).
 pub(crate) enum SplitIndex {
-    Binned(BinnedDataset),
     Presort(Presort),
     Ranks(RankTable),
 }
 
 impl SplitIndex {
     /// The index a fit of `cfg` over `rows` reads. A presort covers
-    /// exactly `rows`; the other kinds cover every row of `x`.
+    /// exactly `rows`; a rank table covers every row of `x`.
     fn build(x: &Matrix, rows: &[usize], cfg: &TreeConfig) -> SplitIndex {
-        match (cfg.split_mode, cfg.feature_subsample) {
-            (SplitMode::Binned { bins }, _) => SplitIndex::Binned(BinnedDataset::build(x, bins)),
-            (SplitMode::Exact, None) => SplitIndex::Presort(Presort::build(x, rows)),
-            (SplitMode::Exact, Some(_)) => SplitIndex::Ranks(RankTable::build(x)),
+        match cfg.feature_subsample {
+            None => SplitIndex::Presort(Presort::build(x, rows)),
+            Some(_) => SplitIndex::Ranks(RankTable::build(x)),
         }
     }
 }
@@ -762,111 +703,9 @@ impl<'a> Partitioned<'a> {
     }
 }
 
-/// Flattened per-node histogram over all features of a [`BinnedDataset`]:
-/// classification keeps per-(bin, class) counts, regression keeps per-bin
-/// (count, Σy, Σy²). Sibling histograms subtract exactly (u32 counts are
-/// exact; the f64 sums are deterministic but not order-identical to a
-/// rescan, which binned mode accepts).
-enum Hist {
-    Class(Vec<u32>),
-    Reg { count: Vec<u32>, sum: Vec<f64>, sumsq: Vec<f64> },
-}
-
-impl Hist {
-    /// In-place `self −= child`, turning a parent histogram into the
-    /// sibling of the scanned child.
-    fn subtract(&mut self, child: &Hist) {
-        match (self, child) {
-            (Hist::Class(p), Hist::Class(c)) => {
-                for (a, b) in p.iter_mut().zip(c) {
-                    *a -= b;
-                }
-            }
-            (Hist::Reg { count, sum, sumsq }, Hist::Reg { count: cc, sum: cs, sumsq: cq }) => {
-                for (a, b) in count.iter_mut().zip(cc) {
-                    *a -= b;
-                }
-                for (a, b) in sum.iter_mut().zip(cs) {
-                    *a -= b;
-                }
-                for (a, b) in sumsq.iter_mut().zip(cq) {
-                    *a -= b;
-                }
-            }
-            _ => unreachable!("histogram kind mismatch"),
-        }
-    }
-}
-
-/// Allocate a zeroed histogram covering `bins` bins of the given target
-/// kind (classification scales by the class count).
-fn empty_hist(target: &Target, bins: usize) -> Hist {
-    match target {
-        Target::Class { n_classes, .. } => Hist::Class(vec![0; bins * n_classes]),
-        Target::Reg { .. } => {
-            Hist::Reg { count: vec![0; bins], sum: vec![0.0; bins], sumsq: vec![0.0; bins] }
-        }
-    }
-}
-
-/// `(base, width)` of feature `f`'s element range inside a flattened
-/// histogram (element units, i.e. already scaled by the class count).
-fn feature_range(target: &Target, b: &BinnedDataset, f: usize) -> (usize, usize) {
-    let scale = match target {
-        Target::Class { n_classes, .. } => *n_classes,
-        Target::Reg { .. } => 1,
-    };
-    (b.bin_offset(f) * scale, b.n_bins(f) * scale)
-}
-
-/// Per-node training payload gathered once per histogram scan, so every
-/// feature pass streams flat arrays (row index, label | target value)
-/// instead of re-chasing `rows → y` through two indirections per feature.
-enum NodePayload {
-    Class(Vec<u32>),
-    Reg(Vec<f64>),
-}
-
-/// Accumulate one feature's codes into `hist` starting at element offset
-/// `base`. This is the monomorphic hot loop of binned training: one `u8`
-/// gather plus one indexed add per row.
-fn scan_feature(
-    codes: &[u8],
-    idx: &[u32],
-    payload: &NodePayload,
-    n_classes: usize,
-    base: usize,
-    hist: &mut Hist,
-) {
-    match (hist, payload) {
-        (Hist::Class(h), NodePayload::Class(labels)) => {
-            for (&r, &lab) in idx.iter().zip(labels) {
-                h[base + codes[r as usize] as usize * n_classes + lab as usize] += 1;
-            }
-        }
-        (Hist::Reg { count, sum, sumsq }, NodePayload::Reg(vals)) => {
-            for (&r, &v) in idx.iter().zip(vals) {
-                let bin = base + codes[r as usize] as usize;
-                count[bin] += 1;
-                sum[bin] += v;
-                sumsq[bin] += v * v;
-            }
-        }
-        _ => unreachable!("histogram kind mismatch"),
-    }
-}
-
-/// Row-count × feature-count product above which a node's histogram scan
-/// fans out per-feature on the shared runtime (each feature's bin range is
-/// an independent output slice, so the merge is a plain input-ordered
-/// concatenation and the result is identical at any thread count).
-const PARALLEL_SCAN_CELLS: usize = 1 << 15;
-
 /// Where a fit's nodes find their rows in value order: a fit's view of
 /// its [`SplitIndex`].
 enum NodeOrder<'a> {
-    /// Binned mode scans codes and never orders rows.
-    Binned(&'a BinnedDataset),
     /// The fit's presort, partitioned as the tree grows.
     Presort(Partitioned<'a>),
     /// A shared rank table; each node orders the features it samples.
@@ -883,8 +722,6 @@ struct Builder<'a> {
     cfg: &'a TreeConfig,
     rng: StdRng,
     order: NodeOrder<'a>,
-    hist_builds: u64,
-    hist_subtractions: u64,
     /// Regression cuts scored by the filter pass.
     split_candidates: u64,
     /// Regression cuts the verify pass ran the exact loop for.
@@ -899,25 +736,13 @@ impl<'a> Builder<'a> {
             cfg,
             rng: StdRng::seed_from_u64(cfg.seed),
             order,
-            hist_builds: 0,
-            hist_subtractions: 0,
             split_candidates: 0,
             split_exact: 0,
         }
     }
 
     fn fit(&mut self, rows: Vec<usize>) -> Node {
-        match self.order {
-            NodeOrder::Binned(_) => self.build_binned(rows, 0, None),
-            _ => self.build(rows, 0, 0),
-        }
-    }
-
-    fn binned(&self) -> &'a BinnedDataset {
-        match self.order {
-            NodeOrder::Binned(b) => b,
-            _ => unreachable!("binned build without dataset"),
-        }
+        self.build(rows, 0, 0)
     }
 
     /// Whether a node of `len` rows at `depth` may split; every other node
@@ -940,7 +765,6 @@ impl<'a> Builder<'a> {
                 seq.vals.extend(list.iter().map(|&r| (col[r as usize], r as usize)));
             }
             NodeOrder::Ranks(table) => table.node_values(f, rows, seq),
-            NodeOrder::Binned(_) => unreachable!("binned fits scan codes"),
             #[cfg(test)]
             NodeOrder::Sort => sort_values(self.x, f, rows, &mut seq.vals),
         }
@@ -958,7 +782,8 @@ impl<'a> Builder<'a> {
                 let (ranks, values) = (table.ranks(f), table.values(f));
                 rows.into_iter().partition(|&r| values[ranks[r] as usize] <= threshold)
             }
-            _ => rows.into_iter().partition(|&r| self.x.get(r, f) <= threshold),
+            #[cfg(test)]
+            NodeOrder::Sort => rows.into_iter().partition(|&r| self.x.get(r, f) <= threshold),
         }
     }
 
@@ -1221,215 +1046,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Build the full-feature histogram for a node in one pass over the u8
-    /// codes. Large nodes fan out per feature on the runtime pool; each
-    /// feature's bins land in a disjoint slice, so the input-ordered merge
-    /// is a plain copy and the result is identical at any thread count.
-    fn scan_hist(&mut self, rows: &[usize]) -> Hist {
-        self.hist_builds += 1;
-        let b = self.binned();
-        let target = &self.target;
-        // Gather the node's row indices and targets into flat arrays once;
-        // the d feature passes then stream them sequentially.
-        let idx: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
-        let (payload, n_classes) = match target {
-            Target::Class { y, n_classes } => {
-                (NodePayload::Class(rows.iter().map(|&r| y[r] as u32).collect()), *n_classes)
-            }
-            Target::Reg { y } => (NodePayload::Reg(rows.iter().map(|&r| y[r]).collect()), 1),
-        };
-        let mut hist = empty_hist(target, b.total_bins());
-        if rows.len() * b.cols() >= PARALLEL_SCAN_CELLS && b.cols() > 1 {
-            let feats: Vec<usize> = (0..b.cols()).collect();
-            let limit = catdb_runtime::pool_size().saturating_add(1);
-            let parts = catdb_runtime::parallel_map(limit, &feats, |_, &f| {
-                let mut part = empty_hist(target, b.n_bins(f));
-                scan_feature(b.col_codes(f), &idx, &payload, n_classes, 0, &mut part);
-                part
-            });
-            for (f, part) in parts.into_iter().enumerate() {
-                let (base, width) = feature_range(target, b, f);
-                match (&mut hist, part) {
-                    (Hist::Class(h), Hist::Class(p)) => {
-                        h[base..base + width].copy_from_slice(&p);
-                    }
-                    (
-                        Hist::Reg { count, sum, sumsq },
-                        Hist::Reg { count: pc, sum: ps, sumsq: pq },
-                    ) => {
-                        count[base..base + width].copy_from_slice(&pc);
-                        sum[base..base + width].copy_from_slice(&ps);
-                        sumsq[base..base + width].copy_from_slice(&pq);
-                    }
-                    _ => unreachable!("histogram kind mismatch"),
-                }
-            }
-        } else {
-            for f in 0..b.cols() {
-                let (base, _) = feature_range(target, b, f);
-                scan_feature(b.col_codes(f), &idx, &payload, n_classes, base, &mut hist);
-            }
-        }
-        hist
-    }
-
-    /// Histogram-based recursion: `hist`, when present, was derived by the
-    /// parent (scan of the smaller sibling + subtraction), so each level
-    /// scans the raw codes at most once for the smaller half of its rows.
-    fn build_binned(&mut self, rows: Vec<usize>, depth: usize, hist: Option<Hist>) -> Node {
-        if !self.may_split(rows.len(), depth) {
-            return self.target.leaf(&rows);
-        }
-        // One pass over the node's labels covers purity + parent impurity
-        // (the exact path pays three passes here; with full-feature
-        // histogram scans per node the savings are material).
-        let parent_class_counts: Option<Vec<usize>> = match &self.target {
-            Target::Class { y, n_classes } => {
-                let mut counts = vec![0usize; *n_classes];
-                for &r in &rows {
-                    counts[y[r]] += 1;
-                }
-                if counts.iter().filter(|&&c| c > 0).count() <= 1 {
-                    return self.target.leaf(&rows);
-                }
-                Some(counts)
-            }
-            Target::Reg { .. } => {
-                if self.target.is_pure(&rows) {
-                    return self.target.leaf(&rows);
-                }
-                None
-            }
-        };
-        let parent_impurity = match &parent_class_counts {
-            Some(counts) => gini_weighted(counts, rows.len()),
-            None => self.target.weighted_impurity(&rows),
-        };
-        if parent_impurity <= 1e-12 {
-            return self.target.leaf(&rows);
-        }
-        let binned = self.binned();
-
-        let d = self.x.cols();
-        let mut features: Vec<usize> = (0..d).collect();
-        if let Some(k) = self.cfg.feature_subsample {
-            features.shuffle(&mut self.rng);
-            features.truncate(k.max(1).min(d));
-        }
-
-        let hist = match hist {
-            Some(h) => h,
-            None => self.scan_hist(&rows),
-        };
-
-        // Cumulative left-to-right sweep over each feature's bins: split at
-        // bin b sends codes ≤ b left, which is exactly `value ≤ edges[b]`.
-        let mut best: Option<(f64, usize, usize)> = None; // (gain, feature, bin)
-        match (&hist, &self.target) {
-            (Hist::Class(h), Target::Class { n_classes, .. }) => {
-                let nc = *n_classes;
-                let parent_counts =
-                    parent_class_counts.as_ref().expect("class counts computed above");
-                let mut left_counts = vec![0usize; nc];
-                for &f in &features {
-                    let nb = binned.n_bins(f);
-                    if nb < 2 {
-                        continue; // constant feature
-                    }
-                    let base = binned.bin_offset(f) * nc;
-                    left_counts.fill(0);
-                    let mut left_n = 0usize;
-                    for b in 0..nb - 1 {
-                        let slot = &h[base + b * nc..base + (b + 1) * nc];
-                        for (acc, &v) in left_counts.iter_mut().zip(slot) {
-                            *acc += v as usize;
-                            left_n += v as usize;
-                        }
-                        let right_n = rows.len() - left_n;
-                        if left_n < self.cfg.min_samples_leaf.max(1)
-                            || right_n < self.cfg.min_samples_leaf.max(1)
-                        {
-                            continue;
-                        }
-                        let child = gini_weighted(&left_counts, left_n)
-                            + gini_weighted_rest(parent_counts, &left_counts, right_n);
-                        let gain = parent_impurity - child;
-                        if improves(&best, gain) {
-                            best = Some((gain, f, b));
-                        }
-                    }
-                }
-            }
-            (Hist::Reg { count, sum, sumsq }, Target::Reg { .. }) => {
-                for &f in &features {
-                    let nb = binned.n_bins(f);
-                    if nb < 2 {
-                        continue;
-                    }
-                    let base = binned.bin_offset(f);
-                    let bins = base..base + nb;
-                    let total_n: u32 = count[bins.clone()].iter().sum();
-                    let total_sum: f64 = sum[bins.clone()].iter().sum();
-                    let total_sumsq: f64 = sumsq[bins].iter().sum();
-                    let mut left_n = 0u32;
-                    let mut left_sum = 0.0f64;
-                    let mut left_sumsq = 0.0f64;
-                    for b in 0..nb - 1 {
-                        left_n += count[base + b];
-                        left_sum += sum[base + b];
-                        left_sumsq += sumsq[base + b];
-                        let right_n = total_n - left_n;
-                        if (left_n as usize) < self.cfg.min_samples_leaf.max(1)
-                            || (right_n as usize) < self.cfg.min_samples_leaf.max(1)
-                        {
-                            continue;
-                        }
-                        let left_sse = left_sumsq - left_sum * left_sum / left_n as f64;
-                        let right_sum = total_sum - left_sum;
-                        let right_sse =
-                            (total_sumsq - left_sumsq) - right_sum * right_sum / right_n as f64;
-                        let child = left_sse + right_sse;
-                        let gain = parent_impurity - child;
-                        if improves(&best, gain) {
-                            best = Some((gain, f, b));
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("histogram kind mismatch"),
-        }
-
-        let Some((_, feature, bin)) = best else {
-            return self.target.leaf(&rows);
-        };
-        let threshold = binned.edges(feature)[bin];
-        let codes = binned.col_codes(feature);
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-            rows.into_iter().partition(|&r| codes[r] as usize <= bin);
-        if left_rows.is_empty() || right_rows.is_empty() {
-            // Histogram counts guarantee both sides are non-empty; keep the
-            // exact path's defensive fallback anyway.
-            let all: Vec<usize> = left_rows.into_iter().chain(right_rows).collect();
-            return self.target.leaf(&all);
-        }
-
-        // Subtraction trick: scan only the smaller child, derive the larger
-        // sibling as parent − child.
-        let scan_left = left_rows.len() <= right_rows.len();
-        let small = if scan_left { &left_rows } else { &right_rows };
-        let small_hist = self.scan_hist(small);
-        let mut large_hist = hist;
-        large_hist.subtract(&small_hist);
-        self.hist_subtractions += 1;
-        let (left_hist, right_hist) =
-            if scan_left { (small_hist, large_hist) } else { (large_hist, small_hist) };
-
-        let left = Box::new(self.build_binned(left_rows, depth + 1, Some(left_hist)));
-        let right = Box::new(self.build_binned(right_rows, depth + 1, Some(right_hist)));
-        Node::Split { feature, threshold, left, right }
-    }
-
-    /// Exact recursion over the node's `rows`, which start at offset `lo`
+    /// Recursion over the node's `rows`, which start at offset `lo`
     /// of every presorted list when the fit has one.
     fn build(&mut self, rows: Vec<usize>, depth: usize, lo: usize) -> Node {
         if !self.may_split(rows.len(), depth) || self.target.is_pure(&rows) {
@@ -1545,16 +1162,13 @@ impl Classifier for DecisionTreeClassifier {
     }
 }
 
-/// Flush the per-fit counters into the trace layer: histogram work in
-/// binned mode, and in exact regression the cuts the filter scored
-/// against those the exact loop verified (the prune ratio).
+/// Flush the per-fit counters into the trace layer: in regression, the
+/// cuts the filter scored against those the exact loop verified (the
+/// prune ratio).
 fn flush_counters(builder: &Builder) {
-    for (name, count) in [
-        ("ml.hist_builds", builder.hist_builds),
-        ("ml.hist_subtractions", builder.hist_subtractions),
-        ("ml.split_candidates", builder.split_candidates),
-        ("ml.split_exact", builder.split_exact),
-    ] {
+    for (name, count) in
+        [("ml.split_candidates", builder.split_candidates), ("ml.split_exact", builder.split_exact)]
+    {
         if count > 0 {
             catdb_trace::add_counter(name, count as f64);
         }
@@ -1613,7 +1227,6 @@ fn grow(
         }
     };
     let order = match index {
-        SplitIndex::Binned(binned) => NodeOrder::Binned(binned),
         SplitIndex::Presort(presort) => {
             debug_assert_eq!(presort.order.len(), rows.len() * x.cols());
             lists.clear();
@@ -1700,9 +1313,8 @@ pub(crate) fn fit_reg_tree(
 }
 
 /// One boosting stage: a regression tree over rows `0..n` from the
-/// ensemble's `index`. In exact mode it partitions a copy of the
-/// ensemble's presort made in `lists`, a buffer the caller reuses across
-/// rounds.
+/// ensemble's `index`. It partitions a copy of the ensemble's presort
+/// made in `lists`, a buffer the caller reuses across rounds.
 pub(crate) fn fit_reg_stage(
     x: &Matrix,
     y: &[f64],
@@ -2071,7 +1683,6 @@ mod tests {
                 max_thresholds,
                 feature_subsample: Some(subsample),
                 seed,
-                ..Default::default()
             };
             let index = split_index(&x, &cfg);
             proptest::prop_assert!(matches!(index, SplitIndex::Ranks(_)));

@@ -19,7 +19,7 @@ use catdb_ml::{
     GradientBoostingRegressor, HighMissingDropper, ImputeStrategy, Imputer, KHotEncoder,
     KnnClassifier, KnnConfig, KnnRegressor, LabelEncoder, LogisticRegression, MlError,
     NullRowDropper, OneHotEncoder, OrdinalEncoder, OutlierMethod, OutlierRemover,
-    RandomForestClassifier, RandomForestRegressor, Regressor, RidgeRegression, Scaler, SplitMode,
+    RandomForestClassifier, RandomForestRegressor, Regressor, RidgeRegression, Scaler,
     TabPfnSurrogate, TaskKind, TopKSelector, Transform, TransformError as TErr,
 };
 use catdb_table::{DataType, Table, Value};
@@ -36,19 +36,11 @@ pub struct ExecutionConfig {
     pub seed: u64,
     /// Scale down ensemble sizes for fast validation runs.
     pub fast_validation: bool,
-    /// Split-search strategy for the tree-family estimators.
-    pub split_mode: SplitMode,
 }
 
 impl ExecutionConfig {
     pub fn new(task: TaskKind) -> ExecutionConfig {
-        ExecutionConfig {
-            memory_limit: None,
-            task,
-            seed: 42,
-            fast_validation: false,
-            split_mode: SplitMode::Exact,
-        }
+        ExecutionConfig { memory_limit: None, task, seed: 42, fast_validation: false }
     }
 }
 
@@ -207,7 +199,6 @@ fn build_classifier(
                 n_trees: trees,
                 max_depth: depth.max(2),
                 seed: cfg.seed,
-                split_mode: cfg.split_mode,
                 ..Default::default()
             },
         }),
@@ -217,15 +208,10 @@ fn build_classifier(
                 learning_rate: spec.param("lr").unwrap_or(0.15),
                 max_depth: spec.param("depth").unwrap_or(4.0) as usize,
                 seed: cfg.seed,
-                split_mode: cfg.split_mode,
             },
         }),
         ModelAlgo::DecisionTree => Box::new(DecisionTreeClassifier {
-            config: catdb_ml::TreeConfig {
-                max_depth: depth.max(2),
-                split_mode: cfg.split_mode,
-                ..Default::default()
-            },
+            config: catdb_ml::TreeConfig { max_depth: depth.max(2), ..Default::default() },
         }),
         ModelAlgo::Logistic => Box::new(LogisticRegression {
             epochs: ((spec.param("epochs").unwrap_or(200.0) * scale) as usize).max(20),
@@ -258,7 +244,6 @@ fn build_regressor(
                 n_trees: trees,
                 max_depth: depth.max(2),
                 seed: cfg.seed,
-                split_mode: cfg.split_mode,
                 ..Default::default()
             },
         }),
@@ -268,15 +253,10 @@ fn build_regressor(
                 learning_rate: spec.param("lr").unwrap_or(0.15),
                 max_depth: spec.param("depth").unwrap_or(4.0) as usize,
                 seed: cfg.seed,
-                split_mode: cfg.split_mode,
             },
         }),
         ModelAlgo::DecisionTree => Box::new(DecisionTreeRegressor {
-            config: catdb_ml::TreeConfig {
-                max_depth: depth.max(2),
-                split_mode: cfg.split_mode,
-                ..Default::default()
-            },
+            config: catdb_ml::TreeConfig { max_depth: depth.max(2), ..Default::default() },
         }),
         ModelAlgo::Ridge => Box::new(RidgeRegression { l2: spec.param("l2").unwrap_or(1.0) }),
         ModelAlgo::Knn => Box::new(KnnRegressor {

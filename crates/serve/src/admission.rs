@@ -183,6 +183,15 @@ impl AdmissionController {
         self.state.lock().queue.len()
     }
 
+    /// Block until no request holds a slot. A freed slot goes to a queued
+    /// waiter first, so this also waits out the queue.
+    pub fn wait_idle(&self) {
+        let mut s = self.state.lock();
+        while s.inflight > 0 {
+            self.slot_freed.wait(&mut s);
+        }
+    }
+
     /// A tenant's lifetime charged tokens.
     pub fn charged_total(&self, tenant: &str) -> f64 {
         self.state.lock().tenants.get(tenant).map_or(0.0, |t| t.charged_total)
@@ -300,7 +309,9 @@ impl AdmissionController {
         t.charged_total += tokens.max(0.0);
     }
 
-    /// Release one slot; hand it to the fairest waiter, if any.
+    /// Release one slot; hand it to the fairest waiter, if any. Waiters
+    /// are woken on a hand-off, and [`wait_idle`](Self::wait_idle) when the
+    /// last slot frees.
     fn release(&self) {
         let mut s = self.state.lock();
         debug_assert!(s.inflight > 0, "release without a held permit");
@@ -327,6 +338,10 @@ impl AdmissionController {
             }
             None => {
                 s.inflight -= 1;
+                if s.inflight == 0 {
+                    drop(s);
+                    self.slot_freed.notify_all();
+                }
             }
         }
     }
@@ -511,6 +526,26 @@ mod tests {
                 "seed {seed}: a 200-step storm over capacity 4 must shed"
             );
         }
+    }
+
+    #[test]
+    fn releasing_the_last_permit_on_another_thread_wakes_wait_idle() {
+        let c = Arc::new(controller(2, 0));
+        let permit = c.try_admit("a").unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = c.clone();
+        std::thread::spawn(move || {
+            waiter.wait_idle();
+            let _ = tx.send(());
+        });
+        let held = std::time::Duration::from_millis(50);
+        assert!(rx.recv_timeout(held).is_err(), "wait_idle returned while a slot was held");
+        std::thread::scope(|scope| {
+            scope.spawn(move || drop(permit));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("releasing the last permit did not wake wait_idle");
+        assert_eq!(c.inflight(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `--clients N`, drives N concurrent connections — against it.
 
 use catdb_catalog::MultiTableDataset;
-use catdb_core::{measured_cost, value, Engine, RunFlags, RunSpec};
+use catdb_core::{measured_cost, value, RunFlags, RunSpec};
 use catdb_llm::ModelProfile;
 use catdb_ml::TaskKind;
 use catdb_profiler::{profile_table, ProfileMode, ProfileOptions};
@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  catdb run --csv FILE --target COLUMN --task binary|multiclass|regression\n            [--model gpt-4o|gemini-1.5-pro|llama3.1-70b|gpt-4o-mini] [--beta N] [--alpha K]\n            [--route role=model,...|auto] [--route-target-accuracy F]\n            [--split-mode exact|binned|binned:BINS]\n            [--profile-mode exact|sketch|sketch:ROWS] [--dag-out FILE]\n            [--no-refine] [--seed N] [--trace-out FILE]\n            [--fault-rate F] [--max-retries N] [--llm-timeout SECONDS]\n            [--llm-concurrency N] [--llm-cache FILE]\n  catdb profile --csv FILE [--profile-mode exact|sketch|sketch:ROWS]\n  catdb serve --port N [--host ADDR] [--max-inflight N] [--max-queued N]\n            [--budget-tokens F] [--budget-refill F] [--llm-cache FILE]\n            [--llm-concurrency N] [--fault-rate F] [--max-retries N]\n            [--llm-timeout SECONDS] [--shutdown-token TOKEN]\n  catdb client --port N [--host ADDR] [--tenant NAME]\n            (--dataset NAME [--rows N] | --csv FILE --target COLUMN --task KIND)\n            [--model M] [--route SPEC|auto] [--split-mode MODE] [--profile-mode MODE]\n            [--seed N] [--beta N] [--alpha K]\n            [--no-refine] [--stream] [--clients N] [--out-dir DIR]\n  catdb client --port N --shutdown TOKEN"
+        "usage:\n  catdb run --csv FILE --target COLUMN --task binary|multiclass|regression\n            [--model gpt-4o|gemini-1.5-pro|llama3.1-70b|gpt-4o-mini] [--beta N] [--alpha K]\n            [--route role=model,...|auto] [--route-target-accuracy F]\n            [--profile-mode exact|sketch|sketch:ROWS] [--dag-out FILE]\n            [--no-refine] [--seed N] [--trace-out FILE]\n            [--fault-rate F] [--max-retries N] [--llm-timeout SECONDS]\n            [--llm-concurrency N] [--llm-cache FILE]\n  catdb profile --csv FILE [--profile-mode exact|sketch|sketch:ROWS]\n  catdb serve --port N [--host ADDR] [--max-inflight N] [--max-queued N]\n            [--budget-tokens F] [--budget-refill F] [--llm-cache FILE]\n            [--llm-concurrency N] [--fault-rate F] [--max-retries N]\n            [--llm-timeout SECONDS] [--shutdown-token TOKEN]\n  catdb client --port N [--host ADDR] [--tenant NAME]\n            (--dataset NAME [--rows N] | --csv FILE --target COLUMN --task KIND)\n            [--model M] [--route SPEC|auto] [--profile-mode MODE]\n            [--seed N] [--beta N] [--alpha K]\n            [--no-refine] [--stream] [--clients N] [--out-dir DIR]\n  catdb client --port N --shutdown TOKEN"
     );
     ExitCode::from(2)
 }
@@ -43,8 +43,8 @@ struct Args {
     model: String,
     /// `--seed`, the transport trio, `--llm-concurrency` and `--route`.
     run: RunFlags,
-    /// `--split-mode` and `--profile-mode`.
-    engine: Engine,
+    /// `--profile-mode`.
+    profile: ProfileMode,
     /// File receiving the final pipeline's dependency DAG as JSON.
     dag_out: Option<String>,
     beta: usize,
@@ -96,7 +96,7 @@ impl Args {
             refine: self.refine,
             llm_concurrency: self.run.llm_concurrency,
             transport: self.run.transport,
-            engine: self.engine,
+            profile: self.profile,
         })
     }
 }
@@ -110,7 +110,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         task: None,
         model: "gpt-4o".into(),
         run: RunFlags::new(42),
-        engine: Engine::default(),
+        profile: ProfileMode::default(),
         dag_out: None,
         beta: 1,
         alpha: None,
@@ -141,8 +141,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--target" => args.target = Some(value(rest, flag, str::parse)?),
             "--task" => args.task = Some(value(rest, flag, str::parse)?),
             "--model" => args.model = value(rest, flag, str::parse)?,
-            "--split-mode" => args.engine.split = value(rest, flag, catdb_ml::SplitMode::parse)?,
-            "--profile-mode" => args.engine.profile = value(rest, flag, ProfileMode::parse)?,
+            "--profile-mode" => args.profile = value(rest, flag, ProfileMode::parse)?,
             "--dag-out" => args.dag_out = Some(value(rest, flag, str::parse)?),
             "--beta" => args.beta = value(rest, flag, str::parse)?,
             "--alpha" => args.alpha = Some(value(rest, flag, str::parse)?),
@@ -221,7 +220,7 @@ fn cmd_profile(args: &Args) -> ExitCode {
     // Sketch mode streams the CSV through a spill file chunk by chunk —
     // peak memory is O(chunk), so files far larger than RAM profile fine.
     // Exact mode materializes the whole table (the bit-frozen default).
-    let (name, profile, n_cols) = match args.engine.profile {
+    let (name, profile, n_cols) = match args.profile {
         ProfileMode::Exact => {
             let Ok((name, table)) = load_table(args) else { return ExitCode::FAILURE };
             let profile = profile_table(&name, &table, &ProfileOptions::default());
@@ -630,17 +629,17 @@ mod tests {
     fn an_unparseable_value_is_reported_against_its_flag() {
         let err = parse(&["run", "--beta", "two"]).err().expect("--beta two");
         assert!(err.starts_with("bad --beta 'two': "), "{err}");
-        let err = parse(&["run", "--split-mode", "bogus"]).err().expect("--split-mode bogus");
-        assert!(err.starts_with("bad --split-mode 'bogus': "), "{err}");
+        let err = parse(&["run", "--profile-mode", "bogus"]).err().expect("--profile-mode bogus");
+        assert!(err.starts_with("bad --profile-mode 'bogus': "), "{err}");
     }
 
     #[test]
     fn flags_fill_the_run_spec() {
-        let flags = ["run", "--beta", "2", "--split-mode", "binned", "--fault-rate", "0.5"];
+        let flags = ["run", "--beta", "2", "--profile-mode", "sketch:64", "--fault-rate", "0.5"];
         let Ok(args) = parse(&flags) else { panic!("valid flags rejected") };
         let spec = args.run_spec().expect("default model");
         assert_eq!(spec.beta, 2);
-        assert_eq!(spec.engine.split, catdb_ml::SplitMode::parse("binned").unwrap());
+        assert_eq!(spec.profile, ProfileMode::Sketch { chunk_rows: 64 });
         assert_eq!(spec.transport.fault_rate, 0.5);
     }
 

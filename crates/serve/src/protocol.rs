@@ -19,9 +19,9 @@
 //! share it). Seeds and row counts beyond that are not supported on the
 //! wire.
 
-use catdb_core::{Engine, RunSpec};
+use catdb_core::RunSpec;
 use catdb_llm::{resolve_route, ModelProfile, Transport, DEFAULT_ROUTE_TARGET_ACCURACY};
-use catdb_ml::{SplitMode, TaskKind};
+use catdb_ml::TaskKind;
 use catdb_profiler::ProfileMode;
 use catdb_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
@@ -72,9 +72,10 @@ pub struct GenerateRequest {
     /// version-1 clients that never heard of routing stay compatible.
     #[serde(default)]
     pub route: Option<String>,
-    /// Tree split-search strategy (`exact` | `binned` | `binned:<bins>`);
-    /// `None` means exact. Optional on the wire so older clients that
-    /// predate histogram training still decode.
+    /// Tree split search, kept on the wire so frames from clients that
+    /// could pick binned search still decode. Trees always search exact
+    /// splits: `None` and `exact` are accepted, anything else is an
+    /// error. Requests built here never set it.
     #[serde(default)]
     pub split_mode: Option<String>,
     /// Profiling strategy (`exact` | `sketch` | `sketch:<chunk_rows>`);
@@ -115,20 +116,18 @@ impl GenerateRequest {
 
     /// The request for `spec`, with target, task and streaming at their
     /// defaults. Strings are canonical: the model's full name, the
-    /// route's `role=model[:N]` rendering, and `None` for a default mode.
+    /// route's `role=model[:N]` rendering, and `None` for the default
+    /// profile mode.
     pub fn from_spec(
         tenant: impl Into<String>,
         dataset: DatasetSpec,
         spec: &RunSpec,
     ) -> GenerateRequest {
-        fn non_default<T: Default + PartialEq + fmt::Display>(mode: T) -> Option<String> {
-            (mode != T::default()).then(|| mode.to_string())
-        }
         GenerateRequest {
             model: spec.model.name.clone(),
             route: spec.route.as_ref().map(|route| route.canonical(&spec.model)),
-            split_mode: non_default(spec.engine.split),
-            profile_mode: non_default(spec.engine.profile),
+            profile_mode: (spec.profile != ProfileMode::default())
+                .then(|| spec.profile.to_string()),
             seed: spec.seed,
             beta: spec.beta,
             alpha: spec.alpha,
@@ -148,15 +147,6 @@ impl GenerateRequest {
         transport: &Transport,
         llm_concurrency: usize,
     ) -> Result<(RunSpec, Option<TaskKind>), String> {
-        fn mode<T: Default>(
-            field: &str,
-            raw: &Option<String>,
-            parse: fn(&str) -> Result<T, String>,
-        ) -> Result<T, String> {
-            raw.as_deref().map_or(Ok(T::default()), |s| {
-                parse(s).map_err(|e| format!("bad {field} '{s}': {e}"))
-            })
-        }
         let task = self
             .task
             .as_deref()
@@ -172,9 +162,15 @@ impl GenerateRequest {
                     .map_err(|e| format!("bad route '{r}': {e}"))
             })
             .transpose()?;
-        let engine = Engine {
-            split: mode("split_mode", &self.split_mode, SplitMode::parse)?,
-            profile: mode("profile_mode", &self.profile_mode, ProfileMode::parse)?,
+        if let Some(s) = self.split_mode.as_deref().filter(|&s| s != "exact") {
+            return Err(format!(
+                "bad split_mode '{s}': binned split search was removed; trees always search \
+                 exact splits, so only `exact` is accepted"
+            ));
+        }
+        let profile = match self.profile_mode.as_deref() {
+            Some(s) => ProfileMode::parse(s).map_err(|e| format!("bad profile_mode '{s}': {e}"))?,
+            None => ProfileMode::default(),
         };
         let spec = RunSpec {
             model,
@@ -185,7 +181,7 @@ impl GenerateRequest {
             refine: self.refine,
             llm_concurrency,
             transport: *transport,
-            engine,
+            profile,
         };
         Ok((spec, task))
     }
@@ -367,7 +363,7 @@ mod tests {
             task: Some("binary".into()),
             model: "gemini-1.5-pro".into(),
             route: Some("refine=llama,fix=mini".into()),
-            split_mode: Some("binned:128".into()),
+            split_mode: Some("exact".into()),
             profile_mode: Some("sketch:4096".into()),
             seed: 9,
             beta: 3,
@@ -447,7 +443,7 @@ mod tests {
 
     #[test]
     fn requests_without_split_mode_field_still_decode() {
-        // Clients that predate histogram training omit `split_mode`;
+        // Clients that never picked a split search omit `split_mode`;
         // the server must read that as exact splits.
         let v = serde_json::to_value(&request());
         let stripped = match v {
@@ -516,15 +512,28 @@ mod tests {
 
     /// A `Submit` payload with every field set and non-default modes, as
     /// the version-1 encoder wrote it before requests were built from a
-    /// [`RunSpec`] and before `exec_mode` was dropped.
+    /// [`RunSpec`], before `exec_mode` was dropped and before binned split
+    /// search was removed.
     const V1_SUBMIT: &str = r#"{"Submit":{"tenant":"team-a","dataset":{"Builtin":{"name":"diabetes","rows":200,"seed":9}},"target":"label","task":"binary","model":"gemini-1.5-pro","route":"refine=llama3.1-70b,generate=gemini-1.5-pro,select=gemini-1.5-pro,fix=gpt-4o-mini:2","split_mode":"binned:128","profile_mode":"sketch:4096","exec_mode":"dag","seed":9,"beta":3,"alpha":12,"refine":false,"stream":true}}"#;
 
     #[test]
     fn v1_submit_fixture_maps_to_its_spec_and_back_byte_for_byte() {
-        let ClientFrame::Submit(req) = decode_frame(&frame(V1_SUBMIT)).unwrap() else {
-            panic!("fixture is not a Submit frame")
+        let submit = |json: &str| {
+            let ClientFrame::Submit(req) = decode_frame(&frame(json)).unwrap() else {
+                panic!("not a Submit frame: {json}")
+            };
+            req
         };
         let transport = Transport { fault_rate: 0.1, ..Transport::default() };
+        // The fixture still decodes, but asks for a split search that is gone.
+        let err = submit(V1_SUBMIT).to_spec(&transport, 3).expect_err("binned:128");
+        assert!(err.starts_with("bad split_mode 'binned:128': binned split search was removed"));
+
+        // Without the two retired fields it is a current request.
+        let without = V1_SUBMIT
+            .replace(r#""split_mode":"binned:128","#, "")
+            .replace(r#""exec_mode":"dag","#, "");
+        let req = submit(&without);
         let (spec, task) = req.to_spec(&transport, 3).unwrap();
         let route =
             catdb_llm::RouteSpec::parse("refine=llama,generate=gemini,select=gemini,fix=mini:2");
@@ -537,10 +546,7 @@ mod tests {
             refine: false,
             llm_concurrency: 3,
             transport,
-            engine: Engine {
-                split: SplitMode::Binned { bins: 128 },
-                profile: ProfileMode::Sketch { chunk_rows: 4096 },
-            },
+            profile: ProfileMode::Sketch { chunk_rows: 4096 },
         };
         assert_eq!(spec, expected);
         assert_eq!(task, Some(TaskKind::BinaryClassification));
@@ -550,12 +556,13 @@ mod tests {
             stream: req.stream,
             ..GenerateRequest::from_spec(req.tenant.clone(), req.dataset.clone(), &spec)
         };
-        // The ignored `exec_mode` is the one field the re-encode drops.
-        let without_exec_mode = V1_SUBMIT.replace(r#""exec_mode":"dag","#, "");
-        assert_eq!(
-            encode_frame(&ClientFrame::Submit(Box::new(back))).unwrap(),
-            frame(&without_exec_mode)
-        );
+        // The encoder writes the unset field as `null`, which decodes as
+        // absence does.
+        let current = V1_SUBMIT
+            .replace(r#""split_mode":"binned:128""#, r#""split_mode":null"#)
+            .replace(r#""exec_mode":"dag","#, "");
+        assert_eq!(encode_frame(&ClientFrame::Submit(Box::new(back))).unwrap(), frame(&current));
+        assert_eq!(submit(&current).to_spec(&transport, 3).unwrap(), (expected, task));
     }
 
     #[test]
@@ -563,7 +570,9 @@ mod tests {
         let builtin = DatasetSpec::Builtin { name: "wifi".into(), rows: 10, seed: 1 };
         type Edit = fn(&mut GenerateRequest);
         let cases: [(&str, Edit); 5] = [
-            ("bad split_mode 'binned:0': ", |r| r.split_mode = Some("binned:0".into())),
+            ("bad split_mode 'binned:0': binned split search was removed", |r| {
+                r.split_mode = Some("binned:0".into())
+            }),
             ("bad profile_mode 'sketchy': ", |r| r.profile_mode = Some("sketchy".into())),
             ("bad route 'refine=claude': ", |r| r.route = Some("refine=claude".into())),
             ("unknown model 'gpt-5'", |r| r.model = "gpt-5".into()),

@@ -264,9 +264,7 @@ impl Server {
             }
         }
         // Shutdown ordering: no new connections above, now drain.
-        while self.inner.admission.inflight() > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.inner.admission.wait_idle();
         Ok(())
     }
 
@@ -467,6 +465,25 @@ mod tests {
             crate::client::Outcome::Error(message) => assert!(message.contains("unknown model")),
             other => panic!("expected error frame, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_binned_split_mode_gets_an_error_frame_and_the_daemon_keeps_serving() {
+        let server = Server::new(ServeOptions::default());
+        let mut stream = server.connect_in_proc();
+        let mut req = wifi_request("acme");
+        req.split_mode = Some("binned:128".into());
+        match submit(&mut stream, &req, |_, _| {}).unwrap() {
+            crate::client::Outcome::Error(message) => {
+                assert!(message.starts_with("bad split_mode 'binned:128': "), "{message}")
+            }
+            other => panic!("expected error frame, got {other:?}"),
+        }
+        assert_eq!(server.admission().inflight(), 0, "rejected request leaked its slot");
+        req.split_mode = Some("exact".into());
+        let mut stream = server.connect_in_proc();
+        let outcome = submit(&mut stream, &req, |_, _| {}).unwrap();
+        assert!(outcome.response().is_some(), "the next request failed: {outcome:?}");
     }
 
     #[test]

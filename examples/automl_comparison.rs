@@ -79,7 +79,7 @@ fn main() {
             &raw_test,
             &g.target,
             g.task,
-            &AutoMlConfig { time_budget_seconds: 10.0, seed: 9, ..Default::default() },
+            &AutoMlConfig { time_budget_seconds: 10.0, seed: 9 },
         );
         let (score, secs) = match &out {
             AutoMlOutcome::Success { test_score, elapsed_seconds, .. } => {

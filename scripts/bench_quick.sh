@@ -118,7 +118,6 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "value_dict_build_kdd98_1500rows" { dict_kdd98_ms = to_ms($2) }
   $1 == "render_f64_100k" { render_ms = to_ms($2) }
   $1 == "random_forest_20trees_1000x20" { forest_ms = to_ms($2) }
-  $1 == "random_forest_binned_20trees_1000x20" { binned_ms = to_ms($2) }
   $1 == "knn_blocked_1000x20" { knn_ms = to_ms($2) }
   $1 == "gradient_boosting_3class_60rounds_700x183" { boost_ms = to_ms($2) }
   $1 == "random_forest_3class_60trees_700x183" { forest3_ms = to_ms($2) }
@@ -131,7 +130,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "write_roundtrip_50k_mixed" { csv_rt_ms = to_ms($2) }
   END {
     if (prof_ms == 0 || prof_kdd98_ms == 0 || dict_gas_ms == 0 || dict_kdd98_ms == 0 ||
-        render_ms == 0 || forest_ms == 0 || binned_ms == 0 || knn_ms == 0 || boost_ms == 0 ||
+        render_ms == 0 || forest_ms == 0 || knn_ms == 0 || boost_ms == 0 ||
         forest3_ms == 0 ||
         chain_seq_ms == 0 || chain_conc_ms == 0 ||
         cache_cold_ms == 0 || cache_warm_ms == 0 ||
@@ -177,12 +176,6 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "      \"rows_per_sec\": %.0f,\n", forest_rows_s >> out
     printf "      \"baseline_ms\": %.3f,\n", base_forest >> out
     printf "      \"speedup\": %.2f\n", base_forest / forest_ms >> out
-    printf "    },\n" >> out
-    printf "    \"models/random_forest_binned\": {\n" >> out
-    printf "      \"mean_ms\": %.3f,\n", binned_ms >> out
-    printf "      \"rows_per_sec\": %.0f,\n", 1000 / (binned_ms / 1000) >> out
-    printf "      \"exact_ms\": %.3f,\n", forest_ms >> out
-    printf "      \"speedup_vs_exact\": %.2f\n", forest_ms / binned_ms >> out
     printf "    },\n" >> out
     printf "    \"models/knn_blocked\": {\n" >> out
     printf "      \"mean_ms\": %.3f,\n", knn_ms >> out
@@ -254,7 +247,6 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "dict      : %.3f ms gas-drift (baseline %.3f, %.2fx), %.3f ms kdd98 (baseline %.3f, %.2fx) cold builds\n", dict_gas_ms, base_dict_gas, base_dict_gas / dict_gas_ms, dict_kdd98_ms, base_dict_kdd98, base_dict_kdd98 / dict_kdd98_ms
     printf "render    : %.3f ms per 100k floats (baseline %.3f, %.2fx)\n", render_ms, base_render, base_render / render_ms
     printf "forest    : %.3f ms/iter (baseline %.3f, %.2fx)\n", forest_ms, base_forest, base_forest / forest_ms
-    printf "binned    : %.3f ms/iter (exact %.3f, %.2fx)\n", binned_ms, forest_ms, forest_ms / binned_ms
     printf "knn       : %.3f ms/iter fit+predict 1000x20 (blocked kernel)\n", knn_ms
     printf "boosting  : %.3f ms/iter 3-class 60 rounds 700x183 (baseline %.3f, %.2fx)\n", boost_ms, base_boost, base_boost / boost_ms
     printf "forest3   : %.3f ms/iter 3-class 60 trees 700x183, 1 thread (baseline %.3f, %.2fx)\n", forest3_ms, base_forest3, base_forest3 / forest3_ms

@@ -5,11 +5,11 @@
 # "<name>: <what failed>" and the relevant stderr when a check fails.
 #
 # Usage: scripts/smoke.sh <name>
-#   name: bench chain_cache route binned serve outofcore dag
+#   name: bench chain_cache route serve outofcore dag
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-NAMES=(bench chain_cache route binned serve outofcore dag)
+NAMES=(bench chain_cache route serve outofcore dag)
 CATDB=./target/release/catdb
 
 usage() {
@@ -109,8 +109,8 @@ label_csv() {
 }
 
 # 3000 rows of numeric features with thousands of distinct values, so
-# exact split search has real threshold-scanning work to do.
-binned_csv() {
+# split search has real threshold-scanning work to do.
+tree_csv() {
   echo "f1,f2,f3,f4,f5,f6,f7,f8,label"
   for i in $(seq 0 2999); do
     a=$((i * 37 % 9973)); b=$((i * 53 % 9967)); c=$((i * 71 % 9949)); d=$((i * 89 % 9941))
@@ -217,54 +217,9 @@ smoke_route() {
   echo "route: ok (strong=$strong_usd USD, cheap=$cheap_usd USD, warm runs identical and fully cached)"
 }
 
-# Sum the closed tree_fit spans of a --trace-out snapshot, in micros.
-tree_fit_micros() {
-  python3 - "$1" << 'PY'
-import json, sys
-trace = json.load(open(sys.argv[1]))
-total = sum(
-    s["end_micros"] - s["start_micros"]
-    for s in trace["spans"]
-    if s["name"] == "tree_fit" and s["end_micros"] is not None
-)
-print(total)
-PY
-}
-
-# One seeded pipeline under --split-mode exact and binned, each at
-# CATDB_THREADS 1 and 8: both modes are thread-invariant, and binned
-# spends strictly less time in tree_fit spans than exact at 1 thread.
-smoke_binned() {
-  build_catdb
-  binned_csv > "$TMP/smoke.csv"
-  local mode threads exact_us binned_us
-  for mode in exact binned; do
-    for threads in 1 8; do
-      CATDB_THREADS="$threads" run_to "$mode run at $threads thread(s)" "$TMP/$mode-$threads.out" \
-        "$CATDB" run --csv "$TMP/smoke.csv" --target label --task binary \
-        --seed 7 --split-mode "$mode" --trace-out "$TMP/$mode-$threads.trace"
-    done
-  done
-  for mode in exact binned; do
-    same_stdout "$mode runs at 1 and 8 threads" "$TMP/$mode-1.out" "$TMP/$mode-8.out"
-  done
-  exact_us="$(tree_fit_micros "$TMP/exact-1.trace")"
-  binned_us="$(tree_fit_micros "$TMP/binned-1.trace")"
-  if [ -z "$exact_us" ] || [ "$exact_us" -eq 0 ]; then
-    fail "exact run recorded no closed tree_fit spans" "$TMP/exact-1.out.err"
-  fi
-  if [ -z "$binned_us" ] || [ "$binned_us" -eq 0 ]; then
-    fail "binned run recorded no closed tree_fit spans" "$TMP/binned-1.out.err"
-  fi
-  if [ "$binned_us" -ge "$exact_us" ]; then
-    fail "binned tree_fit ${binned_us}us not below exact ${exact_us}us"
-  fi
-  echo "binned: ok (tree_fit exact=${exact_us}us binned=${binned_us}us, both modes thread-invariant)"
-}
-
 # One daemon on one shared completion cache, two 4-client passes over TCP
 # (identical outputs), `catdb run` vs `catdb client` byte for byte at the
-# defaults and with every engine mode, a route and a chain set, then a
+# defaults and with a profile mode, a route and a chain set, then a
 # token shutdown that must drain the daemon to a clean exit.
 smoke_serve() {
   build_catdb
@@ -292,7 +247,7 @@ smoke_serve() {
   fi
 
   toy_csv > "$TMP/toy.csv"
-  local -a modes=(--split-mode binned --profile-mode sketch:64 --route refine=llama,fix=mini --beta 2)
+  local -a modes=(--profile-mode sketch:64 --route refine=llama,fix=mini --beta 2)
   local -a flags
   for i in defaults modes; do
     flags=(--csv "$TMP/toy.csv" --target y --task binary)
@@ -347,18 +302,23 @@ smoke_outofcore() {
 
 # One seeded multi-step pipeline at CATDB_THREADS 1 and 8: identical,
 # non-empty stdout (DAG scheduling leaks no thread count), and --dag-out
-# writes a step DAG with nodes and deps.
+# writes a step DAG with nodes and deps. A seeded run on the tree-heavy
+# CSV must also print the same pipeline at 1 and 8 threads (parallel
+# forest and boosting fits leak no thread count).
 smoke_dag() {
   build_catdb
   churn_csv > "$TMP/churn.csv"
   local -a run=("$CATDB" run --csv "$TMP/churn.csv" --target churn --task binary --seed 7)
   run_twice_and_diff "DAG run at 1 and 8 threads" "$TMP/run" 1 8 "${run[@]}"
   [ -s "$TMP/run-1.out" ] || fail "run produced no pipeline code on stdout" "$TMP/run-1.out.err"
+  tree_csv > "$TMP/trees.csv"
+  run_twice_and_diff "tree-heavy run at 1 and 8 threads" "$TMP/trees" 1 8 \
+    "$CATDB" run --csv "$TMP/trees.csv" --target label --task binary --seed 7
   CATDB_THREADS=8 run_to "run with --dag-out" "$TMP/export.out" "${run[@]}" --dag-out "$TMP/dag.json"
   if ! grep -q '"nodes"' "$TMP/dag.json" || ! grep -q '"deps"' "$TMP/dag.json"; then
     fail "--dag-out did not write a step DAG with nodes and deps" "$TMP/dag.json"
   fi
-  echo "dag: ok (stdout byte-identical at CATDB_THREADS 1 and 8; DAG exported)"
+  echo "dag: ok (stdout byte-identical at CATDB_THREADS 1 and 8 on both CSVs; DAG exported)"
 }
 
 "smoke_$GATE"

@@ -1,26 +1,15 @@
-//! Integration tests for histogram-binned tree training.
+//! Golden tests for exact tree training.
 //!
-//! Three contracts pin the tentpole down:
-//!
-//! 1. **Exact mode is frozen.** `SplitMode::Exact` (the default) must
-//!    reproduce the seed predictions bit-for-bit, at any thread count —
-//!    the golden FNV hashes below were captured on the pre-binning tree
-//!    code and the refactor may not move them.
-//! 2. **Binned mode is a controlled approximation.** On the paper's
-//!    datasets its quality stays within a fixed tolerance of exact
-//!    splits, and it is deterministic across thread counts.
-//! 3. **Quantization is order-preserving.** Bin codes are monotone in
-//!    the underlying values (proptest), which is what makes a bin
-//!    threshold equivalent to a value threshold at predict time.
+//! Trees, forests and boosting must reproduce the seed predictions bit
+//! for bit, at any thread count: the FNV hashes below were each captured
+//! before a rewrite of the split search (presort, pruned regression scan,
+//! rank-coded forests), and no later change may move them.
 
-use catdb_automl::BasicFeaturizer;
-use catdb_data::{generate, GenOptions};
 use catdb_ml::{
-    metrics, BinnedDataset, BoostConfig, Classifier, DecisionTreeClassifier, DecisionTreeRegressor,
-    ForestConfig, GradientBoostingClassifier, GradientBoostingRegressor, KnnClassifier, KnnConfig,
-    Matrix, RandomForestClassifier, RandomForestRegressor, Regressor, SplitMode, TreeConfig,
+    BoostConfig, Classifier, DecisionTreeClassifier, DecisionTreeRegressor, ForestConfig,
+    GradientBoostingClassifier, GradientBoostingRegressor, KnnClassifier, KnnConfig, Matrix,
+    RandomForestClassifier, RandomForestRegressor, Regressor, TreeConfig,
 };
-use proptest::prelude::*;
 
 /// Deterministic synthetic dataset shared by the golden tests: the same
 /// LCG stream the hashes were captured from.
@@ -50,7 +39,7 @@ fn hash_f64s(vals: impl IntoIterator<Item = f64>) -> u64 {
     h
 }
 
-// Golden prediction hashes captured on the seed (pre-binning) ML code.
+// Golden prediction hashes captured on the seed ML code.
 const GOLDEN_FOREST_CLASS: u64 = 0x326d0d318f88d957;
 const GOLDEN_FOREST_REG: u64 = 0x212e3b082d131c04;
 const GOLDEN_BOOST_CLASS: u64 = 0xe7e5e2ad7c6a85d4;
@@ -215,109 +204,4 @@ fn exact_mode_is_bit_identical_to_goldens_on_large_offset_near_ties() {
     let m = DecisionTreeRegressor { config: cfg }.fit(&x, &y).unwrap();
     let h = hash_f64s(m.predict(&x).unwrap());
     assert_eq!(h, GOLDEN_OFFSET_TREE_REG, "decision tree regressor drifted: {h:#x}");
-}
-
-#[test]
-fn binned_mode_is_deterministic_across_thread_counts() {
-    let (x, yc, _) = lcg_data(400, 10);
-    let fit_hash = |threads: usize| {
-        let cfg = ForestConfig {
-            n_trees: 12,
-            seed: 99,
-            n_threads: threads,
-            split_mode: SplitMode::Binned { bins: 256 },
-            ..Default::default()
-        };
-        let m = RandomForestClassifier { config: cfg }.fit(&x, &yc, 2).unwrap();
-        hash_f64s(m.predict_proba(&x).unwrap().into_iter().flatten())
-    };
-    let h1 = fit_hash(1);
-    assert_eq!(h1, fit_hash(2), "binned forest differs between 1 and 2 threads");
-    assert_eq!(h1, fit_hash(8), "binned forest differs between 1 and 8 threads");
-}
-
-/// Accuracy delta allowed between exact and binned split search on the
-/// paper's datasets (Tables 7/8 workloads). Binning quantizes thresholds
-/// to ≤255 candidates per feature, so small differences are expected;
-/// large ones mean the histogram path is broken.
-const CLASS_ACC_TOLERANCE: f64 = 0.05;
-const REG_R2_TOLERANCE: f64 = 0.10;
-
-#[test]
-fn binned_classification_accuracy_tracks_exact_on_paper_datasets() {
-    for name in ["diabetes", "cmc"] {
-        let g = generate(name, &GenOptions { max_rows: 500, scale: 1.0, seed: 13 }).unwrap();
-        let table = g.dataset.materialize().unwrap();
-        let feat = BasicFeaturizer::fit(&table, &g.target).unwrap();
-        let x = feat.transform(&table, &g.target).unwrap();
-        let (y, _, n_classes) = feat.labels(&table, &table, &g.target).unwrap();
-
-        let acc_for = |split_mode: SplitMode| {
-            let cfg = ForestConfig { n_trees: 16, seed: 7, split_mode, ..Default::default() };
-            let m = RandomForestClassifier { config: cfg }.fit(&x, &y, n_classes).unwrap();
-            metrics::accuracy(&y, &m.predict(&x).unwrap())
-        };
-        let exact = acc_for(SplitMode::Exact);
-        let binned = acc_for(SplitMode::Binned { bins: 256 });
-        assert!(
-            (exact - binned).abs() <= CLASS_ACC_TOLERANCE,
-            "{name}: binned accuracy {binned:.4} strays from exact {exact:.4}"
-        );
-    }
-}
-
-#[test]
-fn binned_regression_r2_tracks_exact_on_paper_datasets() {
-    for name in ["bike-sharing", "utility"] {
-        let g = generate(name, &GenOptions { max_rows: 500, scale: 1.0, seed: 13 }).unwrap();
-        let table = g.dataset.materialize().unwrap();
-        let feat = BasicFeaturizer::fit(&table, &g.target).unwrap();
-        let x = feat.transform(&table, &g.target).unwrap();
-        let (y, _) = feat.regression_targets(&table, &table, &g.target).unwrap();
-
-        let r2_for = |split_mode: SplitMode| {
-            let cfg = ForestConfig { n_trees: 16, seed: 7, split_mode, ..Default::default() };
-            let m = RandomForestRegressor { config: cfg }.fit(&x, &y).unwrap();
-            metrics::r2(&y, &m.predict(&x).unwrap())
-        };
-        let exact = r2_for(SplitMode::Exact);
-        let binned = r2_for(SplitMode::Binned { bins: 256 });
-        assert!(
-            (exact - binned).abs() <= REG_R2_TOLERANCE,
-            "{name}: binned R² {binned:.4} strays from exact {exact:.4}"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Quantization is monotone: for any column, a larger value never
-    /// gets a smaller bin code. This is the invariant that makes
-    /// "code ≤ b" equivalent to "value ≤ edges[b]" — trees trained on
-    /// codes can store real-valued thresholds and predict on raw values.
-    #[test]
-    fn binning_is_monotone_in_the_underlying_values(
-        vals in prop::collection::vec(-1e6f64..1e6, 2..300),
-        bins in 2usize..=256,
-    ) {
-        let rows: Vec<Vec<f64>> = vals.iter().map(|&v| vec![v]).collect();
-        let binned = BinnedDataset::build(&Matrix::from_rows(&rows), bins);
-        let codes = binned.col_codes(0);
-        prop_assert!(usize::from(*codes.iter().max().unwrap()) < binned.n_bins(0));
-        for i in 0..vals.len() {
-            for j in 0..vals.len() {
-                if vals[i] < vals[j] {
-                    prop_assert!(
-                        codes[i] <= codes[j],
-                        "value {} < {} but code {} > {}",
-                        vals[i], vals[j], codes[i], codes[j]
-                    );
-                }
-                if vals[i] == vals[j] {
-                    prop_assert_eq!(codes[i], codes[j]);
-                }
-            }
-        }
-    }
 }
