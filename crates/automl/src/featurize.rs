@@ -50,12 +50,12 @@ impl BasicFeaturizer {
         let mut t = table.clone();
         for imp in &self.imputers {
             if t.schema().contains(&imp.column) {
-                t = imp.transform(&t).map_err(|e| MlError::Unsupported(e.to_string()))?;
+                imp.apply(&mut t).map_err(|e| MlError::Unsupported(e.to_string()))?;
             }
         }
         for enc in &self.encoders {
             if t.schema().contains(&enc.column) {
-                t = enc.transform(&t).map_err(|e| MlError::Unsupported(e.to_string()))?;
+                enc.apply(&mut t).map_err(|e| MlError::Unsupported(e.to_string()))?;
             }
         }
         // Remaining nulls (e.g. test-only missing cells in columns that

@@ -63,10 +63,14 @@ fn fixed_preprocess(table: &Table, target: &str) -> Option<Table> {
             } else {
                 ImputeStrategy::MostFrequent
             };
-            t = Imputer::new(field.name.clone(), strat).fit_transform(&t).ok()?;
+            let mut imp = Imputer::new(field.name.clone(), strat);
+            imp.fit(&t).ok()?;
+            imp.apply(&mut t).ok()?;
         }
         if field.dtype == DataType::Str {
-            t = OrdinalEncoder::new(field.name.clone()).fit_transform(&t).ok()?;
+            let mut enc = OrdinalEncoder::new(field.name.clone());
+            enc.fit(&t).ok()?;
+            enc.apply(&mut t).ok()?;
         }
     }
     Some(t)
@@ -249,14 +253,14 @@ fn apply_fe_step(
     train: &Table,
     test: &Table,
 ) -> Option<(Table, Table)> {
-    use catdb_ml::{
-        FeatureHasher, KHotEncoder, OneHotEncoder, ScaleMethod as SM, Scaler, TopKSelector,
-    };
+    use catdb_ml::{FeatureHasher, KHotEncoder, OneHotEncoder, Scaler, TopKSelector};
     let step = program.steps.first()?;
-    let apply = |t: &mut dyn Transform, train: &Table, test: &Table| -> Option<(Table, Table)> {
-        let tr = t.fit_transform(train).ok()?;
-        let te = t.transform(test).ok()?;
-        Some((tr, te))
+    let mut tr = train.clone();
+    let mut te = test.clone();
+    let mut apply = |t: &mut dyn Transform| -> Option<()> {
+        t.fit(&tr).ok()?;
+        t.apply(&mut tr).ok()?;
+        t.apply(&mut te).ok()
     };
     match step {
         Step::Encode { column, method } => {
@@ -268,27 +272,18 @@ fn apply_fe_step(
                     .map(|(f, _)| f.name.clone())
                     .collect(),
             };
-            let mut tr = train.clone();
-            let mut te = test.clone();
             for n in names {
-                let stepped = match method {
-                    catdb_pipeline::EncodeSpec::OneHot => {
-                        apply(&mut OneHotEncoder::new(n), &tr, &te)
-                    }
-                    catdb_pipeline::EncodeSpec::Ordinal => {
-                        apply(&mut OrdinalEncoder::new(n), &tr, &te)
-                    }
+                match method {
+                    catdb_pipeline::EncodeSpec::OneHot => apply(&mut OneHotEncoder::new(n)),
+                    catdb_pipeline::EncodeSpec::Ordinal => apply(&mut OrdinalEncoder::new(n)),
                     catdb_pipeline::EncodeSpec::KHot { separator } => {
-                        apply(&mut KHotEncoder::new(n, separator.clone()), &tr, &te)
+                        apply(&mut KHotEncoder::new(n, separator.clone()))
                     }
                     catdb_pipeline::EncodeSpec::Hash { buckets } => {
-                        apply(&mut FeatureHasher::new(n, *buckets), &tr, &te)
+                        apply(&mut FeatureHasher::new(n, *buckets))
                     }
                 }?;
-                tr = stepped.0;
-                te = stepped.1;
             }
-            Some((tr, te))
         }
         Step::Scale { column, method } => {
             let names: Vec<String> = match column {
@@ -299,25 +294,14 @@ fn apply_fe_step(
                     .map(|(f, _)| f.name.clone())
                     .collect(),
             };
-            let mut tr = train.clone();
-            let mut te = test.clone();
             for n in names {
-                let sm = match method {
-                    SM::Standard => SM::Standard,
-                    SM::MinMax => SM::MinMax,
-                    SM::Decimal => SM::Decimal,
-                };
-                let stepped = apply(&mut Scaler::new(n, sm), &tr, &te)?;
-                tr = stepped.0;
-                te = stepped.1;
+                apply(&mut Scaler::new(n, *method))?;
             }
-            Some((tr, te))
         }
-        Step::SelectTopK { k, target } => {
-            apply(&mut TopKSelector::new(target.clone(), *k), train, test)
-        }
-        _ => None,
+        Step::SelectTopK { k, target } => apply(&mut TopKSelector::new(target.clone(), *k))?,
+        _ => return None,
     }
+    Some((tr, te))
 }
 
 #[cfg(test)]

@@ -71,7 +71,9 @@ fn main() {
                 } else {
                     AugmentMethod::Adasyn
                 };
-                let _ = Augmenter::new(p.target.clone(), method).fit_transform(&result.cleaned);
+                let mut aug = Augmenter::new(p.target.clone(), method);
+                let mut augmented = result.cleaned;
+                let _ = aug.fit(&augmented).and_then(|()| aug.apply(&mut augmented));
                 Some((result.elapsed_seconds, aug_start.elapsed().as_secs_f64()))
             }
             Err(_) => None,

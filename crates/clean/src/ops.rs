@@ -59,10 +59,16 @@ impl CleanOp {
 
     /// Apply the primitive to every applicable column of `table` (the
     /// target is exempt from imputation/scaling so labels stay honest).
+    /// The transforms edit one copy of `table` in place, so a failing op
+    /// leaves the caller's table as it was.
     pub fn apply(self, table: &Table, target: &str) -> Result<Table, TransformError> {
+        let mut out = table.clone();
+        let mut fit_apply = |t: &mut dyn Transform| -> Result<(), TransformError> {
+            t.fit(&out)?;
+            t.apply(&mut out)
+        };
         match self {
             CleanOp::DecimalScale => {
-                let mut out = table.clone();
                 let numeric: Vec<String> = table
                     .iter_columns()
                     .filter(|(f, _)| f.dtype.is_numeric() && f.name != target)
@@ -74,26 +80,21 @@ impl CleanOp {
                     ));
                 }
                 for name in numeric {
-                    let mut s = Scaler::new(name, ScaleMethod::Decimal);
-                    out = s.fit_transform(&out)?;
+                    fit_apply(&mut Scaler::new(name, ScaleMethod::Decimal))?;
                 }
-                Ok(out)
             }
-            CleanOp::ExactDedup => Deduplicator { approximate: false }.transform(table),
-            CleanOp::ApproxDedup => Deduplicator { approximate: true }.transform(table),
+            CleanOp::ExactDedup => fit_apply(&mut Deduplicator { approximate: false })?,
+            CleanOp::ApproxDedup => fit_apply(&mut Deduplicator { approximate: true })?,
             CleanOp::IqrOutliers => {
-                let mut r = OutlierRemover::new(Vec::new(), OutlierMethod::Iqr(1.5));
-                r.fit_transform(&table.clone())
+                fit_apply(&mut OutlierRemover::new(Vec::new(), OutlierMethod::Iqr(1.5)))?
             }
-            CleanOp::LofOutliers => {
-                let mut r =
-                    OutlierRemover::new(Vec::new(), OutlierMethod::Lof { k: 8, factor: 5.0 });
-                r.fit_transform(&table.clone())
-            }
+            CleanOp::LofOutliers => fit_apply(&mut OutlierRemover::new(
+                Vec::new(),
+                OutlierMethod::Lof { k: 8, factor: 5.0 },
+            ))?,
             CleanOp::EmImpute => {
                 // Two rounds of mean imputation approximate the EM fixpoint
                 // on our data shapes.
-                let mut out = table.clone();
                 for _ in 0..2 {
                     for (field, col) in table.iter_columns() {
                         if field.name == target || col.null_count() == 0 {
@@ -104,14 +105,11 @@ impl CleanOp {
                         } else {
                             ImputeStrategy::MostFrequent
                         };
-                        let mut imp = Imputer::new(field.name.clone(), strat);
-                        out = imp.fit_transform(&out)?;
+                        fit_apply(&mut Imputer::new(field.name.clone(), strat))?;
                     }
                 }
-                Ok(out)
             }
             CleanOp::MedianImpute => {
-                let mut out = table.clone();
                 for (field, col) in table.iter_columns() {
                     if field.name == target || col.null_count() == 0 {
                         continue;
@@ -121,13 +119,12 @@ impl CleanOp {
                     } else {
                         ImputeStrategy::MostFrequent
                     };
-                    let mut imp = Imputer::new(field.name.clone(), strat);
-                    out = imp.fit_transform(&out)?;
+                    fit_apply(&mut Imputer::new(field.name.clone(), strat))?;
                 }
-                Ok(out)
             }
-            CleanOp::DropNullRows => NullRowDropper.transform(table),
+            CleanOp::DropNullRows => fit_apply(&mut NullRowDropper)?,
         }
+        Ok(out)
     }
 }
 

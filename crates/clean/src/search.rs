@@ -81,10 +81,14 @@ fn proxy_score(table: &Table, target: &str, task: TaskKind, seed: u64) -> Option
             } else {
                 ImputeStrategy::MostFrequent
             };
-            t = Imputer::new(field.name.clone(), strat).fit_transform(&t).ok()?;
+            let mut imp = Imputer::new(field.name.clone(), strat);
+            imp.fit(&t).ok()?;
+            imp.apply(&mut t).ok()?;
         }
         if field.dtype == DataType::Str {
-            t = OrdinalEncoder::new(field.name.clone()).fit_transform(&t).ok()?;
+            let mut enc = OrdinalEncoder::new(field.name.clone());
+            enc.fit(&t).ok()?;
+            enc.apply(&mut t).ok()?;
         }
     }
     let (fit, val) = t.train_test_split(0.75, seed).ok()?;

@@ -3,8 +3,8 @@
 //! regression (the ADASYN [33] and ImbalancedLearningRegression [83]
 //! baselines from the paper's AutoML workflows).
 
-use crate::transform::{require_column, Result, Transform, TransformError};
-use catdb_table::{Column, Table, Value};
+use crate::transform::{require_column, Result, Transform};
+use catdb_table::{Table, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -122,33 +122,31 @@ fn synthesize(
     out
 }
 
-fn append_rows(table: &Table, new_rows: Vec<Vec<Value>>) -> Result<Table> {
+/// Append `new_rows` below `table`, moving its columns out and back
+/// rather than copying them.
+fn append_rows(table: &mut Table, new_rows: Vec<Vec<Value>>) -> Result<()> {
     if new_rows.is_empty() {
-        return Ok(table.clone());
+        return Ok(());
     }
-    let mut cols: Vec<Column> = (0..table.n_cols()).map(|c| table.column_at(c).clone()).collect();
+    let mut cols = std::mem::replace(table, Table::empty()).into_columns();
     for row in new_rows {
-        for (col, val) in cols.iter_mut().zip(row) {
-            col.push(val).map_err(TransformError::from)?;
+        for ((_, col), val) in cols.iter_mut().zip(row) {
+            col.push(val)?;
         }
     }
-    let names: Vec<String> = table.schema().names().iter().map(|s| s.to_string()).collect();
-    Ok(Table::from_columns(names.into_iter().zip(cols).collect())?)
+    *table = Table::from_columns(cols)?;
+    Ok(())
 }
 
 impl Transform for Augmenter {
-    fn name(&self) -> String {
-        format!("augment({}, {})", self.method.label(), self.target)
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         require_column(table, &self.target).map(|_| ())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let target_col = require_column(table, &self.target)?;
         if table.n_rows() < 4 {
-            return Ok(table.clone());
+            return Ok(());
         }
         let mut rng = StdRng::seed_from_u64(self.seed);
         let (numeric_names, rows) = numeric_rows(table, &self.target);
@@ -215,7 +213,7 @@ impl Transform for Augmenter {
                 let target_vals = target_col.to_f64_vec();
                 let mut sorted: Vec<f64> = target_vals.iter().flatten().copied().collect();
                 if sorted.len() < 4 {
-                    return Ok(table.clone());
+                    return Ok(());
                 }
                 sorted.sort_by(|a, b| a.total_cmp(b));
                 let q1 = sorted[sorted.len() / 4];
@@ -224,7 +222,7 @@ impl Transform for Augmenter {
                     .filter(|&i| target_vals[i].map(|v| v < q1 || v > q3).unwrap_or(false))
                     .collect();
                 if rare.len() < 2 {
-                    return Ok(table.clone());
+                    return Ok(());
                 }
                 let count = rare.len().min(budget);
                 let synthetic = synthesize(table, &numeric_names, &rows, &rare, count, &mut rng);
@@ -241,6 +239,7 @@ impl Transform for Augmenter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use catdb_table::Column;
 
     fn imbalanced_table() -> Table {
         // 20 of class "a", 4 of class "b".
@@ -262,7 +261,9 @@ mod tests {
     fn smote_balances_classes() {
         let t = imbalanced_table();
         let mut aug = Augmenter::new("y", AugmentMethod::Smote);
-        let out = aug.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        aug.fit(&out).unwrap();
+        aug.apply(&mut out).unwrap();
         let b_count = (0..out.n_rows())
             .filter(|&i| out.value(i, "y").unwrap() == Value::Str("b".into()))
             .count();
@@ -279,8 +280,12 @@ mod tests {
         let t = imbalanced_table();
         let mut smote = Augmenter::new("y", AugmentMethod::Smote);
         let mut adasyn = Augmenter::new("y", AugmentMethod::Adasyn);
-        let s = smote.fit_transform(&t).unwrap();
-        let a = adasyn.fit_transform(&t).unwrap();
+        let mut s = t.clone();
+        smote.fit(&s).unwrap();
+        smote.apply(&mut s).unwrap();
+        let mut a = t.clone();
+        adasyn.fit(&a).unwrap();
+        adasyn.apply(&mut a).unwrap();
         // Minority cluster is far from the majority here, so ADASYN's
         // density scaling reduces synthesis versus plain SMOTE.
         assert!(a.n_rows() <= s.n_rows());
@@ -294,16 +299,23 @@ mod tests {
         let t = Table::from_columns(vec![("x", Column::from_f64(xs)), ("y", Column::from_f64(ys))])
             .unwrap();
         let mut aug = Augmenter::new("y", AugmentMethod::Smogn);
-        let out = aug.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        aug.fit(&out).unwrap();
+        aug.apply(&mut out).unwrap();
         assert!(out.n_rows() > t.n_rows());
     }
 
     #[test]
     fn augment_is_deterministic() {
         let t = imbalanced_table();
-        let a = Augmenter::new("y", AugmentMethod::Smote).fit_transform(&t).unwrap();
-        let b = Augmenter::new("y", AugmentMethod::Smote).fit_transform(&t).unwrap();
-        assert_eq!(a, b);
+        let run = || {
+            let mut aug = Augmenter::new("y", AugmentMethod::Smote);
+            let mut out = t.clone();
+            aug.fit(&out).unwrap();
+            aug.apply(&mut out).unwrap();
+            out
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -313,7 +325,10 @@ mod tests {
             ("y", Column::from_strings(vec!["a", "b"])),
         ])
         .unwrap();
-        let out = Augmenter::new("y", AugmentMethod::Adasyn).fit_transform(&t).unwrap();
+        let mut aug = Augmenter::new("y", AugmentMethod::Adasyn);
+        let mut out = t.clone();
+        aug.fit(&out).unwrap();
+        aug.apply(&mut out).unwrap();
         assert_eq!(out.n_rows(), 2);
     }
 }

@@ -46,10 +46,6 @@ struct BoostRegModel {
 }
 
 impl Regressor for GradientBoostingRegressor {
-    fn name(&self) -> &'static str {
-        "gradient_boosting"
-    }
-
     fn fit(&self, x: &Matrix, y: &[f64]) -> Result<Box<dyn RegressorModel>> {
         validate_regression(x, y)?;
         let base = y.iter().sum::<f64>() / y.len() as f64;
@@ -106,10 +102,6 @@ struct BoostClassModel {
 }
 
 impl Classifier for GradientBoostingClassifier {
-    fn name(&self) -> &'static str {
-        "gradient_boosting"
-    }
-
     fn fit(&self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<Box<dyn ClassifierModel>> {
         validate_classification(x, y, n_classes)?;
         let n = x.rows() as f64;

@@ -38,10 +38,6 @@ impl OneHotEncoder {
 }
 
 impl Transform for OneHotEncoder {
-    fn name(&self) -> String {
-        format!("onehot({})", self.column)
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         let col = require_column(table, &self.column)?;
         // The dictionary's value list is exactly the sorted distinct
@@ -50,12 +46,10 @@ impl Transform for OneHotEncoder {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let cats = self.categories.as_ref().ok_or(TransformError::NotFitted("onehot"))?;
-        let col = require_column(table, &self.column)?;
-        let dict = column_dict(col);
-        let mut out = table.clone();
-        out.drop_column(&self.column)?;
+        let dict = column_dict(require_column(table, &self.column)?);
+        table.drop_column(&self.column)?;
         for cat in cats {
             // Compare per-row integer codes against the category's code
             // instead of re-rendering every cell per category. Unseen
@@ -66,9 +60,9 @@ impl Transform for OneHotEncoder {
                 Some(code) => dict.codes().iter().map(|&c| Some((c == code) as i64)).collect(),
                 None => vec![Some(0); dict.codes().len()],
             };
-            out.add_column(format!("{}={}", self.column, cat), Column::Int(ind))?;
+            table.add_column(format!("{}={}", self.column, cat), Column::Int(ind))?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -87,20 +81,15 @@ impl OrdinalEncoder {
 }
 
 impl Transform for OrdinalEncoder {
-    fn name(&self) -> String {
-        format!("ordinal({})", self.column)
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         let col = require_column(table, &self.column)?;
         self.categories = Some(column_dict(col).values().map(str::to_owned).collect());
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let cats = self.categories.as_ref().ok_or(TransformError::NotFitted("ordinal"))?;
-        let col = require_column(table, &self.column)?;
-        let dict = column_dict(col);
+        let dict = column_dict(require_column(table, &self.column)?);
         // Resolve each *distinct* value against the fitted categories once,
         // then translate the per-row codes through that small table.
         let code_map: Vec<i64> = dict
@@ -112,9 +101,8 @@ impl Transform for OrdinalEncoder {
             .iter()
             .map(|&c| Some(if c == NULL_CODE { -1 } else { code_map[c as usize] }))
             .collect();
-        let mut out = table.clone();
-        out.replace_column(&self.column, Column::Int(codes))?;
-        Ok(out)
+        table.replace_column(&self.column, Column::Int(codes))?;
+        Ok(())
     }
 }
 
@@ -144,10 +132,6 @@ impl KHotEncoder {
 }
 
 impl Transform for KHotEncoder {
-    fn name(&self) -> String {
-        format!("khot({})", self.column)
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         let col = require_column(table, &self.column)?;
         if col.dtype() != DataType::Str {
@@ -169,12 +153,10 @@ impl Transform for KHotEncoder {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let vocab = self.vocabulary.as_ref().ok_or(TransformError::NotFitted("khot"))?;
-        let col = require_column(table, &self.column)?;
-        let dict = column_dict(col);
-        let mut out = table.clone();
-        out.drop_column(&self.column)?;
+        let dict = column_dict(require_column(table, &self.column)?);
+        table.drop_column(&self.column)?;
         // Per distinct cell, mark which vocabulary items it contains; the
         // per-row work is then a plain flag lookup through the codes.
         let distinct_flags: Vec<Vec<bool>> = dict
@@ -195,9 +177,9 @@ impl Transform for KHotEncoder {
                 .iter()
                 .map(|&c| Some((c != NULL_CODE && distinct_flags[c as usize][v]) as i64))
                 .collect();
-            out.add_column(format!("{}={}", self.column, item), Column::Int(ind))?;
+            table.add_column(format!("{}={}", self.column, item), Column::Int(ind))?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -224,23 +206,18 @@ impl FeatureHasher {
 }
 
 impl Transform for FeatureHasher {
-    fn name(&self) -> String {
-        format!("hash({}, {})", self.column, self.n_buckets)
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         require_column(table, &self.column)?;
         self.fitted = true;
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         if !self.fitted {
             return Err(TransformError::NotFitted("feature hasher"));
         }
-        let col = require_column(table, &self.column)?.clone();
-        let mut out = table.clone();
-        out.drop_column(&self.column)?;
+        require_column(table, &self.column)?;
+        let col = table.drop_column(&self.column)?;
         let mut buckets = vec![vec![Some(0i64); col.len()]; self.n_buckets];
         for (i, key) in (0..col.len()).map(|i| category_key(&col, i)).enumerate() {
             if let Some(v) = key {
@@ -249,9 +226,9 @@ impl Transform for FeatureHasher {
             }
         }
         for (b, vals) in buckets.into_iter().enumerate() {
-            out.add_column(format!("{}#h{}", self.column, b), Column::Int(vals))?;
+            table.add_column(format!("{}#h{}", self.column, b), Column::Int(vals))?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -271,7 +248,9 @@ mod tests {
     #[test]
     fn onehot_produces_indicator_columns() {
         let mut enc = OneHotEncoder::new("city");
-        let out = enc.fit_transform(&cat_table()).unwrap();
+        let mut out = cat_table();
+        enc.fit(&out).unwrap();
+        enc.apply(&mut out).unwrap();
         assert!(!out.schema().contains("city"));
         assert_eq!(out.value(0, "city=B").unwrap(), Value::Int(1));
         assert_eq!(out.value(0, "city=A").unwrap(), Value::Int(0));
@@ -287,7 +266,8 @@ mod tests {
             ("y", Column::from_i64(vec![0])),
         ])
         .unwrap();
-        let out = enc.transform(&fresh).unwrap();
+        let mut out = fresh.clone();
+        enc.apply(&mut out).unwrap();
         assert_eq!(out.value(0, "city=A").unwrap(), Value::Int(0));
         assert_eq!(out.value(0, "city=B").unwrap(), Value::Int(0));
     }
@@ -295,7 +275,9 @@ mod tests {
     #[test]
     fn ordinal_codes_are_lexicographic() {
         let mut enc = OrdinalEncoder::new("city");
-        let out = enc.fit_transform(&cat_table()).unwrap();
+        let mut out = cat_table();
+        enc.fit(&out).unwrap();
+        enc.apply(&mut out).unwrap();
         assert_eq!(out.value(1, "city").unwrap(), Value::Int(0)); // A
         assert_eq!(out.value(0, "city").unwrap(), Value::Int(1)); // B
         assert_eq!(out.value(3, "city").unwrap(), Value::Int(2)); // C
@@ -309,7 +291,9 @@ mod tests {
         )])
         .unwrap();
         let mut enc = KHotEncoder::new("skills", ",");
-        let out = enc.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        enc.fit(&out).unwrap();
+        enc.apply(&mut out).unwrap();
         assert_eq!(enc.vocabulary_len(), 3);
         assert_eq!(out.value(0, "skills=Python").unwrap(), Value::Int(1));
         assert_eq!(out.value(0, "skills=C++").unwrap(), Value::Int(0));
@@ -331,7 +315,9 @@ mod tests {
         )])
         .unwrap();
         let mut enc = FeatureHasher::new("id", 8);
-        let out = enc.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        enc.fit(&out).unwrap();
+        enc.apply(&mut out).unwrap();
         assert_eq!(out.n_cols(), 8);
         // Every row sets exactly one bucket.
         for r in 0..out.n_rows() {

@@ -74,13 +74,11 @@ pub trait RegressorModel: Send + Sync {
 
 /// A classification learning algorithm (unfitted).
 pub trait Classifier: Send + Sync {
-    fn name(&self) -> &'static str;
     fn fit(&self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<Box<dyn ClassifierModel>>;
 }
 
 /// A regression learning algorithm (unfitted).
 pub trait Regressor: Send + Sync {
-    fn name(&self) -> &'static str;
     fn fit(&self, x: &Matrix, y: &[f64]) -> Result<Box<dyn RegressorModel>>;
 }
 

@@ -56,10 +56,6 @@ struct ForestClassifierModel {
 }
 
 impl Classifier for RandomForestClassifier {
-    fn name(&self) -> &'static str {
-        "random_forest"
-    }
-
     fn fit(&self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<Box<dyn ClassifierModel>> {
         validate_classification(x, y, n_classes)?;
         let cfg = &self.config;
@@ -110,10 +106,6 @@ struct ForestRegressorModel {
 }
 
 impl Regressor for RandomForestRegressor {
-    fn name(&self) -> &'static str {
-        "random_forest"
-    }
-
     fn fit(&self, x: &Matrix, y: &[f64]) -> Result<Box<dyn RegressorModel>> {
         validate_regression(x, y)?;
         let cfg = &self.config;
@@ -231,5 +223,29 @@ mod tests {
         let m1 = RandomForestClassifier { config: cfg.clone() }.fit(&x, &y, 2).unwrap();
         let m2 = RandomForestClassifier { config: cfg }.fit(&x, &y, 2).unwrap();
         assert_eq!(m1.predict_proba(&x).unwrap(), m2.predict_proba(&x).unwrap());
+    }
+
+    /// Trees fitted in parallel open their `tree_fit` spans on pool
+    /// threads. Each must nest under the span the fit was submitted from,
+    /// not under a sibling tree another thread happened to open last.
+    #[test]
+    fn parallel_fit_spans_nest_under_the_submitting_span() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let rows: Vec<Vec<f64>> = (0..600).map(|_| (0..8).map(|_| rng.gen()).collect()).collect();
+        let y: Vec<usize> = rows.iter().map(|r| (r[0] + r[1] > 1.0) as usize).collect();
+        let x = Matrix::from_rows(&rows);
+        let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+        let root = {
+            let _guard = catdb_trace::install(sink.clone());
+            let root = catdb_trace::span("forest");
+            let cfg = ForestConfig { n_trees: 32, n_threads: 8, ..Default::default() };
+            RandomForestClassifier { config: cfg }.fit(&x, &y, 2).unwrap();
+            root.id()
+        };
+        let trace = sink.snapshot();
+        trace.check_well_formed().expect("tree spans nest inside the forest span");
+        let fits = trace.spans_named("tree_fit");
+        assert_eq!(fits.len(), 32);
+        assert!(fits.iter().all(|s| s.parent == root), "{:?}", trace.spans);
     }
 }

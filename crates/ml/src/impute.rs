@@ -14,17 +14,6 @@ pub enum ImputeStrategy {
     Constant(Value),
 }
 
-impl ImputeStrategy {
-    pub fn label(&self) -> &'static str {
-        match self {
-            ImputeStrategy::Mean => "mean",
-            ImputeStrategy::Median => "median",
-            ImputeStrategy::MostFrequent => "most_frequent",
-            ImputeStrategy::Constant(_) => "constant",
-        }
-    }
-}
-
 /// Fill missing values of one column with a fitted statistic.
 #[derive(Debug, Clone)]
 pub struct Imputer {
@@ -82,10 +71,6 @@ fn most_frequent(col: &Column) -> Option<Value> {
 }
 
 impl Transform for Imputer {
-    fn name(&self) -> String {
-        format!("impute({}, {})", self.column, self.strategy.label())
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         let col = require_column(table, &self.column)?;
         let fill = match &self.strategy {
@@ -124,21 +109,20 @@ impl Transform for Imputer {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let fill = self.fill.as_ref().ok_or(TransformError::NotFitted("imputer"))?;
-        let col = require_column(table, &self.column)?;
-        let mut new_col = col.clone();
-        for i in 0..new_col.len() {
-            if new_col.is_null_at(i) {
-                new_col.set(i, fill.clone()).map_err(|_| TransformError::WrongType {
+        let col = table
+            .column_mut(&self.column)
+            .map_err(|_| TransformError::ColumnNotFound(self.column.clone()))?;
+        for i in 0..col.len() {
+            if col.is_null_at(i) {
+                col.set(i, fill.clone()).map_err(|_| TransformError::WrongType {
                     column: self.column.clone(),
                     expected: "value matching column type",
                 })?;
             }
         }
-        let mut out = table.clone();
-        out.replace_column(&self.column, new_col)?;
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -158,7 +142,9 @@ mod tests {
     fn mean_imputation() {
         let t = table_with_nulls();
         let mut imp = Imputer::new("x", ImputeStrategy::Mean);
-        let out = imp.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        imp.fit(&out).unwrap();
+        imp.apply(&mut out).unwrap();
         assert_eq!(out.value(1, "x").unwrap(), Value::Float(2.0));
         assert_eq!(out.column("x").unwrap().null_count(), 0);
     }
@@ -171,7 +157,9 @@ mod tests {
         )])
         .unwrap();
         let mut imp = Imputer::new("x", ImputeStrategy::Median);
-        let out = imp.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        imp.fit(&out).unwrap();
+        imp.apply(&mut out).unwrap();
         assert_eq!(out.value(3, "x").unwrap(), Value::Float(2.0));
     }
 
@@ -179,7 +167,9 @@ mod tests {
     fn most_frequent_on_strings() {
         let t = table_with_nulls();
         let mut imp = Imputer::new("c", ImputeStrategy::MostFrequent);
-        let out = imp.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        imp.fit(&out).unwrap();
+        imp.apply(&mut out).unwrap();
         assert_eq!(out.value(2, "c").unwrap(), Value::Str("a".into()));
     }
 
@@ -201,14 +191,16 @@ mod tests {
     fn transform_before_fit_errors() {
         let t = table_with_nulls();
         let imp = Imputer::new("x", ImputeStrategy::Mean);
-        assert!(matches!(imp.transform(&t), Err(TransformError::NotFitted(_))));
+        assert!(matches!(imp.apply(&mut t.clone()), Err(TransformError::NotFitted(_))));
     }
 
     #[test]
     fn constant_imputation_applies_given_value() {
         let t = table_with_nulls();
         let mut imp = Imputer::new("c", ImputeStrategy::Constant(Value::Str("zz".into())));
-        let out = imp.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        imp.fit(&out).unwrap();
+        imp.apply(&mut out).unwrap();
         assert_eq!(out.value(2, "c").unwrap(), Value::Str("zz".into()));
     }
 
@@ -217,7 +209,9 @@ mod tests {
         let t =
             Table::from_columns(vec![("n", Column::Int(vec![Some(1), Some(2), None]))]).unwrap();
         let mut imp = Imputer::new("n", ImputeStrategy::Mean);
-        let out = imp.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        imp.fit(&out).unwrap();
+        imp.apply(&mut out).unwrap();
         assert_eq!(out.value(2, "n").unwrap(), Value::Int(2)); // 1.5 rounds to 2
     }
 }

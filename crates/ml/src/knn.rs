@@ -109,10 +109,6 @@ struct KnnClassModel {
 }
 
 impl Classifier for KnnClassifier {
-    fn name(&self) -> &'static str {
-        "knn"
-    }
-
     fn fit(&self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<Box<dyn ClassifierModel>> {
         validate_classification(x, y, n_classes)?;
         let (means, stds) = fit_scaling(x);
@@ -184,10 +180,6 @@ struct KnnRegModel {
 }
 
 impl Regressor for KnnRegressor {
-    fn name(&self) -> &'static str {
-        "knn"
-    }
-
     fn fit(&self, x: &Matrix, y: &[f64]) -> Result<Box<dyn RegressorModel>> {
         validate_regression(x, y)?;
         let (means, stds) = fit_scaling(x);

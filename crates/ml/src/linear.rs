@@ -89,10 +89,6 @@ fn softmax_into(logits: &mut [f64]) {
 }
 
 impl Classifier for LogisticRegression {
-    fn name(&self) -> &'static str {
-        "logistic_regression"
-    }
-
     fn fit(&self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<Box<dyn ClassifierModel>> {
         validate_classification(x, y, n_classes)?;
         let scaler = Standardizer::fit(x);
@@ -188,10 +184,6 @@ struct RidgeModel {
 }
 
 impl Regressor for RidgeRegression {
-    fn name(&self) -> &'static str {
-        "ridge_regression"
-    }
-
     fn fit(&self, x: &Matrix, y: &[f64]) -> Result<Box<dyn RegressorModel>> {
         validate_regression(x, y)?;
         let scaler = Standardizer::fit(x);

@@ -17,10 +17,6 @@ struct GaussianNbModel {
 }
 
 impl Classifier for GaussianNb {
-    fn name(&self) -> &'static str {
-        "gaussian_nb"
-    }
-
     fn fit(&self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<Box<dyn ClassifierModel>> {
         validate_classification(x, y, n_classes)?;
         let d = x.cols();

@@ -18,16 +18,6 @@ pub enum OutlierMethod {
     Lof { k: usize, factor: f64 },
 }
 
-impl OutlierMethod {
-    pub fn label(&self) -> &'static str {
-        match self {
-            OutlierMethod::Iqr(_) => "iqr",
-            OutlierMethod::ZScore(_) => "zscore",
-            OutlierMethod::Lof { .. } => "lof",
-        }
-    }
-}
-
 /// Remove outlier rows based on the numeric columns. Train-only.
 #[derive(Debug, Clone)]
 pub struct OutlierRemover {
@@ -78,18 +68,14 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 impl Transform for OutlierRemover {
-    fn name(&self) -> String {
-        format!("outliers({})", self.method.label())
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         self.numeric_targets(table).map(|_| ())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let targets = self.numeric_targets(table)?;
         if targets.is_empty() || table.n_rows() == 0 {
-            return Ok(table.clone());
+            return Ok(());
         }
         let mut keep = vec![true; table.n_rows()];
         match self.method {
@@ -185,10 +171,10 @@ impl Transform for OutlierRemover {
         }
         // Never remove everything: degrade to a no-op instead of emptying
         // the training set.
-        if keep.iter().all(|&k| !k) {
-            return Ok(table.clone());
+        if keep.iter().any(|&k| k) {
+            *table = table.filter(|i| keep[i]);
         }
-        Ok(table.filter(|i| keep[i]))
+        Ok(())
     }
 
     fn train_only(&self) -> bool {
@@ -205,15 +191,11 @@ pub struct Deduplicator {
 }
 
 impl Transform for Deduplicator {
-    fn name(&self) -> String {
-        format!("dedup({})", if self.approximate { "approx" } else { "exact" })
-    }
-
     fn fit(&mut self, _table: &Table) -> Result<()> {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         // Row keys are vectors of per-column dictionary codes, so each
         // distinct cell value is rendered (and normalized) once instead of
         // once per row. Codes are remapped per column so that rendered
@@ -240,7 +222,7 @@ impl Transform for Deduplicator {
             })
             .collect();
         let mut seen = HashSet::new();
-        Ok(table.filter(|i| {
+        *table = table.filter(|i| {
             let key: Vec<u32> = keyed
                 .iter()
                 .map(
@@ -254,7 +236,8 @@ impl Transform for Deduplicator {
                 )
                 .collect();
             seen.insert(key)
-        }))
+        });
+        Ok(())
     }
 
     fn train_only(&self) -> bool {
@@ -268,22 +251,18 @@ impl Transform for Deduplicator {
 pub struct NullRowDropper;
 
 impl Transform for NullRowDropper {
-    fn name(&self) -> String {
-        "drop_null_rows".into()
-    }
-
     fn fit(&mut self, _table: &Table) -> Result<()> {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let filtered =
             table.filter(|i| !(0..table.n_cols()).any(|c| table.column_at(c).is_null_at(i)));
         // Keep at least something trainable.
-        if filtered.n_rows() == 0 {
-            return Ok(table.clone());
+        if filtered.n_rows() > 0 {
+            *table = filtered;
         }
-        Ok(filtered)
+        Ok(())
     }
 
     fn train_only(&self) -> bool {
@@ -298,19 +277,14 @@ pub struct ColumnDropper {
 }
 
 impl Transform for ColumnDropper {
-    fn name(&self) -> String {
-        format!("drop({})", self.column)
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         require_column(table, &self.column).map(|_| ())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         require_column(table, &self.column)?;
-        let mut out = table.clone();
-        out.drop_column(&self.column)?;
-        Ok(out)
+        table.drop_column(&self.column)?;
+        Ok(())
     }
 }
 
@@ -333,10 +307,6 @@ impl HighMissingDropper {
 }
 
 impl Transform for HighMissingDropper {
-    fn name(&self) -> String {
-        format!("drop_high_missing({})", self.threshold)
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         let n = table.n_rows().max(1) as f64;
         self.to_drop = Some(
@@ -349,16 +319,15 @@ impl Transform for HighMissingDropper {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let drop =
             self.to_drop.as_ref().ok_or(TransformError::NotFitted("high-missing dropper"))?;
-        let mut out = table.clone();
         for name in drop {
-            if out.schema().contains(name) {
-                out.drop_column(name)?;
+            if table.schema().contains(name) {
+                table.drop_column(name)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -370,10 +339,6 @@ pub struct ConstantColumnDropper {
 }
 
 impl Transform for ConstantColumnDropper {
-    fn name(&self) -> String {
-        "drop_constant_columns".into()
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         let mut drop = Vec::new();
         for (field, col) in table.iter_columns() {
@@ -385,15 +350,14 @@ impl Transform for ConstantColumnDropper {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let drop = self.to_drop.as_ref().ok_or(TransformError::NotFitted("constant dropper"))?;
-        let mut out = table.clone();
         for name in drop {
-            if out.schema().contains(name) && out.n_cols() > 1 {
-                out.drop_column(name)?;
+            if table.schema().contains(name) && table.n_cols() > 1 {
+                table.drop_column(name)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -413,7 +377,9 @@ mod tests {
         vals.push(1000.0);
         let t = Table::from_columns(vec![("x", Column::from_f64(vals))]).unwrap();
         let mut rem = OutlierRemover::new(vec!["x".into()], OutlierMethod::Iqr(1.5));
-        let out = rem.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        rem.fit(&out).unwrap();
+        rem.apply(&mut out).unwrap();
         assert_eq!(out.n_rows(), 100);
     }
 
@@ -423,7 +389,9 @@ mod tests {
             Table::from_columns(vec![("x", Column::from_f64(vec![0.0, 0.1, -0.1, 0.05, 50.0]))])
                 .unwrap();
         let mut rem = OutlierRemover::new(vec![], OutlierMethod::ZScore(1.5));
-        let out = rem.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        rem.fit(&out).unwrap();
+        rem.apply(&mut out).unwrap();
         assert_eq!(out.n_rows(), 4);
     }
 
@@ -433,7 +401,9 @@ mod tests {
         rows.push(500.0);
         let t = Table::from_columns(vec![("x", Column::from_f64(rows))]).unwrap();
         let mut rem = OutlierRemover::new(vec![], OutlierMethod::Lof { k: 5, factor: 10.0 });
-        let out = rem.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        rem.fit(&out).unwrap();
+        rem.apply(&mut out).unwrap();
         assert_eq!(out.n_rows(), 50);
     }
 
@@ -444,9 +414,11 @@ mod tests {
             Column::from_strings(vec!["Male", "male ", "Male", "Female"]),
         )])
         .unwrap();
-        let exact = Deduplicator { approximate: false }.transform(&t).unwrap();
+        let mut exact = t.clone();
+        Deduplicator { approximate: false }.apply(&mut exact).unwrap();
         assert_eq!(exact.n_rows(), 3);
-        let approx = Deduplicator { approximate: true }.transform(&t).unwrap();
+        let mut approx = t.clone();
+        Deduplicator { approximate: true }.apply(&mut approx).unwrap();
         assert_eq!(approx.n_rows(), 2);
     }
 
@@ -457,7 +429,8 @@ mod tests {
             ("b", Column::Int(vec![Some(1), Some(2), Some(3)])),
         ])
         .unwrap();
-        let out = NullRowDropper.transform(&t).unwrap();
+        let mut out = t.clone();
+        NullRowDropper.apply(&mut out).unwrap();
         assert_eq!(out.n_rows(), 2);
     }
 
@@ -471,7 +444,8 @@ mod tests {
         let mut d = HighMissingDropper::new(0.5);
         d.fit(&train).unwrap();
         assert_eq!(d.dropped(), &["mostly_null".to_string()]);
-        let out = d.transform(&train).unwrap();
+        let mut out = train.clone();
+        d.apply(&mut out).unwrap();
         assert_eq!(out.n_cols(), 1);
     }
 
@@ -483,7 +457,9 @@ mod tests {
         ])
         .unwrap();
         let mut d = ConstantColumnDropper::default();
-        let out = d.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        d.fit(&out).unwrap();
+        d.apply(&mut out).unwrap();
         assert!(!out.schema().contains("const"));
         assert!(out.schema().contains("varies"));
     }
@@ -492,7 +468,9 @@ mod tests {
     fn outlier_remover_never_empties_table() {
         let t = Table::from_columns(vec![("x", Column::from_f64(vec![1.0, 2.0]))]).unwrap();
         let mut rem = OutlierRemover::new(vec![], OutlierMethod::ZScore(0.0));
-        let out = rem.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        rem.fit(&out).unwrap();
+        rem.apply(&mut out).unwrap();
         assert!(out.n_rows() > 0);
     }
 }

@@ -51,10 +51,6 @@ impl Scaler {
 }
 
 impl Transform for Scaler {
-    fn name(&self) -> String {
-        format!("scale({}, {})", self.column, self.method.label())
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         let col = require_column(table, &self.column)?;
         if !col.dtype().is_numeric() {
@@ -96,7 +92,7 @@ impl Transform for Scaler {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let params = self.params.ok_or(TransformError::NotFitted("scaler"))?;
         let col = require_column(table, &self.column)?;
         let scaled: Vec<Option<f64>> = col
@@ -110,9 +106,8 @@ impl Transform for Scaler {
                 })
             })
             .collect();
-        let mut out = table.clone();
-        out.replace_column(&self.column, Column::Float(scaled))?;
-        Ok(out)
+        table.replace_column(&self.column, Column::Float(scaled))?;
+        Ok(())
     }
 }
 
@@ -132,7 +127,9 @@ mod tests {
     #[test]
     fn standard_scaling_centers() {
         let mut s = Scaler::new("x", ScaleMethod::Standard);
-        let out = s.fit_transform(&numeric_table()).unwrap();
+        let mut out = numeric_table();
+        s.fit(&out).unwrap();
+        s.apply(&mut out).unwrap();
         let vals = out.column("x").unwrap().to_f64_vec();
         let mean: f64 = vals.iter().flatten().sum::<f64>() / 3.0;
         assert!(mean.abs() < 1e-12);
@@ -143,7 +140,9 @@ mod tests {
     #[test]
     fn minmax_scaling_hits_unit_interval() {
         let mut s = Scaler::new("x", ScaleMethod::MinMax);
-        let out = s.fit_transform(&numeric_table()).unwrap();
+        let mut out = numeric_table();
+        s.fit(&out).unwrap();
+        s.apply(&mut out).unwrap();
         assert_eq!(out.value(0, "x").unwrap(), Value::Float(0.0));
         assert_eq!(out.value(2, "x").unwrap(), Value::Float(1.0));
     }
@@ -151,7 +150,9 @@ mod tests {
     #[test]
     fn decimal_scaling_divides_by_power_of_ten() {
         let mut s = Scaler::new("x", ScaleMethod::Decimal);
-        let out = s.fit_transform(&numeric_table()).unwrap();
+        let mut out = numeric_table();
+        s.fit(&out).unwrap();
+        s.apply(&mut out).unwrap();
         assert_eq!(out.value(2, "x").unwrap(), Value::Float(0.2)); // 20 / 100
     }
 
@@ -166,7 +167,9 @@ mod tests {
     fn constant_column_does_not_divide_by_zero() {
         let t = Table::from_columns(vec![("x", Column::from_f64(vec![5.0, 5.0]))]).unwrap();
         let mut s = Scaler::new("x", ScaleMethod::Standard);
-        let out = s.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        s.fit(&out).unwrap();
+        s.apply(&mut out).unwrap();
         assert_eq!(out.value(0, "x").unwrap(), Value::Float(0.0));
     }
 }

@@ -71,10 +71,6 @@ fn categorical_score(groups: &HashMap<String, Vec<f64>>, all: &[f64]) -> f64 {
 }
 
 impl Transform for TopKSelector {
-    fn name(&self) -> String {
-        format!("select_topk({}, {})", self.k, self.target)
-    }
-
     fn fit(&mut self, table: &Table) -> Result<()> {
         let target_col = require_column(table, &self.target)?;
         // Numeric encoding of the target: numeric targets directly; string
@@ -122,14 +118,20 @@ impl Transform for TopKSelector {
         Ok(())
     }
 
-    fn transform(&self, table: &Table) -> Result<Table> {
+    fn apply(&self, table: &mut Table) -> Result<()> {
         let keep = self.keep.as_ref().ok_or(TransformError::NotFitted("top-k selector"))?;
         let mut names: Vec<&str> =
             keep.iter().map(|s| s.as_str()).filter(|n| table.schema().contains(n)).collect();
         if table.schema().contains(&self.target) {
             names.push(self.target.as_str());
         }
-        Ok(table.select(&names)?)
+        // Move the kept columns out in their selected order.
+        let kept = names
+            .into_iter()
+            .map(|n| Ok((n, table.drop_column(n)?)))
+            .collect::<Result<Vec<_>>>()?;
+        *table = Table::from_columns(kept)?;
+        Ok(())
     }
 }
 
@@ -150,7 +152,9 @@ mod tests {
         ])
         .unwrap();
         let mut sel = TopKSelector::new("y", 1);
-        let out = sel.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        sel.fit(&out).unwrap();
+        sel.apply(&mut out).unwrap();
         assert_eq!(sel.kept(), &["signal".to_string()]);
         assert!(out.schema().contains("signal"));
         assert!(out.schema().contains("y"));
@@ -182,7 +186,9 @@ mod tests {
         ])
         .unwrap();
         let mut sel = TopKSelector::new("y", 10);
-        let out = sel.fit_transform(&t).unwrap();
+        let mut out = t.clone();
+        sel.fit(&out).unwrap();
+        sel.apply(&mut out).unwrap();
         assert_eq!(out.n_cols(), 2);
     }
 }

@@ -55,10 +55,6 @@ struct TabPfnModel {
 }
 
 impl Classifier for TabPfnSurrogate {
-    fn name(&self) -> &'static str {
-        "tabpfn"
-    }
-
     fn fit(&self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<Box<dyn ClassifierModel>> {
         validate_classification(x, y, n_classes)?;
         if x.rows() > TABPFN_MAX_SAMPLES {

@@ -47,27 +47,22 @@ impl From<TableError> for TransformError {
 
 pub type Result<T> = std::result::Result<T, TransformError>;
 
-/// A fittable, reusable preprocessing step.
+/// A fittable, reusable preprocessing step. `fit` learns from the
+/// training table; `apply` then edits a table in place, touching only the
+/// columns it writes (a row transform replaces the table with the kept
+/// rows). An `apply` that fails may leave the table partly edited, so a
+/// caller that keeps the table after an error applies to a copy.
 pub trait Transform: Send + Sync {
-    /// Short identifier used in logs and generated-pipeline listings.
-    fn name(&self) -> String;
-
     /// Learn parameters from the training table.
     fn fit(&mut self, table: &Table) -> Result<()>;
 
-    /// Apply the fitted transform to a table.
-    fn transform(&self, table: &Table) -> Result<Table>;
+    /// Apply the fitted transform to `table` in place.
+    fn apply(&self, table: &mut Table) -> Result<()>;
 
     /// Row-set-changing transforms return true and are applied only to
     /// training data.
     fn train_only(&self) -> bool {
         false
-    }
-
-    /// Fit on `table` and immediately transform it.
-    fn fit_transform(&mut self, table: &Table) -> Result<Table> {
-        self.fit(table)?;
-        self.transform(table)
     }
 }
 

@@ -1152,10 +1152,6 @@ pub(crate) struct TreeClassifierModel {
 }
 
 impl Classifier for DecisionTreeClassifier {
-    fn name(&self) -> &'static str {
-        "decision_tree"
-    }
-
     fn fit(&self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<Box<dyn ClassifierModel>> {
         validate_classification(x, y, n_classes)?;
         Ok(Box::new(fit_class_tree(x, y, n_classes, &self.config)))
@@ -1290,10 +1286,6 @@ pub(crate) struct TreeRegressorModel {
 }
 
 impl Regressor for DecisionTreeRegressor {
-    fn name(&self) -> &'static str {
-        "decision_tree"
-    }
-
     fn fit(&self, x: &Matrix, y: &[f64]) -> Result<Box<dyn RegressorModel>> {
         validate_regression(x, y)?;
         Ok(Box::new(fit_reg_tree(x, y, (0..x.rows()).collect(), &self.config, None)))

@@ -38,7 +38,7 @@ use crate::executor::{
     apply_step, check_memory, finish_evaluation, resolve_imports, step_label, step_line,
     Evaluation, ExecutionConfig, TaskMetrics,
 };
-use catdb_table::{Column, Table};
+use catdb_table::{Column, Schema, Table};
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -314,25 +314,22 @@ fn project(table: &Table, reads: &ColSet, writes: &ColSet) -> Table {
     out
 }
 
-/// Diff a local step's output against its input projection. `writes`
-/// bounds the in-place replacements; appends and drops are observed
-/// directly from the schemas.
-fn table_diff(pre: &Table, post: &Table, writes: &ColSet) -> TableDiff {
-    let pre_names: Vec<&str> = pre.schema().names();
-    let post_names: Vec<&str> = post.schema().names();
+/// Diff a local step's finished projection against the schema it started
+/// from, moving the written columns out of it. `writes` bounds the
+/// in-place replacements; appends and drops are observed directly from
+/// the schemas.
+fn table_diff(pre: &Schema, post: Table, writes: &ColSet) -> TableDiff {
     let mut diff = TableDiff::default();
-    for name in &pre_names {
+    for name in pre.names() {
         if !post.schema().contains(name) {
             diff.dropped.push(name.to_string());
         }
     }
-    for name in &post_names {
-        if !pre.schema().contains(name) {
-            diff.appended
-                .push((name.to_string(), post.column(name).expect("named column").clone()));
-        } else if writes.contains(name) {
-            diff.replaced
-                .push((name.to_string(), post.column(name).expect("named column").clone()));
+    for (name, col) in post.into_columns() {
+        if !pre.contains(&name) {
+            diff.appended.push((name, col));
+        } else if writes.contains(&name) {
+            diff.replaced.push((name, col));
         }
     }
     diff
@@ -503,15 +500,14 @@ fn run_wave(
         catdb_runtime::parallel_map(catdb_runtime::pool_size(), wave, |_, &idx| {
             let node = &dag.nodes[idx];
             let started = Instant::now();
-            let pre_train = project(snapshot_train, &node.reads, &node.writes);
-            let pre_test = project(snapshot_test, &node.reads, &node.writes);
-            let mut train = pre_train.clone();
-            let mut test = pre_test.clone();
+            let mut train = project(snapshot_train, &node.reads, &node.writes);
+            let mut test = project(snapshot_test, &node.reads, &node.writes);
+            let (pre_train, pre_test) = (train.schema().clone(), test.schema().clone());
             let step = &program.steps[idx];
             let diff = apply_step(step, step_line(idx), &mut train, &mut test, cfg, target, false)
                 .map(|_| StepDiff {
-                    train: table_diff(&pre_train, &train, &node.writes),
-                    test: table_diff(&pre_test, &test, &node.writes),
+                    train: table_diff(&pre_train, train, &node.writes),
+                    test: table_diff(&pre_test, test, &node.writes),
                 });
             (started.elapsed().as_micros() as u64, diff)
         });

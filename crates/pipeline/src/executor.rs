@@ -171,17 +171,19 @@ pub(crate) fn check_memory(
     Ok(())
 }
 
-/// Apply one fitted transform to train (always) and test (unless
-/// train-only).
+/// Fit a transform on train, then apply it in place to train (always)
+/// and test (unless train-only).
 fn apply(
     t: &mut dyn Transform,
     train: &mut Table,
     test: &mut Table,
     line: usize,
 ) -> Result<(), PipelineError> {
-    *train = t.fit_transform(train).map_err(|e| map_transform_err(e, line))?;
+    let err = |e| map_transform_err(e, line);
+    t.fit(train).map_err(err)?;
+    t.apply(train).map_err(err)?;
     if !t.train_only() {
-        *test = t.transform(test).map_err(|e| map_transform_err(e, line))?;
+        t.apply(test).map_err(err)?;
     }
     Ok(())
 }
@@ -416,148 +418,122 @@ pub(crate) fn apply_step(
     target: Option<&str>,
     model_seen: bool,
 ) -> Result<Option<(TaskMetrics, TaskMetrics, usize)>, PipelineError> {
-    let mut model_result = None;
-    {
-        let train = &mut *train;
-        let test = &mut *test;
-        let target = target.map(|t| t.to_string());
-        match step {
-            Step::Require { .. } => {}
-            Step::Impute { column, strategy } => {
-                let numeric_only = matches!(
-                    strategy,
-                    ImputeSpec::Mean | ImputeSpec::Median | ImputeSpec::ConstantNum(_)
-                );
-                let cols = expand_columns(train, column, target.as_deref(), |f, c| {
-                    c.null_count() > 0 && (!numeric_only || f.dtype.is_numeric())
-                });
-                if matches!(column, ColumnRef::Named(_)) && cols.len() == 1 {
-                    // Named references must exist even when already clean.
-                    let strat = match strategy {
-                        ImputeSpec::Mean => ImputeStrategy::Mean,
-                        ImputeSpec::Median => ImputeStrategy::Median,
-                        ImputeSpec::MostFrequent => ImputeStrategy::MostFrequent,
-                        ImputeSpec::ConstantNum(v) => ImputeStrategy::Constant(Value::Float(*v)),
-                        ImputeSpec::ConstantStr(s) => {
-                            ImputeStrategy::Constant(Value::Str(s.clone()))
-                        }
-                    };
-                    let mut t = Imputer::new(cols[0].clone(), strat);
-                    apply(&mut t, train, test, line)?;
-                } else {
-                    for col in cols {
-                        let strat = match strategy {
-                            ImputeSpec::Mean => ImputeStrategy::Mean,
-                            ImputeSpec::Median => ImputeStrategy::Median,
-                            ImputeSpec::MostFrequent => ImputeStrategy::MostFrequent,
-                            ImputeSpec::ConstantNum(v) => {
-                                ImputeStrategy::Constant(Value::Float(*v))
-                            }
-                            ImputeSpec::ConstantStr(s) => {
-                                ImputeStrategy::Constant(Value::Str(s.clone()))
-                            }
-                        };
-                        let mut t = Imputer::new(col, strat);
+    match step {
+        Step::Require { .. } => {}
+        Step::Impute { column, strategy } => {
+            let numeric_only = matches!(
+                strategy,
+                ImputeSpec::Mean | ImputeSpec::Median | ImputeSpec::ConstantNum(_)
+            );
+            // A named column is imputed (and must exist) even when it
+            // is already clean: `expand_columns` returns it unfiltered.
+            let cols = expand_columns(train, column, target, |f, c| {
+                c.null_count() > 0 && (!numeric_only || f.dtype.is_numeric())
+            });
+            let strat = match strategy {
+                ImputeSpec::Mean => ImputeStrategy::Mean,
+                ImputeSpec::Median => ImputeStrategy::Median,
+                ImputeSpec::MostFrequent => ImputeStrategy::MostFrequent,
+                ImputeSpec::ConstantNum(v) => ImputeStrategy::Constant(Value::Float(*v)),
+                ImputeSpec::ConstantStr(s) => ImputeStrategy::Constant(Value::Str(s.clone())),
+            };
+            for col in cols {
+                let mut t = Imputer::new(col, strat.clone());
+                apply(&mut t, train, test, line)?;
+            }
+        }
+        Step::Scale { column, method } => {
+            let cols = expand_columns(train, column, target, |f, _| f.dtype.is_numeric());
+            for col in cols {
+                let mut t = Scaler::new(col, *method);
+                apply(&mut t, train, test, line)?;
+            }
+        }
+        Step::Encode { column, method } => {
+            let cols = expand_columns(train, column, target, |f, _| f.dtype == DataType::Str);
+            for col in cols {
+                match method {
+                    EncodeSpec::OneHot => {
+                        let mut t = OneHotEncoder::new(col);
+                        apply(&mut t, train, test, line)?;
+                    }
+                    EncodeSpec::Ordinal => {
+                        let mut t = OrdinalEncoder::new(col);
+                        apply(&mut t, train, test, line)?;
+                    }
+                    EncodeSpec::KHot { separator } => {
+                        let mut t = KHotEncoder::new(col, separator.clone());
+                        apply(&mut t, train, test, line)?;
+                    }
+                    EncodeSpec::Hash { buckets } => {
+                        let mut t = FeatureHasher::new(col, *buckets);
                         apply(&mut t, train, test, line)?;
                     }
                 }
-            }
-            Step::Scale { column, method } => {
-                let cols =
-                    expand_columns(train, column, target.as_deref(), |f, _| f.dtype.is_numeric());
-                for col in cols {
-                    let mut t = Scaler::new(col, *method);
-                    apply(&mut t, train, test, line)?;
-                }
-            }
-            Step::Encode { column, method } => {
-                let cols = expand_columns(train, column, target.as_deref(), |f, _| {
-                    f.dtype == DataType::Str
-                });
-                for col in cols {
-                    match method {
-                        EncodeSpec::OneHot => {
-                            let mut t = OneHotEncoder::new(col);
-                            apply(&mut t, train, test, line)?;
-                        }
-                        EncodeSpec::Ordinal => {
-                            let mut t = OrdinalEncoder::new(col);
-                            apply(&mut t, train, test, line)?;
-                        }
-                        EncodeSpec::KHot { separator } => {
-                            let mut t = KHotEncoder::new(col, separator.clone());
-                            apply(&mut t, train, test, line)?;
-                        }
-                        EncodeSpec::Hash { buckets } => {
-                            let mut t = FeatureHasher::new(col, *buckets);
-                            apply(&mut t, train, test, line)?;
-                        }
-                    }
-                    check_memory(train, test, cfg, line)?;
-                }
-            }
-            Step::Drop { column } => {
-                let mut t = ColumnDropper { column: column.clone() };
-                apply(&mut t, train, test, line)?;
-            }
-            Step::DropHighMissing { threshold } => {
-                let mut t = HighMissingDropper::new(*threshold);
-                apply(&mut t, train, test, line)?;
-            }
-            Step::DropConstant => {
-                let mut t = ConstantColumnDropper::default();
-                apply(&mut t, train, test, line)?;
-            }
-            Step::Dedup { approximate } => {
-                let mut t = Deduplicator { approximate: *approximate };
-                apply(&mut t, train, test, line)?;
-            }
-            Step::DropNullRows => {
-                let mut t = NullRowDropper;
-                apply(&mut t, train, test, line)?;
-            }
-            Step::Outliers { column, method } => {
-                let cols = match column {
-                    ColumnRef::Named(n) => vec![n.clone()],
-                    ColumnRef::All => Vec::new(), // empty = all numeric
-                };
-                let m = match method {
-                    OutlierSpec::Iqr { factor } => OutlierMethod::Iqr(*factor),
-                    OutlierSpec::ZScore { factor } => OutlierMethod::ZScore(*factor),
-                    OutlierSpec::Lof { k, factor } => OutlierMethod::Lof { k: *k, factor: *factor },
-                };
-                let mut t = OutlierRemover::new(cols, m);
-                apply(&mut t, train, test, line)?;
-            }
-            Step::Augment { method, target } => {
-                let mut t = Augmenter::new(target.clone(), *method);
-                t.seed = cfg.seed;
-                apply(&mut t, train, test, line)?;
                 check_memory(train, test, cfg, line)?;
-            }
-            Step::Rebalance { target } => {
-                let mut t = Augmenter::new(target.clone(), AugmentMethod::Smote);
-                t.seed = cfg.seed;
-                apply(&mut t, train, test, line)?;
-                check_memory(train, test, cfg, line)?;
-            }
-            Step::SelectTopK { k, target } => {
-                let mut t = TopKSelector::new(target.clone(), *k);
-                apply(&mut t, train, test, line)?;
-            }
-            Step::Model(spec) => {
-                if model_seen {
-                    return Err(PipelineError::new(
-                        ErrorKind::ModelTaskMismatch,
-                        "pipeline trains more than one model",
-                    )
-                    .at_line(line));
-                }
-                model_result = Some(run_model(spec, train, test, cfg, line)?);
             }
         }
+        Step::Drop { column } => {
+            let mut t = ColumnDropper { column: column.clone() };
+            apply(&mut t, train, test, line)?;
+        }
+        Step::DropHighMissing { threshold } => {
+            let mut t = HighMissingDropper::new(*threshold);
+            apply(&mut t, train, test, line)?;
+        }
+        Step::DropConstant => {
+            let mut t = ConstantColumnDropper::default();
+            apply(&mut t, train, test, line)?;
+        }
+        Step::Dedup { approximate } => {
+            let mut t = Deduplicator { approximate: *approximate };
+            apply(&mut t, train, test, line)?;
+        }
+        Step::DropNullRows => {
+            let mut t = NullRowDropper;
+            apply(&mut t, train, test, line)?;
+        }
+        Step::Outliers { column, method } => {
+            let cols = match column {
+                ColumnRef::Named(n) => vec![n.clone()],
+                ColumnRef::All => Vec::new(), // empty = all numeric
+            };
+            let m = match method {
+                OutlierSpec::Iqr { factor } => OutlierMethod::Iqr(*factor),
+                OutlierSpec::ZScore { factor } => OutlierMethod::ZScore(*factor),
+                OutlierSpec::Lof { k, factor } => OutlierMethod::Lof { k: *k, factor: *factor },
+            };
+            let mut t = OutlierRemover::new(cols, m);
+            apply(&mut t, train, test, line)?;
+        }
+        Step::Augment { method, target } => {
+            let mut t = Augmenter::new(target.clone(), *method);
+            t.seed = cfg.seed;
+            apply(&mut t, train, test, line)?;
+            check_memory(train, test, cfg, line)?;
+        }
+        Step::Rebalance { target } => {
+            let mut t = Augmenter::new(target.clone(), AugmentMethod::Smote);
+            t.seed = cfg.seed;
+            apply(&mut t, train, test, line)?;
+            check_memory(train, test, cfg, line)?;
+        }
+        Step::SelectTopK { k, target } => {
+            let mut t = TopKSelector::new(target.clone(), *k);
+            apply(&mut t, train, test, line)?;
+        }
+        Step::Model(spec) => {
+            if model_seen {
+                return Err(PipelineError::new(
+                    ErrorKind::ModelTaskMismatch,
+                    "pipeline trains more than one model",
+                )
+                .at_line(line));
+            }
+            return run_model(spec, train, test, cfg, line).map(Some);
+        }
     }
-    Ok(model_result)
+    Ok(None)
 }
 
 /// Strict source-order interpretation: the reference oracle the DAG

@@ -44,9 +44,11 @@
 //! # Observability
 //!
 //! When a [`catdb_trace`] sink is installed on the submitting thread it
-//! is propagated to every worker that executes tasks for the batch, and
-//! the pool reports `runtime.tasks` (items executed) and `runtime.steals`
-//! (items executed by a thread other than the submitter) counters.
+//! is propagated to every worker that executes tasks for the batch,
+//! together with the submitter's innermost open span, so the spans a task
+//! opens nest under the span it was submitted from. The pool reports
+//! `runtime.tasks` (items executed) and `runtime.steals` (items executed
+//! by a thread other than the submitter) counters.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -211,6 +213,7 @@ where
         return Vec::new();
     }
     let sink = catdb_trace::current();
+    let parent = catdb_trace::current_span();
     if limit <= 1 || len == 1 {
         let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         if let Some(s) = &sink {
@@ -231,7 +234,7 @@ where
     // shared verbatim between the submitter (`stolen = false`) and any
     // pool worker that picks up one of the queued jobs.
     let runner = |stolen: bool| {
-        let _guard = sink.as_ref().map(|s| catdb_trace::install(s.clone()));
+        let _guard = sink.as_ref().map(|s| catdb_trace::install_at(s.clone(), parent));
         let mut local: Vec<(usize, R)> = Vec::new();
         let mut executed = 0usize;
         loop {
@@ -309,6 +312,7 @@ where
         return Vec::new();
     }
     let sink = catdb_trace::current();
+    let parent = catdb_trace::current_span();
     if limit <= 1 || len == 1 {
         let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         if let Some(s) = &sink {
@@ -322,7 +326,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..limit.min(len) {
             scope.spawn(|| {
-                let _guard = sink.as_ref().map(|s| catdb_trace::install(s.clone()));
+                let _guard = sink.as_ref().map(|s| catdb_trace::install_at(s.clone(), parent));
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::SeqCst);

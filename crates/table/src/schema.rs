@@ -78,6 +78,11 @@ impl Schema {
         self.fields.iter().map(|f| f.name.as_str()).collect()
     }
 
+    /// Change the dtype of the field at `idx`; its name and position stay.
+    pub(crate) fn set_dtype(&mut self, idx: usize, dtype: DataType) {
+        self.fields[idx].dtype = dtype;
+    }
+
     /// Append a field; errors on a duplicate name.
     pub fn push(&mut self, field: Field) -> Result<()> {
         if self.index.contains_key(&field.name) {
@@ -88,13 +93,17 @@ impl Schema {
         Ok(())
     }
 
-    /// Remove the field named `name`; errors if absent.
+    /// Remove the field named `name`; errors if absent. Later fields move
+    /// up one position; the other names are not re-hashed.
     pub fn remove(&mut self, name: &str) -> Result<Field> {
         let idx =
-            self.index_of(name).ok_or_else(|| TableError::ColumnNotFound(name.to_string()))?;
-        let f = self.fields.remove(idx);
-        self.rebuild_index();
-        Ok(f)
+            self.index.remove(name).ok_or_else(|| TableError::ColumnNotFound(name.to_string()))?;
+        for pos in self.index.values_mut() {
+            if *pos > idx {
+                *pos -= 1;
+            }
+        }
+        Ok(self.fields.remove(idx))
     }
 
     /// Rename a field in place; errors if the old name is absent or the new
@@ -146,10 +155,31 @@ mod tests {
         let mut s = abc();
         s.remove("a").unwrap();
         assert_eq!(s.index_of("b"), Some(0));
+        assert_eq!(s.index_of("c"), Some(1));
+        assert!(!s.contains("a"));
         s.rename("c", "z").unwrap();
         assert!(s.contains("z"));
         assert!(!s.contains("c"));
         assert!(s.rename("z", "b").is_err());
         assert!(s.rename("missing", "q").is_err());
+    }
+
+    #[test]
+    fn replacing_a_column_with_a_new_dtype_keeps_order_and_lookup() {
+        let mut t = crate::Table::from_columns(vec![
+            ("a", crate::Column::from_i64(vec![1, 2])),
+            ("b", crate::Column::from_strings(vec!["x", "y"])),
+            ("c", crate::Column::from_f64(vec![0.5, 1.5])),
+        ])
+        .unwrap();
+        t.replace_column("b", crate::Column::from_f64(vec![3.0, 4.0])).unwrap();
+        let s = t.schema();
+        assert_eq!(s.names(), vec!["a", "b", "c"]);
+        assert_eq!(s.field(1), &Field::new("b", DataType::Float));
+        assert_eq!(
+            (s.index_of("a"), s.index_of("b"), s.index_of("c")),
+            (Some(0), Some(1), Some(2))
+        );
+        assert_eq!(t.column("b").unwrap().dtype(), DataType::Float);
     }
 }

@@ -82,6 +82,12 @@ impl Table {
         Ok(&mut self.columns[idx])
     }
 
+    /// Consume the table into its `(name, column)` pairs, in schema order,
+    /// without copying any column.
+    pub fn into_columns(self) -> Vec<(String, Column)> {
+        self.schema.fields().iter().map(|f| f.name.clone()).zip(self.columns).collect()
+    }
+
     /// Column by position.
     pub fn column_at(&self, idx: usize) -> &Column {
         &self.columns[idx]
@@ -150,13 +156,8 @@ impl Table {
                 column: name.to_string(),
             });
         }
-        let new_dtype = col.dtype();
+        self.schema.set_dtype(idx, col.dtype());
         self.columns[idx] = col;
-        // Schema type may have changed.
-        let field_name = self.schema.field(idx).name.clone();
-        let mut fields: Vec<Field> = self.schema.fields().to_vec();
-        fields[idx] = Field::new(field_name, new_dtype);
-        self.schema = Schema::new(fields).expect("names unchanged");
         Ok(())
     }
 

@@ -16,7 +16,10 @@
 //!   iterations, per-operator pipeline work).
 //! * **Hierarchical spans** with monotonic timing: microseconds since the
 //!   sink's epoch (`Instant`-based, never wall clock), parent links from
-//!   an explicit open-span stack.
+//!   an open-span stack kept per thread and per sink. A worker thread
+//!   starts from the span its task was submitted under ([`install_at`]),
+//!   so spans opened by parallel tasks nest under the submitter's span,
+//!   never under each other.
 //! * **Thread-safe sink**: all state behind a `parking_lot` mutex, so a
 //!   single sink may be shared across worker threads.
 //! * **Deterministic event order**: instrumented call sites emit in a
@@ -37,6 +40,8 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -152,9 +157,6 @@ pub struct Trace {
 }
 
 struct SinkState {
-    /// Open spans, innermost last (per sink, which in practice means per
-    /// installing thread — worker threads emit events, not spans).
-    stack: Vec<u64>,
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
     counters: BTreeMap<String, f64>,
@@ -168,6 +170,8 @@ pub type EventObserver = Box<dyn Fn(&EventRecord) + Send + Sync>;
 /// Thread-safe recorder. Cheap to share (`Arc<TraceSink>`); all mutation
 /// goes through one short-lived `parking_lot` lock.
 pub struct TraceSink {
+    /// Process-unique identity, the key of this sink's open-span stacks.
+    id: u64,
     epoch: Instant,
     state: Mutex<SinkState>,
     /// Live-streaming hook: the serve daemon forwards each event to the
@@ -183,10 +187,11 @@ impl Default for TraceSink {
 
 impl TraceSink {
     pub fn new() -> TraceSink {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         TraceSink {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
             state: Mutex::new(SinkState {
-                stack: Vec::new(),
                 spans: Vec::new(),
                 events: Vec::new(),
                 counters: BTreeMap::new(),
@@ -205,12 +210,32 @@ impl TraceSink {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Record one event under the innermost open span.
+    /// The calling thread's innermost open span on this sink: the last
+    /// span it opened under its innermost install of this sink and has
+    /// not closed, else the span that install inherited. A pool thread
+    /// that runs another batch's task while it waits inside a span of
+    /// its own thereby nests the task under the task's submitter.
+    fn open_span(&self) -> Option<u64> {
+        let (floor, inherited) = CURRENT.with(|c| {
+            let c = c.borrow();
+            match c.iter().rposition(|i| i.sink.id == self.id) {
+                Some(k) => (k + 1, c[k].parent),
+                None => (0, None),
+            }
+        });
+        OPEN.with(|o| {
+            let open = o.borrow();
+            open.iter().rev().find(|e| e.sink == self.id && e.depth >= floor).map(|e| e.span)
+        })
+        .or(inherited)
+    }
+
+    /// Record one event under the calling thread's innermost open span.
     pub fn emit(&self, event: TraceEvent) {
+        let span = self.open_span();
         let at = self.now_micros();
         let mut s = self.state.lock();
         let seq = s.events.len() as u64;
-        let span = s.stack.last().copied();
         let record = EventRecord { seq, span, at_micros: at, event };
         s.events.push(record.clone());
         drop(s);
@@ -219,12 +244,13 @@ impl TraceSink {
         }
     }
 
-    /// Open a span as a child of the innermost open span. Returns its id.
+    /// Open a span as a child of the calling thread's innermost open
+    /// span. Returns its id.
     pub fn begin_span(&self, name: &str) -> u64 {
+        let parent = self.open_span();
         let at = self.now_micros();
         let mut s = self.state.lock();
         let id = s.spans.len() as u64;
-        let parent = s.stack.last().copied();
         s.spans.push(SpanRecord {
             id,
             parent,
@@ -232,18 +258,25 @@ impl TraceSink {
             start_micros: at,
             end_micros: None,
         });
-        s.stack.push(id);
+        drop(s);
+        let depth = CURRENT.with(|c| c.borrow().len());
+        OPEN.with(|o| o.borrow_mut().push(OpenSpan { sink: self.id, span: id, depth }));
         id
     }
 
     /// Close a span by id. Tolerates out-of-order closes (the id is
-    /// removed wherever it sits in the stack), double closes and unknown
-    /// ids (no-ops). Ids are dense from 0 in push order, so a span's
-    /// record sits at its id.
+    /// removed wherever it sits in the thread's stack), double closes and
+    /// unknown ids (no-ops). Ids are dense from 0 in push order, so a
+    /// span's record sits at its id.
     pub fn end_span(&self, id: u64) {
+        OPEN.with(|o| {
+            let mut open = o.borrow_mut();
+            if let Some(pos) = open.iter().rposition(|e| e.sink == self.id && e.span == id) {
+                open.remove(pos);
+            }
+        });
         let at = self.now_micros();
         let mut s = self.state.lock();
-        s.stack.retain(|&open| open != id);
         let record = usize::try_from(id).ok().and_then(|i| s.spans.get_mut(i));
         if let Some(record) = record {
             if record.end_micros.is_none() {
@@ -280,8 +313,25 @@ impl TraceSink {
 // Thread-local installation.
 // ---------------------------------------------------------------------------
 
+/// One installation on a thread: the sink, and the span the thread's
+/// work belongs under until it opens spans of its own.
+struct Installed {
+    sink: Arc<TraceSink>,
+    parent: Option<u64>,
+}
+
+/// A span this thread opened and has not closed.
+struct OpenSpan {
+    sink: u64,
+    span: u64,
+    /// Installs on the thread when the span opened.
+    depth: usize,
+}
+
 thread_local! {
-    static CURRENT: RefCell<Vec<Arc<TraceSink>>> = const { RefCell::new(Vec::new()) };
+    static CURRENT: RefCell<Vec<Installed>> = const { RefCell::new(Vec::new()) };
+    /// This thread's open spans, innermost last.
+    static OPEN: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Keeps a sink installed for the current thread; uninstalls on drop.
@@ -299,16 +349,32 @@ impl Drop for InstallGuard {
 
 /// Install `sink` as the current thread's recorder until the returned
 /// guard drops. Installation nests: an inner install shadows the outer
-/// one, which becomes current again afterwards.
+/// one, which becomes current again afterwards. Spans keep nesting under
+/// the thread's innermost open span on `sink`.
 #[must_use = "the sink is uninstalled when the guard drops"]
 pub fn install(sink: Arc<TraceSink>) -> InstallGuard {
-    CURRENT.with(|c| c.borrow_mut().push(sink));
+    let parent = sink.open_span();
+    install_at(sink, parent)
+}
+
+/// [`install`] on a thread that runs work submitted from `parent`'s
+/// thread (see [`current_span`]): spans and events the thread records
+/// outside spans of its own become children of `parent`.
+#[must_use = "the sink is uninstalled when the guard drops"]
+pub fn install_at(sink: Arc<TraceSink>, parent: Option<u64>) -> InstallGuard {
+    CURRENT.with(|c| c.borrow_mut().push(Installed { sink, parent }));
     InstallGuard { _private: () }
 }
 
 /// The sink currently installed on this thread, if any.
 pub fn current() -> Option<Arc<TraceSink>> {
-    CURRENT.with(|c| c.borrow().last().cloned())
+    CURRENT.with(|c| c.borrow().last().map(|i| i.sink.clone()))
+}
+
+/// The innermost span open on this thread for the current sink, which a
+/// task submitted to another thread should nest under.
+pub fn current_span() -> Option<u64> {
+    current().and_then(|sink| sink.open_span())
 }
 
 /// Emit an event to the current sink (no-op when none is installed).
@@ -344,9 +410,11 @@ pub fn canonical_sum(values: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// RAII span on the current sink; ends when dropped. A no-op handle is
-/// returned when no sink is installed.
+/// returned when no sink is installed. It cannot leave its thread: the
+/// span sits on that thread's open-span stack.
 pub struct SpanScope {
     sink: Option<(Arc<TraceSink>, u64)>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl SpanScope {
@@ -370,9 +438,9 @@ pub fn span(name: &str) -> SpanScope {
     match current() {
         Some(sink) => {
             let id = sink.begin_span(name);
-            SpanScope { sink: Some((sink, id)) }
+            SpanScope { sink: Some((sink, id)), _thread_bound: PhantomData }
         }
-        None => SpanScope { sink: None },
+        None => SpanScope { sink: None, _thread_bound: PhantomData },
     }
 }
 
@@ -549,8 +617,9 @@ impl Trace {
     }
 
     /// Structural validation: parent links resolve to earlier spans,
-    /// closed spans end no earlier than they start, event sequence
-    /// numbers are consecutive, and event span references resolve.
+    /// closed spans end no earlier than they start and lie within their
+    /// closed parent's interval, event sequence numbers are consecutive,
+    /// and event span references resolve.
     pub fn check_well_formed(&self) -> Result<(), String> {
         for s in &self.spans {
             if let Some(p) = s.parent {
@@ -559,6 +628,14 @@ impl Trace {
                 };
                 if parent.id >= s.id {
                     return Err(format!("span {} parent {p} is not older", s.id));
+                }
+                if let (Some(end), Some(parent_end)) = (s.end_micros, parent.end_micros) {
+                    if s.start_micros < parent.start_micros || end > parent_end {
+                        return Err(format!(
+                            "span {} [{}, {end}] is not within its parent {p} [{}, {parent_end}]",
+                            s.id, s.start_micros, parent.start_micros
+                        ));
+                    }
                 }
             }
             if let Some(end) = s.end_micros {
@@ -657,7 +734,9 @@ mod tests {
         sink.end_span(b);
         let t = sink.snapshot();
         assert_eq!(t.events[0].span, Some(b));
-        t.check_well_formed().unwrap();
+        // b outlived its parent a: the sink records it, the check flags it.
+        let err = t.check_well_formed().unwrap_err();
+        assert!(err.contains("is not within its parent"), "{err}");
     }
 
     #[test]
@@ -684,7 +763,9 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, s)| s.id == i as u64 && s.end_micros.is_some()));
-        t.check_well_formed().unwrap();
+        // c closed after its parent b did.
+        let err = t.check_well_formed().unwrap_err();
+        assert!(err.starts_with("span 2 "), "{err}");
     }
 
     #[test]
