@@ -371,6 +371,50 @@ fn synth_csv(rows: usize) -> String {
     out
 }
 
+/// A workload-shaped CSV: `rows` rows of 440 float columns, 30 int
+/// columns and 10 categorical columns (480 in all), about one cell in 50
+/// missing. The floats print at full precision, mostly 16–17 significant
+/// digits, so their parses miss the ≤15-digit fast path, as the paper
+/// datasets' do.
+fn synth_wide_csv(rows: usize) -> String {
+    const FLOATS: usize = 440;
+    const INTS: usize = 30;
+    const CATS: usize = 10;
+    let mut out = String::with_capacity(rows * (FLOATS * 20 + INTS * 4 + CATS * 4));
+    let names = (0..FLOATS)
+        .map(|c| format!("f{c}"))
+        .chain((0..INTS).map(|c| format!("n{c}")))
+        .chain((0..CATS).map(|c| format!("s{c}")));
+    out.push_str(&names.collect::<Vec<_>>().join(","));
+    out.push('\n');
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 11
+    };
+    for _ in 0..rows {
+        for c in 0..FLOATS + INTS + CATS {
+            if c > 0 {
+                out.push(',');
+            }
+            let r = next();
+            if r % 50 == 0 {
+                continue;
+            }
+            if c < FLOATS {
+                let x = (r as f64 / (1u64 << 53) as f64 - 0.5) * 2e3;
+                write!(out, "{}", Value::Float(x)).expect("writing to String cannot fail");
+            } else if c < FLOATS + INTS {
+                write!(out, "{}", r % 5000).expect("writing to String cannot fail");
+            } else {
+                write!(out, "cat{}", r % 12).expect("writing to String cannot fail");
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // The seed CSV reader, frozen as the ingestion baseline: per-line Strings
 // via `BufRead::lines`, char-by-char record splitting, a `Vec<Vec<String>>`
@@ -543,6 +587,11 @@ fn bench_csv(c: &mut Criterion) {
     });
     group.bench_function("seed_ingest_50k_mixed", |b| {
         b.iter_with_large_drop(|| seed_read_csv_str(black_box(&csv), &opts))
+    });
+    let wide = synth_wide_csv(1_500);
+    assert_eq!(read_csv_str(&wide, &opts).unwrap().n_cols(), 480);
+    group.bench_function("ingest_1500x480_float", |b| {
+        b.iter_with_large_drop(|| read_csv_str(black_box(&wide), &opts).unwrap())
     });
     group.bench_function("write_50k_mixed", |b| {
         b.iter(|| {

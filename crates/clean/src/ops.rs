@@ -93,20 +93,20 @@ impl CleanOp {
                 OutlierMethod::Lof { k: 8, factor: 5.0 },
             ))?,
             CleanOp::EmImpute => {
-                // Two rounds of mean imputation approximate the EM fixpoint
-                // on our data shapes.
-                for _ in 0..2 {
-                    for (field, col) in table.iter_columns() {
-                        if field.name == target || col.null_count() == 0 {
-                            continue;
-                        }
-                        let strat = if field.dtype.is_numeric() {
-                            ImputeStrategy::Mean
-                        } else {
-                            ImputeStrategy::MostFrequent
-                        };
-                        fit_apply(&mut Imputer::new(field.name.clone(), strat))?;
+                // EM's stand-in: one round of mean (numeric) or
+                // most-frequent (other) imputation. Every imputer fills
+                // every null of its column, so a second round would refit
+                // filled columns and change no cell.
+                for (field, col) in table.iter_columns() {
+                    if field.name == target || col.null_count() == 0 {
+                        continue;
                     }
+                    let strat = if field.dtype.is_numeric() {
+                        ImputeStrategy::Mean
+                    } else {
+                        ImputeStrategy::MostFrequent
+                    };
+                    fit_apply(&mut Imputer::new(field.name.clone(), strat))?;
                 }
             }
             CleanOp::MedianImpute => {
@@ -159,6 +159,40 @@ mod tests {
     fn median_impute_fills_nulls() {
         let t = CleanOp::MedianImpute.apply(&dirty(), "y").unwrap();
         assert_eq!(t.column("x").unwrap().null_count(), 0);
+    }
+
+    #[test]
+    fn em_impute_is_one_round_of_mean_and_most_frequent() {
+        let t = Table::from_columns(vec![
+            ("i", Column::Int(vec![Some(1), None, Some(4), Some(4), None])),
+            ("f", Column::Float(vec![None, Some(0.5), Some(2.0), None, Some(-1.0)])),
+            (
+                "s",
+                Column::Str(vec![None, Some("b".into()), Some("a".into()), Some("b".into()), None]),
+            ),
+            ("b", Column::Bool(vec![Some(true), None, Some(false), Some(false), None])),
+            ("empty", Column::Float(vec![None; 5])),
+            ("full", Column::from_i64(vec![1, 2, 3, 4, 5])),
+            ("y", Column::Int(vec![Some(0), None, Some(1), Some(0), Some(1)])),
+        ])
+        .unwrap();
+        let mut want = t.clone();
+        for name in ["i", "f", "s", "b", "empty"] {
+            let strat = if want.column(name).unwrap().dtype().is_numeric() {
+                ImputeStrategy::Mean
+            } else {
+                ImputeStrategy::MostFrequent
+            };
+            let mut imputer = Imputer::new(name, strat);
+            imputer.fit(&want).unwrap();
+            imputer.apply(&mut want).unwrap();
+        }
+        let got = CleanOp::EmImpute.apply(&t, "y").unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.column("y").unwrap().null_count(), 1, "the target is exempt");
+        for name in ["i", "f", "s", "b", "empty"] {
+            assert_eq!(got.column(name).unwrap().null_count(), 0, "{name}");
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn k_nearest(rows: &[Vec<f64>], candidates: &[usize], from: usize, k: usize) -> 
 }
 
 /// Append `count` synthetic rows interpolated between seeds and their
-/// same-group neighbours.
+/// same-group neighbours. A seed row drawn again reuses its neighbours.
 fn synthesize(
     table: &Table,
     numeric_names: &[String],
@@ -94,9 +94,18 @@ fn synthesize(
     if group.is_empty() {
         return out;
     }
+    // Each field's position among the numeric rows, if it is one.
+    let positions: Vec<Option<usize>> = table
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| numeric_names.iter().position(|n| n == &f.name))
+        .collect();
+    let mut neighbours: Vec<Option<Vec<usize>>> = vec![None; group.len()];
     for _ in 0..count {
-        let seed_row = group[rng.gen_range(0..group.len())];
-        let neighbours = k_nearest(rows, group, seed_row, 5);
+        let g = rng.gen_range(0..group.len());
+        let seed_row = group[g];
+        let neighbours = neighbours[g].get_or_insert_with(|| k_nearest(rows, group, seed_row, 5));
         let partner = if neighbours.is_empty() {
             seed_row
         } else {
@@ -104,8 +113,8 @@ fn synthesize(
         };
         let alpha: f64 = rng.gen();
         let mut row_vals = Vec::with_capacity(table.n_cols());
-        for (field, col) in table.iter_columns() {
-            if let Some(pos) = numeric_names.iter().position(|n| n == &field.name) {
+        for ((field, col), pos) in table.iter_columns().zip(&positions) {
+            if let Some(pos) = *pos {
                 let a = rows[seed_row][pos];
                 let b = rows[partner][pos];
                 let v = a + alpha * (b - a);

@@ -111,15 +111,19 @@ pub trait SampleRange<T> {
 
 fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
-    // Debiased multiply-shift (Lemire). Span 0 is rejected by callers.
-    let threshold = span.wrapping_neg() % span;
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128).wrapping_mul(span as u128);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    // Debiased multiply-shift, nearly divisionless (Lemire). A draw is
+    // rejected when the product's low word is below `2^64 mod span`,
+    // which is less than `span`: a low word of at least `span` is always
+    // accepted, so the division runs only for the rare low word below
+    // `span`. Span 0 is rejected by callers.
+    let mut m = (rng.next_u64() as u128).wrapping_mul(span as u128);
+    if (m as u64) < span {
+        let threshold = span.wrapping_neg() % span;
+        while (m as u64) < threshold {
+            m = (rng.next_u64() as u128).wrapping_mul(span as u128);
         }
     }
+    (m >> 64) as u64
 }
 
 macro_rules! sample_range_int {
@@ -180,3 +184,43 @@ pub trait Rng: RngCore {
 impl<R: RngCore + ?Sized> Rng for R {}
 
 pub use rngs::StdRng;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The rejection loop `uniform_u64` replaced: it divides on every call.
+    fn uniform_u64_dividing<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let x = rng.next_u64();
+            let m = (x as u128).wrapping_mul(span as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_draws_match_the_dividing_loop() {
+        // Small spans, spans near powers of two and spans above 2^63,
+        // where rejection is frequent.
+        let mut spans: Vec<u64> = (1..=300).collect();
+        for b in [8, 16, 31, 32, 33, 62, 63] {
+            spans.extend([(1u64 << b) - 1, 1 << b, (1 << b) + 1]);
+        }
+        spans.extend([u64::MAX, u64::MAX - 1, (1 << 63) + 12_345, 3 << 62, u64::MAX / 3]);
+        for seed in 0..40u64 {
+            let mut new = rngs::StdRng::seed_from_u64(seed);
+            let mut old = rngs::StdRng::seed_from_u64(seed);
+            for (i, &span) in spans.iter().enumerate() {
+                for _ in 0..4 {
+                    let want = uniform_u64_dividing(&mut old, span);
+                    assert_eq!(uniform_u64(&mut new, span), want, "seed {seed}, span {span} ({i})");
+                }
+            }
+            // Both streams consumed the same number of words.
+            assert_eq!(new.next_u64(), old.next_u64(), "seed {seed}");
+        }
+    }
+}

@@ -8,10 +8,11 @@
 //! - [`ChunkedTable::from_csv_path`] streams a CSV file through the
 //!   zero-copy scanner one window at a time: blocks are appended to a
 //!   bounded buffer, a quote-parity walk finds the longest safely
-//!   parseable prefix, [`scan_records`](crate::csv) + `build_chunk`
-//!   materialize exactly `chunk_rows` rows per chunk, and the typed
-//!   pages go straight to the spill file. The file content is never
-//!   resident all at once.
+//!   parseable prefix, [`scan_records`](crate::csv) scans it, the
+//!   in-memory reader's column builder (`build_columns`) materializes
+//!   exactly `chunk_rows` rows per chunk, one runtime task per column,
+//!   and the typed pages go straight to the spill file. The file content
+//!   is never resident all at once.
 //! - [`ChunkedTable::from_table`] spills an in-memory table, mostly for
 //!   tests and for code paths that want a uniform chunked view.
 //!
@@ -438,21 +439,20 @@ fn stream_ingest<W: Write>(
         while n_data - taken >= chunk_rows || (eof && taken < n_data) {
             let k = chunk_rows.min(n_data - taken);
             let rows = &data[taken * n_cols..(taken + k) * n_cols];
-            let mut out = csv::build_chunk(prefix, rows, &dtypes, opts);
-            for (c, degrade) in out.degrade.iter().enumerate() {
-                if *degrade {
-                    // Contradicting cell: re-render this chunk's column
-                    // from the retained slices and parse the column as
+            let built = csv::build_columns(prefix, rows, n_cols, Some(&dtypes), opts);
+            let mut cols = Vec::with_capacity(n_cols);
+            for (c, b) in built.into_iter().enumerate() {
+                if b.degraded {
+                    // Contradicting cell: the builder re-rendered this
+                    // chunk's column as strings; parse the column as
                     // string from the next chunk on.
-                    out.cols[c] = render_str_column(prefix, rows, c, n_cols, opts);
-                    if dtypes[c] != DataType::Str {
-                        dtypes[c] = DataType::Str;
-                        catdb_trace::add_counter(csv::COUNTER_CSV_DEGRADED, 1.0);
-                    }
+                    dtypes[c] = DataType::Str;
+                    catdb_trace::add_counter(csv::COUNTER_CSV_DEGRADED, 1.0);
                 }
+                cols.push(b.col);
             }
             let offset = w.pos;
-            for col in &out.cols {
+            for col in &cols {
                 write_page(w, col, 0..col.len())?;
             }
             chunks.push(ChunkMeta { rows: k as u32, offset });
@@ -461,7 +461,7 @@ fn stream_ingest<W: Write>(
             if let Some(observe) = observe.as_deref_mut() {
                 let names = header.as_ref().expect("header fixed before first chunk");
                 let chunk =
-                    Table::from_columns(names.iter().cloned().zip(out.cols).collect::<Vec<_>>())?;
+                    Table::from_columns(names.iter().cloned().zip(cols).collect::<Vec<_>>())?;
                 observe(&chunk);
             }
         }
@@ -485,30 +485,6 @@ fn stream_ingest<W: Write>(
         }
     }
     Ok((schema, chunks, n_rows))
-}
-
-/// String re-render of one column of a row-major slice window, matching
-/// the in-memory reader's degradation path byte for byte.
-fn render_str_column(
-    text: &str,
-    rows: &[csv::FieldRef],
-    c: usize,
-    n_cols: usize,
-    opts: &CsvOptions,
-) -> Column {
-    Column::Str(
-        rows.iter()
-            .skip(c)
-            .step_by(n_cols)
-            .map(|f| {
-                if f.is_null(text, &opts.null_markers) {
-                    None
-                } else {
-                    Some(f.content(text).into_owned())
-                }
-            })
-            .collect(),
-    )
 }
 
 // ---------------------------------------------------------------------------

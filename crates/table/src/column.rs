@@ -172,6 +172,21 @@ impl Column {
         }
     }
 
+    /// Gather a new column holding the row at `indices[i]` in row `i`, or
+    /// a null where the index is `None`.
+    pub(crate) fn take_or_null(&self, indices: &[Option<usize>]) -> Column {
+        match self {
+            Column::Int(v) => Column::Int(indices.iter().map(|i| i.and_then(|i| v[i])).collect()),
+            Column::Float(v) => {
+                Column::Float(indices.iter().map(|i| i.and_then(|i| v[i])).collect())
+            }
+            Column::Str(v) => {
+                Column::Str(indices.iter().map(|i| i.and_then(|i| v[i].clone())).collect())
+            }
+            Column::Bool(v) => Column::Bool(indices.iter().map(|i| i.and_then(|i| v[i])).collect()),
+        }
+    }
+
     /// Move every row of `other` onto the end of `self`, leaving `other`
     /// empty; errors if the types differ. Unlike [`Column::extend_from`]
     /// this never clones cell payloads, which is what lets the parallel

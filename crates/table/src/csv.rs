@@ -1,4 +1,4 @@
-//! Zero-copy, parallel CSV reader and buffered writer with RFC-4180
+//! Zero-copy, column-parallel CSV reader and buffered writer with RFC-4180
 //! quoting and type inference.
 //!
 //! The CatDB prompt encodes the file format and delimiter of the input
@@ -18,19 +18,19 @@
 //!    and tracks the physical start line of every record so errors point
 //!    at the right place even when quoted fields span lines (RFC-4180
 //!    embedded newlines).
-//! 2. **Type inference** — the first [`CsvOptions::inference_rows`]
-//!    records' slices are scanned and the narrowest type that fits every
-//!    non-null cell is chosen per column (bool ⊂ int ⊂ float ⊂ string).
-//! 3. **Parallel materialization** — record slices are fanned out over
-//!    fixed 4096-record chunks via [`catdb_runtime::parallel_chunks`];
-//!    each chunk feeds typed column builders directly from the borrowed
-//!    slices. Chunks are assembled in input order, so the resulting table
-//!    is identical for every [`CsvOptions::n_threads`] and
-//!    `CATDB_THREADS` value.
-//! 4. **Degradation re-render** — a cell that contradicts the inferred
+//! 2. **Column tasks** — the columns fan out over the shared runtime
+//!    ([`catdb_runtime::parallel_map`]), one task per column. Each task
+//!    infers its column's type from the first
+//!    [`CsvOptions::inference_rows`] records (the narrowest type that fits
+//!    every non-null cell: bool ⊂ int ⊂ float ⊂ string), then builds the
+//!    typed column straight from the borrowed slices. A float column keeps
+//!    the sample's parses as its first rows, so each cell is parsed once.
+//!    A column depends only on the input, so the table is identical for
+//!    every [`CsvOptions::n_threads`] and `CATDB_THREADS` value.
+//! 3. **Degradation re-render** — a cell that contradicts the inferred
 //!    type (and is not a null marker) degrades its column to string; the
-//!    retained field slices are re-rendered in place of re-reading or
-//!    re-splitting the file.
+//!    column builder re-renders the retained field slices in place of
+//!    re-reading or re-splitting the file.
 //!
 //! Null markers are matched byte-for-byte against the trimmed cell, with
 //! no per-cell `trim().to_string()` / lowercase allocations. **Quoted
@@ -65,11 +65,6 @@ pub const COUNTER_CSV_DEGRADED: &str = "csv.degraded_columns";
 /// cells matching these so a write → read round trip with default options
 /// preserves cells that merely *look* null.
 pub const DEFAULT_NULL_MARKERS: [&str; 5] = ["NA", "N/A", "null", "NULL", "?"];
-
-/// Records per parallel materialization chunk. Fixed (never derived from
-/// the thread count) so chunk boundaries — and therefore any
-/// order-sensitive observation — depend only on the input.
-pub(crate) const CHUNK_RECORDS: usize = 4096;
 
 /// Options controlling CSV parsing.
 #[derive(Debug, Clone)]
@@ -240,16 +235,6 @@ impl FieldRef {
             FieldKind::Plain | FieldKind::Quoted => Cow::Borrowed(self.raw(text)),
             FieldKind::Escaped => Cow::Owned(self.raw(text).replace("\"\"", "\"")),
         }
-    }
-
-    /// Whether the cell is missing: empty or a null marker, unquoted only
-    /// (quoting makes content literal). Byte-compares the trimmed slice.
-    pub(crate) fn is_null(&self, text: &str, null_markers: &[String]) -> bool {
-        if self.kind() != FieldKind::Plain {
-            return false;
-        }
-        let t = trim_token(self.raw(text));
-        t.is_empty() || null_markers.iter().any(|m| m == t)
     }
 }
 
@@ -491,13 +476,13 @@ fn parse_f64_fast(t: &str) -> Option<f64> {
 /// Null-marker matcher with a 256-entry first-byte prefilter: almost no
 /// real cell starts with a marker's first byte, so the common case is one
 /// table load instead of a marker-list walk.
-pub(crate) struct NullMatcher<'a> {
+struct NullMatcher<'a> {
     markers: &'a [String],
     first: [bool; 256],
 }
 
 impl<'a> NullMatcher<'a> {
-    pub(crate) fn new(markers: &'a [String]) -> NullMatcher<'a> {
+    fn new(markers: &'a [String]) -> NullMatcher<'a> {
         let mut first = [false; 256];
         for m in markers {
             if let Some(&b) = m.as_bytes().first() {
@@ -517,26 +502,44 @@ impl<'a> NullMatcher<'a> {
 /// The trimmed token a typed column parses, or `None` for a missing cell.
 /// Unquoted cells match null markers; quoting makes content literal.
 #[inline]
-fn typed_token<'a>(f: &FieldRef, text: &'a str, null_markers: &[String]) -> Option<Cow<'a, str>> {
+fn typed_token<'a>(f: &FieldRef, text: &'a str, nulls: &NullMatcher<'_>) -> Option<Cow<'a, str>> {
     match f.kind() {
         FieldKind::Plain => {
             let t = trim_token(f.raw(text));
-            if t.is_empty() || null_markers.iter().any(|m| m == t) {
+            if t.is_empty() || nulls.matches(t) {
                 None
             } else {
                 Some(Cow::Borrowed(t))
             }
         }
-        FieldKind::Quoted => Some(Cow::Borrowed(f.raw(text).trim())),
+        FieldKind::Quoted => Some(Cow::Borrowed(trim_token(f.raw(text)))),
         FieldKind::Escaped => {
             Some(Cow::Owned(f.raw(text).replace("\"\"", "\"").trim().to_string()))
         }
     }
 }
 
-/// Fill one typed column from its strided field slices. Returns `true`
-/// (degraded) on the first parse failure, abandoning the column — the
-/// caller re-renders degraded columns from the retained slices.
+/// A string column's cell: `None` for a missing cell, otherwise the
+/// untrimmed content with quote escapes collapsed.
+#[inline]
+fn str_cell(f: &FieldRef, text: &str, nulls: &NullMatcher<'_>) -> Option<String> {
+    match f.kind() {
+        FieldKind::Plain => {
+            let raw = f.raw(text);
+            let t = trim_token(raw);
+            if t.is_empty() || nulls.matches(t) {
+                None
+            } else {
+                Some(raw.to_string())
+            }
+        }
+        _ => Some(f.content(text).into_owned()),
+    }
+}
+
+/// Append the parsed cells to `v`. Returns `false` on the first cell that
+/// does not parse, abandoning the column: its builder re-renders it as
+/// strings.
 #[inline]
 fn push_typed<'a, T>(
     v: &mut Vec<Option<T>>,
@@ -556,17 +559,14 @@ fn push_typed<'a, T>(
                 parse(t)
             }
             FieldKind::Quoted => parse(trim_token(f.raw(text))),
-            FieldKind::Escaped => {
-                let owned = f.raw(text).replace("\"\"", "\"");
-                parse(owned.trim())
-            }
+            FieldKind::Escaped => parse(f.raw(text).replace("\"\"", "\"").trim()),
         };
         match parsed {
             Some(x) => v.push(Some(x)),
-            None => return true,
+            None => return false,
         }
     }
-    false
+    true
 }
 
 /// Per-column candidate flags, narrowed cell by cell:
@@ -583,7 +583,9 @@ impl TypeSketch {
         TypeSketch { could_bool: true, could_int: true, could_float: true, saw_value: false }
     }
 
-    fn observe(&mut self, t: &str) {
+    /// Narrow the candidates by one non-null token. Returns the token's
+    /// float parse while the column can still be float.
+    fn observe(&mut self, t: &str) -> Option<f64> {
         self.saw_value = true;
         if self.could_bool && !token_is_bool(t) {
             self.could_bool = false;
@@ -591,9 +593,12 @@ impl TypeSketch {
         if self.could_int && parse_i64_fast(t).is_none() {
             self.could_int = false;
         }
-        if self.could_float && parse_f64_fast(t).is_none() {
-            self.could_float = false;
+        if !self.could_float {
+            return None;
         }
+        let x = parse_f64_fast(t);
+        self.could_float = x.is_some();
+        x
     }
 
     fn dtype(&self) -> DataType {
@@ -612,6 +617,121 @@ impl TypeSketch {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Column-parallel materialization.
+// ---------------------------------------------------------------------------
+
+/// The row-major field slices one materialization reads, shared by all
+/// of its column tasks.
+struct Cells<'a> {
+    text: &'a str,
+    data: &'a [FieldRef],
+    n_cols: usize,
+    nulls: NullMatcher<'a>,
+}
+
+impl<'a> Cells<'a> {
+    fn n_rows(&self) -> usize {
+        self.data.len() / self.n_cols
+    }
+
+    /// Column `c`'s fields from row `from` on.
+    fn column(&self, c: usize, from: usize) -> impl Iterator<Item = &'a FieldRef> {
+        let n = self.n_cols;
+        self.data[from * n..].iter().skip(c).step_by(n)
+    }
+
+    /// Column `c`'s dtype over its first `rows` rows, and those rows' float
+    /// parses when that dtype is float (empty otherwise).
+    fn infer(&self, c: usize, rows: usize) -> (DataType, Vec<Option<f64>>) {
+        let mut sketch = TypeSketch::new();
+        let mut floats = Vec::with_capacity(rows);
+        for f in self.column(c, 0).take(rows) {
+            let x = typed_token(f, self.text, &self.nulls).and_then(|t| sketch.observe(&t));
+            if sketch.could_float {
+                floats.push(x);
+            }
+        }
+        let dtype = sketch.dtype();
+        if dtype != DataType::Float {
+            floats = Vec::new();
+        }
+        (dtype, floats)
+    }
+
+    /// Column `c`'s cells as `dtype`; `None` when a cell contradicts
+    /// `dtype`. A float column's first rows are `floats`, the parses
+    /// inference already made.
+    fn build(&self, c: usize, dtype: DataType, floats: &[Option<f64>]) -> Option<Column> {
+        let (text, nulls, n_rows) = (self.text, &self.nulls, self.n_rows());
+        match dtype {
+            DataType::Str => {
+                let mut v = Vec::with_capacity(n_rows);
+                for f in self.column(c, 0) {
+                    v.push(str_cell(f, text, nulls));
+                }
+                Some(Column::Str(v))
+            }
+            DataType::Int => {
+                let mut v = Vec::with_capacity(n_rows);
+                push_typed(&mut v, self.column(c, 0), text, nulls, parse_i64_fast)
+                    .then_some(Column::Int(v))
+            }
+            DataType::Bool => {
+                let mut v = Vec::with_capacity(n_rows);
+                push_typed(&mut v, self.column(c, 0), text, nulls, parse_bool)
+                    .then_some(Column::Bool(v))
+            }
+            DataType::Float => {
+                let mut v = Vec::with_capacity(n_rows);
+                v.extend_from_slice(floats);
+                let rest = self.column(c, floats.len());
+                push_typed(&mut v, rest, text, nulls, parse_f64_fast).then_some(Column::Float(v))
+            }
+        }
+    }
+}
+
+/// A materialized column, and whether a cell contradicting its dtype made
+/// the builder re-render it as strings.
+pub(crate) struct BuiltColumn {
+    pub(crate) col: Column,
+    pub(crate) degraded: bool,
+}
+
+/// Materialize every column of the row-major field slices `data` on the
+/// runtime, one task per column. Each task takes its dtype from `dtypes`
+/// or, when that is `None`, infers it from the first
+/// [`CsvOptions::inference_rows`] rows and keeps the sample's float
+/// parses as the column's first rows. A cell that contradicts the
+/// column's dtype (and is not a null marker) makes the task re-render the
+/// whole column as strings. Every column depends only on the input, never
+/// on [`CsvOptions::n_threads`].
+pub(crate) fn build_columns(
+    text: &str,
+    data: &[FieldRef],
+    n_cols: usize,
+    dtypes: Option<&[DataType]>,
+    opts: &CsvOptions,
+) -> Vec<BuiltColumn> {
+    let cells = Cells { text, data, n_cols, nulls: NullMatcher::new(&opts.null_markers) };
+    let sample_rows = cells.n_rows().min(opts.inference_rows);
+    let columns: Vec<usize> = (0..n_cols).collect();
+    catdb_runtime::parallel_map(opts.n_threads.max(1), &columns, |_, &c| {
+        let (dtype, floats) = match dtypes {
+            Some(d) => (d[c], Vec::new()),
+            None => cells.infer(c, sample_rows),
+        };
+        match cells.build(c, dtype, &floats) {
+            Some(col) => BuiltColumn { col, degraded: false },
+            None => BuiltColumn {
+                col: cells.build(c, DataType::Str, &[]).expect("string cells never contradict"),
+                degraded: true,
+            },
+        }
+    })
+}
+
 /// Infer per-column types over a row-major sample prefix (field counts
 /// were already validated by the scanner).
 pub(crate) fn infer_types(
@@ -620,79 +740,8 @@ pub(crate) fn infer_types(
     n_cols: usize,
     opts: &CsvOptions,
 ) -> Vec<DataType> {
-    let mut sketches: Vec<TypeSketch> = (0..n_cols).map(|_| TypeSketch::new()).collect();
-    for row in sample.chunks_exact(n_cols) {
-        for (sketch, f) in sketches.iter_mut().zip(row) {
-            if let Some(t) = typed_token(f, text, &opts.null_markers) {
-                sketch.observe(&t);
-            }
-        }
-    }
-    sketches.iter().map(|s| s.dtype()).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Parallel materialization.
-// ---------------------------------------------------------------------------
-
-/// Output of one materialization chunk: typed partial columns and
-/// per-column degradation flags.
-pub(crate) struct ChunkOut {
-    pub(crate) cols: Vec<Column>,
-    pub(crate) degrade: Vec<bool>,
-}
-
-/// Materialize one chunk of row-major field slices into typed columns —
-/// pure pass-2 work (the fused scanner already produced the slices), so
-/// the parallel fan-out shares one scan and one allocation.
-pub(crate) fn build_chunk(
-    text: &str,
-    fields: &[FieldRef],
-    dtypes: &[DataType],
-    opts: &CsvOptions,
-) -> ChunkOut {
-    let n_cols = dtypes.len();
-    let n_rows = fields.len() / n_cols;
-    let mut out = ChunkOut {
-        cols: dtypes.iter().map(|&dt| Column::with_capacity(dt, n_rows)).collect(),
-        degrade: vec![false; n_cols],
-    };
-    // One monomorphic strided loop per column. The first parse failure
-    // marks the column degraded and abandons it — degraded columns are
-    // re-rendered from the retained slices afterwards, so their partial
-    // typed data is never observed.
-    let nulls = NullMatcher::new(&opts.null_markers);
-    for (c, col) in out.cols.iter_mut().enumerate() {
-        let col_fields = fields.iter().skip(c).step_by(n_cols);
-        match col {
-            Column::Str(v) => {
-                for f in col_fields {
-                    v.push(match f.kind() {
-                        FieldKind::Plain => {
-                            let raw = f.raw(text);
-                            let t = trim_token(raw);
-                            if t.is_empty() || nulls.matches(t) {
-                                None
-                            } else {
-                                Some(raw.to_string())
-                            }
-                        }
-                        _ => Some(f.content(text).into_owned()),
-                    });
-                }
-            }
-            Column::Int(v) => {
-                out.degrade[c] = push_typed(v, col_fields, text, &nulls, parse_i64_fast);
-            }
-            Column::Float(v) => {
-                out.degrade[c] = push_typed(v, col_fields, text, &nulls, parse_f64_fast);
-            }
-            Column::Bool(v) => {
-                out.degrade[c] = push_typed(v, col_fields, text, &nulls, parse_bool);
-            }
-        }
-    }
-    out
+    let cells = Cells { text, data: sample, n_cols, nulls: NullMatcher::new(&opts.null_markers) };
+    (0..n_cols).map(|c| cells.infer(c, cells.n_rows()).0).collect()
 }
 
 /// Parse CSV text into a table with inferred column types.
@@ -707,9 +756,9 @@ pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<Table> {
     }
 
     // Fused pass 1: every record's field slices, row-major, in one
-    // allocation (sized by a ~8-bytes-per-field heuristic). This is also
-    // the source for the degradation re-render — the file is never
-    // re-read or re-split.
+    // allocation (sized by a ~8-bytes-per-field heuristic). Inference,
+    // materialization and the degradation re-render all read these
+    // slices — the file is never re-read or re-split.
     let mut fields: Vec<FieldRef> = Vec::with_capacity(text.len() / 8 + 8);
     let n_records = scan_records(text, opts.delimiter, &mut fields, 1, None)?;
     if n_records == 0 {
@@ -722,60 +771,14 @@ pub fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<Table> {
     } else {
         ((0..n_cols).map(|i| format!("c{i}")).collect(), &fields[..])
     };
-    let n_rows = data.len() / n_cols;
-    catdb_trace::add_counter(COUNTER_CSV_ROWS, n_rows as f64);
+    catdb_trace::add_counter(COUNTER_CSV_ROWS, (data.len() / n_cols) as f64);
 
-    // Per-column type inference over a sample prefix.
-    let sample_rows = n_rows.min(opts.inference_rows);
-    let dtypes = infer_types(text, &data[..sample_rows * n_cols], n_cols, opts);
-
-    // Fan the typed materialization out over fixed-size record chunks;
-    // chunk results come back in input order, so assembly below yields
-    // the same table for every thread count.
-    let mut outs: Vec<ChunkOut> =
-        catdb_runtime::parallel_chunks(opts.n_threads.max(1), n_rows, CHUNK_RECORDS, |r| {
-            build_chunk(text, &data[r.start * n_cols..r.end * n_cols], &dtypes, opts)
-        });
-
-    let mut degraded = vec![false; n_cols];
-    for out in &outs {
-        for (d, &chunk_d) in degraded.iter_mut().zip(&out.degrade) {
-            *d |= chunk_d;
-        }
-    }
-    let n_degraded = degraded.iter().filter(|&&d| d).count();
+    let built = build_columns(text, data, n_cols, None, opts);
+    let n_degraded = built.iter().filter(|b| b.degraded).count();
     if n_degraded > 0 {
         catdb_trace::add_counter(COUNTER_CSV_DEGRADED, n_degraded as f64);
     }
-
-    let mut cols: Vec<Column> = Vec::with_capacity(n_cols);
-    for c in 0..n_cols {
-        if degraded[c] {
-            // Promote to string by re-rendering the retained slices — the
-            // file is never re-read or re-split.
-            let v: Vec<Option<String>> = data
-                .iter()
-                .skip(c)
-                .step_by(n_cols)
-                .map(|f| {
-                    if f.is_null(text, &opts.null_markers) {
-                        None
-                    } else {
-                        Some(f.content(text).into_owned())
-                    }
-                })
-                .collect();
-            cols.push(Column::Str(v));
-        } else {
-            let mut col = Column::with_capacity(dtypes[c], n_rows);
-            for out in &mut outs {
-                col.append(&mut out.cols[c]).expect("chunk columns share the inferred type");
-            }
-            cols.push(col);
-        }
-    }
-
-    Table::from_columns(header.into_iter().zip(cols).collect())
+    Table::from_columns(header.into_iter().zip(built.into_iter().map(|b| b.col)).collect())
 }
 
 /// Parse CSV from any reader into a table with inferred column types.
@@ -1120,6 +1123,237 @@ mod tests {
         assert_eq!(trace.spans_named(SPAN_CSV_INGEST).len(), 1);
     }
 
+    /// The chunked reader this module replaced: one serial inference
+    /// pass, row-major materialization over fixed 4,096-record chunks,
+    /// then a separate pass re-rendering degraded columns. Kept as the
+    /// oracle the column builder must match cell for cell.
+    mod oracle {
+        use super::super::*;
+
+        fn is_null(f: &FieldRef, text: &str, null_markers: &[String]) -> bool {
+            if f.kind() != FieldKind::Plain {
+                return false;
+            }
+            let t = trim_token(f.raw(text));
+            t.is_empty() || null_markers.iter().any(|m| m == t)
+        }
+
+        fn infer_types(
+            text: &str,
+            sample: &[FieldRef],
+            n_cols: usize,
+            nulls: &NullMatcher<'_>,
+        ) -> Vec<DataType> {
+            let mut sketches: Vec<TypeSketch> = (0..n_cols).map(|_| TypeSketch::new()).collect();
+            for row in sample.chunks_exact(n_cols) {
+                for (sketch, f) in sketches.iter_mut().zip(row) {
+                    if let Some(t) = typed_token(f, text, nulls) {
+                        sketch.observe(&t);
+                    }
+                }
+            }
+            sketches.iter().map(|s| s.dtype()).collect()
+        }
+
+        /// Typed partial columns of one chunk and per-column degradation
+        /// flags.
+        fn build_chunk(
+            text: &str,
+            fields: &[FieldRef],
+            dtypes: &[DataType],
+            nulls: &NullMatcher<'_>,
+        ) -> (Vec<Column>, Vec<bool>) {
+            let n_cols = dtypes.len();
+            let n_rows = fields.len() / n_cols;
+            let mut cols: Vec<Column> =
+                dtypes.iter().map(|&dt| Column::with_capacity(dt, n_rows)).collect();
+            let mut degrade = vec![false; n_cols];
+            for (c, col) in cols.iter_mut().enumerate() {
+                let col_fields = fields.iter().skip(c).step_by(n_cols);
+                degrade[c] = match col {
+                    Column::Str(v) => {
+                        for f in col_fields {
+                            v.push(str_cell(f, text, nulls));
+                        }
+                        false
+                    }
+                    Column::Int(v) => !push_typed(v, col_fields, text, nulls, parse_i64_fast),
+                    Column::Float(v) => !push_typed(v, col_fields, text, nulls, parse_f64_fast),
+                    Column::Bool(v) => !push_typed(v, col_fields, text, nulls, parse_bool),
+                };
+            }
+            (cols, degrade)
+        }
+
+        pub(crate) fn read_csv_str(text: &str, opts: &CsvOptions) -> Result<Table> {
+            let mut fields: Vec<FieldRef> = Vec::new();
+            let n_records = scan_records(text, opts.delimiter, &mut fields, 1, None)?;
+            if n_records == 0 {
+                return Ok(Table::empty());
+            }
+            let n_cols = fields.len() / n_records;
+            let (header, data): (Vec<String>, &[FieldRef]) = if opts.has_header {
+                let names = fields[..n_cols].iter().map(|f| f.content(text).into_owned());
+                (names.collect(), &fields[n_cols..])
+            } else {
+                ((0..n_cols).map(|i| format!("c{i}")).collect(), &fields[..])
+            };
+            let n_rows = data.len() / n_cols;
+            let nulls = NullMatcher::new(&opts.null_markers);
+            let sample_rows = n_rows.min(opts.inference_rows);
+            let dtypes = infer_types(text, &data[..sample_rows * n_cols], n_cols, &nulls);
+            let mut outs: Vec<(Vec<Column>, Vec<bool>)> =
+                catdb_runtime::parallel_chunks(opts.n_threads.max(1), n_rows, 4096, |r| {
+                    build_chunk(text, &data[r.start * n_cols..r.end * n_cols], &dtypes, &nulls)
+                });
+            let mut cols: Vec<Column> = Vec::with_capacity(n_cols);
+            for (c, &dtype) in dtypes.iter().enumerate() {
+                if outs.iter().any(|o| o.1[c]) {
+                    let v: Vec<Option<String>> = data
+                        .iter()
+                        .skip(c)
+                        .step_by(n_cols)
+                        .map(|f| {
+                            if is_null(f, text, &opts.null_markers) {
+                                None
+                            } else {
+                                Some(f.content(text).into_owned())
+                            }
+                        })
+                        .collect();
+                    cols.push(Column::Str(v));
+                } else {
+                    let mut col = Column::with_capacity(dtype, n_rows);
+                    for out in &mut outs {
+                        col.append(&mut out.0[c]).expect("chunk columns share the inferred type");
+                    }
+                    cols.push(col);
+                }
+            }
+            Table::from_columns(header.into_iter().zip(cols).collect())
+        }
+    }
+
+    /// Column variants and every cell, so `NaN` compares equal to itself
+    /// and `-0.0` unequal to `0.0`.
+    fn cells(t: &Table) -> Vec<String> {
+        t.iter_columns().map(|(f, c)| format!("{f:?} {c:?}")).collect()
+    }
+
+    /// The reader at 1 and 8 threads and the oracle give the same table.
+    fn assert_matches_oracle(text: &str, opts: &CsvOptions) -> Table {
+        let want = cells(&oracle::read_csv_str(text, opts).unwrap());
+        let mut table = None;
+        for n_threads in [1, 8] {
+            let t = read_csv_str(text, &CsvOptions { n_threads, ..opts.clone() }).unwrap();
+            assert_eq!(cells(&t), want, "{n_threads} threads");
+            table = Some(t);
+        }
+        table.unwrap()
+    }
+
+    /// A workload-shaped, float-heavy file: 17-digit floats (past the
+    /// ≤15-digit fast path), ints, a bool, a categorical and nulls.
+    fn float_heavy_csv(rows: usize, float_cols: usize) -> String {
+        use std::fmt::Write as _;
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let mut s: String = (0..float_cols).map(|c| format!("f{c},")).collect();
+        s.push_str("n,flag,cat\n");
+        for _ in 0..rows {
+            for _ in 0..float_cols {
+                let r = next();
+                match r % 40 {
+                    0 => s.push_str("NA,"),
+                    1 => s.push(','),
+                    _ => {
+                        let x = (r as f64 / (1u64 << 53) as f64 - 0.5) * 1e3;
+                        let _ = write!(s, "{},", Value::Float(x));
+                    }
+                }
+            }
+            let r = next();
+            let _ = writeln!(s, "{},{},c{}", r % 1000, r % 3 == 0, r % 7);
+        }
+        s
+    }
+
+    #[test]
+    fn float_heavy_file_reads_the_same_at_any_thread_count() {
+        let text = float_heavy_csv(1000, 40);
+        let t = assert_matches_oracle(&text, &CsvOptions::default());
+        assert_eq!(t.n_rows(), 1000);
+        assert_eq!(t.column("f0").unwrap().dtype(), DataType::Float);
+        assert_eq!(t.column("n").unwrap().dtype(), DataType::Int);
+        assert_eq!(t.column("flag").unwrap().dtype(), DataType::Bool);
+    }
+
+    #[test]
+    fn float_contradicted_after_the_sample_degrades_as_before() {
+        // 1,500 rows, sample of 1,000: row 1,200 of `f3` holds text, so
+        // the sample's kept float parses must be dropped for a re-render.
+        let mut lines: Vec<String> = float_heavy_csv(1500, 8).lines().map(String::from).collect();
+        let mut cells_1200: Vec<String> = lines[1201].split(',').map(String::from).collect();
+        cells_1200[3] = "oops".into();
+        lines[1201] = cells_1200.join(",");
+        let text = lines.join("\n") + "\n";
+        let want_f3: Vec<String> =
+            lines[1..].iter().map(|l| l.split(',').nth(3).unwrap().to_string()).collect();
+        let t = assert_matches_oracle(&text, &CsvOptions::default());
+        let col = t.column("f3").unwrap();
+        assert_eq!(col.dtype(), DataType::Str);
+        for (r, raw) in want_f3.iter().enumerate() {
+            let want =
+                if raw.is_empty() || raw == "NA" { Value::Null } else { Value::Str(raw.clone()) };
+            assert_eq!(col.get(r), want, "row {r}");
+        }
+        assert_eq!(t.column("f2").unwrap().dtype(), DataType::Float);
+    }
+
+    #[test]
+    fn tall_files_match_the_oracle() {
+        // Past two of the oracle's 4,096-record chunk boundaries, with
+        // contradictions inside the sample, after it, and none at all;
+        // samples shorter and longer than one chunk.
+        let rows = 2 * 4096 + 777;
+        let mut csv = String::from("a,b,c,d\n");
+        for i in 0..rows {
+            let b = if i == 2 * 4096 + 5 { "late".to_string() } else { format!("{i}.5") };
+            let c = if i == 700 { "early".to_string() } else { (i % 5 == 0).to_string() };
+            csv.push_str(&format!("{i},{b},{c},\"q{}\"\n", i % 13));
+        }
+        let t = assert_matches_oracle(&csv, &CsvOptions::default());
+        let dtypes: Vec<DataType> = t.schema().fields().iter().map(|f| f.dtype).collect();
+        assert_eq!(dtypes, [DataType::Int, DataType::Str, DataType::Str, DataType::Str]);
+        for inference_rows in [3, 4096 + 9] {
+            assert_matches_oracle(&csv, &CsvOptions { inference_rows, ..CsvOptions::default() });
+        }
+    }
+
+    #[test]
+    fn paper_dataset_csvs_match_the_oracle() {
+        use serde::Deserialize as _;
+        for rows in [1000, 1500] {
+            let opts = catdb_data::GenOptions { max_rows: rows, scale: 1.0, seed: 7 };
+            let mut n_tables = 0;
+            for g in catdb_data::generate_all(&opts) {
+                for (_, table) in &g.dataset.tables {
+                    // The generator links its own build of this crate:
+                    // carry the table across as a serde value.
+                    let table = Table::deserialize(&serde_json::to_value(table)).unwrap();
+                    let read =
+                        assert_matches_oracle(&to_csv_string(&table), &CsvOptions::default());
+                    assert_eq!(read.n_rows(), table.n_rows());
+                    n_tables += 1;
+                }
+            }
+            assert!(n_tables >= 20, "{n_tables} tables");
+        }
+    }
+
     #[test]
     #[ignore]
     fn phase_timing() {
@@ -1171,15 +1405,15 @@ mod tests {
         });
         let data = &fields[6..];
         let (d_infer, dtypes) = best(8, || infer_types(&s, &data[..6000], 6, &opts));
-        let (d_chunk, _) = best(8, || build_chunk(&s, data, &dtypes, &opts));
+        let (d_build, _) = best(8, || build_columns(&s, data, 6, Some(&dtypes), &opts));
         let all_str = vec![DataType::Str; 6];
-        let (d_str, _) = best(8, || build_chunk(&s, data, &all_str, &opts));
-        println!("chunk_all_str  {d_str:?}");
+        let (d_str, _) = best(8, || build_columns(&s, data, 6, Some(&all_str), &opts));
+        println!("build_all_str  {d_str:?}");
         let (d_total, table) = best(8, || read_csv_str(&s, &opts).unwrap());
         println!("bytes          {}", s.len());
         println!("scan_records   {d_scan:?} ({} fields)", fields.len());
         println!("infer_types    {d_infer:?} ({dtypes:?})");
-        println!("build_chunk    {d_chunk:?}");
+        println!("build_columns  {d_build:?}");
         println!("read_csv_str   {d_total:?} ({} rows)", table.n_rows());
     }
 }

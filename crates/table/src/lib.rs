@@ -42,5 +42,5 @@ pub use dict::{
 pub use error::{Result, TableError};
 pub use fingerprint::{column_fingerprint, table_fingerprint_from_columns};
 pub use schema::{Field, Schema};
-pub use table::{JoinKind, Table};
+pub use table::Table;
 pub use value::{DataType, Value};

@@ -8,6 +8,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// An immutable-length, columnar table. Column mutation goes through typed
 /// accessors; structural changes (add/drop/rename) keep schema and storage
@@ -248,62 +249,50 @@ impl Table {
         self.columns.iter().map(|c| c.approx_bytes()).sum()
     }
 
-    /// Hash join with `right` on `left_key` = `right_key`.
+    /// Left hash join with `right` on `left_key` = `right_key`, consuming
+    /// `self`.
     ///
-    /// Every right column except its key is appended to the output; name
-    /// clashes get a `right_prefix` prefix. `JoinKind::Inner` keeps matching
-    /// rows only; `JoinKind::Left` keeps all left rows with nulls for
-    /// non-matches. Rows whose key is null never match (SQL semantics).
-    /// A left row matching multiple right rows is duplicated per match.
-    pub fn join(
-        &self,
+    /// Every left row is kept: once per matching right row, in right-row
+    /// order, or once with nulls when nothing matches. Rows whose key is
+    /// null never match (SQL semantics). Every right column except its key
+    /// is appended; a name already in the output gets a `right_prefix`
+    /// prefix. Int, bool and string keys hash as typed values, which match
+    /// exactly when their renders do; float keys match by render. When no
+    /// left row repeats, the left columns move into the output uncopied,
+    /// and each right column is filled by one typed gather.
+    pub fn left_join(
+        self,
         right: &Table,
         left_key: &str,
         right_key: &str,
-        kind: JoinKind,
         right_prefix: &str,
     ) -> Result<Table> {
         let lk = self.column(left_key)?;
         let rk = right.column(right_key)?;
-        if lk.dtype() != rk.dtype() {
-            return Err(TableError::InvalidJoinKey(format!(
-                "key type mismatch: {} vs {}",
-                lk.dtype(),
-                rk.dtype()
-            )));
-        }
-        // Build hash index over the right key. Keys are rendered to strings,
-        // which is exact for int/bool/string keys (the only key types used
-        // by the multi-table datasets).
-        let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-        for i in 0..right.n_rows() {
-            if rk.is_null_at(i) {
-                continue;
+        let (left_rows, right_rows) = match (lk, rk) {
+            (Column::Int(l), Column::Int(r)) => {
+                left_join_rows(l.iter().copied(), r.iter().copied())
             }
-            index.entry(rk.get(i).render()).or_default().push(i);
-        }
-
-        let mut left_rows: Vec<usize> = Vec::new();
-        let mut right_rows: Vec<Option<usize>> = Vec::new();
-        for i in 0..self.n_rows {
-            let matches = if lk.is_null_at(i) { None } else { index.get(&lk.get(i).render()) };
-            match matches {
-                Some(rs) => {
-                    for &r in rs {
-                        left_rows.push(i);
-                        right_rows.push(Some(r));
-                    }
-                }
-                None => {
-                    if kind == JoinKind::Left {
-                        left_rows.push(i);
-                        right_rows.push(None);
-                    }
-                }
+            (Column::Bool(l), Column::Bool(r)) => {
+                left_join_rows(l.iter().copied(), r.iter().copied())
             }
-        }
+            (Column::Str(l), Column::Str(r)) => {
+                left_join_rows(l.iter().map(Option::as_deref), r.iter().map(Option::as_deref))
+            }
+            (Column::Float(l), Column::Float(r)) => {
+                let render = |x: &Option<f64>| x.map(|x| Value::Float(x).render());
+                left_join_rows(l.iter().map(render), r.iter().map(render))
+            }
+            _ => {
+                return Err(TableError::InvalidJoinKey(format!(
+                    "key type mismatch: {} vs {}",
+                    lk.dtype(),
+                    rk.dtype()
+                )))
+            }
+        };
 
-        let mut out = self.take(&left_rows)?;
+        let mut out = if left_rows.len() == self.n_rows { self } else { self.take(&left_rows)? };
         for (field, col) in right.iter_columns() {
             if field.name == right_key {
                 continue;
@@ -313,14 +302,7 @@ impl Table {
             } else {
                 field.name.clone()
             };
-            let mut new_col = Column::with_capacity(col.dtype(), right_rows.len());
-            for r in &right_rows {
-                match r {
-                    Some(r) => new_col.push(col.get(*r))?,
-                    None => new_col.push_null(),
-                }
-            }
-            out.add_column(out_name, new_col)?;
+            out.add_column(out_name, col.take_or_null(&right_rows))?;
         }
         Ok(out)
     }
@@ -339,11 +321,38 @@ impl Table {
     }
 }
 
-/// Join variants supported by [`Table::join`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    Inner,
-    Left,
+/// The row pairs of a left join on `left` = `right` keys: each left row
+/// once per matching right row, in right-row order, or once with `None`
+/// when nothing matches. Null keys never match.
+fn left_join_rows<K: Hash + Eq>(
+    left: impl Iterator<Item = Option<K>>,
+    right: impl DoubleEndedIterator<Item = Option<K>> + ExactSizeIterator,
+) -> (Vec<usize>, Vec<Option<usize>>) {
+    // Each key's first right row, and each right row's next row with the
+    // same key: walking the rows backwards links every chain in order.
+    let mut first: HashMap<K, usize> = HashMap::with_capacity(right.len());
+    let mut next = vec![None; right.len()];
+    for (r, key) in right.enumerate().rev() {
+        if let Some(key) = key {
+            next[r] = first.insert(key, r);
+        }
+    }
+    let (lower, _) = left.size_hint();
+    let mut left_rows = Vec::with_capacity(lower);
+    let mut right_rows = Vec::with_capacity(lower);
+    for (l, key) in left.enumerate() {
+        let mut matched = key.and_then(|key| first.get(&key).copied());
+        if matched.is_none() {
+            left_rows.push(l);
+            right_rows.push(None);
+        }
+        while let Some(r) = matched {
+            left_rows.push(l);
+            right_rows.push(Some(r));
+            matched = next[r];
+        }
+    }
+    (left_rows, right_rows)
 }
 
 #[cfg(test)]
@@ -407,17 +416,21 @@ mod tests {
     }
 
     #[test]
-    fn inner_join_matches_keys() {
+    fn left_join_repeats_rows_per_match() {
         let left = sample_table();
         let right = Table::from_columns(vec![
             ("key", Column::from_i64(vec![2, 4, 4, 9])),
             ("extra", Column::from_strings(vec!["x", "y", "z", "w"])),
         ])
         .unwrap();
-        let joined = left.join(&right, "id", "key", JoinKind::Inner, "r_").unwrap();
-        // id=2 matches once, id=4 matches twice.
-        assert_eq!(joined.n_rows(), 3);
-        assert!(joined.schema().contains("extra"));
+        let joined = left.left_join(&right, "id", "key", "r_").unwrap();
+        // id=1 and id=3 match nothing, id=2 once, id=4 twice in right-row order.
+        assert_eq!(joined.n_rows(), 5);
+        let ids: Vec<Value> = joined.column("id").unwrap().iter_values().collect();
+        assert_eq!(ids, [1, 2, 3, 4, 4].map(Value::Int));
+        let extra: Vec<Value> = joined.column("extra").unwrap().iter_values().collect();
+        let s = |x: &str| Value::Str(x.into());
+        assert_eq!(extra, [Value::Null, s("x"), Value::Null, s("y"), s("z")]);
     }
 
     #[test]
@@ -428,7 +441,7 @@ mod tests {
             ("extra", Column::from_strings(vec!["only"])),
         ])
         .unwrap();
-        let joined = left.join(&right, "id", "key", JoinKind::Left, "r_").unwrap();
+        let joined = left.left_join(&right, "id", "key", "r_").unwrap();
         assert_eq!(joined.n_rows(), 4);
         assert_eq!(joined.value(0, "extra").unwrap(), Value::Str("only".into()));
         assert_eq!(joined.value(1, "extra").unwrap(), Value::Null);
@@ -442,8 +455,17 @@ mod tests {
             ("name", Column::from_strings(vec!["dup"])),
         ])
         .unwrap();
-        let joined = left.join(&right, "id", "key", JoinKind::Inner, "r_").unwrap();
+        let joined = left.left_join(&right, "id", "key", "r_").unwrap();
         assert!(joined.schema().contains("r_name"));
+        assert_eq!(joined.value(0, "r_name").unwrap(), Value::Str("dup".into()));
+        assert_eq!(joined.value(0, "name").unwrap(), Value::Str("a".into()));
+    }
+
+    #[test]
+    fn left_join_rejects_mismatched_key_types() {
+        let right = Table::from_columns(vec![("key", Column::from_strings(vec!["1"]))]).unwrap();
+        let err = sample_table().left_join(&right, "id", "key", "r_").unwrap_err();
+        assert!(matches!(err, TableError::InvalidJoinKey(_)));
     }
 
     #[test]

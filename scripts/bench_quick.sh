@@ -2,7 +2,8 @@
 # Quick perf snapshot: run the criterion micro benches with a reduced
 # per-bench budget and record the profiling / cold value-dictionary /
 # float-rendering / training (forests, boosting, k-NN) / chain-scheduler /
-# CSV-ingest hot-path numbers in results/BENCH_perf.json, alongside the pre-runtime
+# CSV-ingest (50k-row mixed, 1,500x480 float-heavy) hot-path numbers in
+# results/BENCH_perf.json, alongside the pre-runtime
 # baselines measured on the same container class, plus the DAG pipeline
 # executor at 8 threads (65 steps) and 1 thread (5 steps). The CSV entry compares
 # against the frozen seed reader benched live in the same run, so its
@@ -127,6 +128,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "cache_warm_hit" { cache_warm_ms = to_ms($2) }
   $1 == "ingest_50k_mixed" { csv_ingest_ms = to_ms($2) }
   $1 == "seed_ingest_50k_mixed" { csv_seed_ms = to_ms($2) }
+  $1 == "ingest_1500x480_float" { csv_wide_ms = to_ms($2) }
   $1 == "write_roundtrip_50k_mixed" { csv_rt_ms = to_ms($2) }
   END {
     if (prof_ms == 0 || prof_kdd98_ms == 0 || dict_gas_ms == 0 || dict_kdd98_ms == 0 ||
@@ -134,7 +136,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
         forest3_ms == 0 ||
         chain_seq_ms == 0 || chain_conc_ms == 0 ||
         cache_cold_ms == 0 || cache_warm_ms == 0 ||
-        csv_ingest_ms == 0 || csv_seed_ms == 0 || csv_rt_ms == 0) {
+        csv_ingest_ms == 0 || csv_seed_ms == 0 || csv_rt_ms == 0 || csv_wide_ms == 0) {
       print "bench_quick: missing bench lines in output" > "/dev/stderr"
       exit 1
     }
@@ -212,6 +214,10 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "      \"seed_reader_ms\": %.3f,\n", csv_seed_ms >> out
     printf "      \"speedup\": %.2f\n", csv_seed_ms / csv_ingest_ms >> out
     printf "    },\n" >> out
+    printf "    \"csv/ingest_1500x480_float\": {\n" >> out
+    printf "      \"median_ms\": %.3f,\n", csv_wide_ms >> out
+    printf "      \"rows_per_sec\": %.0f\n", 1500 / (csv_wide_ms / 1000) >> out
+    printf "    },\n" >> out
     printf "    \"csv/write_roundtrip_50k_mixed\": {\n" >> out
     printf "      \"median_ms\": %.3f\n", csv_rt_ms >> out
     printf "    },\n" >> out
@@ -252,7 +258,7 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "forest3   : %.3f ms/iter 3-class 60 trees 700x183, 1 thread (baseline %.3f, %.2fx)\n", forest3_ms, base_forest3, base_forest3 / forest3_ms
     printf "chain     : %.3f ms seq vs %.3f ms conc4 (%.2fx)\n", chain_seq_ms, chain_conc_ms, chain_seq_ms / chain_conc_ms
     printf "cache     : %.4f ms miss vs %.4f ms hit (%.2fx); warm smoke %d hit(s), %d billed token(s)\n", cache_cold_ms, cache_warm_ms, cache_cold_ms / cache_warm_ms, smoke_hits, smoke_warm_tokens
-    printf "csv       : %.3f ms ingest vs %.3f ms seed reader (%.2fx); %.3f ms write+read roundtrip\n", csv_ingest_ms, csv_seed_ms, csv_seed_ms / csv_ingest_ms, csv_rt_ms
+    printf "csv       : %.3f ms ingest vs %.3f ms seed reader (%.2fx); %.3f ms write+read roundtrip; %.3f ms ingest 1500x480 float-heavy\n", csv_ingest_ms, csv_seed_ms, csv_seed_ms / csv_ingest_ms, csv_rt_ms, csv_wide_ms
     printf "serve     : %d clients, %.1f ms cold vs %.1f ms warm batch (%.1f req/sec warm)\n", serve_clients, serve_cold_ms, serve_warm_ms, serve_warm_rps
     printf "sketch    : 10M rows out-of-core, %.1f ms ingest + %.1f ms profile (%.0f rows/sec)\n", sketch_ingest_ms, sketch_profile_ms, sketch_rps
     printf "dag       : %d-step pipeline, %.1f ms dag at 8 threads (seq baseline %.1f, %.2fx); %d-step, %.1f ms at 1 thread (seq baseline %.1f, %.2fx)\n", dag_steps, dag_dag_ms, dag_seq_ms, dag_seq_ms / dag_dag_ms, dag5_steps, dag5_dag_ms, dag5_seq_ms, dag5_seq_ms / dag5_dag_ms
