@@ -66,16 +66,17 @@ impl ColumnEmbedding {
         self.v.iter().zip(&other.v).map(|(a, b)| a * b).sum()
     }
 
-    /// [`cosine`](Self::cosine) against `K` partners in one sweep over the
-    /// dimensions. Each partner keeps its own accumulator, seeded and fed
-    /// exactly as `cosine`'s `sum` (from `-0.0`, in dimension order), so
-    /// every result is bit-identical to the single-partner call; the `K`
-    /// independent add chains overlap instead of waiting on each other.
-    pub(crate) fn cosine_block<const K: usize>(&self, others: [&ColumnEmbedding; K]) -> [f64; K] {
+    /// [`cosine`](Self::cosine) against each of a block's `K` embeddings
+    /// in one sweep over the dimensions. Each partner keeps its own
+    /// accumulator, seeded and fed exactly as `cosine`'s `sum` (from
+    /// `-0.0`, in dimension order), so every result is bit-identical to
+    /// the single-partner call; the `K` independent add chains overlap,
+    /// and each dimension's `K` partner values are one contiguous read.
+    pub(crate) fn cosines<const K: usize>(&self, block: &EmbeddingBlock<K>) -> [f64; K] {
         let mut acc = [-0.0f64; K];
-        for (d, &a) in self.v.iter().enumerate() {
-            for (s, o) in acc.iter_mut().zip(&others) {
-                *s += a * o.v[d];
+        for (&a, lanes) in self.v.iter().zip(&block.dims) {
+            for (s, &b) in acc.iter_mut().zip(lanes) {
+                *s += a * b;
             }
         }
         acc
@@ -83,6 +84,21 @@ impl ColumnEmbedding {
 
     pub fn as_slice(&self) -> &[f64] {
         &self.v
+    }
+}
+
+/// `K` embeddings interleaved dimension by dimension, the partner side
+/// of [`ColumnEmbedding::cosines`].
+pub(crate) struct EmbeddingBlock<const K: usize> {
+    /// `dims[d][k]` is dimension `d` of member `k`.
+    dims: Vec<[f64; K]>,
+}
+
+impl<const K: usize> EmbeddingBlock<K> {
+    pub(crate) fn new(members: [&ColumnEmbedding; K]) -> EmbeddingBlock<K> {
+        EmbeddingBlock {
+            dims: (0..EMBEDDING_DIM).map(|d| std::array::from_fn(|k| members[k].v[d])).collect(),
+        }
     }
 }
 
@@ -178,23 +194,30 @@ mod tests {
     }
 
     #[test]
-    fn one_dot_per_pair_matches_per_call_cosine_bit_for_bit() {
-        let embs: Vec<ColumnEmbedding> = (0..5)
+    fn interleaved_cosines_match_per_call_cosine_bit_for_bit() {
+        // Empty, single-value and overlapping value sets; 7 members fill
+        // one block of 4 and pad a second by repeating the last member.
+        let embs: Vec<ColumnEmbedding> = (0..7)
             .map(|c| {
                 let vals: Vec<String> = (0..c * 9).map(|i| format!("v{}", i % (c + 4))).collect();
                 ColumnEmbedding::from_distinct_values(vals.iter().map(|s| s.as_str()))
             })
             .collect();
-        let dots = embs[0].cosine_block([&embs[1], &embs[2], &embs[3], &embs[4]]);
-        for (k, &dot) in dots.iter().enumerate() {
-            let other = &embs[k + 1];
-            assert_eq!(dot.to_bits(), embs[0].cosine(other).to_bits());
-            assert_eq!(dot.to_bits(), other.cosine(&embs[0]).to_bits(), "cosine is symmetric");
-            for (small, big) in [(3, 10), (10, 3), (0, 5), (7, 7)] {
-                assert_eq!(
-                    inclusion_score_from_cosine(dot, small, big).to_bits(),
-                    inclusion_score(&embs[0], other, small, big).to_bits()
-                );
+        for x in &embs {
+            for start in [0, 4] {
+                let block =
+                    EmbeddingBlock::<4>::new(std::array::from_fn(|k| &embs[(start + k).min(6)]));
+                for (k, &dot) in x.cosines(&block).iter().enumerate() {
+                    let other = &embs[(start + k).min(6)];
+                    assert_eq!(dot.to_bits(), x.cosine(other).to_bits());
+                    assert_eq!(dot.to_bits(), other.cosine(x).to_bits(), "cosine is symmetric");
+                    for (small, big) in [(3, 10), (10, 3), (0, 5), (7, 7)] {
+                        assert_eq!(
+                            inclusion_score_from_cosine(dot, small, big).to_bits(),
+                            inclusion_score(x, other, small, big).to_bits()
+                        );
+                    }
+                }
             }
         }
     }

@@ -1,7 +1,9 @@
 //! Algorithm 1 — PROFILING(D, τ₁): extract per-column metadata, feature
 //! types, dependencies (via embeddings), samples, and statistics.
 
-use crate::embedding::{inclusion_score_from_cosine, ColumnEmbedding};
+use crate::embedding::{
+    inclusion_score_from_cosine, ColumnEmbedding, EmbeddingBlock, EMBEDDING_DIM,
+};
 use crate::sketch::{ColumnSketch, PairMoments};
 use crate::types::{ColumnProfile, DataProfile, FeatureType, NumericStats};
 use catdb_table::{
@@ -29,6 +31,12 @@ pub const COUNTER_PROFILER_SKETCH_MERGES: &str = "profiler.sketch_merges";
 pub const COUNTER_PROFILER_PEAK_CHUNK_RSS: &str = "profiler.peak_chunk_rss";
 /// Span wrapping the processing of one chunk in sketch mode.
 pub const SPAN_PROFILE_CHUNK: &str = "profile_chunk";
+/// Span wrapping the exact path's column pass: dictionaries, feature
+/// types, embeddings, samples and statistics of every column.
+pub const SPAN_PROFILE_COLUMNS: &str = "profile_columns";
+/// Span wrapping the exact path's pair pass: correlations, cosines and
+/// each column's similarity, correlation and inclusion lists.
+pub const SPAN_PROFILE_PAIRS: &str = "profile_pairs";
 
 /// How `profile_table` computes its statistics.
 ///
@@ -190,70 +198,97 @@ fn detect_feature_type(
 /// 1.6–1.9× slower at 8.
 const PAIR_BLOCK: usize = 16;
 
-/// `PAIR_BLOCK` numeric columns interleaved row by row, so one sweep of
-/// the correlation kernel reads all its partners from one contiguous
-/// stream. The last block of a table repeats its final column as padding.
-struct NumericBlock {
-    /// Row values, 0.0 where missing.
-    values: Vec<[f64; PAIR_BLOCK]>,
-    /// All ones where the row holds a value, zero where it is missing.
-    masks: Vec<[u64; PAIR_BLOCK]>,
+/// One row of a block: a value per member column.
+type Lanes = [f64; PAIR_BLOCK];
+
+/// A numeric column's own moments, the parts of its Pearson pairs that
+/// do not depend on the partner.
+struct Moments {
+    /// Present rows.
+    count: u64,
+    /// Deviations from the column's own mean, `+0.0` where missing. The
+    /// mean is the sum of the present values from `-0.0` in row order
+    /// (as `Iterator::sum` folds) over `count`.
+    devs: Vec<f64>,
+    /// Σdev², summed from `+0.0` in row order.
+    ss: f64,
 }
 
-impl NumericBlock {
-    fn new(cols: [&Column; PAIR_BLOCK]) -> NumericBlock {
-        let dense = cols.map(Column::to_f64_vec);
-        let rows = dense[0].len();
-        NumericBlock {
-            values: (0..rows)
-                .map(|r| std::array::from_fn(|k| dense[k][r].unwrap_or(0.0)))
-                .collect(),
-            masks: (0..rows)
-                .map(|r| std::array::from_fn(|k| if dense[k][r].is_some() { u64::MAX } else { 0 }))
-                .collect(),
+impl Moments {
+    fn of(values: &[Option<f64>]) -> Moments {
+        let (count, sum) =
+            values.iter().flatten().fold((0u64, -0.0f64), |(n, s), v| (n + 1, s + v));
+        let mean = sum / count as f64;
+        let devs: Vec<f64> = values.iter().map(|v| v.map_or(0.0, |v| v - mean)).collect();
+        let ss = devs.iter().fold(0.0, |s, d| s + d * d);
+        Moments { count, devs, ss }
+    }
+}
+
+/// Up to `PAIR_BLOCK` numeric columns of one null class, interleaved row
+/// by row so one kernel sweep reads all its partners from one contiguous
+/// stream. A short block repeats its final column as padding.
+struct Block {
+    /// Each member's deviations from its own mean, `+0.0` where missing.
+    devs: Vec<Lanes>,
+    /// Each member's present rows.
+    counts: [u64; PAIR_BLOCK],
+    /// Each member's Σdev².
+    ss: Lanes,
+    /// What the class's other kernels read.
+    held: Held,
+}
+
+enum Held {
+    /// Null-free: each member's row values, the `x` side of F×N.
+    Full(Vec<Vec<f64>>),
+    /// Null-bearing: row values (`0.0` where missing) and all-ones/zero
+    /// presence masks, interleaved, for F×N and N×N.
+    Sparse(Vec<Lanes>, Vec<[u64; PAIR_BLOCK]>),
+}
+
+impl Block {
+    fn new(table: &Table, cols: &[usize], with_nulls: bool) -> Block {
+        let dense: Vec<Vec<Option<f64>>> =
+            cols.iter().map(|&c| table.column_at(c).to_f64_vec()).collect();
+        let moments: Vec<Moments> = dense.iter().map(|v| Moments::of(v)).collect();
+        let lane = |k: usize| k.min(cols.len() - 1);
+        let held = if with_nulls {
+            let dense: Vec<&[Option<f64>]> = dense.iter().map(Vec::as_slice).collect();
+            Held::Sparse(
+                interleave(&dense, |v| v.unwrap_or(0.0)),
+                interleave(&dense, |v| if v.is_some() { u64::MAX } else { 0 }),
+            )
+        } else {
+            Held::Full(dense.iter().map(|v| v.iter().flatten().copied().collect()).collect())
+        };
+        let devs: Vec<&[f64]> = moments.iter().map(|m| m.devs.as_slice()).collect();
+        Block {
+            devs: interleave(&devs, |&d| d),
+            counts: std::array::from_fn(|k| moments[lane(k)].count),
+            ss: std::array::from_fn(|k| moments[lane(k)].ss),
+            held,
+        }
+    }
+
+    fn masked(&self) -> (&[Lanes], &[[u64; PAIR_BLOCK]]) {
+        match &self.held {
+            Held::Sparse(values, masks) => (values, masks),
+            Held::Full(_) => unreachable!("only null-bearing blocks are masked"),
         }
     }
 }
 
-/// A table's numeric columns, in schema order, in blocks of `PAIR_BLOCK`.
-struct NumericBlocks {
-    n_cols: usize,
-    /// Schema index of each numeric column.
-    cols: Vec<usize>,
-    blocks: Vec<NumericBlock>,
-}
-
-impl NumericBlocks {
-    fn new(table: &Table, n_threads: usize) -> NumericBlocks {
-        let cols: Vec<usize> =
-            (0..table.n_cols()).filter(|&c| table.column_at(c).dtype().is_numeric()).collect();
-        let members: Vec<[&Column; PAIR_BLOCK]> = cols
-            .chunks(PAIR_BLOCK)
-            .map(|chunk| std::array::from_fn(|k| table.column_at(chunk[k.min(chunk.len() - 1)])))
-            .collect();
-        let blocks = catdb_runtime::parallel_map(n_threads, &members, |_, m| NumericBlock::new(*m));
-        NumericBlocks { n_cols: table.n_cols(), cols, blocks }
-    }
-
-    /// |Pearson r| of column `i` against each later column `j > i`, at
-    /// `j - i - 1`: `Some` for numeric pairs, `None` otherwise. Sweeps
-    /// whole blocks, so up to `PAIR_BLOCK - 1` results per row (earlier
-    /// columns of `i`'s own block, padding) are computed and dropped.
-    fn corr_row(&self, i: usize) -> Vec<Option<f64>> {
-        let mut corr = vec![None; self.n_cols - 1 - i];
-        if let Ok(p) = self.cols.binary_search(&i) {
-            let xs = &self.blocks[p / PAIR_BLOCK];
-            for (b, ys) in self.blocks.iter().enumerate().skip((p + 1) / PAIR_BLOCK) {
-                let rs = pearson_abs_block(xs, p % PAIR_BLOCK, ys);
-                for (q, r) in (b * PAIR_BLOCK..).zip(rs) {
-                    if q > p && q < self.cols.len() {
-                        corr[self.cols[q] - i - 1] = Some(r);
-                    }
-                }
-            }
+/// Up to `PAIR_BLOCK` equally long columns as rows of `PAIR_BLOCK` lanes,
+/// the last column repeated as padding, each cell mapped through `f`.
+fn interleave<S, T: Copy + Default>(cols: &[&[S]], f: impl Fn(&S) -> T) -> Vec<[T; PAIR_BLOCK]> {
+    let mut rows = vec![[T::default(); PAIR_BLOCK]; cols[0].len()];
+    for k in 0..PAIR_BLOCK {
+        for (row, cell) in rows.iter_mut().zip(cols[k.min(cols.len() - 1)]) {
+            row[k] = f(cell);
         }
-        corr
     }
+    rows
 }
 
 /// `v` where `mask` is all ones, `-0.0` where it is zero.
@@ -261,33 +296,65 @@ fn masked(mask: u64, v: f64) -> f64 {
     f64::from_bits((v.to_bits() & mask) | (!mask & (-0.0f64).to_bits()))
 }
 
-/// |Pearson r| of column `c` of block `xs` against each column of block
-/// `ys`, over the rows both columns hold, or 0 below 3 such rows or when
-/// either side is (numerically) constant.
-///
-/// Bit-identical to filtering the co-present rows and summing them in
-/// row order (the test oracle `pearson_abs`). The loops are branchless: a
-/// row either column misses adds a zero that leaves its accumulator
-/// unchanged, so every accumulator ends on the same bits as the filtered
-/// loop's, having added the same operands in the same row order.
-/// - The value sums start from `-0.0`, as `Iterator::sum` does, and a
-///   skipped row adds `-0.0`, which is the identity for every f64.
-/// - The centred moments start from `0.0`, as the replaced loop's did. A
-///   sum started at `+0.0` can never become `-0.0` (round-to-nearest
-///   gives `-0.0` only for `-0.0 + -0.0`), and for every other f64 `+0.0`
-///   is the identity, so a skipped row zeroes its deviations with one
-///   mask and adds `+0.0`.
-///
-/// The partners' chains are independent, so they overlap where one
-/// pair's serial chain would stall.
-fn pearson_abs_block(xs: &NumericBlock, c: usize, ys: &NumericBlock) -> [f64; PAIR_BLOCK] {
-    let rows = xs.values.len();
-    let (xv, xm) = (&xs.values[..rows], &xs.masks[..rows]);
-    let (yv, ym) = (&ys.values[..rows], &ys.masks[..rows]);
+/// |Pearson r| from a pair's co-present count, centred cross sum and
+/// both Σdev², or 0 below 3 co-present rows or when either side is
+/// (numerically) constant. Symmetric in `vx` and `vy` bit for bit.
+fn pearson_from(n: u64, cov: f64, vx: f64, vy: f64) -> f64 {
+    if n < 3 || vx < 1e-12 || vy < 1e-12 {
+        0.0
+    } else {
+        (cov / (vx.sqrt() * vy.sqrt())).abs()
+    }
+}
+
+/// F×F: null-free column `c` of `xs` against each column of the
+/// null-free block `ys`. Every row is co-present, so both means and
+/// Σdev² are each column's own: a row costs one product and one add
+/// per partner.
+fn pearson_full_full(xs: &Block, c: usize, ys: &Block) -> Lanes {
+    let mut cov = [0.0f64; PAIR_BLOCK];
+    for (x, y) in xs.devs.iter().zip(&ys.devs) {
+        for k in 0..PAIR_BLOCK {
+            cov[k] += x[c] * y[k];
+        }
+    }
+    std::array::from_fn(|k| pearson_from(ys.counts[k], cov[k], xs.ss[c], ys.ss[k]))
+}
+
+/// F×N: the null-free column `xv` against each column of the
+/// null-bearing block `ys`. The co-present rows are the partner's own
+/// rows, so its count, mean and Σdev² are hoisted; only `x`'s mean over
+/// those rows and the centred sums are per pair.
+fn pearson_full_sparse(xv: &[f64], ys: &Block) -> Lanes {
+    let (_, ym) = ys.masked();
+    let mut sx = [-0.0f64; PAIR_BLOCK];
+    for (&x, m) in xv.iter().zip(ym) {
+        for k in 0..PAIR_BLOCK {
+            sx[k] += masked(m[k], x);
+        }
+    }
+    let mx: Lanes = std::array::from_fn(|k| sx[k] / ys.counts[k] as f64);
+    let mut cov = [0.0f64; PAIR_BLOCK];
+    let mut vx = [0.0f64; PAIR_BLOCK];
+    for ((&x, m), dy) in xv.iter().zip(ym).zip(&ys.devs) {
+        for k in 0..PAIR_BLOCK {
+            let dx = f64::from_bits((x - mx[k]).to_bits() & m[k]);
+            cov[k] += dx * dy[k];
+            vx[k] += dx * dx;
+        }
+    }
+    std::array::from_fn(|k| pearson_from(ys.counts[k], cov[k], vx[k], ys.ss[k]))
+}
+
+/// N×N: null-bearing column `c` of `xs` against each column of the
+/// null-bearing block `ys`, over the rows both hold: both means and
+/// both Σdev² depend on the pair, so the kernel makes two masked passes.
+fn pearson_sparse_sparse(xs: &Block, c: usize, ys: &Block) -> Lanes {
+    let ((xv, xm), (yv, ym)) = (xs.masked(), ys.masked());
     let mut n = [0u64; PAIR_BLOCK];
     let mut sx = [-0.0f64; PAIR_BLOCK];
     let mut sy = [-0.0f64; PAIR_BLOCK];
-    for r in 0..rows {
+    for r in 0..xv.len() {
         let (x, xm, y, ym) = (xv[r][c], xm[r][c], &yv[r], &ym[r]);
         for k in 0..PAIR_BLOCK {
             let on = xm & ym[k];
@@ -296,12 +363,12 @@ fn pearson_abs_block(xs: &NumericBlock, c: usize, ys: &NumericBlock) -> [f64; PA
             sy[k] += masked(on, y[k]);
         }
     }
-    let mx: [f64; PAIR_BLOCK] = std::array::from_fn(|k| sx[k] / n[k] as f64);
-    let my: [f64; PAIR_BLOCK] = std::array::from_fn(|k| sy[k] / n[k] as f64);
+    let mx: Lanes = std::array::from_fn(|k| sx[k] / n[k] as f64);
+    let my: Lanes = std::array::from_fn(|k| sy[k] / n[k] as f64);
     let mut cov = [0.0f64; PAIR_BLOCK];
     let mut vx = [0.0f64; PAIR_BLOCK];
     let mut vy = [0.0f64; PAIR_BLOCK];
-    for r in 0..rows {
+    for r in 0..xv.len() {
         let (x, xm, y, ym) = (xv[r][c], xm[r][c], &yv[r], &ym[r]);
         for k in 0..PAIR_BLOCK {
             // A skipped row zeroes both deviations, so it adds +0.0.
@@ -313,13 +380,111 @@ fn pearson_abs_block(xs: &NumericBlock, c: usize, ys: &NumericBlock) -> [f64; PA
             vy[k] += dy * dy;
         }
     }
-    std::array::from_fn(|k| {
-        if n[k] < 3 || vx[k] < 1e-12 || vy[k] < 1e-12 {
-            0.0
-        } else {
-            (cov[k] / (vx[k].sqrt() * vy[k].sqrt())).abs()
+    std::array::from_fn(|k| pearson_from(n[k], cov[k], vx[k], vy[k]))
+}
+
+/// |Pearson r| of every numeric column pair, as a dense symmetric matrix
+/// over the numeric columns, addressed by schema index.
+struct Correlations {
+    /// Each schema column's position among the numeric ones.
+    slot: Vec<Option<usize>>,
+    n: usize,
+    /// `r[a * n + b]` for numeric positions `a` and `b`.
+    r: Vec<Option<f64>>,
+}
+
+impl Correlations {
+    /// An empty matrix over the columns `numeric` flags, in schema order.
+    fn new(numeric: impl Iterator<Item = bool>) -> Correlations {
+        let mut n = 0;
+        let slot = numeric
+            .map(|is| {
+                is.then(|| {
+                    n += 1;
+                    n - 1
+                })
+            })
+            .collect();
+        Correlations { slot, n, r: vec![None; n * n] }
+    }
+
+    fn set(&mut self, i: usize, j: usize, r: f64) {
+        let (a, b) = (self.slot[i].expect("numeric column"), self.slot[j].expect("numeric column"));
+        self.r[a * self.n + b] = Some(r);
+        self.r[b * self.n + a] = Some(r);
+    }
+
+    fn get(&self, i: usize, j: usize) -> Option<f64> {
+        self.r[self.slot[i]? * self.n + self.slot[j]?]
+    }
+}
+
+/// The exact path's correlations: every numeric pair's |Pearson r|,
+/// bit-identical to filtering the pair's co-present rows and summing
+/// them in row order (the test oracle `pearson_abs`).
+///
+/// The numeric columns split by null class, null-free (F) and
+/// null-bearing (N), each interleaved in `PAIR_BLOCK`-column [`Block`]s
+/// together with each column's own [`Moments`]. One runtime task per
+/// pair of blocks runs every member of the first against the second,
+/// so the partner block is read from cache by each of its `x` columns
+/// in turn. Each unordered pair is computed once, by the cheapest
+/// kernel its classes allow; |r| is symmetric bit for bit, since `*`
+/// commutes and so does `sqrt(vx) * sqrt(vy)`.
+///
+/// The kernels are branchless: a row the pair misses adds an exact
+/// identity, so every accumulator adds the same operands in the same row
+/// order as the filtered loop and ends on the same bits.
+/// - Value sums start from `-0.0`, as `Iterator::sum` does, and a
+///   skipped row adds `-0.0`, the identity for every f64.
+/// - Centred sums start from `+0.0`, as the filtered loop's did. Such a
+///   sum can never become `-0.0` (round-to-nearest gives `-0.0` only for
+///   `-0.0 + -0.0`), and for every other f64 `+0.0` is the identity, so a
+///   skipped row masks its deviations to `+0.0`.
+fn numeric_correlations(table: &Table, n_threads: usize) -> Correlations {
+    let is_numeric = |c: &usize| table.column_at(*c).dtype().is_numeric();
+    let (full, sparse): (Vec<usize>, Vec<usize>) =
+        (0..table.n_cols()).filter(is_numeric).partition(|&c| table.column_at(c).null_count() == 0);
+    // F blocks first, then N blocks.
+    let groups: Vec<(&[usize], bool)> = full
+        .chunks(PAIR_BLOCK)
+        .map(|g| (g, false))
+        .chain(sparse.chunks(PAIR_BLOCK).map(|g| (g, true)))
+        .collect();
+    let blocks = catdb_runtime::parallel_map(n_threads, &groups, |_, &(g, nulls)| {
+        Block::new(table, g, nulls)
+    });
+
+    // Block pairs `(x, y)`, `x <= y`: N×N first, as its tasks are the
+    // longest.
+    let n_full = full.len().div_ceil(PAIR_BLOCK);
+    let tasks: Vec<(usize, usize)> = (n_full..blocks.len())
+        .chain(0..n_full)
+        .flat_map(|x| (x..blocks.len()).map(move |y| (x, y)))
+        .collect();
+    let results = catdb_runtime::parallel_map(n_threads, &tasks, |_, &(x, y)| {
+        let (xs, ys) = (&blocks[x], &blocks[y]);
+        (0..groups[x].0.len())
+            .map(|c| match (&xs.held, &ys.held) {
+                (Held::Full(_), Held::Full(_)) => pearson_full_full(xs, c, ys),
+                (Held::Full(values), Held::Sparse(..)) => pearson_full_sparse(&values[c], ys),
+                (Held::Sparse(..), Held::Sparse(..)) => pearson_sparse_sparse(xs, c, ys),
+                (Held::Sparse(..), Held::Full(_)) => unreachable!("F blocks precede N blocks"),
+            })
+            .collect::<Vec<Lanes>>()
+    });
+
+    let mut corr = Correlations::new((0..table.n_cols()).map(|c| is_numeric(&c)));
+    for (&(x, y), rows) in tasks.iter().zip(results) {
+        for (c, (&i, rs)) in groups[x].0.iter().zip(rows).enumerate() {
+            // Within one block, only the members after `x`'s own.
+            let skip = if x == y { c + 1 } else { 0 };
+            for (&j, r) in groups[y].0.iter().zip(rs).skip(skip) {
+                corr.set(i, j, r);
+            }
         }
-    })
+    }
+    corr
 }
 
 struct PartialProfile {
@@ -329,83 +494,88 @@ struct PartialProfile {
     micros: u64,
 }
 
-/// The values of one unordered column pair `(i, j)`, `i < j`.
-struct PairCell {
-    /// Embedding cosine, one dot product shared by the similarity and
-    /// both inclusion directions.
-    cos: f64,
-    /// |Pearson r|, for numeric-numeric pairs only.
-    corr: Option<f64>,
-    /// Inclusion score of column i's value set inside column j's.
-    incl_ij: f64,
-    /// Inclusion score of column j's value set inside column i's.
-    incl_ji: f64,
+/// Pair passes with less work than this, counted as column pairs times
+/// the values each pair reads (rows plus embedding dimensions), run on
+/// the calling thread. On 240-row tables of about ten columns (2-core
+/// host) the pass's pool round trips cost more than the work they
+/// spread, about 50 µs of a 300–450 µs profile; and in the daemon a
+/// submitter's jobs queue FIFO behind other requests'.
+const PARALLEL_PAIR_WORK: usize = 1 << 20;
+
+/// Threads for a pair pass over `n_cols` columns whose correlation
+/// kernels read `rows` rows (0 when the correlations come precomputed).
+fn pair_threads(n_cols: usize, rows: usize, opts: &ProfileOptions) -> usize {
+    let pairs = n_cols.saturating_mul(n_cols.saturating_sub(1)) / 2;
+    if pairs.saturating_mul(rows + EMBEDDING_DIM) < PARALLEL_PAIR_WORK {
+        1
+    } else {
+        opts.n_threads.max(1)
+    }
 }
 
 /// The pairwise pass of both profiling paths: similarities and inclusion
-/// dependencies from the embeddings, correlations from `corr_row(i)` (one
-/// entry per partner `j > i`). The upper triangle is computed on the
-/// runtime, one row per task; the threshold checks and pushes then replay
-/// the original sequential `i`, `j ≠ i` order, so the output is
-/// byte-identical at any thread count.
+/// dependencies from the embeddings, correlations from `corr`.
+///
+/// The upper triangle of embedding cosines is computed one row per
+/// runtime task against [`EmbeddingBlock`]s, one dot product per
+/// unordered pair, shared by the similarity and both inclusion
+/// directions. Each column then builds its own lists in its own task,
+/// visiting its partners in ascending order; the similarity and
+/// correlation lists are sorted by (value desc, name asc), a total order
+/// since column names are unique. So the profile is byte-identical at
+/// any thread count.
 fn pairwise_pass(
     profiles: &mut [ColumnProfile],
-    embeddings: &[&ColumnEmbedding],
+    embeddings: &[ColumnEmbedding],
     distincts: &[usize],
-    corr_row: impl Fn(usize) -> Vec<Option<f64>> + Sync,
+    corr: &Correlations,
+    n_threads: usize,
     opts: &ProfileOptions,
 ) {
     let m = profiles.len();
-    let row_idx: Vec<usize> = (0..m).collect();
-    let rows: Vec<Vec<PairCell>> =
-        catdb_runtime::parallel_map(opts.n_threads.max(1), &row_idx, |_, &i| {
-            let partners: Vec<usize> = (i + 1..m).collect();
-            let mut cos = Vec::with_capacity(partners.len());
-            for chunk in partners.chunks(PAIR_BLOCK) {
-                // The last block repeats its final partner as padding.
-                let block: [&ColumnEmbedding; PAIR_BLOCK] =
-                    std::array::from_fn(|k| embeddings[chunk[k.min(chunk.len() - 1)]]);
-                cos.extend_from_slice(&embeddings[i].cosine_block(block)[..chunk.len()]);
-            }
-            partners
-                .iter()
-                .zip(cos)
-                .zip(corr_row(i))
-                .map(|((&j, cos), corr)| PairCell {
-                    cos,
-                    corr,
-                    incl_ij: inclusion_score_from_cosine(cos, distincts[i], distincts[j]),
-                    incl_ji: inclusion_score_from_cosine(cos, distincts[j], distincts[i]),
-                })
-                .collect()
-        });
+    let cols: Vec<usize> = (0..m).collect();
+    let blocks: Vec<EmbeddingBlock<PAIR_BLOCK>> = cols
+        .chunks(PAIR_BLOCK)
+        .map(|g| EmbeddingBlock::new(std::array::from_fn(|k| &embeddings[g[k.min(g.len() - 1)]])))
+        .collect();
+    // `cos[i][j - i - 1]` is the cosine of `i < j`.
+    let cos: Vec<Vec<f64>> = catdb_runtime::parallel_map(n_threads, &cols, |_, &i| {
+        let mut row = Vec::with_capacity(m - 1 - i);
+        for (b, block) in blocks.iter().enumerate().skip((i + 1) / PAIR_BLOCK) {
+            let lo = b * PAIR_BLOCK;
+            let dots = embeddings[i].cosines(block);
+            row.extend_from_slice(&dots[(i + 1).saturating_sub(lo)..(m - lo).min(PAIR_BLOCK)]);
+        }
+        row
+    });
 
-    for i in 0..m {
+    let names: Vec<&str> = profiles.iter().map(|p| p.name.as_str()).collect();
+    type Lists = (Vec<(String, f64)>, Vec<(String, f64)>, Vec<String>);
+    let lists: Vec<Lists> = catdb_runtime::parallel_map(n_threads, &cols, |_, &i| {
+        let (mut similarities, mut correlations, mut inclusions) =
+            (Vec::new(), Vec::new(), Vec::new());
         for j in (0..m).filter(|&j| j != i) {
-            let incl = if i < j {
-                let cell = &rows[i][j - i - 1];
-                if cell.cos >= opts.similarity_threshold {
-                    let (a, b) = (profiles[i].name.clone(), profiles[j].name.clone());
-                    profiles[i].similarities.push((b, cell.cos));
-                    profiles[j].similarities.push((a, cell.cos));
-                }
-                if let Some(corr) = cell.corr.filter(|&c| c >= 0.3) {
-                    let (a, b) = (profiles[i].name.clone(), profiles[j].name.clone());
-                    profiles[i].correlations.push((b, corr));
-                    profiles[j].correlations.push((a, corr));
-                }
-                cell.incl_ij
-            } else {
-                rows[j][i - j - 1].incl_ji
-            };
+            let cos = if i < j { cos[i][j - i - 1] } else { cos[j][i - j - 1] };
+            if cos >= opts.similarity_threshold {
+                similarities.push((names[j].to_string(), cos));
+            }
+            if let Some(r) = corr.get(i, j).filter(|&r| r >= 0.3) {
+                correlations.push((names[j].to_string(), r));
+            }
             // Inclusion: is column i's value set inside column j's?
+            let incl = inclusion_score_from_cosine(cos, distincts[i], distincts[j]);
             if incl >= opts.inclusion_threshold && distincts[i] >= 2 {
-                let b = profiles[j].name.clone();
-                profiles[i].inclusion_dependencies.push(b);
+                inclusions.push(names[j].to_string());
             }
         }
-        profiles[i].similarities.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
-        profiles[i].correlations.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+        similarities.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+        correlations.sort_by(|x, y| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
+        (similarities, correlations, inclusions)
+    });
+    for (p, (similarities, correlations, inclusions)) in profiles.iter_mut().zip(lists) {
+        p.similarities = similarities;
+        p.correlations = correlations;
+        p.inclusion_dependencies = inclusions;
     }
 }
 
@@ -426,8 +596,11 @@ struct MemoEntry {
 
 const MEMO_CAP: usize = 64;
 
-fn memo() -> &'static Mutex<HashMap<(u128, u64), MemoEntry>> {
-    static MEMO: OnceLock<Mutex<HashMap<(u128, u64), MemoEntry>>> = OnceLock::new();
+/// Profiles by (table fingerprint, options key).
+type Memo = Mutex<HashMap<(u128, u64), Arc<MemoEntry>>>;
+
+fn memo() -> &'static Memo {
+    static MEMO: OnceLock<Memo> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -469,7 +642,10 @@ pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataPr
     let limit = if cells >= PARALLEL_FINGERPRINT_CELLS { opts.n_threads.max(1) } else { 1 };
     let fingerprints = catdb_runtime::parallel_map(limit, &columns, |_, c| column_fingerprint(c));
     let key = (table_fingerprint_from_columns(table, &fingerprints), options_key(name, opts));
-    if let Some(entry) = memo().lock().unwrap().get(&key) {
+    // The guard drops at the end of this statement: a hit re-emits its
+    // events and clones its profile without holding the memo lock.
+    let hit = memo().lock().expect("no profile_table panics holding the memo").get(&key).cloned();
+    if let Some(entry) = hit {
         catdb_trace::add_counter(COUNTER_PROFILE_MEMO_HITS, 1.0);
         for (column, feature_type, micros) in &entry.column_events {
             catdb_trace::emit(catdb_trace::TraceEvent::ProfileColumn {
@@ -487,11 +663,12 @@ pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataPr
         ProfileMode::Sketch { chunk_rows } => profile_sketch_table(name, table, chunk_rows, opts),
     };
 
-    let mut memo = memo().lock().unwrap();
+    let entry = Arc::new(MemoEntry { profile: profile.clone(), column_events });
+    let mut memo = memo().lock().expect("no profile_table panics holding the memo");
     if memo.len() >= MEMO_CAP {
         memo.clear();
     }
-    memo.insert(key, MemoEntry { profile: profile.clone(), column_events });
+    memo.insert(key, entry);
     profile
 }
 
@@ -513,6 +690,7 @@ fn profile_exact(
     // tables is the dominant offline cost — Figure 9a). Results come back
     // in schema order regardless of how the pool schedules the columns.
     let n_threads = opts.n_threads.max(1);
+    let columns_span = catdb_trace::span(SPAN_PROFILE_COLUMNS);
     let partials: Vec<PartialProfile> =
         catdb_runtime::parallel_map(n_threads, &fields, |_, (idx, name)| {
             let col_started = Instant::now();
@@ -565,24 +743,35 @@ fn profile_exact(
                 micros: col_started.elapsed().as_micros() as u64,
             }
         });
+    drop(columns_span);
 
     // Emit after the parallel join, in column order, so the event stream is
     // deterministic regardless of worker interleaving.
-    for p in &partials {
+    let column_events: Vec<(String, String, u64)> = partials
+        .iter()
+        .map(|p| (p.profile.name.clone(), p.profile.feature_type.label().to_string(), p.micros))
+        .collect();
+    for (column, feature_type, micros) in &column_events {
         catdb_trace::emit(catdb_trace::TraceEvent::ProfileColumn {
-            column: p.profile.name.clone(),
-            feature_type: p.profile.feature_type.label().to_string(),
-            micros: p.micros,
+            column: column.clone(),
+            feature_type: feature_type.clone(),
+            micros: *micros,
         });
     }
 
-    // Pairwise pass; correlations among the numeric columns are swept a
-    // block of partners at a time.
-    let numeric = NumericBlocks::new(table, n_threads);
-    let mut profiles: Vec<ColumnProfile> = partials.iter().map(|p| p.profile.clone()).collect();
-    let embeddings: Vec<&ColumnEmbedding> = partials.iter().map(|p| &p.embedding).collect();
-    let distincts: Vec<usize> = partials.iter().map(|p| p.n_distinct).collect();
-    pairwise_pass(&mut profiles, &embeddings, &distincts, |i| numeric.corr_row(i), opts);
+    let pairs_span = catdb_trace::span(SPAN_PROFILE_PAIRS);
+    let pair_threads = pair_threads(fields.len(), n_rows, opts);
+    let corr = numeric_correlations(table, pair_threads);
+    let mut profiles = Vec::with_capacity(partials.len());
+    let mut embeddings = Vec::with_capacity(partials.len());
+    let mut distincts = Vec::with_capacity(partials.len());
+    for p in partials {
+        profiles.push(p.profile);
+        embeddings.push(p.embedding);
+        distincts.push(p.n_distinct);
+    }
+    pairwise_pass(&mut profiles, &embeddings, &distincts, &corr, pair_threads, opts);
+    drop(pairs_span);
 
     let profile = DataProfile {
         dataset_name: name.to_string(),
@@ -590,10 +779,6 @@ fn profile_exact(
         columns: profiles,
         elapsed_seconds: started.elapsed().as_secs_f64(),
     };
-    let column_events: Vec<(String, String, u64)> = partials
-        .iter()
-        .map(|p| (p.profile.name.clone(), p.profile.feature_type.label().to_string(), p.micros))
-        .collect();
     (profile, column_events)
 }
 
@@ -744,20 +929,12 @@ fn finalize_sketch(
         distincts.push(distinct_count);
     }
 
-    // `pair_idx` is sorted by `(i, j)`, so row i's pairs are one run.
-    let m = profiles.len();
-    let corr_row = |i: usize| {
-        let mut corr = vec![None; m - 1 - i];
-        let start = acc.pair_idx.partition_point(|&(a, _)| a < i);
-        for (&(_, j), p) in
-            acc.pair_idx[start..].iter().zip(&acc.pairs[start..]).take_while(|((a, _), _)| *a == i)
-        {
-            corr[j - i - 1] = Some(p.pearson_abs());
-        }
-        corr
-    };
-    let embedding_refs: Vec<&ColumnEmbedding> = embeddings.iter().collect();
-    pairwise_pass(&mut profiles, &embedding_refs, &distincts, corr_row, opts);
+    let mut corr = Correlations::new(fields.iter().map(|(_, dtype)| dtype.is_numeric()));
+    for (&(i, j), p) in acc.pair_idx.iter().zip(&acc.pairs) {
+        corr.set(i, j, p.pearson_abs());
+    }
+    let n_threads = pair_threads(profiles.len(), 0, opts);
+    pairwise_pass(&mut profiles, &embeddings, &distincts, &corr, n_threads, opts);
 
     let column_events: Vec<(String, String, u64)> = profiles
         .iter()
@@ -898,7 +1075,8 @@ mod tests {
     use catdb_table::Column;
     use proptest::prelude::*;
 
-    /// The per-pair loop the blocked kernel replaced, kept as its oracle.
+    /// The per-pair loop the blocked kernels replaced, kept as their
+    /// oracle.
     fn pearson_abs(a: &Column, b: &Column) -> f64 {
         let av = a.to_f64_vec();
         let bv = b.to_f64_vec();
@@ -933,57 +1111,106 @@ mod tests {
             4 => Some(-0.0),
             5 => Some(f64::INFINITY),
             6 => Some(1.0),
+            7 => Some(f64::NEG_INFINITY),
             _ => Some(v),
         }
     }
 
+    /// Column `shape` over generated cells. Shapes 0–4 may hold nulls
+    /// (one cell in seven); shapes 5–9 never do.
+    fn shaped(shape: u32, raw: &[(u32, f64)]) -> Column {
+        // Plain values only, apart from the occasional special one.
+        let plain = |k: u32, v: f64| cell(if k < 24 { 8 } else { 2 + k % 6 }, v);
+        match shape {
+            // Constant apart from its nulls.
+            0 => Column::Float(raw.iter().map(|&(k, _)| (k % 14 > 1).then_some(2.5)).collect()),
+            // At most two present rows.
+            1 => Column::Float(
+                raw.iter()
+                    .enumerate()
+                    .map(|(r, &(k, v))| cell(k % 14, v).filter(|_| r < 2))
+                    .collect(),
+            ),
+            2 => Column::Int(raw.iter().map(|&(k, v)| cell(k % 14, v).map(|x| x as i64)).collect()),
+            3 => Column::Str(
+                raw.iter().map(|&(k, v)| cell(k % 14, v).map(|x| x.to_string())).collect(),
+            ),
+            4 => Column::Float(raw.iter().map(|&(k, v)| cell(k % 14, v)).collect()),
+            5 => Column::Float(raw.iter().map(|&(_, v)| Some(v)).collect()),
+            6 => Column::Float(vec![Some(-7.25); raw.len()]),
+            // ±0.0, NaN and ±∞ among plain values.
+            7 => Column::Float(raw.iter().map(|&(k, v)| plain(k, v)).collect()),
+            8 => Column::Int(raw.iter().map(|&(_, v)| Some(v as i64)).collect()),
+            _ => Column::Float(raw.iter().map(|&(k, v)| cell(2 + k % 12, v)).collect()),
+        }
+    }
+
     const MAX_ROWS: usize = 40;
-    const MAX_COLS: usize = 2 * PAIR_BLOCK + 3;
+    const MAX_COLS: usize = 5 * PAIR_BLOCK + 3;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The blocked kernel reproduces the replaced per-pair loop bit
-        /// for bit, across nulls, NaN, ±0.0, infinities, constant
-        /// columns, pairs with fewer than 3 co-present rows, integer and
-        /// text columns, and partner counts that are not a multiple of
-        /// `PAIR_BLOCK`.
+        /// The class kernels reproduce the replaced per-pair loop bit for
+        /// bit, for every pair of null-free and null-bearing columns,
+        /// across NaN, ±0.0, ±∞, constant columns, pairs with fewer than
+        /// 3 co-present rows, integer and text columns, and class sizes
+        /// that are not a multiple of `PAIR_BLOCK` and span several
+        /// blocks.
         #[test]
         fn blocked_pearson_matches_per_pair_loop_bit_for_bit(
             n_rows in 0usize..MAX_ROWS,
             n_cols in 2usize..MAX_COLS,
-            shapes in prop::collection::vec(0u32..6, MAX_COLS),
-            cells in prop::collection::vec((0u32..14, -1e3f64..1e3), MAX_ROWS * MAX_COLS),
+            shapes in prop::collection::vec(0u32..10, MAX_COLS),
+            cells in prop::collection::vec((0u32..32, -1e3f64..1e3), MAX_ROWS * MAX_COLS),
         ) {
             let cols: Vec<(String, Column)> = (0..n_cols)
-                .map(|c| {
-                    let raw = &cells[c * MAX_ROWS..c * MAX_ROWS + n_rows];
-                    let col = match shapes[c] {
-                        // Constant apart from its nulls.
-                        0 => Column::Float(raw.iter().map(|&(k, _)| (k > 3).then_some(2.5)).collect()),
-                        // At most two present rows.
-                        1 => Column::Float(
-                            raw.iter().enumerate().map(|(r, &(k, v))| cell(k, v).filter(|_| r < 2)).collect(),
-                        ),
-                        2 => Column::Int(raw.iter().map(|&(k, v)| cell(k, v).map(|x| x as i64)).collect()),
-                        3 => Column::Str(raw.iter().map(|&(k, v)| cell(k, v).map(|x| x.to_string())).collect()),
-                        _ => Column::Float(raw.iter().map(|&(k, v)| cell(k, v)).collect()),
-                    };
-                    (format!("c{c}"), col)
-                })
+                .map(|c| (format!("c{c}"), shaped(shapes[c], &cells[c * MAX_ROWS..c * MAX_ROWS + n_rows])))
                 .collect();
             let table = Table::from_columns(cols).unwrap();
-            let blocks = NumericBlocks::new(&table, 2);
+            let corr = numeric_correlations(&table, 2);
             for i in 0..n_cols {
-                let row = blocks.corr_row(i);
-                prop_assert_eq!(row.len(), n_cols - 1 - i);
-                for j in i + 1..n_cols {
+                for j in 0..n_cols {
                     let (a, b) = (table.column_at(i), table.column_at(j));
-                    let want = (a.dtype().is_numeric() && b.dtype().is_numeric())
+                    let want = (i != j && a.dtype().is_numeric() && b.dtype().is_numeric())
                         .then(|| pearson_abs(a, b).to_bits());
-                    prop_assert_eq!(row[j - i - 1].map(f64::to_bits), want, "pair ({}, {})", i, j);
+                    prop_assert_eq!(corr.get(i, j).map(f64::to_bits), want, "pair ({}, {})", i, j);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn memo_hit_replays_the_column_events_and_profile_of_the_miss() {
+        let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+        let guard = catdb_trace::install(sink.clone());
+        let t = salary_like_table();
+        let miss = profile_table("memo-replay", &t, &ProfileOptions::default());
+        let hit = profile_table("memo-replay", &t, &ProfileOptions::default());
+        drop(guard);
+        let trace = sink.snapshot();
+        assert_eq!(trace.counters[COUNTER_PROFILE_MEMO_MISSES], 1.0);
+        assert_eq!(trace.counters[COUNTER_PROFILE_MEMO_HITS], 1.0);
+        let events = trace.events_modulo_timing();
+        assert_eq!(events.len(), 2 * t.n_cols());
+        assert_eq!(events[..t.n_cols()], events[t.n_cols()..]);
+        assert_eq!(hit.columns, miss.columns);
+    }
+
+    #[test]
+    fn traced_profile_nests_both_stages_under_profile_table() {
+        let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+        let guard = catdb_trace::install(sink.clone());
+        profile_table("stage-spans", &salary_like_table(), &ProfileOptions::default());
+        drop(guard);
+        let trace = sink.snapshot();
+        trace.check_well_formed().unwrap();
+        let table = trace.spans_named("profile_table");
+        assert_eq!(table.len(), 1);
+        for stage in [SPAN_PROFILE_COLUMNS, SPAN_PROFILE_PAIRS] {
+            let spans = trace.spans_named(stage);
+            assert_eq!(spans.len(), 1, "{stage}");
+            assert_eq!(spans[0].parent, Some(table[0].id), "{stage} nests under profile_table");
         }
     }
 

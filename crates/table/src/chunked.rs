@@ -427,9 +427,14 @@ fn stream_ingest<W: Write>(
                 (0..n_cols).map(|i| format!("c{i}")).collect()
             });
         }
+        // When the first chunk holds the whole inference sample, its
+        // build infers the types on the way, parsing each sampled cell
+        // once; `dtypes` stays empty until that chunk is built.
         if !types_fixed {
             let sample_rows = n_data.min(opts.inference_rows);
-            dtypes = csv::infer_types(prefix, &data[..sample_rows * n_cols], n_cols, opts);
+            if n_data == 0 || chunk_rows < sample_rows {
+                dtypes = csv::infer_types(prefix, &data[..sample_rows * n_cols], n_cols, opts);
+            }
             types_fixed = true;
         }
 
@@ -439,7 +444,11 @@ fn stream_ingest<W: Write>(
         while n_data - taken >= chunk_rows || (eof && taken < n_data) {
             let k = chunk_rows.min(n_data - taken);
             let rows = &data[taken * n_cols..(taken + k) * n_cols];
-            let built = csv::build_columns(prefix, rows, n_cols, Some(&dtypes), opts);
+            let fixed = (!dtypes.is_empty()).then_some(&dtypes[..]);
+            let built = csv::build_columns(prefix, rows, n_cols, fixed, opts);
+            if dtypes.is_empty() {
+                dtypes = built.iter().map(|b| b.col.dtype()).collect();
+            }
             let mut cols = Vec::with_capacity(n_cols);
             for (c, b) in built.into_iter().enumerate() {
                 if b.degraded {
@@ -537,11 +546,11 @@ fn write_page<W: Write>(w: &mut W, col: &Column, r: Range<usize>) -> Result<()> 
         }
         Column::Str(v) => {
             // Dictionary-encode the page: distinct sorted values once,
-            // u32 codes per row. `ValueDict::build` is used directly
-            // (not the global fingerprint cache) so per-chunk dicts are
-            // dropped immediately and RSS stays O(chunk).
-            let page = Column::Str(v[r].to_vec());
-            let dict = ValueDict::build(&page);
+            // u32 codes per row. The dictionary is built directly from
+            // the page's rows (not through the global fingerprint cache)
+            // so per-chunk dicts are dropped immediately and RSS stays
+            // O(chunk).
+            let dict = ValueDict::build_strs(&v[r]);
             header(w, TAG_STR)?;
             w.write_all(&(dict.n_distinct() as u32).to_le_bytes())?;
             for val in dict.values() {

@@ -88,6 +88,12 @@ impl ValueDict {
         interned.into_sorted()
     }
 
+    /// [`ValueDict::build`] of a string column given as its rows, so a
+    /// slice of a column is interned without copying it into one.
+    pub fn build_strs(rows: &[Option<String>]) -> ValueDict {
+        Interned::by_hashing(rows).into_sorted()
+    }
+
     /// Distinct non-null rendered values, sorted ascending.
     pub fn values(&self) -> impl ExactSizeIterator<Item = &str> + DoubleEndedIterator + Clone {
         self.offsets.windows(2).map(|w| &self.arena[w[0] as usize..w[1] as usize])

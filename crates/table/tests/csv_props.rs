@@ -146,9 +146,10 @@ fn chunked(text: &str, opts: &CsvOptions, chunk_rows: usize) -> (Vec<(String, St
     (cols, n_rows)
 }
 
-/// The in-memory table and the chunked reassembly agree whenever the
-/// dtypes inferred from the sample hold over the whole input.
-fn check_chunked_matches(text: &str, inference_rows: usize) {
+/// The in-memory table and the chunked reassembly at each of
+/// `chunk_sizes` agree whenever the dtypes inferred from the sample hold
+/// over the whole input.
+fn check_chunked_matches(text: &str, inference_rows: usize, chunk_sizes: &[usize]) {
     let opts = options(inference_rows);
     let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
     let parsed = {
@@ -162,7 +163,7 @@ fn check_chunked_matches(text: &str, inference_rows: usize) {
         return; // a late cell degraded a column: the documented divergence
     }
     let want = content(&table);
-    for chunk_rows in [1, 7, 64] {
+    for &chunk_rows in chunk_sizes {
         let (got, n_rows) = chunked(text, &opts, chunk_rows);
         assert_eq!(n_rows, table.n_rows(), "{text:?} at {chunk_rows} rows per chunk");
         if table.n_rows() == 0 {
@@ -198,7 +199,7 @@ proptest! {
         picks in prop::collection::vec(0usize..1000, 0..40),
         inference in 1usize..6,
     ) {
-        check_chunked_matches(&token_soup(&picks), inference);
+        check_chunked_matches(&token_soup(&picks), inference, &[1, 7, 64]);
     }
 
     #[test]
@@ -208,7 +209,22 @@ proptest! {
         crlf in 0usize..2,
         inference in 1usize..64,
     ) {
-        check_chunked_matches(&grid(cols, &picks, crlf == 1), inference);
+        check_chunked_matches(&grid(cols, &picks, crlf == 1), inference, &[1, 7, 64]);
+    }
+
+    /// Chunks at least as long as the inference sample: the first
+    /// chunk's build infers the types itself instead of a separate
+    /// inference pass over the same rows.
+    #[test]
+    fn chunks_holding_the_sample_match_the_in_memory_table(
+        cols in 1usize..5,
+        picks in prop::collection::vec(0usize..1000, 0..160),
+        crlf in 0usize..2,
+        inference in 1usize..48,
+        extra in 0usize..24,
+    ) {
+        let text = grid(cols, &picks, crlf == 1);
+        check_chunked_matches(&text, inference, &[inference, inference + extra]);
     }
 }
 
@@ -221,7 +237,7 @@ fn quoted_newlines_and_crlf_agree_at_every_chunk_size() {
     let text = "a,b\r\n1,\"x\ny\"\r\n2,\"p,\"\"q\"\"\"\r\n,\r\n4,\"\r\n\"\r\n";
     assert_eq!(parse(text, &options(1)).map(|t| t.n_rows()), Some(4));
     for inference in [1, 2, 1000] {
-        check_chunked_matches(text, inference);
+        check_chunked_matches(text, inference, &[1, 7, 64]);
     }
 }
 
@@ -236,4 +252,27 @@ fn a_late_contradiction_is_the_documented_divergence() {
     assert_eq!(content(&table)[0].1, r#"Str([Some("007"), Some("1"), Some("x")])"#);
     let (got, _) = chunked(text, &opts, 1);
     assert_eq!(got[0].1, r#"Str([Some("7"), Some("1"), Some("x")])"#);
+}
+
+#[test]
+fn a_contradiction_inside_the_first_chunk_reads_as_in_memory() {
+    // Inference over two rows says int; `x` arrives within the first
+    // chunk, whose build re-renders the column as text, so `007` keeps
+    // its zeros as it does in memory, and both count one degradation.
+    let text = "c,d\n007,1.5\n1,2\nx,3\n4,4\n";
+    let opts = options(2);
+    let degraded = |read: &dyn Fn() -> Vec<(String, String)>| {
+        let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+        let guard = catdb_trace::install(sink.clone());
+        let cols = read();
+        drop(guard);
+        (cols, sink.snapshot().counters.get(COUNTER_CSV_DEGRADED).copied())
+    };
+    let (want, want_degraded) = degraded(&|| content(&parse(text, &opts).unwrap()));
+    assert_eq!(want[0].1, r#"Str([Some("007"), Some("1"), Some("x"), Some("4")])"#);
+    for chunk_rows in [3, 4, 64] {
+        let (got, got_degraded) = degraded(&|| chunked(text, &opts, chunk_rows).0);
+        assert_eq!(got, want, "at {chunk_rows} rows per chunk");
+        assert_eq!(got_degraded, want_degraded, "at {chunk_rows} rows per chunk");
+    }
 }
