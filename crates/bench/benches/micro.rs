@@ -90,7 +90,7 @@ fn bench_refinement(c: &mut Criterion) {
         b.iter(|| {
             catdb_catalog::refine_dataset(
                 "etailing",
-                black_box(&flat),
+                black_box(flat.clone()),
                 &profile,
                 "target",
                 &llm,

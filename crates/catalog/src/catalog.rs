@@ -104,10 +104,6 @@ impl DataCatalog {
         Ok(catalog)
     }
 
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<DataCatalog> {
         let text = std::fs::read_to_string(path)?;
         DataCatalog::from_json(&text)

@@ -47,10 +47,6 @@ impl MultiTableDataset {
         self.tables.len()
     }
 
-    pub fn total_rows(&self) -> usize {
-        self.tables.iter().map(|(_, t)| t.n_rows()).sum()
-    }
-
     /// Consolidate into one table: start from the fact table and left-join
     /// every related table (transitively, breadth-first). Dimension columns
     /// are prefixed with the dimension table's name on clashes. The fact

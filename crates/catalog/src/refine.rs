@@ -218,18 +218,18 @@ fn values_with_counts(dict: &ValueDict) -> Vec<String> {
     dict.values().zip(dict.counts()).map(|(v, c)| format!("{v}:{c}")).collect()
 }
 
-/// Run the full refinement pass. Returns the prepared table, its fresh
-/// profile, and the refinement report.
+/// Run the full refinement pass over `table`, editing it in place.
+/// Returns the prepared table, its fresh profile, and the refinement
+/// report.
 pub fn refine_dataset(
     dataset_name: &str,
-    table: &Table,
+    mut table: Table,
     profile: &DataProfile,
     target: &str,
     llm: &dyn LanguageModel,
     opts: &RefineOptions,
 ) -> (Table, DataProfile, RefinementReport) {
     let _span = catdb_trace::span("refine_dataset");
-    let mut table = table.clone();
     let mut report =
         RefinementReport { refinements: Vec::new(), usage: TokenUsage::default(), llm_calls: 0 };
 
@@ -419,7 +419,7 @@ mod tests {
         let profile = profile_table("salary", table, &popts);
         let llm = perfect_llm();
         let opts = RefineOptions { profile_options: popts, ..Default::default() };
-        refine_dataset("salary", table, &profile, "salary", &llm, &opts)
+        refine_dataset("salary", table.clone(), &profile, "salary", &llm, &opts)
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! [`collect`] materializes a (possibly multi-table) dataset, profiles
 //! it, and optionally runs the LLM-assisted catalog refinement, keeping
-//! both the raw and the refined catalog; [`catdb_collect`] projects that
-//! onto the catalog entry and table generation runs on.
+//! both the raw and the refined catalog; [`catdb_collect`] returns only
+//! the catalog entry and table generation runs on, refining the
+//! materialized table in place.
 //! [`catdb_pipgen`] splits the prepared data, runs Algorithm 4, and
 //! returns the generated code plus its execution results.
 
@@ -19,7 +20,7 @@ use catdb_catalog::{
 };
 use catdb_llm::LanguageModel;
 use catdb_ml::TaskKind;
-use catdb_profiler::{profile_table, ProfileOptions};
+use catdb_profiler::{profile_table, DataProfile, ProfileOptions};
 use catdb_table::Table;
 
 /// Options for metadata collection.
@@ -46,19 +47,9 @@ pub struct Refined {
     pub report: RefinementReport,
 }
 
-impl Collected {
-    /// The entry and table generation runs on (the refined ones when
-    /// refinement ran), with the refinement report.
-    pub fn into_prepared(self) -> (CatalogEntry, Table, Option<RefinementReport>) {
-        match self.refined {
-            Some(r) => (r.entry, r.table, Some(r.report)),
-            None => (self.raw_entry, self.raw, None),
-        }
-    }
-}
-
 /// Materialize and profile a dataset once, then refine it when
-/// `opts.refine` is set.
+/// `opts.refine` is set. The raw table is kept next to the refined one,
+/// so refinement edits a copy of it.
 pub fn collect(
     dataset: &MultiTableDataset,
     target: &str,
@@ -66,20 +57,16 @@ pub fn collect(
     llm: &dyn LanguageModel,
     opts: &CollectOptions,
 ) -> Result<Collected, catdb_table::TableError> {
-    let raw = dataset.materialize()?;
-    let profile = profile_table(&dataset.name, &raw, &opts.profile);
-    let refined = opts.refine.then(|| {
-        let (table, refined_profile, report) =
-            refine_dataset(&dataset.name, &raw, &profile, target, llm, &opts.refine_options);
-        let entry = CatalogEntry::new(dataset.name.clone(), target, task, refined_profile);
-        Refined { entry, table, report }
-    });
-    let raw_entry = CatalogEntry::new(dataset.name.clone(), target, task, profile);
+    let (raw_entry, raw) = profiled(dataset, target, task, opts)?;
+    let refined = opts
+        .refine
+        .then(|| refine(dataset, raw.clone(), &raw_entry.profile, target, task, llm, opts));
     Ok(Collected { raw_entry, raw, refined })
 }
 
 /// `catdb_collect`: profile (and optionally refine) a dataset into a
-/// catalog entry plus the prepared single-table data.
+/// catalog entry plus the prepared single-table data. Refinement edits
+/// the materialized table itself, so the collect path holds one copy.
 pub fn catdb_collect(
     dataset: &MultiTableDataset,
     target: &str,
@@ -87,7 +74,40 @@ pub fn catdb_collect(
     llm: &dyn LanguageModel,
     opts: &CollectOptions,
 ) -> Result<(CatalogEntry, Table, Option<RefinementReport>), catdb_table::TableError> {
-    collect(dataset, target, task, llm, opts).map(Collected::into_prepared)
+    let (raw_entry, raw) = profiled(dataset, target, task, opts)?;
+    if !opts.refine {
+        return Ok((raw_entry, raw, None));
+    }
+    let r = refine(dataset, raw, &raw_entry.profile, target, task, llm, opts);
+    Ok((r.entry, r.table, Some(r.report)))
+}
+
+/// The raw catalog entry and table: `dataset` materialized and profiled.
+fn profiled(
+    dataset: &MultiTableDataset,
+    target: &str,
+    task: TaskKind,
+    opts: &CollectOptions,
+) -> Result<(CatalogEntry, Table), catdb_table::TableError> {
+    let raw = dataset.materialize()?;
+    let profile = profile_table(&dataset.name, &raw, &opts.profile);
+    Ok((CatalogEntry::new(dataset.name.clone(), target, task, profile), raw))
+}
+
+/// Refine `table`, whose profile is `profile`, in place.
+fn refine(
+    dataset: &MultiTableDataset,
+    table: Table,
+    profile: &DataProfile,
+    target: &str,
+    task: TaskKind,
+    llm: &dyn LanguageModel,
+    opts: &CollectOptions,
+) -> Refined {
+    let (table, refined_profile, report) =
+        refine_dataset(&dataset.name, table, profile, target, llm, &opts.refine_options);
+    let entry = CatalogEntry::new(dataset.name.clone(), target, task, refined_profile);
+    Refined { entry, table, report }
 }
 
 /// The result object of `catdb_pipgen` (`P.code` / `P.results`).

@@ -11,7 +11,7 @@
 //! and generate under several seeds. [`RunFlags`] parses the flags the
 //! CLI and the experiment binaries share.
 
-use crate::api::{collect, CollectOptions, Collected, PipgenResult};
+use crate::api::{catdb_collect, collect, CollectOptions, Collected, PipgenResult};
 use crate::generate::{generate_pipeline, CatDbConfig, GenerationOutcome};
 use crate::prompt::PromptOptions;
 use catdb_catalog::{CatalogEntry, MultiTableDataset, RefinementReport};
@@ -105,9 +105,13 @@ impl RunSpec {
         task: TaskKind,
         llm: &dyn LanguageModel,
     ) -> Result<Collected, TableError> {
+        collect(dataset, target, task, llm, &self.collect_options())
+    }
+
+    fn collect_options(&self) -> CollectOptions {
         let mut opts = CollectOptions { refine: self.refine, ..Default::default() };
         opts.profile.mode = self.profile;
-        collect(dataset, target, task, llm, &opts)
+        opts
     }
 
     /// The generation half: Algorithm 4 on an already split table. With
@@ -151,7 +155,8 @@ impl RunSpec {
         };
 
         let (entry, prepared, refinement) =
-            self.collect(dataset, target, task, llm).map_err(RunError::Collect)?.into_prepared();
+            catdb_collect(dataset, target, task, llm, &self.collect_options())
+                .map_err(RunError::Collect)?;
         let (train, test) =
             prepared.train_test_split(0.7, self.seed).map_err(RunError::Generate)?;
         let results = self.generate(&entry, &train, &test, llm, cache);

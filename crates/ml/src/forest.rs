@@ -65,7 +65,7 @@ impl Classifier for RandomForestClassifier {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let samples: Vec<Vec<usize>> =
             (0..cfg.n_trees).map(|_| bootstrap_rows(n, &mut rng)).collect();
-        // Quantize or rank once; every tree shares the result.
+        // Rank once; every tree shares the rank table.
         let index = split_index(x, &tree_config(cfg, x.cols(), cfg.seed));
         let trees = catdb_runtime::parallel_map(cfg.n_threads, &samples, |t, sample| {
             let tc = tree_config(cfg, x.cols(), cfg.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));

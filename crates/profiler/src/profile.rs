@@ -6,6 +6,7 @@ use crate::embedding::{
 };
 use crate::sketch::{ColumnSketch, PairMoments};
 use crate::types::{ColumnProfile, DataProfile, FeatureType, NumericStats};
+use catdb_runtime::Lru;
 use catdb_table::{
     column_dict_with_fingerprint, column_fingerprint, table_fingerprint_from_columns, ChunkedTable,
     Column, DataType, Table, ValueDict,
@@ -13,7 +14,6 @@ use catdb_table::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -594,14 +594,52 @@ struct MemoEntry {
     column_events: Vec<(String, String, u64)>,
 }
 
-const MEMO_CAP: usize = 64;
+impl MemoEntry {
+    /// Bytes this entry holds on the heap, itself included: what the memo
+    /// weighs it by.
+    fn heap_bytes(&self) -> usize {
+        fn vec_bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let strings =
+            |v: &Vec<String>| vec_bytes(v) + v.iter().map(String::capacity).sum::<usize>();
+        let named = |v: &Vec<(String, f64)>| {
+            vec_bytes(v) + v.iter().map(|(n, _)| n.capacity()).sum::<usize>()
+        };
+        let columns: usize = (self.profile.columns.iter())
+            .map(|c| {
+                c.name.capacity()
+                    + strings(&c.inclusion_dependencies)
+                    + named(&c.similarities)
+                    + named(&c.correlations)
+                    + strings(&c.samples)
+            })
+            .sum();
+        let events: usize =
+            self.column_events.iter().map(|(c, f, _)| c.capacity() + f.capacity()).sum();
+        std::mem::size_of::<MemoEntry>()
+            + self.profile.dataset_name.capacity()
+            + vec_bytes(&self.profile.columns)
+            + columns
+            + vec_bytes(&self.column_events)
+            + events
+    }
+}
+
+/// Bytes of profiles the memo retains: room for the largest profile one
+/// operation reads back, kdd98's at about 2.2 MB (DESIGN "Caches").
+const MEMO_BUDGET: usize = 3 << 20;
+/// Most profiles the memo holds: each weighs at least this share of the
+/// budget, so a daemon's stream of small fresh tables cannot fill the
+/// budget with profiles never read again.
+const MEMO_SLOTS: usize = 32;
 
 /// Profiles by (table fingerprint, options key).
-type Memo = Mutex<HashMap<(u128, u64), Arc<MemoEntry>>>;
+type Memo = Mutex<Lru<(u128, u64), Arc<MemoEntry>>>;
 
 fn memo() -> &'static Memo {
     static MEMO: OnceLock<Memo> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+    MEMO.get_or_init(|| Mutex::new(Lru::new(MEMO_BUDGET)))
 }
 
 /// Hash every knob that influences the profile, so the memo never serves
@@ -632,10 +670,17 @@ fn options_key(name: &str, opts: &ProfileOptions) -> u64 {
 /// Results are memoized per (table content, dataset name, options):
 /// bench bins and candidate-pipeline loops re-profile identical tables
 /// dozens of times, and the second pass is served from the memo (with the
-/// original per-column trace events re-emitted). Each column is hashed
-/// once, on the runtime; the table's fingerprint is derived from those
-/// hashes, and the exact path reuses them as dictionary cache keys.
+/// original per-column trace events re-emitted). The memo keeps the most
+/// recently used profiles within [`MEMO_BUDGET`] bytes and at most
+/// [`MEMO_SLOTS`] of them. Each column is hashed once, on the runtime;
+/// the table's fingerprint is derived from those hashes, and the exact
+/// path reuses them as dictionary cache keys.
 pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataProfile {
+    profile_memoized(memo(), name, table, opts)
+}
+
+/// [`profile_table`] through `memo`.
+fn profile_memoized(memo: &Memo, name: &str, table: &Table, opts: &ProfileOptions) -> DataProfile {
     let _span = catdb_trace::span("profile_table");
     let columns: Vec<&Column> = table.iter_columns().map(|(_, c)| c).collect();
     let cells = table.n_rows().saturating_mul(table.n_cols());
@@ -644,7 +689,7 @@ pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataPr
     let key = (table_fingerprint_from_columns(table, &fingerprints), options_key(name, opts));
     // The guard drops at the end of this statement: a hit re-emits its
     // events and clones its profile without holding the memo lock.
-    let hit = memo().lock().expect("no profile_table panics holding the memo").get(&key).cloned();
+    let hit = memo.lock().expect("no profile_table panics holding the memo").get(&key).cloned();
     if let Some(entry) = hit {
         catdb_trace::add_counter(COUNTER_PROFILE_MEMO_HITS, 1.0);
         for (column, feature_type, micros) in &entry.column_events {
@@ -664,11 +709,10 @@ pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataPr
     };
 
     let entry = Arc::new(MemoEntry { profile: profile.clone(), column_events });
-    let mut memo = memo().lock().expect("no profile_table panics holding the memo");
-    if memo.len() >= MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(key, entry);
+    let weight = entry.heap_bytes().max(MEMO_BUDGET / MEMO_SLOTS);
+    // Evicted entries drop after the lock is released.
+    let _evicted =
+        memo.lock().expect("no profile_table panics holding the memo").insert(key, entry, weight);
     profile
 }
 
@@ -1195,6 +1239,43 @@ mod tests {
         assert_eq!(events.len(), 2 * t.n_cols());
         assert_eq!(events[..t.n_cols()], events[t.n_cols()..]);
         assert_eq!(hit.columns, miss.columns);
+    }
+
+    /// `n_cols` numeric columns over 64 rows, all correlated with each
+    /// other, so every column lists every other one: a profile of a few
+    /// hundred KiB, unique to `seed`.
+    fn wide_correlated_table(n_cols: usize, seed: u64) -> Table {
+        let cols = (0..n_cols)
+            .map(|c| {
+                let values =
+                    (0..64u64).map(|r| (r * r) as f64 + ((r ^ seed) % 7 + c as u64) as f64);
+                (format!("wide_column_{c}"), Column::from_f64(values.collect()))
+            })
+            .collect();
+        Table::from_columns(cols).unwrap()
+    }
+
+    #[test]
+    fn memo_stays_within_budget_and_keeps_a_table_hit_in_between() {
+        let memo: Memo = Mutex::new(Lru::new(MEMO_BUDGET));
+        let opts = ProfileOptions::default();
+        let kept = salary_like_table();
+        let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+        let guard = catdb_trace::install(sink.clone());
+        let first = profile_memoized(&memo, "kept", &kept, &opts);
+        let n_fresh = 40;
+        for seed in 0..n_fresh {
+            profile_memoized(&memo, "wide", &wide_correlated_table(120, seed), &opts);
+            assert!(memo.lock().unwrap().retained() <= MEMO_BUDGET);
+            assert_eq!(profile_memoized(&memo, "kept", &kept, &opts).columns, first.columns);
+        }
+        drop(guard);
+        let memo = memo.lock().unwrap();
+        assert!(memo.len() < n_fresh as usize / 2, "{} entries kept", memo.len());
+        assert_eq!(memo.keys_by_recency().count(), memo.len());
+        let trace = sink.snapshot();
+        assert_eq!(trace.counters[COUNTER_PROFILE_MEMO_MISSES], 1.0 + n_fresh as f64);
+        assert_eq!(trace.counters[COUNTER_PROFILE_MEMO_HITS], n_fresh as f64);
     }
 
     #[test]

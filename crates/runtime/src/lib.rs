@@ -15,6 +15,9 @@
 //!   round trips) on dedicated scoped threads, so fan-out width is not
 //!   capped by the CPU-sized pool.
 //!
+//! It also holds [`Lru`], the weight-budgeted least-recently-used map
+//! behind every process-wide cache of the workspace.
+//!
 //! # Determinism
 //!
 //! Work distribution is dynamic — idle threads steal the next unclaimed
@@ -49,6 +52,10 @@
 //! opens nest under the span it was submitted from. The pool reports
 //! `runtime.tasks` (items executed) and `runtime.steals` (items executed
 //! by a thread other than the submitter) counters.
+
+mod lru;
+
+pub use lru::Lru;
 
 use std::any::Any;
 use std::collections::VecDeque;

@@ -15,9 +15,9 @@
 
 use crate::fingerprint::Fingerprint;
 use catdb_llm::{Completion, TokenUsage};
+use catdb_runtime::Lru;
 use parking_lot::Mutex;
 use serde_json::{json, Value};
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -53,17 +53,9 @@ pub struct CacheStats {
     pub insertions: u64,
 }
 
-struct Slot {
-    entry: CachedCompletion,
-    stamp: u64,
-}
-
 struct CacheState {
-    map: HashMap<u128, Slot>,
-    /// Recency queue of `(fingerprint, stamp)`; stale pairs (whose stamp
-    /// no longer matches the slot) are skipped lazily on eviction.
-    order: VecDeque<(u128, u64)>,
-    tick: u64,
+    /// Entries of weight 1, so the budget counts entries.
+    lru: Lru<u128, CachedCompletion>,
     stats: CacheStats,
     persist: Option<File>,
 }
@@ -81,7 +73,7 @@ impl fmt::Debug for CompletionCache {
         let s = self.state.lock();
         f.debug_struct("CompletionCache")
             .field("capacity", &self.capacity)
-            .field("len", &s.map.len())
+            .field("len", &s.lru.len())
             .field("path", &self.path)
             .field("stats", &s.stats)
             .finish()
@@ -91,13 +83,12 @@ impl fmt::Debug for CompletionCache {
 impl CompletionCache {
     /// In-memory cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> CompletionCache {
+        let capacity = capacity.max(1);
         CompletionCache {
-            capacity: capacity.max(1),
+            capacity,
             path: None,
             state: Mutex::new(CacheState {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                tick: 0,
+                lru: Lru::new(capacity),
                 stats: CacheStats::default(),
                 persist: None,
             }),
@@ -112,19 +103,13 @@ impl CompletionCache {
         let path = path.as_ref().to_path_buf();
         let cache = CompletionCache::new(capacity);
         if let Ok(text) = std::fs::read_to_string(&path) {
-            for line in text.lines() {
-                if let Some((fp, entry)) = parse_line(line) {
-                    cache.insert_silent(fp, entry);
-                }
+            let mut s = cache.state.lock();
+            for (fp, entry) in text.lines().filter_map(parse_line) {
+                s.lru.insert(fp.0, entry, 1);
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(&path).ok();
-        {
-            let mut s = cache.state.lock();
-            s.persist = file;
-            // Loading is not traffic: report only what this run does.
-            s.stats = CacheStats::default();
-        }
+        cache.state.lock().persist = file;
         CompletionCache { path: Some(path), ..cache }
     }
 
@@ -133,7 +118,7 @@ impl CompletionCache {
     }
 
     pub fn len(&self) -> usize {
-        self.state.lock().map.len()
+        self.state.lock().lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -147,13 +132,8 @@ impl CompletionCache {
     /// Look up a fingerprint, refreshing its recency on hit.
     pub fn get(&self, fp: Fingerprint) -> Option<CachedCompletion> {
         let mut s = self.state.lock();
-        s.tick += 1;
-        let stamp = s.tick;
-        match s.map.get_mut(&fp.0) {
-            Some(slot) => {
-                slot.stamp = stamp;
-                let entry = slot.entry.clone();
-                s.order.push_back((fp.0, stamp));
+        match s.lru.get(&fp.0).cloned() {
+            Some(entry) => {
                 s.stats.hits += 1;
                 Some(entry)
             }
@@ -169,45 +149,12 @@ impl CompletionCache {
     pub fn insert(&self, fp: Fingerprint, entry: CachedCompletion) -> u64 {
         let line = render_line(fp, &entry);
         let mut s = self.state.lock();
-        let evicted = Self::insert_locked(&mut s, self.capacity, fp, entry);
+        let evicted = s.lru.insert(fp.0, entry, 1).len() as u64;
         s.stats.insertions += 1;
         s.stats.evictions += evicted;
         if let Some(file) = s.persist.as_mut() {
             let _ = file.write_all(line.as_bytes());
         }
-        evicted
-    }
-
-    /// Insert without stats or persistence (disk load path).
-    fn insert_silent(&self, fp: Fingerprint, entry: CachedCompletion) {
-        let mut s = self.state.lock();
-        Self::insert_locked(&mut s, self.capacity, fp, entry);
-    }
-
-    fn insert_locked(
-        s: &mut CacheState,
-        capacity: usize,
-        fp: Fingerprint,
-        entry: CachedCompletion,
-    ) -> u64 {
-        s.tick += 1;
-        let stamp = s.tick;
-        let fresh = !s.map.contains_key(&fp.0);
-        let mut evicted = 0;
-        while fresh && s.map.len() >= capacity {
-            match s.order.pop_front() {
-                Some((key, seen)) => {
-                    let live = s.map.get(&key).map(|slot| slot.stamp) == Some(seen);
-                    if live {
-                        s.map.remove(&key);
-                        evicted += 1;
-                    }
-                }
-                None => break,
-            }
-        }
-        s.map.insert(fp.0, Slot { entry, stamp });
-        s.order.push_back((fp.0, stamp));
         evicted
     }
 }
@@ -250,6 +197,8 @@ fn parse_line(line: &str) -> Option<(Fingerprint, CachedCompletion)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, VecDeque};
 
     fn entry(text: &str) -> CachedCompletion {
         CachedCompletion {
@@ -302,6 +251,114 @@ mod tests {
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.get(fp(1)).unwrap().text, "a2");
         assert!(cache.get(fp(2)).is_some());
+    }
+
+    /// The recency queue this cache kept before it moved onto [`Lru`]:
+    /// every use pushes a `(fingerprint, stamp)` pair, and eviction pops
+    /// pairs, skipping those whose stamp is no longer the slot's.
+    #[derive(Default)]
+    struct StampQueue {
+        capacity: usize,
+        stamps: HashMap<u128, u64>,
+        order: VecDeque<(u128, u64)>,
+        tick: u64,
+    }
+
+    impl StampQueue {
+        fn new(capacity: usize) -> StampQueue {
+            StampQueue { capacity: capacity.max(1), ..StampQueue::default() }
+        }
+
+        fn touch(&mut self, key: u128) {
+            self.tick += 1;
+            self.stamps.insert(key, self.tick);
+            self.order.push_back((key, self.tick));
+        }
+
+        fn get(&mut self, key: u128) -> bool {
+            let hit = self.stamps.contains_key(&key);
+            if hit {
+                self.touch(key);
+            } else {
+                self.tick += 1;
+            }
+            hit
+        }
+
+        /// Returns the evicted keys, in eviction order.
+        fn insert(&mut self, key: u128) -> Vec<u128> {
+            let mut evicted = Vec::new();
+            while !self.stamps.contains_key(&key) && self.stamps.len() >= self.capacity {
+                let Some((old, seen)) = self.order.pop_front() else { break };
+                if self.stamps.get(&old) == Some(&seen) {
+                    self.stamps.remove(&old);
+                    evicted.push(old);
+                }
+            }
+            self.touch(key);
+            evicted
+        }
+
+        /// Live keys, least recently used first.
+        fn by_recency(&self) -> Vec<u128> {
+            let mut live: Vec<(u64, u128)> = self.stamps.iter().map(|(&k, &t)| (t, k)).collect();
+            live.sort_unstable();
+            live.into_iter().map(|(_, k)| k).collect()
+        }
+    }
+
+    fn by_recency(cache: &CompletionCache) -> Vec<u128> {
+        cache.state.lock().lru.keys_by_recency().copied().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn evicts_in_the_order_of_the_old_stamp_queue(
+            capacity in 1usize..7,
+            trace in prop::collection::vec((0u8..2, 0u64..10), 0..150),
+        ) {
+            let cache = CompletionCache::new(capacity);
+            let mut oracle = StampQueue::new(capacity);
+            let mut evictions = 0;
+            for &(op, key) in &trace {
+                let key = u128::from(key);
+                if op == 0 {
+                    prop_assert_eq!(cache.get(fp(key)).is_some(), oracle.get(key));
+                } else {
+                    let before = by_recency(&cache);
+                    let evicted = cache.insert(fp(key), entry("x"));
+                    let victims = oracle.insert(key);
+                    prop_assert_eq!(evicted, victims.len() as u64);
+                    let after = by_recency(&cache);
+                    let gone: Vec<u128> =
+                        before.into_iter().filter(|k| !after.contains(k)).collect();
+                    prop_assert_eq!(gone, victims);
+                    evictions += evicted;
+                }
+                prop_assert_eq!(by_recency(&cache), oracle.by_recency());
+                prop_assert_eq!(cache.stats().evictions, evictions);
+            }
+        }
+    }
+
+    #[test]
+    fn hits_below_capacity_do_not_grow_the_recency_index() {
+        let cache = CompletionCache::new(4096);
+        let mut oracle = StampQueue::new(4096);
+        for key in 1..=3 {
+            cache.insert(fp(key), entry("x"));
+            oracle.insert(key);
+        }
+        for i in 0..10_000 {
+            assert!(cache.get(fp(i % 3 + 1)).is_some());
+            assert!(oracle.get(i % 3 + 1));
+        }
+        assert_eq!(cache.state.lock().lru.recency_len(), 3);
+        // The old queue kept one pair per use until the cache filled.
+        assert_eq!(oracle.order.len(), 10_003);
+        assert_eq!(by_recency(&cache), oracle.by_recency());
     }
 
     #[test]

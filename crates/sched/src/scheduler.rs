@@ -232,14 +232,6 @@ impl<'a> LlmScheduler<'a> {
         })
     }
 
-    /// Batch variant that also reports how each prompt was served.
-    pub fn complete_many_served(
-        &self,
-        prompts: &[Prompt],
-    ) -> Vec<Result<(Completion, Served), LlmError>> {
-        catdb_runtime::parallel_map_io(self.concurrency, prompts, |_, p| self.complete_served(p))
-    }
-
     fn record_hit(&self, entry: &CachedCompletion, coalesced: bool) {
         catdb_trace::add_counter("cache.hit", 1.0);
         catdb_trace::emit(TraceEvent::CacheHit {

@@ -286,26 +286,21 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Read exactly `buf.len()` bytes, mapping EOF to a structured error.
-/// `at_boundary` distinguishes a clean close (before any frame byte)
-/// from a mid-frame truncation.
-fn read_full(r: &mut impl Read, buf: &mut [u8], at_boundary: bool) -> Result<(), WireError> {
+/// Read the 4-byte length prefix, mapping EOF to a structured error: a
+/// clean close before any frame byte, or a truncation after some.
+fn read_prefix(r: &mut impl Read) -> Result<[u8; 4], WireError> {
+    let mut buf = [0u8; 4];
     let mut got = 0;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if at_boundary && got == 0 {
-                    Err(WireError::Closed)
-                } else {
-                    Err(WireError::Truncated { expected: buf.len(), got })
-                };
-            }
+            Ok(0) if got == 0 => return Err(WireError::Closed),
+            Ok(0) => return Err(WireError::Truncated { expected: buf.len(), got }),
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(WireError::Io(e.to_string())),
         }
     }
-    Ok(())
+    Ok(buf)
 }
 
 /// Write one frame: length prefix + JSON payload.
@@ -325,14 +320,19 @@ pub fn write_frame<T: Serialize>(w: &mut impl Write, frame: &T) -> Result<(), Wi
 /// Read one frame of type `T`. Never panics: any malformed input yields
 /// a structured [`WireError`].
 pub fn read_frame<T: serde::Deserialize>(r: &mut impl Read) -> Result<T, WireError> {
-    let mut len_bytes = [0u8; 4];
-    read_full(r, &mut len_bytes, true)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    let len = u32::from_le_bytes(read_prefix(r)?) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(WireError::FrameTooLarge { len, max: MAX_FRAME_BYTES });
     }
-    let mut payload = vec![0u8; len];
-    read_full(r, &mut payload, false)?;
+    // The buffer grows with the bytes that arrive, so a prefix alone
+    // cannot make the daemon allocate the length it declares. Reading to
+    // the end retries `Interrupted` reads.
+    let mut payload = Vec::new();
+    let got =
+        r.take(len as u64).read_to_end(&mut payload).map_err(|e| WireError::Io(e.to_string()))?;
+    if got < len {
+        return Err(WireError::Truncated { expected: len, got });
+    }
     let text =
         String::from_utf8(payload).map_err(|e| WireError::BadFrame(format!("not UTF-8: {e}")))?;
     serde_json::from_str(&text).map_err(|e| WireError::BadFrame(e.to_string()))
@@ -611,6 +611,46 @@ mod tests {
             read_frame::<ClientFrame>(&mut r).unwrap_err(),
             WireError::FrameTooLarge { len: u32::MAX as usize, max: MAX_FRAME_BYTES }
         );
+    }
+
+    #[test]
+    fn a_declared_length_without_its_bytes_is_truncated() {
+        let mut bytes = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(b"0123456789");
+        let mut r = bytes.as_slice();
+        assert_eq!(
+            read_frame::<ClientFrame>(&mut r).unwrap_err(),
+            WireError::Truncated { expected: 16_777_216, got: 10 }
+        );
+    }
+
+    /// A reader that hands out one byte per `read`, and reports an
+    /// interrupted read before every byte.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = self.bytes.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_read_one_byte_at_a_time_decodes_unchanged() {
+        let bytes = frame(V1_SUBMIT);
+        let mut r = Trickle { bytes: &bytes, interrupt: false };
+        let trickled: ClientFrame = read_frame(&mut r).unwrap();
+        assert_eq!(trickled, decode_frame::<ClientFrame>(&bytes).unwrap());
+        assert!(r.bytes.is_empty());
     }
 
     #[test]

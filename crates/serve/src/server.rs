@@ -393,6 +393,37 @@ mod tests {
     }
 
     #[test]
+    fn warm_repeats_keep_hitting_the_profile_memo_past_its_old_64_entry_clear() {
+        use catdb_profiler::{COUNTER_PROFILE_MEMO_HITS, COUNTER_PROFILE_MEMO_MISSES};
+        // The memo used to drop every profile when it reached this many.
+        const OLD_MEMO_CAP: f64 = 64.0;
+        let server = Server::new(ServeOptions::default());
+        let memo_lookups = |req: &GenerateRequest| {
+            let sink = Arc::new(TraceSink::new());
+            server.run_request(req, &sink).expect("request served");
+            let counters = sink.snapshot().counters;
+            let count = |name| counters.get(name).copied().unwrap_or(0.0);
+            (count(COUNTER_PROFILE_MEMO_HITS), count(COUNTER_PROFILE_MEMO_MISSES))
+        };
+        let builtin = |rows, seed| {
+            GenerateRequest::new("acme", DatasetSpec::Builtin { name: "wifi".into(), rows, seed })
+        };
+        let warm = builtin(96, 0x3a7e);
+        memo_lookups(&warm);
+        let (mut fresh_misses, mut seed) = (0.0, 0xf7e5);
+        while fresh_misses <= OLD_MEMO_CAP {
+            // Three fresh requests to one repeat, as in a warm daemon.
+            for _ in 0..3 {
+                fresh_misses += memo_lookups(&builtin(60, seed)).1;
+                seed += 1;
+            }
+            let (hits, misses) = memo_lookups(&warm);
+            assert!(hits > 0.0);
+            assert_eq!(misses, 0.0, "the repeat after {fresh_misses} fresh profiles re-profiled");
+        }
+    }
+
+    #[test]
     fn warm_cache_pass_is_zero_billed() {
         let server = Server::new(ServeOptions::default());
         let cold = {

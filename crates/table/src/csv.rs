@@ -1353,67 +1353,4 @@ mod tests {
             assert!(n_tables >= 20, "{n_tables} tables");
         }
     }
-
-    #[test]
-    #[ignore]
-    fn phase_timing() {
-        use std::fmt::Write as _;
-        let rows = 50_000usize;
-        let mut s = String::with_capacity(rows * 70);
-        s.push_str("id,score,ratio,active,city,note\n");
-        let mut state: u64 = 0x243F_6A88_85A3_08D3;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        const CITIES: [&str; 5] =
-            ["Berlin", "\"San Jose, CA\"", "Montreal", "\"Porto, PT\"", "Karlsruhe"];
-        for i in 0..rows {
-            let r = next();
-            let score =
-                if r % 50 == 0 { "NA".to_string() } else { format!("{}.{}", r % 100, r % 10) };
-            let note = if r % 11 == 0 {
-                format!("\"said \"\"{}\"\" loudly\"", r % 1000)
-            } else {
-                format!("note {} for row {i}", r % 7919)
-            };
-            let _ = writeln!(
-                s,
-                "{i},{score},{}.{:03},{},{},{note}",
-                r % 7,
-                r % 1000,
-                if r % 3 == 0 { "true" } else { "false" },
-                CITIES[(r % 5) as usize],
-            );
-        }
-        let opts = CsvOptions::default();
-        fn best<T>(n: usize, mut f: impl FnMut() -> T) -> (std::time::Duration, T) {
-            let mut out = None;
-            let mut d = std::time::Duration::MAX;
-            for _ in 0..n {
-                let t = std::time::Instant::now();
-                let v = f();
-                d = d.min(t.elapsed());
-                out = Some(v);
-            }
-            (d, out.unwrap())
-        }
-        let (d_scan, fields) = best(8, || {
-            let mut fields = Vec::with_capacity(s.len() / 8 + 8);
-            scan_records(&s, b',', &mut fields, 1, None).unwrap();
-            fields
-        });
-        let data = &fields[6..];
-        let (d_infer, dtypes) = best(8, || infer_types(&s, &data[..6000], 6, &opts));
-        let (d_build, _) = best(8, || build_columns(&s, data, 6, Some(&dtypes), &opts));
-        let all_str = vec![DataType::Str; 6];
-        let (d_str, _) = best(8, || build_columns(&s, data, 6, Some(&all_str), &opts));
-        println!("build_all_str  {d_str:?}");
-        let (d_total, table) = best(8, || read_csv_str(&s, &opts).unwrap());
-        println!("bytes          {}", s.len());
-        println!("scan_records   {d_scan:?} ({} fields)", fields.len());
-        println!("infer_types    {d_infer:?} ({dtypes:?})");
-        println!("build_columns  {d_build:?}");
-        println!("read_csv_str   {d_total:?} ({} rows)", table.n_rows());
-    }
 }

@@ -23,11 +23,14 @@
 //!   collide (NaN payloads all render `NaN`) merge into one value.
 //!
 //! Dictionaries are shared behind `Arc` through a global cache keyed by
-//! the column's [`column_fingerprint`]. Content addressing doubles as
+//! the column's [`column_fingerprint`]: a [`catdb_runtime::Lru`] that
+//! weighs each dictionary by its heap bytes and keeps the most recently
+//! used ones within a 6 MiB budget. Content addressing doubles as
 //! invalidation: mutating a column changes its fingerprint, so the stale
-//! entry simply stops being found. A caller that already holds the
-//! fingerprint (the profiler hashes every column once per table) passes
-//! it to [`column_dict_with_fingerprint`] instead of hashing again. Hits
+//! entry simply stops being found and ages out. A caller that already
+//! holds the fingerprint (the profiler hashes every column once per
+//! table) passes it to [`column_dict_with_fingerprint`] instead of
+//! hashing again. Hits
 //! and misses are reported through `catdb-trace` counters
 //! ([`COUNTER_DICT_HITS`] / [`COUNTER_DICT_MISSES`]) so the hit ratio
 //! shows up in run traces.
@@ -35,6 +38,7 @@
 use crate::column::Column;
 use crate::fingerprint::column_fingerprint;
 use crate::shortest::{write_float, write_int};
+use catdb_runtime::Lru;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -143,6 +147,16 @@ impl ValueDict {
     /// Highest occurrence count among the distinct values (0 if empty).
     pub fn max_count(&self) -> usize {
         self.counts.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Bytes this dictionary holds on the heap, itself included: what the
+    /// cache weighs it by.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<ValueDict>()
+            + self.arena.capacity()
+            + self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.counts.capacity() * std::mem::size_of::<usize>()
+            + self.codes.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -270,11 +284,17 @@ fn prefix_key(s: &str) -> u64 {
     u64::from_be_bytes(prefix)
 }
 
-const CACHE_CAP: usize = 512;
+/// Bytes of dictionaries the cache retains: the smallest budget that
+/// keeps every hit of one `paper_runs` operation (DESIGN "Caches").
+const CACHE_BUDGET: usize = 6 << 20;
+/// Most dictionaries the cache holds: each weighs at least this share of
+/// the budget, so a daemon's stream of small fresh tables cannot fill
+/// the budget with thousands of dictionaries never read again.
+const CACHE_SLOTS: usize = 256;
 
-fn cache() -> &'static Mutex<HashMap<u128, Arc<ValueDict>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u128, Arc<ValueDict>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn cache() -> &'static Mutex<Lru<u128, Arc<ValueDict>>> {
+    static CACHE: OnceLock<Mutex<Lru<u128, Arc<ValueDict>>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(Lru::new(CACHE_BUDGET)))
 }
 
 /// Dictionary for `col`, served from the global content-addressed cache
@@ -287,19 +307,15 @@ pub fn column_dict(col: &Column) -> Arc<ValueDict> {
 /// [`column_fingerprint`], which must be `fingerprint`.
 pub fn column_dict_with_fingerprint(col: &Column, fingerprint: u128) -> Arc<ValueDict> {
     debug_assert_eq!(fingerprint, column_fingerprint(col));
-    if let Some(dict) = cache().lock().unwrap().get(&fingerprint) {
+    if let Some(dict) = cache().lock().unwrap().get(&fingerprint).cloned() {
         catdb_trace::add_counter(COUNTER_DICT_HITS, 1.0);
-        return dict.clone();
+        return dict;
     }
     catdb_trace::add_counter(COUNTER_DICT_MISSES, 1.0);
     let dict = Arc::new(ValueDict::build(col));
-    let mut cache = cache().lock().unwrap();
-    if cache.len() >= CACHE_CAP {
-        // Crude but sufficient: content-addressed entries are cheap to
-        // rebuild, so wholesale eviction beats bookkeeping an LRU.
-        cache.clear();
-    }
-    cache.insert(fingerprint, dict.clone());
+    let weight = dict.heap_bytes().max(CACHE_BUDGET / CACHE_SLOTS);
+    // Evicted dictionaries drop after the lock is released.
+    let _evicted = cache().lock().unwrap().insert(fingerprint, dict.clone(), weight);
     dict
 }
 

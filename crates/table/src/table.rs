@@ -306,19 +306,6 @@ impl Table {
         }
         Ok(out)
     }
-
-    /// Pretty-print the first `limit` rows (debug / example output).
-    pub fn head_display(&self, limit: usize) -> String {
-        let mut s = String::new();
-        s.push_str(&self.schema.names().join(" | "));
-        s.push('\n');
-        for i in 0..self.n_rows.min(limit) {
-            let row: Vec<String> = self.columns.iter().map(|c| c.get(i).render()).collect();
-            s.push_str(&row.join(" | "));
-            s.push('\n');
-        }
-        s
-    }
 }
 
 /// The row pairs of a left join on `left` = `right` keys: each left row

@@ -8,6 +8,11 @@
 # The pins hold at any CATDB_THREADS. A change that is meant to alter a
 # workload's outputs updates its row, with the reason in the commit.
 #
+# e2ebench also checks each digest against a ledger of earlier runs under
+# the build directory, keyed by workload and seed but not by pass count,
+# so a run at another --seconds would fail the pinned one. The script
+# deletes that ledger first, so its result depends on the pins alone.
+#
 # Usage: scripts/e2ebench_check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,6 +20,7 @@ cd "$(dirname "$0")/.."
 PINS=scripts/e2ebench_digests.tsv
 ERR="$(mktemp)"
 trap 'rm -f "$ERR"' EXIT
+rm -f "${CARGO_TARGET_DIR:-.bench_build}/e2ebench-digests.tsv"
 
 while IFS=$'\t' read -r workload seed seconds want; do
   if [ "$workload" = workload ]; then continue; fi # header
