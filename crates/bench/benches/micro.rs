@@ -15,18 +15,23 @@ use catdb_ml::{
 use catdb_pipeline::{execute, parse, Environment, ExecutionConfig};
 use catdb_profiler::{profile_table, ProfileOptions};
 use catdb_sched::{CompletionCache, LlmScheduler};
-use catdb_table::{read_csv_str, write_csv, Column, CsvOptions, Value, ValueDict};
+use catdb_table::{read_csv_str, write_csv, Column, CsvOptions, NumericSummary, Value, ValueDict};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 
 /// Exact profiling of one table. `profile_table` memoizes on (table,
 /// name, options), so every iteration profiles under a fresh name: each
-/// one runs Algorithm 1 in full rather than timing a memo hit. The value
-/// dictionaries stay warm — they are cached by column content, which the
-/// name does not change — so the rows time profiling minus the one-off
-/// dictionary builds a cold table pays.
+/// one runs Algorithm 1 in full rather than timing a memo hit. The warm
+/// rows re-profile one table, so the dictionaries of its Str and Bool
+/// columns stay cached (numeric columns are summarised afresh every
+/// time). The `_cold` rows permute the table's rows before every
+/// iteration, outside the timer: each profile then meets new column
+/// content, as every table of the end-to-end workloads does.
 fn bench_profiling(c: &mut Criterion) {
     let mut group = c.benchmark_group("profiling");
     for (name, rows) in [("diabetes", 768), ("gas-drift", 2000), ("kdd98", 1500)] {
@@ -40,13 +45,26 @@ fn bench_profiling(c: &mut Criterion) {
                 profile_table(&run, black_box(&flat), &ProfileOptions::default())
             })
         });
+        let mut order: Vec<usize> = (0..flat.n_rows()).collect();
+        let mut rng = StdRng::seed_from_u64(rows as u64);
+        group.bench_function(format!("{name}_{rows}rows_cold"), |b| {
+            b.iter_batched(
+                || {
+                    order.shuffle(&mut rng);
+                    flat.take(&order).unwrap()
+                },
+                |permuted| profile_table(name, black_box(&permuted), &ProfileOptions::default()),
+                BatchSize::SmallInput,
+            )
+        });
     }
     group.finish();
 }
 
-/// The cold column pass the `profiling` rows leave out: a fresh
-/// `ValueDict::build` over every column of a wide table (no cache), and
-/// the float writer those builds render with.
+/// The cold column pass's kernels: a fresh `ValueDict::build` over every
+/// column of a wide table (no cache), the `NumericSummary` the exact
+/// profiler reads each Int and Float column through instead, and the
+/// float writer both render with.
 fn bench_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("table");
     let mut floats = Vec::new();
@@ -62,6 +80,14 @@ fn bench_table(c: &mut Criterion) {
             b.iter(|| {
                 flat.iter_columns()
                     .map(|(_, col)| ValueDict::build(black_box(col)).n_distinct())
+                    .sum::<usize>()
+            })
+        });
+        group.bench_function(format!("numeric_summary_{name}_{rows}rows"), |b| {
+            b.iter(|| {
+                flat.iter_columns()
+                    .filter_map(|(_, col)| NumericSummary::of(black_box(col)))
+                    .map(|s| s.n_distinct())
                     .sum::<usize>()
             })
         });
@@ -92,6 +118,7 @@ fn bench_refinement(c: &mut Criterion) {
                 "etailing",
                 black_box(flat.clone()),
                 &profile,
+                &ProfileOptions::default(),
                 "target",
                 &llm,
                 &catdb_catalog::RefineOptions::default(),

@@ -7,7 +7,7 @@
 
 use catdb_bench::{render_table, save_results, traced, BenchArgs};
 use catdb_data::{generate_all, PAPER_DATASETS};
-use catdb_profiler::{profile_table, FeatureType, ProfileOptions};
+use catdb_profiler::{profile_table, FeatureType, ProfileOptions, SPAN_PROFILE_TABLE};
 use serde_json::json;
 use std::collections::BTreeMap;
 
@@ -26,7 +26,7 @@ fn main() {
         let (profile, trace) =
             traced(|| profile_table(g.spec.name, &flat, &ProfileOptions::default()));
         let profile_seconds =
-            trace.last_span_seconds("profile_table").expect("profile_table span recorded");
+            trace.last_span_seconds(SPAN_PROFILE_TABLE).expect("profile_table span recorded");
         let per_column_micros = trace.profile_micros_total();
         for (ft, n) in profile.feature_type_distribution() {
             *type_totals

@@ -13,7 +13,6 @@ use catdb_llm::{LanguageModel, ModelProfile, RouteSpec};
 use catdb_ml::TaskKind;
 use catdb_profiler::ProfileMode;
 use catdb_table::Table;
-use serde_json::json;
 use std::path::PathBuf;
 
 /// A dataset prepared for experiments.
@@ -192,23 +191,6 @@ pub fn save_results(name: &str, value: &serde_json::Value) {
             eprintln!("[saved {}]", path.display());
         }
     }
-}
-
-/// Summarize a generation outcome as a JSON record.
-pub fn outcome_json(outcome: &GenerationOutcome) -> serde_json::Value {
-    json!({
-        "success": outcome.success,
-        "handcrafted": outcome.handcrafted,
-        "attempts": outcome.attempts,
-        "test_score": outcome.evaluation.as_ref().map(|e| e.test.headline()),
-        "train_score": outcome.evaluation.as_ref().map(|e| e.train.headline()),
-        "tokens_total": outcome.ledger.total().total(),
-        "tokens_error_fixing": outcome.ledger.error_fixing.total(),
-        "llm_calls": outcome.ledger.n_calls,
-        "llm_seconds": outcome.llm_seconds,
-        "local_seconds": outcome.elapsed_seconds,
-        "errors": outcome.traces.len(),
-    })
 }
 
 /// Convenience accessor: outcome's headline test score or NaN.

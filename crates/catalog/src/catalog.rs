@@ -5,7 +5,6 @@
 use catdb_ml::TaskKind;
 use catdb_profiler::{ColumnProfile, DataProfile};
 use serde::{Deserialize, Serialize};
-use std::path::Path;
 
 /// One catalogued dataset: identity, task, target, and profile.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -102,12 +101,6 @@ impl DataCatalog {
         // nothing to rebuild here, but keep the hook for future fields.
         catalog.entries.shrink_to_fit();
         Ok(catalog)
-    }
-
-    pub fn load(path: impl AsRef<Path>) -> std::io::Result<DataCatalog> {
-        let text = std::fs::read_to_string(path)?;
-        DataCatalog::from_json(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 

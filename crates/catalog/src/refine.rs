@@ -75,12 +75,11 @@ pub struct RefineOptions {
     /// Batch size for large categorical value lists ("batch-wise for
     /// robustness" — Section 3.2).
     pub value_batch: usize,
-    pub profile_options: ProfileOptions,
 }
 
 impl Default for RefineOptions {
     fn default() -> Self {
-        RefineOptions { n_samples: 10, value_batch: 64, profile_options: ProfileOptions::default() }
+        RefineOptions { n_samples: 10, value_batch: 64 }
     }
 }
 
@@ -218,13 +217,15 @@ fn values_with_counts(dict: &ValueDict) -> Vec<String> {
     dict.values().zip(dict.counts()).map(|(v, c)| format!("{v}:{c}")).collect()
 }
 
-/// Run the full refinement pass over `table`, editing it in place.
-/// Returns the prepared table, its fresh profile, and the refinement
-/// report.
+/// Run the full refinement pass over `table`, whose profile `profile`
+/// was computed under `profile_options`, editing it in place. Returns
+/// the prepared table, its fresh profile under the same options, and the
+/// refinement report.
 pub fn refine_dataset(
     dataset_name: &str,
     mut table: Table,
     profile: &DataProfile,
+    profile_options: &ProfileOptions,
     target: &str,
     llm: &dyn LanguageModel,
     opts: &RefineOptions,
@@ -374,7 +375,7 @@ pub fn refine_dataset(
         });
     }
 
-    let new_profile = profile_table(dataset_name, &table, &opts.profile_options);
+    let new_profile = profile_table(dataset_name, &table, profile_options);
     // Refinement prompts are tiny relative to generation; still, account
     // for the report's own size (symmetry with the paper's cost model).
     report.usage.output += estimate_tokens("");
@@ -418,8 +419,8 @@ mod tests {
         let popts = ProfileOptions { categorical_max_distinct: 3, ..Default::default() };
         let profile = profile_table("salary", table, &popts);
         let llm = perfect_llm();
-        let opts = RefineOptions { profile_options: popts, ..Default::default() };
-        refine_dataset("salary", table.clone(), &profile, "salary", &llm, &opts)
+        let opts = RefineOptions::default();
+        refine_dataset("salary", table.clone(), &profile, &popts, "salary", &llm, &opts)
     }
 
     #[test]

@@ -104,8 +104,15 @@ fn refine(
     llm: &dyn LanguageModel,
     opts: &CollectOptions,
 ) -> Refined {
-    let (table, refined_profile, report) =
-        refine_dataset(&dataset.name, table, profile, target, llm, &opts.refine_options);
+    let (table, refined_profile, report) = refine_dataset(
+        &dataset.name,
+        table,
+        profile,
+        &opts.profile,
+        target,
+        llm,
+        &opts.refine_options,
+    );
     let entry = CatalogEntry::new(dataset.name.clone(), target, task, refined_profile);
     Refined { entry, table, report }
 }
@@ -181,5 +188,35 @@ mod tests {
         assert!(report.is_none());
         assert_eq!(entry.column("gender").unwrap().distinct_count, 4);
         assert_eq!(prepared.n_rows(), 400);
+    }
+
+    #[test]
+    fn sketch_mode_collect_refines_under_sketch_profiles() {
+        use catdb_profiler::{ProfileMode, SPAN_PROFILE_COLUMNS};
+        let csv: String = std::iter::once("x,gender,y\n".to_string())
+            .chain((0..120).map(|i| {
+                let g = ["F", "Female", "M", "Male"][i % 4];
+                format!("{}.5,{g},{}\n", i % 17, if i % 3 == 0 { "lo" } else { "hi" })
+            }))
+            .collect();
+        let table = catdb_table::read_csv_str(&csv, &Default::default()).unwrap();
+        let dataset = MultiTableDataset::single("sketch-collect", table);
+        let llm = SimLlm::new(ModelProfile::gpt_4o(), 2);
+        let opts = CollectOptions {
+            profile: ProfileOptions {
+                mode: ProfileMode::Sketch { chunk_rows: 32 },
+                ..Default::default()
+            },
+            refine: true,
+            ..Default::default()
+        };
+        let sink = std::sync::Arc::new(catdb_trace::TraceSink::new());
+        let report = {
+            let _guard = catdb_trace::install(sink.clone());
+            catdb_collect(&dataset, "y", TaskKind::BinaryClassification, &llm, &opts).unwrap().2
+        };
+        assert!(report.is_some());
+        let spans = sink.snapshot();
+        assert!(spans.spans_named(SPAN_PROFILE_COLUMNS).is_empty(), "an exact profile ran");
     }
 }

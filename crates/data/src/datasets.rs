@@ -232,8 +232,10 @@ impl Default for GenOptions {
 }
 
 impl GenOptions {
+    /// Rows to generate for `spec`: its scaled paper row count, at least
+    /// 60 and at most `max_rows` (the cap wins when it is below 60).
     pub fn rows_for(&self, spec: &DatasetSpec) -> usize {
-        (((spec.paper_rows as f64) * self.scale) as usize).clamp(60, self.max_rows)
+        (((spec.paper_rows as f64) * self.scale) as usize).max(60).min(self.max_rows)
     }
 }
 
@@ -715,6 +717,8 @@ mod tests {
         assert_eq!(small.rows_for(spec), 500);
         let tiny = GenOptions { max_rows: 500, scale: 1e-6, seed: 1 };
         assert_eq!(tiny.rows_for(spec), 60);
+        let capped = GenOptions { max_rows: 40, scale: 1e-6, seed: 1 };
+        assert_eq!(capped.rows_for(spec), 40);
     }
 
     #[test]

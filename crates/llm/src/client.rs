@@ -24,13 +24,6 @@ pub enum LlmError {
 }
 
 impl LlmError {
-    /// Whether a retry of the same request can plausibly succeed.
-    /// Context overflow is deterministic — the caller must shrink the
-    /// prompt (α-reduction), not resend it.
-    pub fn is_retriable(&self) -> bool {
-        !matches!(self, LlmError::ContextLengthExceeded { .. })
-    }
-
     /// Short machine-readable code for trace events.
     pub fn code(&self) -> &'static str {
         match self {

@@ -372,11 +372,6 @@ impl RoutedLlm {
         RoutedLlm::from_backends(table).with_role_limits(spec)
     }
 
-    /// The routed model name for each role, [`Role::ALL`] order.
-    pub fn routed_names(&self) -> &[String; 4] {
-        &self.names
-    }
-
     fn slot(&self, prompt: &Prompt) -> usize {
         let role = Role::of_prompt(prompt);
         Role::ALL.iter().position(|r| *r == role).expect("role in ALL")

@@ -139,7 +139,6 @@ fn body_of(code: &str) -> Vec<String> {
 pub fn generate(
     spec: &PromptSpec,
     profile: &ModelProfile,
-    temperature: f64,
     rng: &mut StdRng,
     stage: GenStage,
 ) -> String {
@@ -203,8 +202,7 @@ pub fn generate(
             }
         }
         if !any_specific {
-            let wants = honored("impute_missing", rng)
-                || rng.gen::<f64>() < profile.initiative * (1.0 - temperature * 0.3);
+            let wants = honored("impute_missing", rng) || rng.gen::<f64>() < profile.initiative;
             if wants {
                 pre.push("  impute * strategy median;".to_string());
                 pre.push("  impute * strategy most_frequent;".to_string());
@@ -506,7 +504,7 @@ rule model model_selection
     fn generates_complete_pipeline_for_clean_profile() {
         let spec = spec_for(SALARY_PROMPT);
         let mut rng = StdRng::seed_from_u64(7);
-        let text = generate(&spec, &reliable_profile(), 0.0, &mut rng, GenStage::Full);
+        let text = generate(&spec, &reliable_profile(), &mut rng, GenStage::Full);
         assert!(text.starts_with("pipeline {"), "{text}");
         assert!(text.contains("impute \"age\""), "{text}");
         assert!(text.contains("encode \"gender\" method"), "{text}");
@@ -521,7 +519,7 @@ rule model model_selection
     fn chain_stages_split_the_work() {
         let spec = spec_for(SALARY_PROMPT);
         let mut rng = StdRng::seed_from_u64(7);
-        let pre = generate(&spec, &reliable_profile(), 0.0, &mut rng, GenStage::Preprocessing);
+        let pre = generate(&spec, &reliable_profile(), &mut rng, GenStage::Preprocessing);
         assert!(pre.contains("impute"));
         assert!(!pre.contains("model "));
 
@@ -530,8 +528,7 @@ rule model model_selection
             "<TASK>feature_engineering</TASK>\n<DATASET target=\"income\" task=\"regression\" />\n<SCHEMA>\ncol name=\"gender\" type=\"string\" feature=\"categorical\" values=\"Male|Female\"\n</SCHEMA>\n<CODE>\n{pre}</CODE>\n"
         );
         let spec_fe = spec_for(&fe_prompt);
-        let fe =
-            generate(&spec_fe, &reliable_profile(), 0.0, &mut rng, GenStage::FeatureEngineering);
+        let fe = generate(&spec_fe, &reliable_profile(), &mut rng, GenStage::FeatureEngineering);
         assert!(fe.contains("impute"), "prior code preserved: {fe}");
         assert!(fe.contains("encode \"gender\""), "{fe}");
         assert!(!fe.contains("model "));
@@ -542,7 +539,7 @@ rule model model_selection
         let spec = spec_for(SALARY_PROMPT);
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let text = generate(&spec, &reliable_profile(), 0.0, &mut rng, GenStage::Full);
+            let text = generate(&spec, &reliable_profile(), &mut rng, GenStage::Full);
             assert!(text.starts_with("pipeline {\n"));
             assert!(text.trim_end().ends_with('}'));
             assert_eq!(text.matches("model ").count(), 1);
@@ -555,14 +552,9 @@ rule model model_selection
         let mut profile = reliable_profile();
         profile.semantic_fault_rate = 1.0;
         let mut rng = StdRng::seed_from_u64(3);
-        let clean = generate(
-            &spec,
-            &reliable_profile(),
-            0.0,
-            &mut StdRng::seed_from_u64(3),
-            GenStage::Full,
-        );
-        let faulty = generate(&spec, &profile, 0.0, &mut rng, GenStage::Full);
+        let clean =
+            generate(&spec, &reliable_profile(), &mut StdRng::seed_from_u64(3), GenStage::Full);
+        let faulty = generate(&spec, &profile, &mut rng, GenStage::Full);
         assert_ne!(clean, faulty);
     }
 
@@ -574,7 +566,7 @@ rule model model_selection
         let mut any_corrupt = false;
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let text = generate(&spec, &profile, 0.0, &mut rng, GenStage::Full);
+            let text = generate(&spec, &profile, &mut rng, GenStage::Full);
             let balanced = text.contains("pipeline {") && text.trim_end().ends_with('}');
             let clean_prefix = text.starts_with("pipeline {");
             if !balanced || !clean_prefix || text.contains("imputate") {
@@ -599,7 +591,7 @@ col name="y" type="string"
         let mut profile = reliable_profile();
         profile.initiative = 0.0;
         let mut rng = StdRng::seed_from_u64(1);
-        let text = generate(&spec, &profile, 0.0, &mut rng, GenStage::Full);
+        let text = generate(&spec, &profile, &mut rng, GenStage::Full);
         assert!(!text.contains("impute"), "{text}");
     }
 }

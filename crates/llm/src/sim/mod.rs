@@ -67,19 +67,13 @@ pub(crate) fn prompt_hash(prompt: &Prompt) -> u64 {
 /// A simulated LLM with a fixed capability profile.
 pub struct SimLlm {
     profile: ModelProfile,
-    temperature: f64,
     seed: u64,
     calls: Mutex<CallCounters>,
 }
 
 impl SimLlm {
     pub fn new(profile: ModelProfile, seed: u64) -> SimLlm {
-        SimLlm { profile, temperature: 0.0, seed, calls: Mutex::new(CallCounters::default()) }
-    }
-
-    pub fn with_temperature(mut self, temperature: f64) -> SimLlm {
-        self.temperature = temperature;
-        self
+        SimLlm { profile, seed, calls: Mutex::new(CallCounters::default()) }
     }
 
     pub fn profile(&self) -> &ModelProfile {
@@ -123,34 +117,21 @@ impl LanguageModel for SimLlm {
         let spec = PromptSpec::parse(prompt, self.profile.context_window);
 
         let text = match spec.task {
-            Some(LlmTaskKind::PipelineGeneration) => codegen::generate(
-                &spec,
-                &self.profile,
-                self.temperature,
-                &mut rng,
-                codegen::GenStage::Full,
-            ),
-            Some(LlmTaskKind::Preprocessing) => codegen::generate(
-                &spec,
-                &self.profile,
-                self.temperature,
-                &mut rng,
-                codegen::GenStage::Preprocessing,
-            ),
+            Some(LlmTaskKind::PipelineGeneration) => {
+                codegen::generate(&spec, &self.profile, &mut rng, codegen::GenStage::Full)
+            }
+            Some(LlmTaskKind::Preprocessing) => {
+                codegen::generate(&spec, &self.profile, &mut rng, codegen::GenStage::Preprocessing)
+            }
             Some(LlmTaskKind::FeatureEngineering) => codegen::generate(
                 &spec,
                 &self.profile,
-                self.temperature,
                 &mut rng,
                 codegen::GenStage::FeatureEngineering,
             ),
-            Some(LlmTaskKind::ModelSelection) => codegen::generate(
-                &spec,
-                &self.profile,
-                self.temperature,
-                &mut rng,
-                codegen::GenStage::ModelSelection,
-            ),
+            Some(LlmTaskKind::ModelSelection) => {
+                codegen::generate(&spec, &self.profile, &mut rng, codegen::GenStage::ModelSelection)
+            }
             Some(LlmTaskKind::ErrorFix) => fixer::fix(&spec, &self.profile, &mut rng),
             Some(LlmTaskKind::FeatureTypeInference) => {
                 typeinfer::respond(&spec, &self.profile, &mut rng)

@@ -26,11 +26,6 @@ impl Imputer {
     pub fn new(column: impl Into<String>, strategy: ImputeStrategy) -> Imputer {
         Imputer { column: column.into(), strategy, fill: None }
     }
-
-    /// Fitted fill value, if any.
-    pub fn fill_value(&self) -> Option<&Value> {
-        self.fill.as_ref()
-    }
 }
 
 fn mean(values: &[f64]) -> Option<f64> {

@@ -361,11 +361,6 @@ impl Transform for ConstantColumnDropper {
     }
 }
 
-/// Convenience: is the column numeric in this table?
-pub fn is_numeric_column(table: &Table, name: &str) -> bool {
-    table.column(name).map(|c| c.dtype().is_numeric()).unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

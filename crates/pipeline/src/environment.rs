@@ -63,10 +63,6 @@ impl Environment {
         self.install(package)
     }
 
-    pub fn installed_version(&self, package: &str) -> Option<&str> {
-        self.installed.get(package).map(|s| s.as_str())
-    }
-
     /// Resolve a `require "pkg"` or `require "pkg==version"` declaration.
     pub fn resolve_requirement(&self, requirement: &str) -> Result<(), PipelineError> {
         let (name, pinned) = match requirement.split_once("==") {

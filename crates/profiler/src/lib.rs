@@ -21,7 +21,7 @@ pub use profile::{
     profile_chunked, profile_csv_stream, profile_table, ProfileMode, ProfileOptions,
     COUNTER_PROFILER_CHUNKS, COUNTER_PROFILER_PEAK_CHUNK_RSS, COUNTER_PROFILER_SKETCH_MERGES,
     COUNTER_PROFILE_MEMO_HITS, COUNTER_PROFILE_MEMO_MISSES, SPAN_PROFILE_CHUNK,
-    SPAN_PROFILE_COLUMNS, SPAN_PROFILE_PAIRS,
+    SPAN_PROFILE_COLUMNS, SPAN_PROFILE_PAIRS, SPAN_PROFILE_TABLE,
 };
 pub use sketch::{
     ColumnSketch, DistinctSketch, MomentSketch, PairMoments, QuantileSketch, DISTINCT_K, QUANTILE_K,

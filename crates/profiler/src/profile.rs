@@ -9,7 +9,7 @@ use crate::types::{ColumnProfile, DataProfile, FeatureType, NumericStats};
 use catdb_runtime::Lru;
 use catdb_table::{
     column_dict_with_fingerprint, column_fingerprint, table_fingerprint_from_columns, ChunkedTable,
-    Column, DataType, Table, ValueDict,
+    Column, DataType, NumericSummary, Table, ValueDict,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -29,10 +29,13 @@ pub const COUNTER_PROFILER_CHUNKS: &str = "profiler.chunks";
 pub const COUNTER_PROFILER_SKETCH_MERGES: &str = "profiler.sketch_merges";
 /// High-water counter: largest resident chunk during sketch profiling.
 pub const COUNTER_PROFILER_PEAK_CHUNK_RSS: &str = "profiler.peak_chunk_rss";
+/// Span wrapping one whole profile, exact or sketch, memo hits included.
+pub const SPAN_PROFILE_TABLE: &str = "profile_table";
 /// Span wrapping the processing of one chunk in sketch mode.
 pub const SPAN_PROFILE_CHUNK: &str = "profile_chunk";
-/// Span wrapping the exact path's column pass: dictionaries, feature
-/// types, embeddings, samples and statistics of every column.
+/// Span wrapping the exact path's column pass: numeric summaries and
+/// dictionaries, feature types, embeddings, samples and statistics of
+/// every column.
 pub const SPAN_PROFILE_COLUMNS: &str = "profile_columns";
 /// Span wrapping the exact path's pair pass: correlations, cosines and
 /// each column's similarity, correlation and inclusion lists.
@@ -123,34 +126,127 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Dictionary over the column's non-null rendered values (sorted, same
-/// order the old `BTreeSet<String>` iterated in), plus the frequency
-/// ratio of the most common value. Each distinct raw value is rendered
-/// exactly once, and the dictionary is shared across passes through the
-/// content-addressed cache in `catdb-table`, looked up by the column
-/// fingerprint `profile_table` already computed.
-fn distinct_values(col: &Column, fingerprint: u128) -> (Arc<ValueDict>, f64) {
-    let dict = column_dict_with_fingerprint(col, fingerprint);
-    let ratio =
-        if dict.non_null() == 0 { 0.0 } else { dict.max_count() as f64 / dict.non_null() as f64 };
-    (dict, ratio)
+/// What the exact column pass reads of a column's distinct values: the
+/// cached [`ValueDict`] of a Str or Bool column, or the
+/// [`NumericSummary`] of an Int or Float column, which yields the same
+/// counts and renders from one sort of the typed values.
+trait Distinct {
+    fn n_distinct(&self) -> usize;
+    fn non_null(&self) -> usize;
+    fn max_count(&self) -> usize;
+    /// Distinct renders in `str` order (a `BTreeSet<String>`'s order).
+    fn values(&self) -> impl Iterator<Item = &str>;
+    /// Distinct renders in the order they are stored.
+    fn renders(&self) -> impl Iterator<Item = &str> {
+        self.values()
+    }
+    /// The render of rank `rank` in [`Distinct::values`].
+    fn value(&self, rank: u32) -> &str;
 }
 
-fn numeric_stats(col: &Column) -> Option<NumericStats> {
-    let mut vals: Vec<f64> = col.to_f64_vec().into_iter().flatten().collect();
-    if vals.is_empty() {
-        return None;
+impl Distinct for ValueDict {
+    fn n_distinct(&self) -> usize {
+        self.n_distinct()
     }
-    // Values equal under `total_cmp` have equal bits, so an unstable sort
-    // leaves the same sequence a stable one would.
-    vals.sort_unstable_by(f64::total_cmp);
-    let n = vals.len() as f64;
-    let mean = vals.iter().sum::<f64>() / n;
-    let std = (vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n).sqrt();
-    let mid = vals.len() / 2;
-    let median =
-        if vals.len().is_multiple_of(2) { (vals[mid - 1] + vals[mid]) / 2.0 } else { vals[mid] };
-    Some(NumericStats { min: vals[0], max: *vals.last().expect("non-empty"), mean, median, std })
+    fn non_null(&self) -> usize {
+        self.non_null()
+    }
+    fn max_count(&self) -> usize {
+        self.max_count()
+    }
+    fn values(&self) -> impl Iterator<Item = &str> {
+        self.values()
+    }
+    fn value(&self, rank: u32) -> &str {
+        self.value(rank)
+    }
+}
+
+impl Distinct for NumericSummary {
+    fn n_distinct(&self) -> usize {
+        self.n_distinct()
+    }
+    fn non_null(&self) -> usize {
+        self.non_null()
+    }
+    fn max_count(&self) -> usize {
+        self.max_count()
+    }
+    fn values(&self) -> impl Iterator<Item = &str> {
+        self.values()
+    }
+    fn renders(&self) -> impl Iterator<Item = &str> {
+        self.renders()
+    }
+    fn value(&self, rank: u32) -> &str {
+        self.value(rank)
+    }
+}
+
+/// Statistics of a column's present values, given sorted ascending in
+/// `f64::total_cmp` order.
+fn numeric_stats(sorted: &[f64]) -> Option<NumericStats> {
+    let (&min, &max) = (sorted.first()?, sorted.last()?);
+    let n = sorted.len() as f64;
+    let mean = sorted.iter().sum::<f64>() / n;
+    let std = (sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n).sqrt();
+    let mid = sorted.len() / 2;
+    let median = if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    };
+    Some(NumericStats { min, max, mean, median, std })
+}
+
+/// One column of the exact column pass, all but its statistics: counts,
+/// feature type, embedding and samples read from `distinct`.
+fn profile_column(
+    distinct: &impl Distinct,
+    name: &str,
+    idx: usize,
+    dtype: DataType,
+    n_rows: usize,
+    opts: &ProfileOptions,
+) -> (ColumnProfile, ColumnEmbedding) {
+    let non_null = distinct.non_null();
+    let n_distinct = distinct.n_distinct();
+    let missing = n_rows - non_null;
+    let feature_type = detect_feature_type(dtype, n_distinct, non_null, opts);
+    // The embedding sums ±1 signatures, so it is exact in any order:
+    // numeric renders are read in value order, as they were written.
+    let embedding = ColumnEmbedding::from_distinct_values(distinct.renders());
+    // Samples: all distinct values for categoricals, else τ₁ random values
+    // (Algorithm 1, line 10).
+    let samples = if matches!(feature_type, FeatureType::Categorical | FeatureType::Boolean) {
+        distinct.values().map(str::to_owned).collect()
+    } else {
+        // Shuffling ranks draws the same RNG values as shuffling the
+        // strings, so only the kept τ₁ values are cloned.
+        let mut rng = StdRng::seed_from_u64(opts.seed ^ idx as u64);
+        let mut pool: Vec<u32> = (0..n_distinct as u32).collect();
+        pool.shuffle(&mut rng);
+        pool.iter().take(opts.n_samples).map(|&v| distinct.value(v).to_owned()).collect()
+    };
+    let ratio =
+        |part: usize, whole: usize| if whole == 0 { 0.0 } else { part as f64 / whole as f64 };
+    let profile = ColumnProfile {
+        name: name.to_string(),
+        data_type: dtype,
+        feature_type,
+        n_rows,
+        distinct_count: n_distinct,
+        distinct_percentage: ratio(n_distinct, non_null),
+        missing_count: missing,
+        missing_percentage: ratio(missing, n_rows),
+        top_value_ratio: ratio(distinct.max_count(), non_null),
+        inclusion_dependencies: Vec::new(),
+        similarities: Vec::new(),
+        correlations: Vec::new(),
+        samples,
+        statistics: None,
+    };
+    (profile, embedding)
 }
 
 /// Heuristic feature-type detection for the initial (pre-LLM) profile.
@@ -488,7 +584,6 @@ fn numeric_correlations(table: &Table, n_threads: usize) -> Correlations {
 }
 
 struct PartialProfile {
-    n_distinct: usize,
     embedding: ColumnEmbedding,
     profile: ColumnProfile,
     micros: u64,
@@ -681,7 +776,7 @@ pub fn profile_table(name: &str, table: &Table, opts: &ProfileOptions) -> DataPr
 
 /// [`profile_table`] through `memo`.
 fn profile_memoized(memo: &Memo, name: &str, table: &Table, opts: &ProfileOptions) -> DataProfile {
-    let _span = catdb_trace::span("profile_table");
+    let _span = catdb_trace::span(SPAN_PROFILE_TABLE);
     let columns: Vec<&Column> = table.iter_columns().map(|(_, c)| c).collect();
     let cells = table.n_rows().saturating_mul(table.n_cols());
     let limit = if cells >= PARALLEL_FINGERPRINT_CELLS { opts.n_threads.max(1) } else { 1 };
@@ -739,53 +834,23 @@ fn profile_exact(
         catdb_runtime::parallel_map(n_threads, &fields, |_, (idx, name)| {
             let col_started = Instant::now();
             let col = table.column_at(*idx);
-            let (distinct, top_value_ratio) = distinct_values(col, fingerprints[*idx]);
-            let non_null = distinct.non_null();
-            let missing = n_rows - non_null;
-            let feature_type =
-                detect_feature_type(col.dtype(), distinct.n_distinct(), non_null, opts);
-            let embedding = ColumnEmbedding::from_distinct_values(distinct.values());
-            // Samples: all distinct values for categoricals, else τ₁
-            // random values (Algorithm 1, line 10).
-            let samples = if matches!(feature_type, FeatureType::Categorical | FeatureType::Boolean)
-            {
-                distinct.values().map(str::to_owned).collect()
-            } else {
-                // Shuffling indices draws the same RNG values as shuffling
-                // the strings, so only the kept τ₁ values are cloned.
-                let mut rng = StdRng::seed_from_u64(opts.seed ^ *idx as u64);
-                let mut pool: Vec<u32> = (0..distinct.n_distinct() as u32).collect();
-                pool.shuffle(&mut rng);
-                pool.iter().take(opts.n_samples).map(|&v| distinct.value(v).to_owned()).collect()
+            // Numeric columns are summarised from one sort of their typed
+            // values; only Str and Bool columns go through the cache.
+            let (profile, embedding) = match NumericSummary::of(col) {
+                Some(summary) => {
+                    let (mut profile, embedding) =
+                        profile_column(&summary, name, *idx, col.dtype(), n_rows, opts);
+                    if profile.feature_type == FeatureType::Numerical {
+                        profile.statistics = numeric_stats(&summary.into_sorted_values());
+                    }
+                    (profile, embedding)
+                }
+                None => {
+                    let dict = column_dict_with_fingerprint(col, fingerprints[*idx]);
+                    profile_column(&*dict, name, *idx, col.dtype(), n_rows, opts)
+                }
             };
-            let statistics =
-                if feature_type == FeatureType::Numerical { numeric_stats(col) } else { None };
-            let profile = ColumnProfile {
-                name: name.clone(),
-                data_type: col.dtype(),
-                feature_type,
-                n_rows,
-                distinct_count: distinct.n_distinct(),
-                distinct_percentage: if non_null == 0 {
-                    0.0
-                } else {
-                    distinct.n_distinct() as f64 / non_null as f64
-                },
-                missing_count: missing,
-                missing_percentage: if n_rows == 0 { 0.0 } else { missing as f64 / n_rows as f64 },
-                top_value_ratio,
-                inclusion_dependencies: Vec::new(),
-                similarities: Vec::new(),
-                correlations: Vec::new(),
-                samples,
-                statistics,
-            };
-            PartialProfile {
-                n_distinct: distinct.n_distinct(),
-                embedding,
-                profile,
-                micros: col_started.elapsed().as_micros() as u64,
-            }
+            PartialProfile { embedding, profile, micros: col_started.elapsed().as_micros() as u64 }
         });
     drop(columns_span);
 
@@ -810,9 +875,9 @@ fn profile_exact(
     let mut embeddings = Vec::with_capacity(partials.len());
     let mut distincts = Vec::with_capacity(partials.len());
     for p in partials {
+        distincts.push(p.profile.distinct_count);
         profiles.push(p.profile);
         embeddings.push(p.embedding);
-        distincts.push(p.n_distinct);
     }
     pairwise_pass(&mut profiles, &embeddings, &distincts, &corr, pair_threads, opts);
     drop(pairs_span);
@@ -1044,7 +1109,7 @@ pub fn profile_chunked(
     table: &ChunkedTable,
     opts: &ProfileOptions,
 ) -> catdb_table::Result<DataProfile> {
-    let _span = catdb_trace::span("profile_table");
+    let _span = catdb_trace::span(SPAN_PROFILE_TABLE);
     let started = Instant::now();
     let fields = schema_fields(table.schema());
     let mut acc = SketchAccum::new(&fields);
@@ -1078,7 +1143,7 @@ pub fn profile_csv_stream(
     chunk_rows: usize,
     opts: &ProfileOptions,
 ) -> catdb_table::Result<(ChunkedTable, DataProfile)> {
-    let _span = catdb_trace::span("profile_table");
+    let _span = catdb_trace::span(SPAN_PROFILE_TABLE);
     let started = Instant::now();
     let n_threads = opts.n_threads.max(1);
     let mut acc: Option<(Vec<(String, DataType)>, SketchAccum)> = None;
@@ -1118,6 +1183,135 @@ mod tests {
     use super::*;
     use catdb_table::Column;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The route the numeric summary replaced, kept as its oracle: the
+    /// distinct renders and counts of every value rendered on its own
+    /// (`Value::render` into a `BTreeMap`, the order the dictionary
+    /// reproduces), and the statistics over a sorted copy of the column.
+    fn render_set_route(
+        col: &Column,
+    ) -> (BTreeMap<String, usize>, ColumnEmbedding, Option<NumericStats>) {
+        let mut renders: BTreeMap<String, usize> = BTreeMap::new();
+        for v in col.iter_values().filter(|v| !v.is_null()) {
+            *renders.entry(v.render()).or_default() += 1;
+        }
+        let embedding = ColumnEmbedding::from_distinct_values(renders.keys().map(String::as_str));
+        let mut vals: Vec<f64> = col.to_f64_vec().into_iter().flatten().collect();
+        vals.sort_unstable_by(f64::total_cmp);
+        let stats = (!vals.is_empty()).then(|| {
+            let n = vals.len() as f64;
+            let mean = vals.iter().sum::<f64>() / n;
+            let std = (vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n).sqrt();
+            let mid = vals.len() / 2;
+            let median = if vals.len().is_multiple_of(2) {
+                (vals[mid - 1] + vals[mid]) / 2.0
+            } else {
+                vals[mid]
+            };
+            NumericStats { min: vals[0], max: vals[vals.len() - 1], mean, median, std }
+        });
+        (renders, embedding, stats)
+    }
+
+    fn stats_bits(s: &Option<NumericStats>) -> Option<[u64; 5]> {
+        s.as_ref().map(|s| [s.min, s.max, s.mean, s.median, s.std].map(f64::to_bits))
+    }
+
+    fn float_pool_value() -> BoxedStrategy<f64> {
+        let quiet = f64::NAN.to_bits();
+        prop_oneof![
+            // NaNs of both signs, quiet and signalling, with payloads.
+            (0u64..1 << 51).prop_map(move |p| f64::from_bits(quiet | p)),
+            (0u64..1 << 51).prop_map(move |p| f64::from_bits(quiet | p | 1 << 63)),
+            (1u64..1 << 20).prop_map(|p| f64::from_bits(0x7ff0_0000_0000_0000 | p)),
+            prop_oneof![Just(0.0), Just(-0.0), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+            // Subnormals of both signs.
+            (1u64..1 << 52, 0u64..2).prop_map(|(m, s)| f64::from_bits(s << 63 | m)),
+            // 1e-300 to 1e300: integer parts of 1 to 301 digits.
+            (-300i32..301, 1.0f64..10.0, 0u64..2).prop_map(|(e, m, s)| if s == 1 {
+                -m * 10f64.powi(e)
+            } else {
+                m * 10f64.powi(e)
+            }),
+            // Renders that share their first 8 bytes, of both signs.
+            (0i64..512).prop_map(|k| 1234.5678 + k as f64 * 1e-7),
+            (0i64..512).prop_map(|k| -1234.567 - k as f64 * 1e-7),
+            (-64i64..64).prop_map(|k| k as f64 / 8.0),
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+        ]
+        .boxed()
+    }
+
+    fn int_pool_value() -> BoxedStrategy<i64> {
+        prop_oneof![
+            Just(i64::MIN),
+            Just(i64::MAX),
+            -12i64..12,
+            1_234_567_800i64..1_234_567_899,
+            -123_456_789i64..-123_456_780,
+            i64::MIN..i64::MAX,
+        ]
+        .boxed()
+    }
+
+    /// A column of 2–3,000 rows drawn from a pool of distinct values, so
+    /// values repeat; a fifth of the picks are nulls.
+    fn pooled<T: Copy + 'static>(
+        value: BoxedStrategy<T>,
+        column: fn(Vec<Option<T>>) -> Column,
+    ) -> BoxedStrategy<Column> {
+        let pool = prop::collection::vec(value, 1..400);
+        let picks = prop::collection::vec((0usize..usize::MAX, 0u32..5), 2..3000);
+        (pool, picks)
+            .prop_map(move |(pool, picks)| {
+                column(
+                    picks
+                        .iter()
+                        .map(|&(i, null)| (null != 0).then(|| pool[i % pool.len()]))
+                        .collect(),
+                )
+            })
+            .boxed()
+    }
+
+    fn numeric_columns() -> BoxedStrategy<Column> {
+        prop_oneof![
+            pooled(float_pool_value(), Column::Float),
+            pooled(int_pool_value(), Column::Int),
+            Just(Column::Float(vec![])),
+            Just(Column::Int(vec![])),
+            Just(Column::Float(vec![None; 7])),
+            Just(Column::Int(vec![None; 2])),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn numeric_summary_matches_the_dictionary_route(col in numeric_columns()) {
+            let (renders, embedding, stats) = render_set_route(&col);
+            let summary = NumericSummary::of(&col).expect("numeric column");
+            prop_assert_eq!(summary.n_distinct(), renders.len());
+            prop_assert_eq!(summary.non_null(), renders.values().sum::<usize>());
+            prop_assert_eq!(summary.max_count(), renders.values().copied().max().unwrap_or(0));
+            prop_assert!(summary.values().eq(renders.keys().map(String::as_str)));
+            // The dictionary the profiler read these from before agrees.
+            let dict = ValueDict::build(&col);
+            prop_assert!(summary.values().eq(dict.values()));
+            for rank in 0..dict.n_distinct() as u32 {
+                prop_assert_eq!(summary.value(rank), dict.value(rank));
+            }
+            prop_assert_eq!((dict.non_null(), dict.max_count()), (summary.non_null(), summary.max_count()));
+            let summed = ColumnEmbedding::from_distinct_values(summary.renders());
+            let bits = |e: &ColumnEmbedding| e.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&summed), bits(&embedding));
+            let got = numeric_stats(&summary.into_sorted_values());
+            prop_assert_eq!(stats_bits(&got), stats_bits(&stats));
+        }
+    }
 
     /// The per-pair loop the blocked kernels replaced, kept as their
     /// oracle.
@@ -1286,7 +1480,7 @@ mod tests {
         drop(guard);
         let trace = sink.snapshot();
         trace.check_well_formed().unwrap();
-        let table = trace.spans_named("profile_table");
+        let table = trace.spans_named(SPAN_PROFILE_TABLE);
         assert_eq!(table.len(), 1);
         for stage in [SPAN_PROFILE_COLUMNS, SPAN_PROFILE_PAIRS] {
             let spans = trace.spans_named(stage);

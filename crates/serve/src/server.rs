@@ -280,9 +280,12 @@ impl Server {
         };
         match &req.dataset {
             DatasetSpec::Builtin { name, rows, seed } => {
+                if *rows == 0 {
+                    return Err("builtin datasets need at least one row".to_string());
+                }
                 let g = catdb_data::generate(
                     name,
-                    &catdb_data::GenOptions { max_rows: (*rows).max(1), scale: 1.0, seed: *seed },
+                    &catdb_data::GenOptions { max_rows: *rows, scale: 1.0, seed: *seed },
                 )
                 .ok_or_else(|| format!("unknown builtin dataset '{name}'"))?;
                 let target = req.target.clone().unwrap_or(g.target);
@@ -515,6 +518,29 @@ mod tests {
         let mut stream = server.connect_in_proc();
         let outcome = submit(&mut stream, &req, |_, _| {}).unwrap();
         assert!(outcome.response().is_some(), "the next request failed: {outcome:?}");
+    }
+
+    #[test]
+    fn builtin_row_counts_below_sixty_get_a_result_or_a_structured_error() {
+        let server = Server::new(ServeOptions::default());
+        let request = |rows| {
+            let mut req = wifi_request("acme");
+            req.dataset = DatasetSpec::Builtin { name: "wifi".into(), rows, seed: 7 };
+            submit(&mut server.connect_in_proc(), &req, |_, _| {}).unwrap()
+        };
+        match request(40) {
+            crate::client::Outcome::Error(message) => {
+                assert!(!message.contains("panicked"), "{message}")
+            }
+            outcome => assert!(outcome.response().is_some(), "{outcome:?}"),
+        }
+        match request(0) {
+            crate::client::Outcome::Error(message) => {
+                assert_eq!(message, "builtin datasets need at least one row")
+            }
+            other => panic!("expected error frame, got {other:?}"),
+        }
+        assert_eq!(server.admission().inflight(), 0);
     }
 
     #[test]

@@ -9,18 +9,18 @@
 //! integer codes and borrowed `&str` renders.
 //!
 //! A build is one pass of interning, then one sort of the distinct
-//! renders:
-//! - Int, Float and Bool rows are interned by their typed key (`i64`,
-//!   the float's bits, `bool`): the `(key, row)` pairs are sorted and
-//!   each run of equal keys becomes one value, rendered once into the
-//!   arena. Sorting rather than hashing keeps the build `O(n log n)`
-//!   whatever the values are; an unkeyed hash over values a tenant's CSV
-//!   chooses could be flooded with collisions.
+//! renders by their bytes:
+//! - Int, Float and Bool rows go through the typed sort of
+//!   [`crate::numeric`]: `(key, row)` pairs are sorted, each run of equal
+//!   keys becomes one value rendered once into the arena in value order,
+//!   and NaN payloads merge into one value. When the renders' `str` order
+//!   is the value order (a column of one sign and one integer-part
+//!   width), the codes need no remap.
 //! - Str rows are interned through std's keyed (randomly seeded) hash
-//!   map, which resists the same flooding.
-//! - The distinct renders are sorted by an 8-byte big-endian prefix, then
-//!   by their full bytes, which is exactly `String`'s order. Renders that
-//!   collide (NaN payloads all render `NaN`) merge into one value.
+//!   map, which resists collision flooding by the values a tenant's CSV
+//!   chooses.
+//! - The distinct renders are ordered by the same stable prefix-then-bytes
+//!   sort, which is exactly `String`'s order.
 //!
 //! Dictionaries are shared behind `Arc` through a global cache keyed by
 //! the column's [`column_fingerprint`]: a [`catdb_runtime::Lru`] that
@@ -37,7 +37,7 @@
 
 use crate::column::Column;
 use crate::fingerprint::column_fingerprint;
-use crate::shortest::{write_float, write_int};
+use crate::numeric::{distinct_runs, FloatKey, Renders, SortKey};
 use catdb_runtime::Lru;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -73,20 +73,9 @@ impl ValueDict {
     /// exactly once. Prefer [`column_dict`], which consults the cache.
     pub fn build(col: &Column) -> ValueDict {
         let interned = match col {
-            Column::Int(v) => Interned::by_sorting(v, |x| *x, |out, x| write_int(out, *x)),
-            // Keyed by raw bits: bitwise-distinct values that render
-            // identically (NaN payloads) merge in the render sort.
-            Column::Float(v) => {
-                Interned::by_sorting(v, |x| x.to_bits(), |out, x| write_float(out, *x))
-            }
-            Column::Bool(v) => Interned::by_sorting(
-                v,
-                |x| *x,
-                |out, x| {
-                    out.push_str(if *x { "true" } else { "false" });
-                    Ok(())
-                },
-            ),
+            Column::Int(v) => Interned::by_sorting(v, |&x| x),
+            Column::Float(v) => Interned::by_sorting(v, |&x| FloatKey::of(x)),
+            Column::Bool(v) => Interned::by_sorting(v, |&x| x),
             Column::Str(v) => Interned::by_hashing(v),
         };
         interned.into_sorted()
@@ -160,128 +149,78 @@ impl ValueDict {
     }
 }
 
-/// A column interned in first-pass order: provisional codes per row and
-/// each provisional value rendered once into an arena.
+/// A column interned in provisional order: a code per row and each
+/// provisional value rendered once.
 struct Interned {
     codes: Vec<u32>,
-    arena: String,
-    /// Provisional value `i` is `arena[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<u32>,
-    counts: Vec<usize>,
+    renders: Renders,
 }
 
 impl Interned {
-    fn with_rows(rows: usize) -> Interned {
-        Interned {
-            codes: vec![NULL_CODE; rows],
-            arena: String::new(),
-            offsets: vec![0],
-            counts: Vec::new(),
-        }
-    }
-
-    /// Close the value just rendered into the arena.
-    fn push_value(&mut self, count: usize) -> u32 {
-        self.offsets.push(arena_offset(&self.arena));
-        self.counts.push(count);
-        (self.counts.len() - 1) as u32
-    }
-
-    fn render(&self, i: u32) -> &str {
-        let i = i as usize;
-        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Intern typed rows: sort `(key, row)` pairs and give each run of
-    /// equal keys one provisional code, rendering the run's value once.
-    fn by_sorting<T, K: Ord + Copy>(
-        rows: &[Option<T>],
-        key: impl Fn(&T) -> K,
-        render: impl Fn(&mut String, &T) -> std::fmt::Result,
-    ) -> Interned {
+    /// Intern typed rows through one sort of `(key, row)` pairs, in value
+    /// order (see [`crate::numeric`]).
+    fn by_sorting<T: Copy, K: SortKey>(rows: &[Option<T>], key: impl Fn(&T) -> K) -> Interned {
         let mut keyed: Vec<(K, u32)> = rows
             .iter()
             .enumerate()
             .filter_map(|(r, x)| x.as_ref().map(|x| (key(x), r as u32)))
             .collect();
         keyed.sort_unstable_by_key(|&(k, _)| k);
-        let mut out = Interned::with_rows(rows.len());
-        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
-            let first = rows[run[0].1 as usize].as_ref().expect("keyed rows are non-null");
-            render(&mut out.arena, first).expect("writing to a String never fails");
-            let code = out.push_value(run.len());
-            for &(_, r) in run {
-                out.codes[r as usize] = code;
-            }
-        }
-        out
+        let mut codes = vec![NULL_CODE; rows.len()];
+        let renders = distinct_runs(
+            &keyed,
+            |&(k, _)| k,
+            |code, run| {
+                for &(_, r) in run {
+                    codes[r as usize] = code;
+                }
+            },
+        );
+        Interned { codes, renders }
     }
 
-    /// Intern string rows through std's randomly keyed hash map.
+    /// Intern string rows through std's randomly keyed hash map, in
+    /// first-seen order.
     fn by_hashing(rows: &[Option<String>]) -> Interned {
-        let mut out = Interned::with_rows(rows.len());
+        let mut codes = vec![NULL_CODE; rows.len()];
+        let mut renders = Renders::new();
         let mut by_value: HashMap<&str, u32> = HashMap::new();
         for (r, row) in rows.iter().enumerate() {
             let Some(s) = row else { continue };
             let code = *by_value.entry(s.as_str()).or_insert_with(|| {
-                out.arena.push_str(s);
-                out.push_value(0)
+                renders.arena.push_str(s);
+                renders.push_value(0)
             });
-            out.counts[code as usize] += 1;
-            out.codes[r] = code;
+            renders.counts[code as usize] += 1;
+            codes[r] = code;
         }
-        out
+        Interned { codes, renders }
     }
 
-    /// Sort the provisional values by render, merging renders that
-    /// collide, and remap the per-row codes to the sorted order.
-    fn into_sorted(mut self) -> ValueDict {
-        let n = self.counts.len();
-        let mut order: Vec<(u64, u32)> =
-            (0..n as u32).map(|i| (prefix_key(self.render(i)), i)).collect();
-        // The prefix decides most comparisons; equal prefixes fall back
-        // to the full bytes, so the order is exactly `str`'s.
-        order.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0).then_with(|| self.render(a.1).cmp(self.render(b.1)))
-        });
-        let mut arena = String::with_capacity(self.arena.len());
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut counts: Vec<usize> = Vec::with_capacity(n);
-        let mut remap: Vec<u32> = vec![0; n];
-        let mut last: Option<&str> = None;
-        for &(_, i) in &order {
-            let render = self.render(i);
-            if last != Some(render) {
-                arena.push_str(render);
-                offsets.push(arena_offset(&arena));
-                counts.push(0);
-                last = Some(render);
-            }
-            let code = counts.len() - 1;
-            remap[i as usize] = code as u32;
-            counts[code] += self.counts[i as usize];
+    /// Order the (distinct) provisional values by render and remap the
+    /// per-row codes to that order, unless it is already the provisional
+    /// one.
+    fn into_sorted(self) -> ValueDict {
+        let Interned { mut codes, renders } = self;
+        let non_null = renders.counts.iter().sum();
+        let order = renders.str_order();
+        if order.iter().enumerate().all(|(rank, &i)| rank as u32 == i) {
+            let Renders { arena, offsets, counts } = renders;
+            return ValueDict { arena, offsets, counts, codes, non_null };
         }
-        let mut codes = std::mem::take(&mut self.codes);
+        let mut sorted = Renders::new();
+        sorted.arena.reserve(renders.arena.len());
+        let mut remap: Vec<u32> = vec![0; order.len()];
+        for &i in &order {
+            sorted.arena.push_str(renders.get(i));
+            remap[i as usize] = sorted.push_value(renders.counts[i as usize]);
+        }
         for c in codes.iter_mut().filter(|c| **c != NULL_CODE) {
             *c = remap[*c as usize];
         }
-        let non_null = counts.iter().sum();
+        let Renders { arena, offsets, counts } = sorted;
         ValueDict { arena, offsets, counts, codes, non_null }
     }
-}
-
-fn arena_offset(arena: &str) -> u32 {
-    u32::try_from(arena.len()).expect("a column's distinct values exceed 4 GiB of text")
-}
-
-/// The first 8 bytes of `s`, big-endian, zero-padded: comparing two
-/// prefixes orders the strings as `str` does, or ties.
-fn prefix_key(s: &str) -> u64 {
-    let mut prefix = [0u8; 8];
-    let head = &s.as_bytes()[..s.len().min(8)];
-    prefix[..head.len()].copy_from_slice(head);
-    u64::from_be_bytes(prefix)
 }
 
 /// Bytes of dictionaries the cache retains: the smallest budget that

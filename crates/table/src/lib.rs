@@ -24,6 +24,7 @@ mod csv;
 mod dict;
 mod error;
 mod fingerprint;
+mod numeric;
 mod schema;
 mod shortest;
 mod table;
@@ -41,6 +42,7 @@ pub use dict::{
 };
 pub use error::{Result, TableError};
 pub use fingerprint::{column_fingerprint, table_fingerprint_from_columns};
+pub use numeric::NumericSummary;
 pub use schema::{Field, Schema};
 pub use table::Table;
 pub use value::{DataType, Value};

@@ -77,8 +77,15 @@ fn main() {
     }
 
     // --- Catalog refinement (Section 3.2, Figures 4–5) ---
-    let (prepared, refined_profile, report) =
-        refine_dataset("salary", table, &profile, "salary", &llm, &RefineOptions::default());
+    let (prepared, refined_profile, report) = refine_dataset(
+        "salary",
+        table,
+        &profile,
+        &ProfileOptions::default(),
+        "salary",
+        &llm,
+        &RefineOptions::default(),
+    );
     println!("\n=== Catalog refinement ===");
     for r in &report.refinements {
         println!(

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Quick perf snapshot: run the criterion micro benches with a reduced
-# per-bench budget and record the profiling / cold value-dictionary /
+# per-bench budget and record the profiling (warm and cold-table rows) /
+# cold value-dictionary and numeric-summary /
 # float-rendering / training (forests, boosting, k-NN) / chain-scheduler /
 # CSV-ingest (50k-row mixed, 1,500x480 float-heavy) hot-path numbers in
 # results/BENCH_perf.json, alongside the pre-runtime
@@ -115,6 +116,10 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   }
   $1 == "gas-drift_2000rows" { prof_ms = to_ms($2) }
   $1 == "kdd98_1500rows" { prof_kdd98_ms = to_ms($2) }
+  $1 == "gas-drift_2000rows_cold" { prof_cold_ms = to_ms($2) }
+  $1 == "kdd98_1500rows_cold" { prof_kdd98_cold_ms = to_ms($2) }
+  $1 == "numeric_summary_gas-drift_2000rows" { summary_gas_ms = to_ms($2) }
+  $1 == "numeric_summary_kdd98_1500rows" { summary_kdd98_ms = to_ms($2) }
   $1 == "value_dict_build_gas-drift_2000rows" { dict_gas_ms = to_ms($2) }
   $1 == "value_dict_build_kdd98_1500rows" { dict_kdd98_ms = to_ms($2) }
   $1 == "render_f64_100k" { render_ms = to_ms($2) }
@@ -131,7 +136,8 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
   $1 == "ingest_1500x480_float" { csv_wide_ms = to_ms($2) }
   $1 == "write_roundtrip_50k_mixed" { csv_rt_ms = to_ms($2) }
   END {
-    if (prof_ms == 0 || prof_kdd98_ms == 0 || dict_gas_ms == 0 || dict_kdd98_ms == 0 ||
+    if (prof_ms == 0 || prof_kdd98_ms == 0 || prof_cold_ms == 0 || prof_kdd98_cold_ms == 0 ||
+        dict_gas_ms == 0 || dict_kdd98_ms == 0 || summary_gas_ms == 0 || summary_kdd98_ms == 0 ||
         render_ms == 0 || forest_ms == 0 || knn_ms == 0 || boost_ms == 0 ||
         forest3_ms == 0 ||
         chain_seq_ms == 0 || chain_conc_ms == 0 ||
@@ -156,6 +162,18 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "      \"rows_per_sec\": %.0f,\n", 1500 / (prof_kdd98_ms / 1000) >> out
     printf "      \"baseline_ms\": %.3f,\n", base_prof_kdd98 >> out
     printf "      \"speedup\": %.2f\n", base_prof_kdd98 / prof_kdd98_ms >> out
+    printf "    },\n" >> out
+    printf "    \"profiling/gas-drift_2000rows_cold\": {\n" >> out
+    printf "      \"median_ms\": %.3f\n", prof_cold_ms >> out
+    printf "    },\n" >> out
+    printf "    \"profiling/kdd98_1500rows_cold\": {\n" >> out
+    printf "      \"median_ms\": %.3f\n", prof_kdd98_cold_ms >> out
+    printf "    },\n" >> out
+    printf "    \"table/numeric_summary_gas-drift_2000rows\": {\n" >> out
+    printf "      \"median_ms\": %.3f\n", summary_gas_ms >> out
+    printf "    },\n" >> out
+    printf "    \"table/numeric_summary_kdd98_1500rows\": {\n" >> out
+    printf "      \"median_ms\": %.3f\n", summary_kdd98_ms >> out
     printf "    },\n" >> out
     printf "    \"table/value_dict_build_gas-drift_2000rows\": {\n" >> out
     printf "      \"median_ms\": %.3f,\n", dict_gas_ms >> out
@@ -250,6 +268,8 @@ awk -v out="$OUT" -v budget_ms="$BUDGET_MS" \
     printf "  }\n" >> out
     printf "}\n" >> out
     printf "profiling : %.3f ms/iter gas-drift (baseline %.3f, %.2fx), %.3f ms/iter kdd98 (baseline %.3f, %.2fx)\n", prof_ms, base_prof, base_prof / prof_ms, prof_kdd98_ms, base_prof_kdd98, base_prof_kdd98 / prof_kdd98_ms
+    printf "cold prof : %.3f ms/iter gas-drift, %.3f ms/iter kdd98 (rows permuted every iteration)\n", prof_cold_ms, prof_kdd98_cold_ms
+    printf "summary   : %.3f ms gas-drift, %.3f ms kdd98 numeric summaries\n", summary_gas_ms, summary_kdd98_ms
     printf "dict      : %.3f ms gas-drift (baseline %.3f, %.2fx), %.3f ms kdd98 (baseline %.3f, %.2fx) cold builds\n", dict_gas_ms, base_dict_gas, base_dict_gas / dict_gas_ms, dict_kdd98_ms, base_dict_kdd98, base_dict_kdd98 / dict_kdd98_ms
     printf "render    : %.3f ms per 100k floats (baseline %.3f, %.2fx)\n", render_ms, base_render, base_render / render_ms
     printf "forest    : %.3f ms/iter (baseline %.3f, %.2fx)\n", forest_ms, base_forest, base_forest / forest_ms
