@@ -92,7 +92,7 @@ fn main() {
         // final (successful) full run.
         let exec_time = |o: &catdb_core::GenerationOutcome, t: &catdb_trace::Trace| {
             if o.success {
-                t.last_span_seconds("execute_pipeline").unwrap_or(f64::NAN)
+                t.last_span_seconds(catdb_pipeline::SPAN_EXECUTE_PIPELINE).unwrap_or(f64::NAN)
             } else {
                 f64::NAN
             }

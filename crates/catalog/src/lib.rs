@@ -14,4 +14,7 @@ mod refine;
 
 pub use catalog::{CatalogEntry, DataCatalog};
 pub use multi::{MultiTableDataset, Relationship};
-pub use refine::{refine_dataset, ColumnRefinement, RefineAction, RefineOptions, RefinementReport};
+pub use refine::{
+    refine_dataset, ColumnRefinement, RefineAction, RefineOptions, RefinementReport,
+    SPAN_REFINE_DATASET,
+};

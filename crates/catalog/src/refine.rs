@@ -25,6 +25,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Span wrapping one [`refine_dataset`] call, its re-profile included.
+pub const SPAN_REFINE_DATASET: &str = "refine_dataset";
+
 /// What happened to one column during refinement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RefineAction {
@@ -230,7 +233,7 @@ pub fn refine_dataset(
     llm: &dyn LanguageModel,
     opts: &RefineOptions,
 ) -> (Table, DataProfile, RefinementReport) {
-    let _span = catdb_trace::span("refine_dataset");
+    let _span = catdb_trace::span(SPAN_REFINE_DATASET);
     let mut report =
         RefinementReport { refinements: Vec::new(), usage: TokenUsage::default(), llm_calls: 0 };
 

@@ -23,6 +23,10 @@ use std::time::Instant;
 /// enough that a single generation session never evicts.
 const SESSION_CACHE_CAPACITY: usize = 4096;
 
+/// Span wrapping one [`generate_pipeline`] call: every attempt, its
+/// LLM calls and its pipeline executions.
+pub const SPAN_GENERATE_PIPELINE: &str = "generate_pipeline";
+
 /// CatDB generation configuration.
 #[derive(Debug, Clone)]
 pub struct CatDbConfig {
@@ -364,7 +368,7 @@ pub fn generate_pipeline(
     llm: &dyn LanguageModel,
     cfg: &CatDbConfig,
 ) -> GenerationOutcome {
-    let _span = catdb_trace::span("generate_pipeline");
+    let _span = catdb_trace::span(SPAN_GENERATE_PIPELINE);
     let started = Instant::now();
     let mut session = Session {
         entry,

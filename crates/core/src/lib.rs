@@ -47,6 +47,7 @@ pub use api::{
 pub use cost::{measured_cost, reprice, MeasuredCost};
 pub use generate::{
     generate_chain_source, generate_pipeline, handcraft_program, CatDbConfig, GenerationOutcome,
+    SPAN_GENERATE_PIPELINE,
 };
 pub use kb::{ErrorTrace, ErrorTraceDb, FixedBy, KbFix, KnowledgeBase};
 pub use prompt::{PromptBuilder, PromptOptions};

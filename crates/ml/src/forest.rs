@@ -244,7 +244,7 @@ mod tests {
         };
         let trace = sink.snapshot();
         trace.check_well_formed().expect("tree spans nest inside the forest span");
-        let fits = trace.spans_named("tree_fit");
+        let fits = trace.spans_named(crate::tree::SPAN_TREE_FIT);
         assert_eq!(fits.len(), 32);
         assert!(fits.iter().all(|s| s.parent == root), "{:?}", trace.spans);
     }

@@ -54,4 +54,7 @@ pub use scale::{ScaleMethod, Scaler};
 pub use select::TopKSelector;
 pub use tabpfn::{TabPfnSurrogate, TABPFN_MAX_CLASSES, TABPFN_MAX_FEATURES, TABPFN_MAX_SAMPLES};
 pub use transform::{Transform, TransformError};
-pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeConfig};
+pub use tree::{
+    DecisionTreeClassifier, DecisionTreeRegressor, TreeConfig, COUNTER_SPLIT_CANDIDATES,
+    COUNTER_SPLIT_EXACT, SPAN_TREE_FIT,
+};

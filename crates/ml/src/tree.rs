@@ -33,6 +33,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Span wrapping the growth of one tree, single or inside an ensemble.
+pub const SPAN_TREE_FIT: &str = "tree_fit";
+/// Counter: regression cuts the approximate gains scored.
+pub const COUNTER_SPLIT_CANDIDATES: &str = "ml.split_candidates";
+/// Counter: regression cuts the exact SSE loop verified.
+pub const COUNTER_SPLIT_EXACT: &str = "ml.split_exact";
+
 /// Hyper-parameters shared by classification and regression trees.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
@@ -1162,9 +1169,10 @@ impl Classifier for DecisionTreeClassifier {
 /// cuts the filter scored against those the exact loop verified (the
 /// prune ratio).
 fn flush_counters(builder: &Builder) {
-    for (name, count) in
-        [("ml.split_candidates", builder.split_candidates), ("ml.split_exact", builder.split_exact)]
-    {
+    for (name, count) in [
+        (COUNTER_SPLIT_CANDIDATES, builder.split_candidates),
+        (COUNTER_SPLIT_EXACT, builder.split_exact),
+    ] {
         if count > 0 {
             catdb_trace::add_counter(name, count as f64);
         }
@@ -1213,7 +1221,7 @@ fn grow(
     index: Option<&SplitIndex>,
     lists: &mut Vec<u32>,
 ) -> Node {
-    let _span = catdb_trace::span("tree_fit");
+    let _span = catdb_trace::span(SPAN_TREE_FIT);
     let local;
     let index = match index {
         Some(shared) => shared,
@@ -1751,8 +1759,8 @@ mod tests {
             DecisionTreeClassifier::default().fit(&x, &labels, 2).unwrap();
         }
         let counters = sink.snapshot().counters;
-        assert_eq!(counters["ml.split_candidates"], builder.split_candidates as f64);
-        assert_eq!(counters["ml.split_exact"], builder.split_exact as f64);
+        assert_eq!(counters[COUNTER_SPLIT_CANDIDATES], builder.split_candidates as f64);
+        assert_eq!(counters[COUNTER_SPLIT_EXACT], builder.split_exact as f64);
     }
 
     #[test]

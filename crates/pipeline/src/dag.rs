@@ -46,6 +46,8 @@ use std::time::Instant;
 
 /// Trace counter: waves (antichains) the DAG scheduler executed.
 pub const COUNTER_DAG_WAVES: &str = "dag.waves";
+/// Span wrapping one pipeline execution.
+pub const SPAN_EXECUTE_PIPELINE: &str = "execute_pipeline";
 
 /// The set of columns a step reads or writes: exact names plus prefixes
 /// of encoder-generated names (`{col}=` for one-hot/k-hot indicators,
@@ -400,7 +402,7 @@ pub fn execute(
     env: &Environment,
     cfg: &ExecutionConfig,
 ) -> Result<Evaluation, PipelineError> {
-    let _span = catdb_trace::span("execute_pipeline");
+    let _span = catdb_trace::span(SPAN_EXECUTE_PIPELINE);
     let started = Instant::now();
     let target = program.model().map(|m| m.target.clone());
     resolve_imports(program, env)?;

@@ -546,7 +546,7 @@ pub(crate) fn execute_seq(
     env: &Environment,
     cfg: &ExecutionConfig,
 ) -> Result<Evaluation, PipelineError> {
-    let _span = catdb_trace::span("execute_pipeline");
+    let _span = catdb_trace::span(crate::dag::SPAN_EXECUTE_PIPELINE);
     let started = Instant::now();
     let target = program.model().map(|m| m.target.clone());
     resolve_imports(program, env)?;

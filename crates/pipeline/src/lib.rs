@@ -41,7 +41,10 @@ pub use ast::{
     ColumnRef, EncodeSpec, ImputeSpec, ModelAlgo, ModelFamily, ModelSpec, OutlierSpec, Program,
     Step,
 };
-pub use dag::{execute, topo_order, ColSet, DagError, DagNode, StepDag, COUNTER_DAG_WAVES};
+pub use dag::{
+    execute, topo_order, ColSet, DagError, DagNode, StepDag, COUNTER_DAG_WAVES,
+    SPAN_EXECUTE_PIPELINE,
+};
 pub use environment::{required_packages, step_package, Environment, INSTALLABLE, PREINSTALLED};
 pub use errors::{ErrorCategory, ErrorKind, PipelineError};
 pub use executor::{Evaluation, ExecutionConfig, TaskMetrics};

@@ -12,6 +12,7 @@
 //! similarity, and a column whose value set is contained in another's has
 //! high cosine *and* a smaller distinct count — the inclusion signal.
 
+use crate::wide::wide_kernel;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -72,6 +73,7 @@ impl ColumnEmbedding {
     /// `-0.0`, in dimension order), so every result is bit-identical to
     /// the single-partner call; the `K` independent add chains overlap,
     /// and each dimension's `K` partner values are one contiguous read.
+    #[inline(always)]
     pub(crate) fn cosines<const K: usize>(&self, block: &EmbeddingBlock<K>) -> [f64; K] {
         let mut acc = [-0.0f64; K];
         for (&a, lanes) in self.v.iter().zip(&block.dims) {
@@ -100,6 +102,15 @@ impl<const K: usize> EmbeddingBlock<K> {
             dims: (0..EMBEDDING_DIM).map(|d| std::array::from_fn(|k| members[k].v[d])).collect(),
         }
     }
+}
+
+wide_kernel! {
+    /// [`ColumnEmbedding::cosines`] of `x` against `block` at `tier`'s
+    /// width, bit-identical at every tier.
+    pub(crate) fn cosines_at<const K: usize>(
+        x: &ColumnEmbedding,
+        block: &EmbeddingBlock<K>,
+    ) -> [f64; K] = ColumnEmbedding::cosines
 }
 
 /// Estimated inclusion dependency: does `small`'s value set appear to be
@@ -134,6 +145,9 @@ pub(crate) fn inclusion_score_from_cosine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::PAIR_BLOCK;
+    use crate::wide::Tier;
+    use proptest::prelude::*;
 
     fn embed(values: &[&str]) -> ColumnEmbedding {
         ColumnEmbedding::from_distinct_values(values.iter().copied())
@@ -216,6 +230,60 @@ mod tests {
                             inclusion_score_from_cosine(dot, small, big).to_bits(),
                             inclusion_score(x, other, small, big).to_bits()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A coordinate: `±0.0`, a multiple of `1/√n` as normalised sums of
+    /// `±1` hold, or any value in `[-1, 1]`.
+    fn coordinate() -> BoxedStrategy<f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            (-8i32..9, 1u32..400).prop_map(|(k, n)| k as f64 / (n as f64).sqrt()),
+            -1.0f64..1.0,
+        ]
+        .boxed()
+    }
+
+    /// An all-zero embedding, one of a value set, or raw coordinates.
+    fn embedding() -> BoxedStrategy<ColumnEmbedding> {
+        prop_oneof![
+            Just(ColumnEmbedding { v: vec![0.0; EMBEDDING_DIM] }),
+            prop::collection::vec(0u32..60, 0..40).prop_map(|ids| {
+                let vals: Vec<String> = ids.iter().map(|i| format!("v{i}")).collect();
+                ColumnEmbedding::from_distinct_values(vals.iter().map(|s| s.as_str()))
+            }),
+            prop::collection::vec(coordinate(), EMBEDDING_DIM..EMBEDDING_DIM + 1)
+                .prop_map(|v| ColumnEmbedding { v }),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every tier's cosines equal the scalar kernel's and `cosine`'s
+        /// bit for bit, over blocks of the profile's width with a short,
+        /// padded last block.
+        #[test]
+        fn cosines_match_the_scalar_kernels_at_every_tier(
+            embs in prop::collection::vec(embedding(), 1..2 * PAIR_BLOCK + 3),
+        ) {
+            let last = embs.len() - 1;
+            for start in (0..embs.len()).step_by(PAIR_BLOCK) {
+                let member = |k: usize| &embs[(start + k).min(last)];
+                let block = EmbeddingBlock::<PAIR_BLOCK>::new(std::array::from_fn(member));
+                for x in &embs {
+                    let scalar = x.cosines(&block);
+                    for (k, dot) in scalar.iter().enumerate() {
+                        prop_assert_eq!(dot.to_bits(), x.cosine(member(k)).to_bits());
+                    }
+                    for tier in Tier::all() {
+                        let got = cosines_at(tier, x, &block).map(f64::to_bits);
+                        prop_assert_eq!(got, scalar.map(f64::to_bits), "{:?}", tier);
                     }
                 }
             }

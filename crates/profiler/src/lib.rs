@@ -11,10 +11,13 @@
 //! The output [`DataProfile`] is the raw material for the data catalog
 //! (`catdb-catalog`) and ultimately for prompt construction.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 mod embedding;
 mod profile;
 mod sketch;
 mod types;
+mod wide;
 
 pub use embedding::{inclusion_score, ColumnEmbedding, EMBEDDING_DIM};
 pub use profile::{

@@ -2,10 +2,11 @@
 //! types, dependencies (via embeddings), samples, and statistics.
 
 use crate::embedding::{
-    inclusion_score_from_cosine, ColumnEmbedding, EmbeddingBlock, EMBEDDING_DIM,
+    cosines_at, inclusion_score_from_cosine, ColumnEmbedding, EmbeddingBlock, EMBEDDING_DIM,
 };
 use crate::sketch::{ColumnSketch, PairMoments};
 use crate::types::{ColumnProfile, DataProfile, FeatureType, NumericStats};
+use crate::wide::{wide_kernel, Tier};
 use catdb_runtime::Lru;
 use catdb_table::{
     column_dict_with_fingerprint, column_fingerprint, table_fingerprint_from_columns, ChunkedTable,
@@ -289,47 +290,31 @@ fn detect_feature_type(
 }
 
 /// Columns the pairwise kernels sweep together: enough independent add
-/// chains to hide floating-point latency. On x86-64 (baseline SSE2
-/// codegen) the correlation kernel's time was flat from 12 to 32 and
-/// 1.6–1.9× slower at 8.
-const PAIR_BLOCK: usize = 16;
+/// chains to hide floating-point latency. On kdd98's kernels (x86-64,
+/// one thread) 8 lanes made N×N 1.7–5× slower at every tier; 32 made it
+/// 1.2–1.6× slower at the baseline and under AVX2, whose 16 `ymm`
+/// registers already fall short of N×N's five 16-lane arrays, and tied
+/// under AVX-512F.
+pub(crate) const PAIR_BLOCK: usize = 16;
 
 /// One row of a block: a value per member column.
 type Lanes = [f64; PAIR_BLOCK];
 
-/// A numeric column's own moments, the parts of its Pearson pairs that
-/// do not depend on the partner.
-struct Moments {
-    /// Present rows.
-    count: u64,
-    /// Deviations from the column's own mean, `+0.0` where missing. The
-    /// mean is the sum of the present values from `-0.0` in row order
-    /// (as `Iterator::sum` folds) over `count`.
-    devs: Vec<f64>,
-    /// Σdev², summed from `+0.0` in row order.
-    ss: f64,
-}
-
-impl Moments {
-    fn of(values: &[Option<f64>]) -> Moments {
-        let (count, sum) =
-            values.iter().flatten().fold((0u64, -0.0f64), |(n, s), v| (n + 1, s + v));
-        let mean = sum / count as f64;
-        let devs: Vec<f64> = values.iter().map(|v| v.map_or(0.0, |v| v - mean)).collect();
-        let ss = devs.iter().fold(0.0, |s, d| s + d * d);
-        Moments { count, devs, ss }
-    }
-}
-
 /// Up to `PAIR_BLOCK` numeric columns of one null class, interleaved row
 /// by row so one kernel sweep reads all its partners from one contiguous
 /// stream. A short block repeats its final column as padding.
+///
+/// Besides the interleaved arrays a block holds each member's own
+/// moments, the parts of its Pearson pairs that do not depend on the
+/// partner: its present rows, and its Σdev² over them.
 struct Block {
     /// Each member's deviations from its own mean, `+0.0` where missing.
+    /// The mean is the sum of the present values from `-0.0` in row order
+    /// (as `Iterator::sum` folds) over the present count.
     devs: Vec<Lanes>,
     /// Each member's present rows.
     counts: [u64; PAIR_BLOCK],
-    /// Each member's Σdev².
+    /// Each member's Σdev², summed from `+0.0` in row order.
     ss: Lanes,
     /// What the class's other kernels read.
     held: Held,
@@ -344,27 +329,64 @@ enum Held {
 }
 
 impl Block {
+    /// The block of `cols`, read straight from their typed cells, each
+    /// converted as [`Column::to_f64_vec`] does.
     fn new(table: &Table, cols: &[usize], with_nulls: bool) -> Block {
-        let dense: Vec<Vec<Option<f64>>> =
-            cols.iter().map(|&c| table.column_at(c).to_f64_vec()).collect();
-        let moments: Vec<Moments> = dense.iter().map(|v| Moments::of(v)).collect();
-        let lane = |k: usize| k.min(cols.len() - 1);
-        let held = if with_nulls {
-            let dense: Vec<&[Option<f64>]> = dense.iter().map(Vec::as_slice).collect();
-            Held::Sparse(
-                interleave(&dense, |v| v.unwrap_or(0.0)),
-                interleave(&dense, |v| if v.is_some() { u64::MAX } else { 0 }),
-            )
-        } else {
-            Held::Full(dense.iter().map(|v| v.iter().flatten().copied().collect()).collect())
+        let rows = table.n_rows();
+        let mut block = Block {
+            devs: vec![[0.0; PAIR_BLOCK]; rows],
+            counts: [0; PAIR_BLOCK],
+            ss: [0.0; PAIR_BLOCK],
+            held: if with_nulls {
+                Held::Sparse(vec![[0.0; PAIR_BLOCK]; rows], vec![[0; PAIR_BLOCK]; rows])
+            } else {
+                Held::Full(Vec::with_capacity(cols.len()))
+            },
         };
-        let devs: Vec<&[f64]> = moments.iter().map(|m| m.devs.as_slice()).collect();
-        Block {
-            devs: interleave(&devs, |&d| d),
-            counts: std::array::from_fn(|k| moments[lane(k)].count),
-            ss: std::array::from_fn(|k| moments[lane(k)].ss),
-            held,
+        for (k, &c) in cols.iter().enumerate() {
+            match table.column_at(c) {
+                Column::Int(v) => block.fill_lane(k, v.iter().map(|x| x.map(|i| i as f64))),
+                Column::Float(v) => block.fill_lane(k, v.iter().copied()),
+                _ => unreachable!("pair blocks hold Int and Float columns"),
+            }
         }
+        // Repeat the last member into the padding lanes.
+        let last = cols.len() - 1;
+        fn pad<T: Copy>(lanes: &mut [T; PAIR_BLOCK], last: usize) {
+            let v = lanes[last];
+            lanes[last + 1..].fill(v);
+        }
+        pad(&mut block.counts, last);
+        pad(&mut block.ss, last);
+        block.devs.iter_mut().for_each(|row| pad(row, last));
+        if let Held::Sparse(values, masks) = &mut block.held {
+            values.iter_mut().for_each(|row| pad(row, last));
+            masks.iter_mut().for_each(|row| pad(row, last));
+        }
+        block
+    }
+
+    /// Lane `k` from one column's cells: two passes in row order, one for
+    /// the mean and one writing the deviations and what `held` keeps.
+    fn fill_lane(&mut self, k: usize, cells: impl Iterator<Item = Option<f64>> + Clone) {
+        let (count, sum) =
+            cells.clone().flatten().fold((0u64, -0.0f64), |(n, s), v| (n + 1, s + v));
+        let mean = sum / count as f64;
+        let mut ss = 0.0;
+        for (r, v) in cells.clone().enumerate() {
+            let d = v.map_or(0.0, |v| v - mean);
+            ss += d * d;
+            self.devs[r][k] = d;
+            if let Held::Sparse(values, masks) = &mut self.held {
+                values[r][k] = v.unwrap_or(0.0);
+                masks[r][k] = if v.is_some() { u64::MAX } else { 0 };
+            }
+        }
+        if let Held::Full(columns) = &mut self.held {
+            columns.push(cells.flatten().collect());
+        }
+        self.counts[k] = count;
+        self.ss[k] = ss;
     }
 
     fn masked(&self) -> (&[Lanes], &[[u64; PAIR_BLOCK]]) {
@@ -375,16 +397,17 @@ impl Block {
     }
 }
 
-/// Up to `PAIR_BLOCK` equally long columns as rows of `PAIR_BLOCK` lanes,
-/// the last column repeated as padding, each cell mapped through `f`.
-fn interleave<S, T: Copy + Default>(cols: &[&[S]], f: impl Fn(&S) -> T) -> Vec<[T; PAIR_BLOCK]> {
-    let mut rows = vec![[T::default(); PAIR_BLOCK]; cols[0].len()];
-    for k in 0..PAIR_BLOCK {
-        for (row, cell) in rows.iter_mut().zip(cols[k.min(cols.len() - 1)]) {
-            row[k] = f(cell);
-        }
+/// A block's lanes from `f`, as `std::array::from_fn` builds them. The
+/// kernels end with this rather than `from_fn`, which the wide entry
+/// points called out of line: its closure's borrow of the accumulators
+/// then kept them in memory, a store per row and lane, in scalar loops.
+#[inline(always)]
+fn lanes(f: impl Fn(usize) -> f64) -> Lanes {
+    let mut out = [0.0; PAIR_BLOCK];
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = f(k);
     }
-    rows
+    out
 }
 
 /// `v` where `mask` is all ones, `-0.0` where it is zero.
@@ -407,6 +430,7 @@ fn pearson_from(n: u64, cov: f64, vx: f64, vy: f64) -> f64 {
 /// null-free block `ys`. Every row is co-present, so both means and
 /// Σdev² are each column's own: a row costs one product and one add
 /// per partner.
+#[inline(always)]
 fn pearson_full_full(xs: &Block, c: usize, ys: &Block) -> Lanes {
     let mut cov = [0.0f64; PAIR_BLOCK];
     for (x, y) in xs.devs.iter().zip(&ys.devs) {
@@ -414,13 +438,19 @@ fn pearson_full_full(xs: &Block, c: usize, ys: &Block) -> Lanes {
             cov[k] += x[c] * y[k];
         }
     }
-    std::array::from_fn(|k| pearson_from(ys.counts[k], cov[k], xs.ss[c], ys.ss[k]))
+    lanes(|k| pearson_from(ys.counts[k], cov[k], xs.ss[c], ys.ss[k]))
+}
+
+wide_kernel! {
+    /// [`pearson_full_full`] at `tier`'s width.
+    fn full_full(xs: &Block, c: usize, ys: &Block) -> Lanes = pearson_full_full
 }
 
 /// F×N: the null-free column `xv` against each column of the
 /// null-bearing block `ys`. The co-present rows are the partner's own
 /// rows, so its count, mean and Σdev² are hoisted; only `x`'s mean over
 /// those rows and the centred sums are per pair.
+#[inline(always)]
 fn pearson_full_sparse(xv: &[f64], ys: &Block) -> Lanes {
     let (_, ym) = ys.masked();
     let mut sx = [-0.0f64; PAIR_BLOCK];
@@ -429,7 +459,7 @@ fn pearson_full_sparse(xv: &[f64], ys: &Block) -> Lanes {
             sx[k] += masked(m[k], x);
         }
     }
-    let mx: Lanes = std::array::from_fn(|k| sx[k] / ys.counts[k] as f64);
+    let mx: Lanes = lanes(|k| sx[k] / ys.counts[k] as f64);
     let mut cov = [0.0f64; PAIR_BLOCK];
     let mut vx = [0.0f64; PAIR_BLOCK];
     for ((&x, m), dy) in xv.iter().zip(ym).zip(&ys.devs) {
@@ -439,12 +469,18 @@ fn pearson_full_sparse(xv: &[f64], ys: &Block) -> Lanes {
             vx[k] += dx * dx;
         }
     }
-    std::array::from_fn(|k| pearson_from(ys.counts[k], cov[k], vx[k], ys.ss[k]))
+    lanes(|k| pearson_from(ys.counts[k], cov[k], vx[k], ys.ss[k]))
+}
+
+wide_kernel! {
+    /// [`pearson_full_sparse`] at `tier`'s width.
+    fn full_sparse(xv: &[f64], ys: &Block) -> Lanes = pearson_full_sparse
 }
 
 /// N×N: null-bearing column `c` of `xs` against each column of the
 /// null-bearing block `ys`, over the rows both hold: both means and
 /// both Σdev² depend on the pair, so the kernel makes two masked passes.
+#[inline(always)]
 fn pearson_sparse_sparse(xs: &Block, c: usize, ys: &Block) -> Lanes {
     let ((xv, xm), (yv, ym)) = (xs.masked(), ys.masked());
     let mut n = [0u64; PAIR_BLOCK];
@@ -459,8 +495,8 @@ fn pearson_sparse_sparse(xs: &Block, c: usize, ys: &Block) -> Lanes {
             sy[k] += masked(on, y[k]);
         }
     }
-    let mx: Lanes = std::array::from_fn(|k| sx[k] / n[k] as f64);
-    let my: Lanes = std::array::from_fn(|k| sy[k] / n[k] as f64);
+    let mx: Lanes = lanes(|k| sx[k] / n[k] as f64);
+    let my: Lanes = lanes(|k| sy[k] / n[k] as f64);
     let mut cov = [0.0f64; PAIR_BLOCK];
     let mut vx = [0.0f64; PAIR_BLOCK];
     let mut vy = [0.0f64; PAIR_BLOCK];
@@ -476,7 +512,12 @@ fn pearson_sparse_sparse(xs: &Block, c: usize, ys: &Block) -> Lanes {
             vy[k] += dy * dy;
         }
     }
-    std::array::from_fn(|k| pearson_from(n[k], cov[k], vx[k], vy[k]))
+    lanes(|k| pearson_from(n[k], cov[k], vx[k], vy[k]))
+}
+
+wide_kernel! {
+    /// [`pearson_sparse_sparse`] at `tier`'s width.
+    fn sparse_sparse(xs: &Block, c: usize, ys: &Block) -> Lanes = pearson_sparse_sparse
 }
 
 /// |Pearson r| of every numeric column pair, as a dense symmetric matrix
@@ -521,7 +562,7 @@ impl Correlations {
 ///
 /// The numeric columns split by null class, null-free (F) and
 /// null-bearing (N), each interleaved in `PAIR_BLOCK`-column [`Block`]s
-/// together with each column's own [`Moments`]. One runtime task per
+/// together with each column's own moments. One runtime task per
 /// pair of blocks runs every member of the first against the second,
 /// so the partner block is read from cache by each of its `x` columns
 /// in turn. Each unordered pair is computed once, by the cheapest
@@ -537,7 +578,7 @@ impl Correlations {
 ///   sum can never become `-0.0` (round-to-nearest gives `-0.0` only for
 ///   `-0.0 + -0.0`), and for every other f64 `+0.0` is the identity, so a
 ///   skipped row masks its deviations to `+0.0`.
-fn numeric_correlations(table: &Table, n_threads: usize) -> Correlations {
+fn numeric_correlations(table: &Table, n_threads: usize, tier: Tier) -> Correlations {
     let is_numeric = |c: &usize| table.column_at(*c).dtype().is_numeric();
     let (full, sparse): (Vec<usize>, Vec<usize>) =
         (0..table.n_cols()).filter(is_numeric).partition(|&c| table.column_at(c).null_count() == 0);
@@ -562,9 +603,9 @@ fn numeric_correlations(table: &Table, n_threads: usize) -> Correlations {
         let (xs, ys) = (&blocks[x], &blocks[y]);
         (0..groups[x].0.len())
             .map(|c| match (&xs.held, &ys.held) {
-                (Held::Full(_), Held::Full(_)) => pearson_full_full(xs, c, ys),
-                (Held::Full(values), Held::Sparse(..)) => pearson_full_sparse(&values[c], ys),
-                (Held::Sparse(..), Held::Sparse(..)) => pearson_sparse_sparse(xs, c, ys),
+                (Held::Full(_), Held::Full(_)) => full_full(tier, xs, c, ys),
+                (Held::Full(values), Held::Sparse(..)) => full_sparse(tier, &values[c], ys),
+                (Held::Sparse(..), Held::Sparse(..)) => sparse_sparse(tier, xs, c, ys),
                 (Held::Sparse(..), Held::Full(_)) => unreachable!("F blocks precede N blocks"),
             })
             .collect::<Vec<Lanes>>()
@@ -625,6 +666,7 @@ fn pairwise_pass(
     distincts: &[usize],
     corr: &Correlations,
     n_threads: usize,
+    tier: Tier,
     opts: &ProfileOptions,
 ) {
     let m = profiles.len();
@@ -638,7 +680,7 @@ fn pairwise_pass(
         let mut row = Vec::with_capacity(m - 1 - i);
         for (b, block) in blocks.iter().enumerate().skip((i + 1) / PAIR_BLOCK) {
             let lo = b * PAIR_BLOCK;
-            let dots = embeddings[i].cosines(block);
+            let dots = cosines_at(tier, &embeddings[i], block);
             row.extend_from_slice(&dots[(i + 1).saturating_sub(lo)..(m - lo).min(PAIR_BLOCK)]);
         }
         row
@@ -870,7 +912,8 @@ fn profile_exact(
 
     let pairs_span = catdb_trace::span(SPAN_PROFILE_PAIRS);
     let pair_threads = pair_threads(fields.len(), n_rows, opts);
-    let corr = numeric_correlations(table, pair_threads);
+    let tier = Tier::host();
+    let corr = numeric_correlations(table, pair_threads, tier);
     let mut profiles = Vec::with_capacity(partials.len());
     let mut embeddings = Vec::with_capacity(partials.len());
     let mut distincts = Vec::with_capacity(partials.len());
@@ -879,7 +922,7 @@ fn profile_exact(
         profiles.push(p.profile);
         embeddings.push(p.embedding);
     }
-    pairwise_pass(&mut profiles, &embeddings, &distincts, &corr, pair_threads, opts);
+    pairwise_pass(&mut profiles, &embeddings, &distincts, &corr, pair_threads, tier, opts);
     drop(pairs_span);
 
     let profile = DataProfile {
@@ -1043,7 +1086,7 @@ fn finalize_sketch(
         corr.set(i, j, p.pearson_abs());
     }
     let n_threads = pair_threads(profiles.len(), 0, opts);
-    pairwise_pass(&mut profiles, &embeddings, &distincts, &corr, n_threads, opts);
+    pairwise_pass(&mut profiles, &embeddings, &distincts, &corr, n_threads, Tier::host(), opts);
 
     let column_events: Vec<(String, String, u64)> = profiles
         .iter()
@@ -1394,7 +1437,7 @@ mod tests {
         /// across NaN, ±0.0, ±∞, constant columns, pairs with fewer than
         /// 3 co-present rows, integer and text columns, and class sizes
         /// that are not a multiple of `PAIR_BLOCK` and span several
-        /// blocks.
+        /// blocks, at every kernel tier the host runs.
         #[test]
         fn blocked_pearson_matches_per_pair_loop_bit_for_bit(
             n_rows in 0usize..MAX_ROWS,
@@ -1406,13 +1449,16 @@ mod tests {
                 .map(|c| (format!("c{c}"), shaped(shapes[c], &cells[c * MAX_ROWS..c * MAX_ROWS + n_rows])))
                 .collect();
             let table = Table::from_columns(cols).unwrap();
-            let corr = numeric_correlations(&table, 2);
-            for i in 0..n_cols {
-                for j in 0..n_cols {
-                    let (a, b) = (table.column_at(i), table.column_at(j));
-                    let want = (i != j && a.dtype().is_numeric() && b.dtype().is_numeric())
-                        .then(|| pearson_abs(a, b).to_bits());
-                    prop_assert_eq!(corr.get(i, j).map(f64::to_bits), want, "pair ({}, {})", i, j);
+            for tier in Tier::all() {
+                let corr = numeric_correlations(&table, 2, tier);
+                for i in 0..n_cols {
+                    for j in 0..n_cols {
+                        let (a, b) = (table.column_at(i), table.column_at(j));
+                        let want = (i != j && a.dtype().is_numeric() && b.dtype().is_numeric())
+                            .then(|| pearson_abs(a, b).to_bits());
+                        let got = corr.get(i, j).map(f64::to_bits);
+                        prop_assert_eq!(got, want, "pair ({}, {}) at {:?}", i, j, tier);
+                    }
                 }
             }
         }

@@ -29,5 +29,5 @@ pub use protocol::{
     dataset_name, ClientFrame, DatasetSpec, GenerateRequest, GenerateResponse, RetryAfter,
     ServerFrame, WireError, PROTOCOL_VERSION,
 };
-pub use server::{Gate, ServeOptions, Server};
+pub use server::{Gate, ServeOptions, Server, SPAN_SERVE_REQUEST};
 pub use transport::{duplex, DuplexStream};

@@ -48,6 +48,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Span wrapping the handling of one admitted request.
+pub const SPAN_SERVE_REQUEST: &str = "serve_request";
+
 /// A reusable open/closed latch. Test hook: when [`ServeOptions::gate`]
 /// is set, every admitted request parks here before doing any work, so
 /// tests can hold slots occupied deterministically.
@@ -315,7 +318,7 @@ impl Server {
         sink: &Arc<TraceSink>,
     ) -> Result<GenerateResponse, String> {
         let _guard = catdb_trace::install(sink.clone());
-        let _span = catdb_trace::span("serve_request");
+        let _span = catdb_trace::span(SPAN_SERVE_REQUEST);
         #[cfg(test)]
         if req.tenant == tests::PANIC_TENANT {
             panic!("injected panic for tenant {}", req.tenant);

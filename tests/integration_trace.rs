@@ -3,8 +3,11 @@
 //! operator coverage, and JSON export/import fidelity.
 
 use catdb_bench::{prepare, traced, BenchArgs};
-use catdb_core::RunSpec;
+use catdb_catalog::SPAN_REFINE_DATASET;
+use catdb_core::{RunSpec, SPAN_GENERATE_PIPELINE};
 use catdb_data::{generate, GenOptions};
+use catdb_pipeline::SPAN_EXECUTE_PIPELINE;
+use catdb_profiler::SPAN_PROFILE_TABLE;
 use catdb_trace::{Trace, TraceEvent};
 
 fn gen_opts() -> GenOptions {
@@ -47,14 +50,14 @@ fn diabetes_run_records_full_trace() {
     // ends after starts.
     trace.check_well_formed().expect("span tree well formed");
     assert!(
-        !trace.spans_named("generate_pipeline").is_empty(),
+        !trace.spans_named(SPAN_GENERATE_PIPELINE).is_empty(),
         "generation span missing: {:?}",
         trace.spans
     );
-    assert!(!trace.spans_named("execute_pipeline").is_empty(), "execution span missing");
+    assert!(!trace.spans_named(SPAN_EXECUTE_PIPELINE).is_empty(), "execution span missing");
     // Pipeline execution happened inside the generation session.
-    let gen_id = trace.spans_named("generate_pipeline")[0].id;
-    assert!(trace.spans_named("execute_pipeline").iter().all(|s| s.parent == Some(gen_id)));
+    let gen_id = trace.spans_named(SPAN_GENERATE_PIPELINE)[0].id;
+    assert!(trace.spans_named(SPAN_EXECUTE_PIPELINE).iter().all(|s| s.parent == Some(gen_id)));
 
     // Executed operators were recorded with row counts.
     let ops: Vec<&TraceEvent> = events.iter().filter(|e| e.kind() == "pipeline_op").collect();
@@ -89,11 +92,11 @@ fn refinement_and_profiling_are_traced() {
 
     let events = trace.events_modulo_timing();
     // Profiling runs at least twice (raw + refined), covering every column.
-    assert!(trace.spans_named("profile_table").len() >= 2);
+    assert!(trace.spans_named(SPAN_PROFILE_TABLE).len() >= 2);
     assert!(events.iter().any(|e| e.kind() == "profile_column"));
     // Refinement emits its prompts and (on eu-it, which is built around
     // categorical duplicates) at least one RefineStep.
-    assert!(!trace.spans_named("refine_dataset").is_empty());
+    assert!(!trace.spans_named(SPAN_REFINE_DATASET).is_empty());
     let tasks = trace.llm_tokens_by_task();
     assert!(
         tasks.keys().any(|t| t == "feature_type_inference" || t == "categorical_refinement"),
